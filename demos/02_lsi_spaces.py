@@ -14,9 +14,10 @@ languages project into one shared concept space with no translation step.
 import numpy as np
 
 from xling.lsi import build_cross_matrix, build_mono_matrix, embed_crosslingual, project, train
+from xling.retrieval import Embeddings, retrieve
 from xling.synthetic import SyntheticSpec, make_parallel_corpus
 from xling.textprep import tokenize
-from xling.vsm import cosine, vectorize
+from xling.vsm import vectorize
 
 spec = SyntheticSpec(n_topics=6, words_per_topic=30, common_words=8,
                      doc_length=(60, 100), topic_alpha=0.15)
@@ -47,5 +48,6 @@ for j in (0, 1, 2):
     e = embed_crosslingual(src_tokens[j], "source", cross)
     a = embed_crosslingual(tgt_tokens[j], "target", cross)
     wrong = embed_crosslingual(tgt_tokens[(j + 7) % len(tgt_tokens)], "target", cross)
-    print(f"couple {j}: cosine(own pair) = {cosine(e, a):.3f}   "
-          f"cosine(unrelated) = {cosine(e, wrong):.3f}")
+    sims = dict(retrieve(e, Embeddings(["own pair", "unrelated"], [a, wrong]), 2).entries)
+    print(f"couple {j}: cosine(own pair) = {sims['own pair']:.3f}   "
+          f"cosine(unrelated) = {sims['unrelated']:.3f}")

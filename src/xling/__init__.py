@@ -44,6 +44,7 @@ from .lsi import (
 from .retrieval import (
     AlignmentPair,
     DictionaryProvider,
+    Embeddings,
     EvalReport,
     FileCacheProvider,
     IdentityProvider,
@@ -79,7 +80,6 @@ from .vsm import (
     TermDocMatrix,
     Vocabulary,
     build_vocabulary,
-    cosine,
     tfidf_weight,
     vectorize,
 )

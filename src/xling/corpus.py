@@ -221,8 +221,12 @@ def save_aligned_corpus(corpus: AlignedCorpus, path: str | Path) -> None:
 
 
 def load_documents(path: str | Path, *, language: str | None = None) -> list[Document]:
-    """Load a flat document file: JSONL with ``id``/``text`` plus metadata."""
+    """Load a flat document file: JSONL with ``id``/``text`` plus metadata.
+
+    Ids must be unique within the file.
+    """
     docs = []
+    first_line: dict[str, int] = {}
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_number, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -234,10 +238,16 @@ def load_documents(path: str | Path, *, language: str | None = None) -> list[Doc
                 raise MalformedRecordError(line_number, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict) or "id" not in record or "text" not in record:
                 raise MalformedRecordError(line_number, "record needs 'id' and 'text'")
+            doc_id = str(record["id"])
+            if doc_id in first_line:
+                raise MalformedRecordError(
+                    line_number, f"duplicate id {doc_id!r} (first on line {first_line[doc_id]})"
+                )
+            first_line[doc_id] = line_number
             try:
                 docs.append(
                     Document(
-                        id=str(record["id"]),
+                        id=doc_id,
                         language=record.get("language", language or "und"),
                         text=record["text"],
                         group_key=record.get("group_key"),

@@ -21,6 +21,7 @@ import numpy as np
 from .bidict import BilingualDictionary
 from .corpus import AlignedCorpus, Document
 from .errors import (
+    DimensionMismatchError,
     EmptyCandidatesError,
     MissingGoldError,
     SelfTestError,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .lsi import LsiModel, embed_crosslingual, project
 from .textprep import tokenize
-from .vsm import cosine, vectorize
+from .vsm import vectorize
 
 __all__ = [
     "RankedList",
@@ -39,6 +40,7 @@ __all__ = [
     "DictionaryProvider",
     "FileCacheProvider",
     "default_preprocess",
+    "Embeddings",
     "retrieve",
     "project_documents",
     "embed_documents",
@@ -182,33 +184,78 @@ class FileCacheProvider(TranslationProvider):
 # --------------------------------------------------------------------------
 
 
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    norms = np.sqrt((matrix * matrix).sum(axis=1))[:, None]
+    return np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0)
+
+
+class Embeddings:
+    """Document vectors scaled to unit length, one row per id.
+
+    ``ids`` ascend and row ``i`` of the C-contiguous float64 matrix ``unit``
+    belongs to ``ids[i]``; a zero vector stays a zero row.
+    """
+
+    __slots__ = ("ids", "unit")
+
+    def __init__(self, ids: Sequence[str], vectors: Sequence[np.ndarray]):
+        if len(ids) != len(vectors):
+            raise ValueError(f"{len(ids)} ids for {len(vectors)} vectors")
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.ids: tuple[str, ...] = tuple(ids[i] for i in order)
+        for a, b in zip(self.ids, self.ids[1:]):
+            if a == b:
+                raise ValueError(f"duplicate id {a!r}")
+        matrix = (
+            np.array([vectors[i] for i in order], dtype=np.float64) if order else np.zeros((0, 0))
+        )
+        if matrix.ndim != 2:
+            raise ValueError("vectors must be 1-D and of equal length")
+        self.unit: np.ndarray = _unit_rows(matrix)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 def retrieve(
     query_vec: np.ndarray,
-    candidates: Mapping[str, np.ndarray],
+    candidates: Embeddings,
     n: int,
     *,
     query_id: str = "",
 ) -> RankedList:
-    """Rank candidates by cosine to the query and keep the top ``n``."""
+    """Rank candidates by cosine to the query and keep the top ``n``.
+
+    Exact brute-force search. Scores are elementwise products summed per
+    row, not a BLAS product, because BLAS can round the same row differently
+    at different positions in the matrix; equal rows must score bit-equal
+    so that a stable sort over the id-sorted rows breaks ties by id.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not candidates:
+    if not len(candidates):
         raise EmptyCandidatesError("cannot retrieve from an empty candidate collection")
-    scored = [(cid, cosine(query_vec, vec)) for cid, vec in candidates.items()]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return RankedList(query_id, tuple(scored[:n]))
+    query = np.asarray(query_vec, dtype=np.float64)
+    if query.shape != candidates.unit.shape[1:]:
+        raise DimensionMismatchError(
+            f"query shape {query.shape} does not match candidate dimension "
+            f"{candidates.unit.shape[1]}"
+        )
+    sims = (candidates.unit * _unit_rows(query[None, :])[0]).sum(axis=1)
+    top = np.argsort(-sims, kind="stable")[:n]
+    return RankedList(query_id, tuple((candidates.ids[i], float(sims[i])) for i in top))
 
 
 def project_documents(
     docs: Sequence[Document],
     model: LsiModel,
     preprocess: Callable[[str], list[str]] = default_preprocess,
-) -> dict[str, np.ndarray]:
-    """Fold documents into a monolingual LSI space, keyed by id."""
-    return {
-        doc.id: project(vectorize(preprocess(doc.text), model.vocabulary), model)
-        for doc in docs
-    }
+) -> Embeddings:
+    """Fold documents into a monolingual LSI space."""
+    return Embeddings(
+        [doc.id for doc in docs],
+        [project(vectorize(preprocess(doc.text), model.vocabulary), model) for doc in docs],
+    )
 
 
 def embed_documents(
@@ -216,9 +263,12 @@ def embed_documents(
     side: str,
     model: LsiModel,
     preprocess: Callable[[str], list[str]] = default_preprocess,
-) -> dict[str, np.ndarray]:
-    """Embed documents into a cross-lingual LSI space, keyed by id."""
-    return {doc.id: embed_crosslingual(preprocess(doc.text), side, model) for doc in docs}
+) -> Embeddings:
+    """Embed documents into a cross-lingual LSI space."""
+    return Embeddings(
+        [doc.id for doc in docs],
+        [embed_crosslingual(preprocess(doc.text), side, model) for doc in docs],
+    )
 
 
 def retrieve_ar_lsi(
@@ -279,18 +329,6 @@ def retrieve_cl_lsi(
 # --------------------------------------------------------------------------
 
 
-def _best_target(
-    query_vec: np.ndarray, candidates: Mapping[str, np.ndarray]
-) -> tuple[str, float]:
-    best_id, best_sim = None, -2.0
-    for cid in sorted(candidates):
-        sim = cosine(query_vec, candidates[cid])
-        if sim > best_sim:
-            best_id, best_sim = cid, sim
-    assert best_id is not None
-    return best_id, best_sim
-
-
 def align_corpora(
     source_docs: Sequence[Document],
     target_docs: Sequence[Document],
@@ -316,40 +354,32 @@ def align_corpora(
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
 
+    buckets: dict[str | None, tuple[list[Document], list[Document]]] = {}
     if group_by is None:
-        buckets: list[tuple[str | None, list[Document], list[Document]]] = [
-            (None, list(source_docs), list(target_docs))
-        ]
+        buckets[None] = (list(source_docs), list(target_docs))
     else:
-        for doc in list(source_docs) + list(target_docs):
-            if doc.group_key is None:
-                raise ValueError(f"document {doc.id!r} has no group_key to group by")
-        keys = sorted(
-            {d.group_key for d in source_docs} | {d.group_key for d in target_docs}
-        )
-        buckets = [
-            (
-                key,
-                [d for d in source_docs if d.group_key == key],
-                [d for d in target_docs if d.group_key == key],
-            )
-            for key in keys
-        ]
+        for side, docs in enumerate((source_docs, target_docs)):
+            for doc in docs:
+                if doc.group_key is None:
+                    raise ValueError(f"document {doc.id!r} has no group_key to group by")
+                buckets.setdefault(doc.group_key, ([], []))[side].append(doc)
 
     pairs: list[AlignmentPair] = []
-    for key, src_bucket, tgt_bucket in buckets:
+    for key in sorted(buckets):
+        src_bucket, tgt_bucket = buckets[key]
         if not src_bucket or not tgt_bucket:
             warnings.warn(f"group {key!r} is empty on one side; skipped", stacklevel=2)
             continue
         tgt_vecs = embed_documents(tgt_bucket, "target", model, preprocess)
         src_vecs = embed_documents(src_bucket, "source", model, preprocess)
         bucket_pairs = []
-        for doc in src_bucket:
-            tgt_id, sim = _best_target(src_vecs[doc.id], tgt_vecs)
-            bucket_pairs.append(AlignmentPair(doc.id, tgt_id, sim, key))
+        for src_id, vec in zip(src_vecs.ids, src_vecs.unit):
+            ((tgt_id, sim),) = retrieve(vec, tgt_vecs, 1).entries
+            bucket_pairs.append(AlignmentPair(src_id, tgt_id, sim, key))
         if mutual_best:
             back = {
-                doc.id: _best_target(tgt_vecs[doc.id], src_vecs)[0] for doc in tgt_bucket
+                tgt_id: retrieve(vec, src_vecs, 1).entries[0][0]
+                for tgt_id, vec in zip(tgt_vecs.ids, tgt_vecs.unit)
             }
             bucket_pairs = [p for p in bucket_pairs if back[p.target_id] == p.source_id]
         bucket_pairs.sort(key=lambda p: (-p.similarity, p.source_id, p.target_id))
@@ -374,17 +404,7 @@ def recall_at_k(
 
     Skipped queries count as misses. Every query must have a gold target.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not ranked_lists:
-        raise ValueError("no ranked lists to evaluate")
-    hits = 0
-    for rl in ranked_lists:
-        if rl.query_id not in gold:
-            raise MissingGoldError(rl.query_id)
-        if gold[rl.query_id] in rl.candidate_ids()[:k]:
-            hits += 1
-    return hits / len(ranked_lists)
+    return evaluate_retrieval(ranked_lists, gold, (k,)).recall[k]
 
 
 def evaluate_retrieval(
@@ -392,7 +412,15 @@ def evaluate_retrieval(
     gold: Mapping[str, str],
     ks: Sequence[int] = (1, 5),
 ) -> EvalReport:
-    """Recall at each requested depth plus per-query hit flags."""
+    """Recall at each requested depth plus per-query hit flags.
+
+    Every depth must be at least 1 and there must be at least one list.
+    """
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+    if not ranked_lists:
+        raise ValueError("no ranked lists to evaluate")
     report = EvalReport(query_count=len(ranked_lists))
     for k in ks:
         flags = []
@@ -401,7 +429,7 @@ def evaluate_retrieval(
                 raise MissingGoldError(rl.query_id)
             flags.append(gold[rl.query_id] in rl.candidate_ids()[:k])
         report.hits[k] = tuple(flags)
-        report.recall[k] = sum(flags) / len(flags) if flags else 0.0
+        report.recall[k] = sum(flags) / len(flags)
     return report
 
 
@@ -470,15 +498,15 @@ def oracle_experiment(
     else:
         vectors = project_documents(docs, model, preprocess)
 
-    degenerate = sorted(cid for cid, vec in vectors.items() if not np.any(vec))
+    degenerate = [vectors.ids[i] for i in np.flatnonzero(~vectors.unit.any(axis=1))]
     if degenerate:
         raise SelfTestError(degenerate)
 
-    offenders = []
-    for doc in docs:
-        ranked = retrieve(vectors[doc.id], vectors, max(k, 1), query_id=doc.id)
-        if ranked.entries[0][0] != doc.id:
-            offenders.append(doc.id)
+    offenders = [
+        doc_id
+        for doc_id, vec in zip(vectors.ids, vectors.unit)
+        if retrieve(vec, vectors, max(k, 1), query_id=doc_id).entries[0][0] != doc_id
+    ]
     if offenders:
         raise SelfTestError(offenders)
     return 1.0

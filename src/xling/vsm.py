@@ -1,4 +1,4 @@
-"""Vocabulary, tfidf weighting, sparse document vectors and cosine.
+"""Vocabulary, tfidf weighting and sparse document vectors.
 
 Weighting is ``tf * ln(N/df)`` with raw in-document counts and no
 smoothing, so a term present in every document weighs zero. This function
@@ -8,21 +8,14 @@ is the single place to swap weighting variants.
 from __future__ import annotations
 
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    CorruptModelError,
-    DimensionMismatchError,
-    EmptyCorpusError,
-    WeightDomainError,
-)
+from .errors import EmptyCorpusError, WeightDomainError
 
 __all__ = [
     "Vocabulary",
@@ -31,11 +24,7 @@ __all__ = [
     "build_vocabulary",
     "tfidf_weight",
     "vectorize",
-    "cosine",
     "build_term_doc_matrix",
-    "save_matrix",
-    "load_matrix",
-    "write_matrix_debug_dump",
 ]
 
 
@@ -157,9 +146,6 @@ class DocVector:
     def nnz(self) -> int:
         return len(self.indices)
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.values, self.values)))
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.size, dtype=np.float64)
         dense[self.indices] = self.values
@@ -178,50 +164,6 @@ def vectorize(tokens: Iterable[str], vocabulary: Vocabulary) -> DocVector:
         if w != 0.0:
             weights[i] = w
     return DocVector.from_mapping(weights, len(vocabulary))
-
-
-def _sparse_dot(u: DocVector, v: DocVector) -> float:
-    # Merge on sorted indices.
-    common, iu, iv = np.intersect1d(u.indices, v.indices, return_indices=True)
-    if not len(common):
-        return 0.0
-    return float(np.dot(u.values[iu], v.values[iv]))
-
-
-def cosine(u, v) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm.
-
-    Accepts sparse :class:`DocVector` or dense 1-D arrays (both sides must
-    live in the same dimension space).
-    """
-    if isinstance(u, DocVector) and isinstance(v, DocVector):
-        if u.size != v.size:
-            raise DimensionMismatchError(f"vector sizes differ: {u.size} vs {v.size}")
-        nu, nv = u.norm(), v.norm()
-        if nu == 0.0 or nv == 0.0:
-            return 0.0
-        return _sparse_dot(u, v) / (nu * nv)
-
-    if isinstance(u, DocVector):
-        u, v = v, u  # normalize to (dense, DocVector) or (dense, dense)
-    ua = np.asarray(u, dtype=np.float64)
-    if isinstance(v, DocVector):
-        if ua.shape != (v.size,):
-            raise DimensionMismatchError(f"vector sizes differ: {ua.shape[0]} vs {v.size}")
-        nu = float(np.linalg.norm(ua))
-        nv = v.norm()
-        if nu == 0.0 or nv == 0.0:
-            return 0.0
-        return float(np.dot(ua[v.indices], v.values)) / (nu * nv)
-
-    va = np.asarray(v, dtype=np.float64)
-    if ua.shape != va.shape:
-        raise DimensionMismatchError(f"vector shapes differ: {ua.shape} vs {va.shape}")
-    nu = float(np.linalg.norm(ua))
-    nv = float(np.linalg.norm(va))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(ua, va)) / (nu * nv)
 
 
 @dataclass(frozen=True)
@@ -265,76 +207,3 @@ def build_term_doc_matrix(
         shape=(len(vocabulary), len(documents)),
     )
     return TermDocMatrix(matrix, vocabulary)
-
-
-# --------------------------------------------------------------------------
-# Matrix persistence: little-endian binary header + coordinate triples,
-# plus a human-readable text dump for debugging.
-# --------------------------------------------------------------------------
-
-_MATRIX_MAGIC = b"XTDM"
-_MATRIX_VERSION = 1
-_HEADER = struct.Struct("<4sIQQQQ")  # magic, version, N, |V|, d, nnz
-_TRIPLE = struct.Struct("<QQd")
-
-
-def save_matrix(tdm: TermDocMatrix, path: str | Path) -> None:
-    coo = tdm.matrix.tocoo()
-    order = np.lexsort((coo.row, coo.col))
-    n_docs_stat = getattr(tdm.vocabulary, "n_docs", tdm.n_docs)
-    tag = tdm.weighting.encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MATRIX_MAGIC, _MATRIX_VERSION, n_docs_stat, tdm.n_terms, tdm.n_docs, coo.nnz
-            )
-        )
-        fh.write(struct.pack("<H", len(tag)))
-        fh.write(tag)
-        for k in order:
-            fh.write(_TRIPLE.pack(int(coo.row[k]), int(coo.col[k]), float(coo.data[k])))
-
-
-def load_matrix(path: str | Path) -> tuple[sp.csc_matrix, dict]:
-    """Read a matrix file; returns the matrix and its header fields.
-
-    The vocabulary is not stored in matrix files (models carry it); the
-    header keeps the statistics needed to interpret the weights.
-    """
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size + 2:
-        raise CorruptModelError("matrix file too short for its header")
-    magic, version, n_stat, n_terms, n_docs, nnz = _HEADER.unpack_from(blob, 0)
-    if magic != _MATRIX_MAGIC:
-        raise CorruptModelError("not a matrix file (bad magic bytes)")
-    if version != _MATRIX_VERSION:
-        raise CorruptModelError(f"unsupported matrix format version {version}")
-    offset = _HEADER.size
-    (tag_len,) = struct.unpack_from("<H", blob, offset)
-    offset += 2
-    tag = blob[offset : offset + tag_len].decode("utf-8")
-    offset += tag_len
-    expected = offset + nnz * _TRIPLE.size
-    if len(blob) != expected:
-        raise CorruptModelError(f"matrix file has {len(blob)} bytes, expected {expected}")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    for k in range(nnz):
-        rows[k], cols[k], vals[k] = _TRIPLE.unpack_from(blob, offset)
-        offset += _TRIPLE.size
-    matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n_terms, n_docs))
-    header = {"n_docs_stat": n_stat, "n_terms": n_terms, "n_docs": n_docs, "weighting": tag}
-    return matrix, header
-
-
-def write_matrix_debug_dump(tdm: TermDocMatrix, path: str | Path) -> None:
-    """Text dump: header line then ``row col value`` triples."""
-    coo = tdm.matrix.tocoo()
-    order = np.lexsort((coo.row, coo.col))
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            f"# terms={tdm.n_terms} docs={tdm.n_docs} nnz={coo.nnz} weighting={tdm.weighting}\n"
-        )
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]!r}\n")

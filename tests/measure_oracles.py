@@ -1,6 +1,7 @@
-"""Brute-force reference implementations of the dictionary measures.
+"""Brute-force reference implementations of the dictionary measures and
+of top-n ranking.
 
-Everything here works directly off the synset list by exhaustive
+The dictionary measures work directly off the synset list by exhaustive
 enumeration (no indexes, no shortcuts) so the package implementations have
 a fully independent oracle to agree with. Only suitable for toy documents.
 """
@@ -9,6 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import Mapping
+
+import numpy as np
 
 
 def _in_vocab(word: str, synsets, side: int) -> bool:
@@ -123,3 +127,19 @@ def random_toy_pair(rng):
         )
         synsets.append((src_terms, tgt_terms))
     return d_s, d_t, synsets
+
+
+def brute_cosine(u, v) -> float:
+    """Cosine of two dense vectors; 0.0 when either has zero norm."""
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v)) / (nu * nv)
+
+
+def brute_retrieve(query_vec, candidates: Mapping[str, np.ndarray], n: int):
+    """Top ``n`` (id, similarity) pairs: one cosine per candidate, then a
+    full sort by descending similarity and ascending id."""
+    scored = [(cid, brute_cosine(query_vec, vec)) for cid, vec in candidates.items()]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:n]

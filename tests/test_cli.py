@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from xling.cli import main
-from xling.corpus import load_aligned_corpus, save_aligned_corpus
+from xling.corpus import load_aligned_corpus, save_aligned_corpus, save_documents
 from xling.lsi import load_model
 from xling.synthetic import SyntheticSpec, cipher_word, make_parallel_corpus, source_vocabulary
 
@@ -207,6 +207,50 @@ class TestRetrieveEvalAlign:
         assert "R@1" in out and "R@5" in out
         payload = json.loads(report.read_text(encoding="utf-8"))
         assert set(payload["recall"]) == {"1", "5"}
+
+    @pytest.mark.parametrize("ks", ["-1", "0", "1,0"])
+    def test_eval_depth_below_one_exits_two(self, tmp_path, corpus_file, capsys, ks):
+        model_path = _train(tmp_path, corpus_file)
+        rc = main(
+            [
+                "eval", "--model", str(model_path),
+                "--corpus", str(model_path) + ".test.jsonl", f"--ks={ks}",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "R@" not in captured.out
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "k must be >= 1" in err["message"]
+
+    def test_eval_empty_query_set_exits_two(self, tmp_path, corpus_file, capsys):
+        model_path = _train(tmp_path, corpus_file)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        rc = main(["eval", "--model", str(model_path), "--corpus", str(empty)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "R@" not in captured.out
+        assert "no ranked lists" in json.loads(captured.err)["message"]
+
+    def test_align_duplicate_document_id_exits_two(self, tmp_path, corpus_file, capsys):
+        model_path = _train(tmp_path, corpus_file)
+        corpus = load_aligned_corpus(corpus_file)
+        sources = tmp_path / "src.jsonl"
+        targets = tmp_path / "tgt.jsonl"
+        save_documents(corpus.source_docs[:3], sources)
+        save_documents([corpus.target_docs[0], corpus.target_docs[1], corpus.target_docs[0]],
+                       targets)
+        rc = main(
+            [
+                "align", "--model", str(model_path), "--source-docs", str(sources),
+                "--target-docs", str(targets), "--output", str(tmp_path / "pairs.tsv"),
+            ]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MalformedRecordError"
+        assert err["message"].startswith("line 3:")
 
     def test_eval_oracle_self_test_failure_exits_three(self, tmp_path, capsys):
         corpus = make_parallel_corpus(12, SPEC, seed=12)

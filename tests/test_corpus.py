@@ -154,6 +154,16 @@ class TestDocumentsFile:
         with pytest.raises(MalformedRecordError):
             load_documents(path)
 
+    def test_duplicate_id_reports_line(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        lines = [{"id": "d1", "text": "one"}, {"id": "d2", "text": "two"},
+                 {"id": "d1", "text": "three"}]
+        path.write_text("\n".join(json.dumps(r) for r in lines), encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as err:
+            load_documents(path)
+        assert err.value.line_number == 3
+        assert "d1" in str(err.value)
+
 
 def _corpus_of(n: int) -> AlignedCorpus:
     return AlignedCorpus(

@@ -17,9 +17,13 @@ from xling.lsi import (
 )
 from xling.synthetic import SyntheticSpec, make_parallel_corpus
 from xling.textprep import tokenize
-from xling.vsm import DocVector, TermDocMatrix, Vocabulary, cosine
+from xling.vsm import DocVector, TermDocMatrix, Vocabulary
 
 LN2 = math.log(2.0)
+
+
+def _cosine(u: np.ndarray, v: np.ndarray) -> float:
+    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 def _dummy_matrix(dense: np.ndarray) -> TermDocMatrix:
@@ -240,7 +244,7 @@ class TestEmbedCrosslingual:
         src = _tokens(corpus.source_docs)
         tgt = _tokens(corpus.target_docs)
         sims = [
-            cosine(
+            _cosine(
                 embed_crosslingual(src[j], "source", model),
                 embed_crosslingual(tgt[j], "target", model),
             )
@@ -256,14 +260,14 @@ class TestEmbedCrosslingual:
         model = train(matrix, k=4)
         src, tgt = _tokens(corpus.source_docs), _tokens(corpus.target_docs)
         for j in range(5):
-            own = cosine(
+            own = _cosine(
                 embed_crosslingual(src[j], "source", model),
                 embed_crosslingual(tgt[j], "target", model),
             )
             for m in range(5):
                 if m == j:
                     continue
-                other = cosine(
+                other = _cosine(
                     embed_crosslingual(src[j], "source", model),
                     embed_crosslingual(tgt[m], "target", model),
                 )

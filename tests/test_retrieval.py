@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from measure_oracles import brute_retrieve
 
 from xling.bidict import BilingualDictionary
 from xling.corpus import Document
@@ -15,6 +17,7 @@ from xling.lsi import build_cross_matrix, build_mono_matrix, train
 from xling.retrieval import (
     AlignmentPair,
     DictionaryProvider,
+    Embeddings,
     FileCacheProvider,
     IdentityProvider,
     RankedList,
@@ -43,18 +46,36 @@ def _tokens(docs):
     return [[t.reduced for t in tokenize(d.text)] for d in docs]
 
 
+def _embeddings(candidates: dict) -> Embeddings:
+    return Embeddings(list(candidates), list(candidates.values()))
+
+
+class TestEmbeddings:
+    def test_rows_unit_length_in_id_order(self):
+        emb = Embeddings(["b", "a", "c"], [np.array([3.0, 4.0]), np.zeros(2), np.ones(2)])
+        assert emb.ids == ("a", "b", "c")
+        assert emb.unit.dtype == np.float64 and emb.unit.flags["C_CONTIGUOUS"]
+        assert emb.unit[0].tolist() == [0.0, 0.0]  # zero vector stays a zero row
+        assert emb.unit[1].tolist() == [0.6, 0.8]
+        assert np.linalg.norm(emb.unit[2]) == pytest.approx(1.0, abs=1e-15)
+
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            Embeddings(["a", "b", "a"], [np.ones(2)] * 3)
+
+
 class TestRetrieve:
     def test_query_equal_to_candidate_ranks_first(self):
         rng = np.random.default_rng(0)
         candidates = {f"c{i}": rng.normal(size=4) for i in range(6)}
         query = candidates["c3"].copy()
-        ranked = retrieve(query, candidates, 3, query_id="q")
+        ranked = retrieve(query, _embeddings(candidates), 3, query_id="q")
         assert ranked.entries[0][0] == "c3"
         assert ranked.entries[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_n_larger_than_candidates_returns_full_ranking(self):
         candidates = {"a": np.ones(3), "b": np.arange(3.0)}
-        ranked = retrieve(np.ones(3), candidates, 10)
+        ranked = retrieve(np.ones(3), _embeddings(candidates), 10)
         assert len(ranked.entries) == 2
 
     @pytest.mark.parametrize("pool_size", [20, 200])
@@ -63,37 +84,74 @@ class TestRetrieve:
         for _ in range(10):
             candidates = {f"c{i:03d}": rng.normal(size=6) for i in range(pool_size)}
             query = rng.normal(size=6)
-            # independent oracle: dense cosine formula + full sort
-            qn = np.linalg.norm(query)
-            oracle = sorted(
-                (
-                    (-float(vec @ query / (np.linalg.norm(vec) * qn)), cid)
-                    for cid, vec in candidates.items()
-                ),
-            )
-            expected = [(cid, -neg) for neg, cid in oracle[:5]]
-            ranked = retrieve(query, candidates, 5)
+            expected = brute_retrieve(query, candidates, 5)
+            ranked = retrieve(query, _embeddings(candidates), 5)
             assert [cid for cid, _ in ranked.entries] == [cid for cid, _ in expected]
             for (_, got), (_, want) in zip(ranked.entries, expected):
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_empty_candidates(self):
         with pytest.raises(EmptyCandidatesError):
-            retrieve(np.ones(2), {}, 1)
+            retrieve(np.ones(2), Embeddings([], []), 1)
 
     def test_tie_break_ascending_id(self):
         vec = np.ones(2)
         candidates = {"b": vec, "a": vec.copy(), "c": vec.copy()}
-        ranked = retrieve(vec, candidates, 3)
+        ranked = retrieve(vec, _embeddings(candidates), 3)
         assert [cid for cid, _ in ranked.entries] == ["a", "b", "c"]
 
     def test_order_independence(self):
         rng = np.random.default_rng(1)
         vecs = [(f"c{i}", rng.normal(size=4)) for i in range(10)]
         query = rng.normal(size=4)
-        forward = retrieve(query, dict(vecs), 4)
-        backward = retrieve(query, dict(reversed(vecs)), 4)
+        forward = retrieve(query, _embeddings(dict(vecs)), 4)
+        backward = retrieve(query, _embeddings(dict(reversed(vecs))), 4)
         assert forward == backward
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=300),
+        n_rows=st.integers(min_value=1, max_value=700),
+        n_dups=st.integers(min_value=0, max_value=20),
+        n_zeros=st.integers(min_value=0, max_value=5),
+        n=st.integers(min_value=1, max_value=800),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_per_pair_oracle_with_duplicates_and_zeros(
+        self, k, n_rows, n_dups, n_zeros, n, seed
+    ):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n_rows, k)) * rng.uniform(0.01, 100.0, size=(n_rows, 1))
+        rows[rng.integers(n_rows, size=min(n_zeros, n_rows))] = 0.0
+        copies = rows[rng.integers(n_rows, size=n_dups)]
+        rows = np.vstack([rows, copies])
+        # random ids put each copy at a random row of the id-sorted matrix
+        ids = [f"c{i:04d}" for i in rng.permutation(len(rows))]
+        candidates = dict(zip(ids, rows))
+        query = rng.normal(size=k)
+
+        got = retrieve(query, _embeddings(candidates), n).entries
+        oracle = brute_retrieve(query, candidates, len(candidates))
+        assert len(got) == min(n, len(candidates))
+        oracle_sims = [sim for _, sim in oracle] + [-np.inf]
+        for i, ((got_id, got_sim), (want_id, want_sim)) in enumerate(zip(got, oracle)):
+            assert got_sim == pytest.approx(want_sim, abs=1e-12)
+            separated = oracle_sims[i] - oracle_sims[i + 1] > 1e-12 and (
+                i == 0 or oracle_sims[i - 1] - oracle_sims[i] > 1e-12
+            )
+            if separated:
+                assert got_id == want_id
+
+        full = retrieve(query, _embeddings(candidates), len(candidates)).entries
+        sim_of = dict(full)
+        rank_of = {cid: r for r, (cid, _) in enumerate(full)}
+        groups: dict[bytes, list[str]] = {}
+        for cid in sorted(candidates):
+            groups.setdefault(candidates[cid].tobytes(), []).append(cid)
+        for group in groups.values():
+            assert len({sim_of[cid] for cid in group}) == 1  # bit-identical
+            ranks = [rank_of[cid] for cid in group]
+            assert ranks == sorted(ranks)
 
 
 class TestRankedList:
@@ -217,10 +275,13 @@ class TestClLsiPipeline:
         corpus = self._fixture()
         model = _cross_model(corpus)
         ranked = retrieve_cl_lsi(corpus.source_docs, corpus.target_docs, model, 4)
-        candidates = {
-            d.id: embed_crosslingual(default_preprocess(d.text), "target", model)
-            for d in corpus.target_docs
-        }
+        candidates = Embeddings(
+            [d.id for d in corpus.target_docs],
+            [
+                embed_crosslingual(default_preprocess(d.text), "target", model)
+                for d in corpus.target_docs
+            ],
+        )
         for doc, rl in zip(corpus.source_docs, ranked):
             direct = retrieve(
                 embed_crosslingual(default_preprocess(doc.text), "source", model),

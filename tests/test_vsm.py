@@ -2,22 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from xling.errors import (
-    CorruptModelError,
-    DimensionMismatchError,
-    EmptyCorpusError,
-    WeightDomainError,
-)
+from xling.errors import DimensionMismatchError, EmptyCorpusError, WeightDomainError
+from xling.retrieval import Embeddings, retrieve
 from xling.vsm import (
     DocVector,
     build_term_doc_matrix,
     build_vocabulary,
-    cosine,
-    load_matrix,
-    save_matrix,
     tfidf_weight,
     vectorize,
-    write_matrix_debug_dump,
 )
 
 
@@ -95,41 +87,40 @@ class TestVectorize:
             assert vec.values.tolist() == col.values.tolist()  # exact reproduction
 
 
+def _cos(u, v) -> float:
+    """Cosine of two dense vectors as the ranking kernel scores it."""
+    return retrieve(u, Embeddings(["v"], [v]), 1).entries[0][1]
+
+
 class TestCosine:
     def test_self_similarity_is_one(self):
-        v = DocVector.from_mapping({0: 1.5, 3: 2.0}, 5)
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-15)
+        v = DocVector.from_mapping({0: 1.5, 3: 2.0}, 5).to_dense()
+        assert _cos(v, v) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal(self):
-        u = DocVector.from_mapping({0: 1.0}, 2)
-        v = DocVector.from_mapping({1: 1.0}, 2)
-        assert cosine(u, v) == 0.0
+        assert _cos(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_forty_five_degrees(self):
         u = np.array([1.0, 1.0])
         v = np.array([1.0, 0.0])
-        assert cosine(u, v) == pytest.approx(0.7071067811865476, abs=1e-15)
+        assert _cos(u, v) == pytest.approx(0.7071067811865476, abs=1e-15)
 
     def test_zero_norm_convention(self):
-        u = DocVector.empty(3)
-        v = DocVector.from_mapping({0: 1.0}, 3)
-        assert cosine(u, v) == 0.0
-        assert cosine(np.zeros(3), np.ones(3)) == 0.0
+        assert _cos(np.zeros(3), np.ones(3)) == 0.0
+        assert _cos(np.ones(3), np.zeros(3)) == 0.0
+        ranked = retrieve(np.zeros(2), Embeddings(["a", "b"], [np.ones(2), -np.ones(2)]), 2)
+        assert ranked.entries == (("a", 0.0), ("b", 0.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            cosine(DocVector.empty(3), DocVector.empty(4))
+            _cos(np.ones(3), np.ones(4))
         with pytest.raises(DimensionMismatchError):
-            cosine(np.ones(3), np.ones(4))
-
-    def test_mixed_sparse_dense(self):
-        u = DocVector.from_mapping({0: 1.0, 1: 1.0}, 2)
-        assert cosine(np.array([1.0, 0.0]), u) == pytest.approx(0.7071067811865476)
-        assert cosine(u, np.array([1.0, 0.0])) == pytest.approx(0.7071067811865476)
+            _cos(np.ones((1, 3)), np.ones(3))
 
     def test_sparse_matches_dense_oracle(self):
         # Dense brute-force evaluation of the similarity formula is the
-        # oracle; the sparse merge-based path must agree to 1e-12.
+        # oracle; vectors with sparse (possibly empty) supports must agree
+        # to 1e-12.
         rng = np.random.default_rng(123)
         for _ in range(200):
             size = int(rng.integers(2, 60))
@@ -144,7 +135,7 @@ class TestCosine:
             du, dv = u.to_dense(), v.to_dense()
             nu, nv = np.linalg.norm(du), np.linalg.norm(dv)
             expected = 0.0 if nu == 0 or nv == 0 else float(du @ dv) / (nu * nv)
-            assert cosine(u, v) == pytest.approx(expected, abs=1e-12)
+            assert _cos(du, dv) == pytest.approx(expected, abs=1e-12)
 
     @given(
         weights=st.dictionaries(
@@ -160,13 +151,13 @@ class TestCosine:
         scale=st.floats(min_value=0.1, max_value=100.0),
     )
     def test_nonnegative_range_symmetry_scale_invariance(self, weights, other, scale):
-        u = DocVector.from_mapping(weights, 10)
-        v = DocVector.from_mapping(other, 10)
-        sim = cosine(u, v)
+        u = DocVector.from_mapping(weights, 10).to_dense()
+        v = DocVector.from_mapping(other, 10).to_dense()
+        sim = _cos(u, v)
         assert 0.0 <= sim <= 1.0 + 1e-12
-        assert cosine(v, u) == sim
+        assert _cos(v, u) == sim
         scaled = DocVector.from_mapping({k: w * scale for k, w in weights.items()}, 10)
-        assert cosine(scaled, v) == pytest.approx(sim, abs=1e-9)
+        assert _cos(scaled.to_dense(), v) == pytest.approx(sim, abs=1e-9)
 
 
 class TestDocVector:
@@ -181,41 +172,3 @@ class TestDocVector:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             DocVector(np.array([0]), np.array([np.inf]), 3)
-
-
-class TestMatrixPersistence:
-    def _tdm(self):
-        docs = [["a", "b", "b"], ["b", "c"], ["a", "d"]]
-        return build_term_doc_matrix(docs, build_vocabulary(docs))
-
-    def test_round_trip(self, tmp_path):
-        tdm = self._tdm()
-        path = tmp_path / "m.xtdm"
-        save_matrix(tdm, path)
-        matrix, header = load_matrix(path)
-        assert header["n_terms"] == tdm.n_terms
-        assert header["n_docs"] == 3
-        assert header["weighting"] == tdm.weighting
-        assert np.allclose(matrix.toarray(), tdm.matrix.toarray(), atol=0)
-
-    def test_truncated_file(self, tmp_path):
-        tdm = self._tdm()
-        path = tmp_path / "m.xtdm"
-        save_matrix(tdm, path)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(CorruptModelError):
-            load_matrix(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "m.xtdm"
-        path.write_bytes(b"NOPE" + b"\0" * 64)
-        with pytest.raises(CorruptModelError):
-            load_matrix(path)
-
-    def test_debug_dump(self, tmp_path):
-        tdm = self._tdm()
-        path = tmp_path / "m.txt"
-        write_matrix_debug_dump(tdm, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0].startswith("# terms=")
-        assert len(lines) == 1 + tdm.matrix.nnz
