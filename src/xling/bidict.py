@@ -3,7 +3,16 @@
 Documents are treated as bags of unique reduced terms for the binary
 measure, but raw token counts are the denominators for the OOV and
 matching rates. Callers are responsible for reducing document tokens and
-dictionary entries with the same reducers.
+dictionary entries with the same reducers; ``BilingualDictionary.reduced``
+does the dictionary side, and ``xling score`` applies it with the
+``--reducer-source``/``--reducer-target`` reducers (except ``identity``,
+and ``morphar``, which already maps words onto the dictionary's own terms).
+
+A dictionary builds its translation-pair index once, on first use: the
+sorted, deduplicated (source, target) pairs plus each term's sorted
+partners on the other side. ``dict_cosine`` walks only the partners of the
+couple's own terms instead of every pair; the binary, OOV and matching
+measures never build it.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import MalformedLineError, UndefinedRateError
 from .vsm import Vocabulary, tfidf_weight
@@ -34,7 +43,7 @@ __all__ = [
 class BilingualDictionary:
     """Synsets of mutually translatable terms, indexed from both sides."""
 
-    __slots__ = ("synsets", "_source_index", "_target_index")
+    __slots__ = ("synsets", "_source_index", "_target_index", "_pairs")
 
     def __init__(self, synsets: Iterable[tuple[Iterable[str], Iterable[str]]]):
         canonical = []
@@ -55,6 +64,7 @@ class BilingualDictionary:
                 self._source_index.setdefault(t, []).append(sid)
             for t in tgt_terms:
                 self._target_index.setdefault(t, []).append(sid)
+        self._pairs: _PairIndex | None = None
 
     @classmethod
     def identity(cls, terms: Iterable[str]) -> "BilingualDictionary":
@@ -90,17 +100,57 @@ class BilingualDictionary:
             out.update(self.synsets[sid][opposite])
         return frozenset(out)
 
-    def translation_pairs(self) -> list[tuple[str, str]]:
-        """Deduplicated (source, target) pairs, in deterministic order."""
-        pairs: set[tuple[str, str]] = set()
-        for src_terms, tgt_terms in self.synsets:
-            for ws in src_terms:
-                for wt in tgt_terms:
-                    pairs.add((ws, wt))
-        return sorted(pairs)
+    def _pair_index(self) -> "_PairIndex":
+        if self._pairs is None:
+            self._pairs = _PairIndex(self.synsets)
+        return self._pairs
+
+    def translation_pairs(self) -> tuple[tuple[str, str], ...]:
+        """Deduplicated (source, target) pairs, sorted; built once per dictionary."""
+        return self._pair_index().pairs
+
+    def reduced(
+        self,
+        source_fn: Callable[[str], str] | None,
+        target_fn: Callable[[str], str] | None,
+    ) -> "BilingualDictionary":
+        """This dictionary with each side's terms mapped through a reducer.
+
+        ``None`` leaves a side as it is. Terms that reduce to the same form
+        merge, and so do synsets that become equal. Returns ``self`` when no
+        term changes.
+        """
+        src_map = {t: source_fn(t) for t in self._source_index} if source_fn is not None else {}
+        tgt_map = {t: target_fn(t) for t in self._target_index} if target_fn is not None else {}
+        if all(k == v for m in (src_map, tgt_map) for k, v in m.items()):
+            return self
+        return BilingualDictionary(
+            ([src_map.get(t, t) for t in src_terms], [tgt_map.get(t, t) for t in tgt_terms])
+            for src_terms, tgt_terms in self.synsets
+        )
 
     def __len__(self) -> int:
         return len(self.synsets)
+
+
+class _PairIndex:
+    """Translation pairs of a synset list, sorted, with per-term partners."""
+
+    __slots__ = ("pairs", "targets_of", "sources_of")
+
+    def __init__(self, synsets: Iterable[tuple[frozenset[str], frozenset[str]]]):
+        unique = {
+            (ws, wt) for src_terms, tgt_terms in synsets for ws in src_terms for wt in tgt_terms
+        }
+        self.pairs: tuple[tuple[str, str], ...] = tuple(sorted(unique))
+        targets_of: dict[str, list[str]] = {}
+        sources_of: dict[str, list[str]] = {}
+        for ws, wt in self.pairs:
+            targets_of.setdefault(ws, []).append(wt)
+            sources_of.setdefault(wt, []).append(ws)
+        # Walking pairs in sorted order appends each term's partners sorted.
+        self.targets_of = {t: tuple(p) for t, p in targets_of.items()}
+        self.sources_of = {t: tuple(p) for t, p in sources_of.items()}
 
 
 def load_dictionary(path: str | Path) -> BilingualDictionary:
@@ -279,28 +329,44 @@ def dict_cosine(
     For each dictionary pair (w_s, w_t), the source attribute is the tfidf
     of w_s in ``d_s`` and the target attribute the tfidf of w_t in ``d_t``
     (zero when the word is absent from the document or from the stats).
-    """
-    counts_s = Counter(d_s)
-    counts_t = Counter(d_t)
 
-    def weight(term: str, counts: Counter, stats: Vocabulary) -> float:
-        tf = counts.get(term, 0)
-        if tf == 0:
-            return 0.0
-        i = stats.get(term)
-        if i is None:
-            return 0.0
-        return tfidf_weight(tf, int(stats.df[i]), stats.n_docs)
+    Only pairs with a non-zero attribute add to a sum, so each sum walks the
+    couple's own terms through the dictionary's pair index. It adds the same
+    terms in the same (w_s, w_t) order as a walk over every pair would, so
+    the score is bit-identical to that walk.
+    """
+    index = dictionary._pair_index()
+    weights_s = _tfidf_weights(d_s, source_stats, index.targets_of)
+    weights_t = _tfidf_weights(d_t, target_stats, index.sources_of)
 
     dot = 0.0
     norm_s = 0.0
+    for ws in sorted(weights_s):
+        a = weights_s[ws]
+        for wt in index.targets_of[ws]:
+            dot += a * weights_t.get(wt, 0.0)
+            norm_s += a * a
     norm_t = 0.0
-    for ws, wt in dictionary.translation_pairs():
-        a = weight(ws, counts_s, source_stats)
-        b = weight(wt, counts_t, target_stats)
-        dot += a * b
-        norm_s += a * a
+    for _, wt in sorted((ws, wt) for wt in weights_t for ws in index.sources_of[wt]):
+        b = weights_t[wt]
         norm_t += b * b
     if norm_s == 0.0 or norm_t == 0.0:
         return 0.0
     return dot / (norm_s**0.5 * norm_t**0.5)
+
+
+def _tfidf_weights(
+    doc: Sequence[str], stats: Vocabulary, known: Mapping[str, tuple[str, ...]]
+) -> dict[str, float]:
+    """Non-zero tfidf weight of each term of ``doc`` in both ``stats`` and ``known``."""
+    weights = {}
+    for term, tf in Counter(doc).items():
+        if term not in known:
+            continue
+        i = stats.get(term)
+        if i is None:
+            continue
+        w = tfidf_weight(tf, int(stats.df[i]), stats.n_docs)
+        if w != 0.0:
+            weights[term] = w
+    return weights

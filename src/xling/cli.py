@@ -38,7 +38,7 @@ from .errors import (
     WeightDomainError,
     XlingError,
 )
-from .textprep import PipelineConfig, ReducerKind, load_stopwords, run_pipeline
+from .textprep import PipelineConfig, ReducerKind, load_stopwords, make_reducer, run_pipeline
 from .vsm import build_vocabulary
 
 _USAGE_ERRORS = (FileNotFoundError, NotADirectoryError, CorpusError, DictionaryError, ValueError)
@@ -365,11 +365,25 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _dictionary_reducer(kind: ReducerKind):
+    """The reducer that brings dictionary terms to the documents' reduced forms.
+
+    None for ``identity``, and for ``morphar``, which already maps words
+    onto the dictionary's own terms.
+    """
+    if kind in (ReducerKind.IDENTITY, ReducerKind.MORPHAR):
+        return None
+    return make_reducer(kind)
+
+
 def _cmd_score(args) -> int:
     corpus = corpus_io.load_aligned_corpus(args.corpus)
     dictionary = load_dictionary(args.dictionary)
     config = _pipeline_config(args)
     src_tokens, tgt_tokens = _preprocess_corpus(corpus, config, dictionary)
+    dictionary = dictionary.reduced(
+        _dictionary_reducer(config.reducer_source), _dictionary_reducer(config.reducer_target)
+    )
 
     if args.measure == "bincos":
         source_stats = build_vocabulary(src_tokens)

@@ -377,12 +377,21 @@ def run_pipeline(
     side: str = "source",
     dictionary=None,
 ) -> list[list[str]]:
-    """Tokenize, reduce and filter one corpus side; returns reduced terms."""
-    reducer = make_reducer(config.reducer_for(side), dictionary=dictionary, side=side)
-    docs = []
-    for text in texts:
-        toks = tokenize(text, lowercase=config.lowercase)
-        docs.append([Token(t.surface, reducer(t.reduced)) for t in toks])
+    """Tokenize, reduce and filter one corpus side; returns reduced terms.
+
+    Reducers are pure, so each distinct word is reduced once per call.
+    """
+    kind = config.reducer_for(side)
+    docs = [tokenize(text, lowercase=config.lowercase) for text in texts]
+    if kind is not ReducerKind.IDENTITY:
+        reducer = make_reducer(kind, dictionary=dictionary, side=side)
+        memo: dict[str, str] = {}
+        for doc in docs:
+            for i, t in enumerate(doc):
+                reduced = memo.get(t.reduced)
+                if reduced is None:
+                    reduced = memo[t.reduced] = reducer(t.reduced)
+                doc[i] = Token(t.surface, reduced)
     counts = corpus_term_counts(docs)
     filtered = apply_filters(docs, config, counts)
     return [[t.reduced for t in doc] for doc in filtered]

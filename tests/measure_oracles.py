@@ -4,6 +4,8 @@ of top-n ranking.
 The dictionary measures work directly off the synset list by exhaustive
 enumeration (no indexes, no shortcuts) so the package implementations have
 a fully independent oracle to agree with. Only suitable for toy documents.
+``pair_loop_dict_cosine`` is the exception: it walks every translation
+pair in order, so the indexed ``dict_cosine`` must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from collections import Counter
 from typing import Mapping
 
 import numpy as np
+
+from xling.vsm import tfidf_weight
 
 
 def _in_vocab(word: str, synsets, side: int) -> bool:
@@ -109,6 +113,34 @@ def brute_dict_cosine(d_s, d_t, synsets, source_stats, target_stats) -> float:
     if norm_s == 0.0 or norm_t == 0.0:
         return 0.0
     return dot / (norm_s * norm_t)
+
+
+def pair_loop_dict_cosine(d_s, d_t, dictionary, source_stats, target_stats) -> float:
+    """``dict_cosine`` as one loop over all of the dictionary's translation pairs."""
+    counts_s = Counter(d_s)
+    counts_t = Counter(d_t)
+
+    def weight(term: str, counts: Counter, stats) -> float:
+        tf = counts.get(term, 0)
+        if tf == 0:
+            return 0.0
+        i = stats.get(term)
+        if i is None:
+            return 0.0
+        return tfidf_weight(tf, int(stats.df[i]), stats.n_docs)
+
+    dot = 0.0
+    norm_s = 0.0
+    norm_t = 0.0
+    for ws, wt in dictionary.translation_pairs():
+        a = weight(ws, counts_s, source_stats)
+        b = weight(wt, counts_t, target_stats)
+        dot += a * b
+        norm_s += a * a
+        norm_t += b * b
+    if norm_s == 0.0 or norm_t == 0.0:
+        return 0.0
+    return dot / (norm_s**0.5 * norm_t**0.5)
 
 
 def random_toy_pair(rng):

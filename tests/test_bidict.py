@@ -7,6 +7,7 @@ from measure_oracles import (
     brute_dict_cosine,
     brute_matching_rate,
     brute_oov,
+    pair_loop_dict_cosine,
     random_toy_pair,
 )
 from xling.bidict import (
@@ -22,6 +23,13 @@ from xling.bidict import (
     trans,
 )
 from xling.errors import MalformedLineError, UndefinedRateError
+from xling.synthetic import (
+    SyntheticSpec,
+    cipher_word,
+    make_comparable_corpus,
+    make_dictionary,
+    source_vocabulary,
+)
 from xling.textprep import ReducerKind, lemmatize, make_reducer, suffix_stem
 from xling.vsm import build_vocabulary
 
@@ -159,6 +167,102 @@ class TestDictCosine:
         )
         got = dict_cosine(docs_s[1], docs_t[1], d, stats_s, stats_t)
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+def _stats_with_gaps(doc):
+    """Stats over two variants of ``doc``: its first term type is in every
+    stats document (idf 0) and, when there are two or more types, its last
+    type is in none (absent from the stats)."""
+    types = sorted(set(doc))
+    kept = [w for w in doc if w != types[-1]] if len(types) > 1 else list(doc)
+    return build_vocabulary([kept + [types[0]], kept[: len(kept) // 2] + [types[0]], [types[0]]])
+
+
+class TestIndexedDictCosine:
+    """The indexed ``dict_cosine`` equals the all-pairs loop exactly."""
+
+    def test_random_toy_pairs_bit_identical(self):
+        rng = np.random.default_rng(2024)
+        nonzero = 0
+        for _ in range(2000):
+            d_s, d_t, synsets = random_toy_pair(rng)
+            d = BilingualDictionary(synsets)
+            stats_s, stats_t = _stats_with_gaps(d_s), _stats_with_gaps(d_t)
+            got = dict_cosine(d_s, d_t, d, stats_s, stats_t)
+            assert got == pair_loop_dict_cosine(d_s, d_t, d, stats_s, stats_t)
+            nonzero += got != 0.0
+        assert nonzero > 400
+
+    def test_comparable_corpus_with_merged_synsets_bit_identical(self):
+        spec = SyntheticSpec(n_topics=30, words_per_topic=20)
+        corpus = make_comparable_corpus(150, spec, seed=5)
+        # A word in every source document (idf 0) that the dictionary knows.
+        docs_s = [d.text.split() + ["sall"] for d in corpus.source_docs]
+        docs_t = [d.text.split() for d in corpus.target_docs]
+        rng = np.random.default_rng(6)
+        synsets = list(make_dictionary(spec, coverage=0.8, seed=7).synsets)
+        synsets.append((frozenset({"sall"}), frozenset({"tall"})))
+        order = rng.permutation(len(synsets))
+        merged, i = [], 0
+        while i < len(order):
+            size = int(rng.integers(2, 4)) if i < len(order) // 5 else 1
+            group = [synsets[j] for j in order[i : i + size]]
+            merged.append((frozenset().union(*(s for s, _ in group)),
+                           frozenset().union(*(t for _, t in group))))
+            i += size
+        d = BilingualDictionary(merged)
+        assert any(len(s) > 1 and len(t) > 1 for s, t in d.synsets)
+        # A dictionary word the documents use but the stats never saw.
+        unseen = source_vocabulary(spec)[0]
+        assert d.contains(unseen) and any(unseen in doc for doc in docs_s)
+        stats_s = build_vocabulary([[w for w in doc if w != unseen] for doc in docs_s])
+        stats_t = build_vocabulary(docs_t + [[cipher_word(unseen)]])
+        assert stats_s.idf(stats_s.index("sall")) == 0.0
+        scores = []
+        for d_s, d_t in zip(docs_s, docs_t):
+            got = dict_cosine(d_s, d_t, d, stats_s, stats_t)
+            assert got == pair_loop_dict_cosine(d_s, d_t, d, stats_s, stats_t)
+            scores.append(got)
+        assert min(scores) > 0.0
+
+
+class TestPairIndex:
+    def test_translation_pairs_sorted_and_deduplicated(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            _, _, synsets = random_toy_pair(rng)
+            pairs = BilingualDictionary(synsets + synsets[:2]).translation_pairs()
+            expected = sorted({(ws, wt) for s, t in synsets for ws in s for wt in t})
+            assert list(pairs) == expected
+            assert all(a < b for a, b in zip(pairs, pairs[1:]))
+
+    def test_repeated_calls_return_the_same_object(self, toy_dictionary):
+        assert toy_dictionary.translation_pairs() is toy_dictionary.translation_pairs()
+
+    def test_other_measures_never_build_the_index(self, toy_dictionary):
+        d_s, d_t = ["olive", "oil", "press", "xx"], ["zayt", "mitbaa", "suq"]
+        matching_rate(d_s, d_t, toy_dictionary)
+        bin_symmetric(d_s, d_t, toy_dictionary)
+        oov_rate(d_s, d_t, toy_dictionary)
+        assert toy_dictionary._pairs is None
+
+
+class TestReduced:
+    def test_unchanged_terms_return_self(self, toy_dictionary):
+        assert toy_dictionary.reduced(str.lower, None) is toy_dictionary
+        assert toy_dictionary.reduced(None, None) is toy_dictionary
+
+    def test_each_side_reduced_with_its_own_function(self):
+        d = BilingualDictionary([(("houses",), ("houses",)), (("cats", "cat"), ("xcats",))])
+        r = d.reduced(suffix_stem, str.upper)
+        assert r.synsets == (
+            (frozenset({"house"}), frozenset({"HOUSES"})),
+            (frozenset({"cat"}), frozenset({"XCATS"})),
+        )
+
+    def test_synsets_that_become_equal_merge(self):
+        d = BilingualDictionary([(("cats",), ("x",)), (("cat",), ("x",))])
+        assert len(d.reduced(suffix_stem, None)) == 1
 
 
 class TestOovRate:

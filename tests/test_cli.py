@@ -366,6 +366,26 @@ class TestScore:
         assert rc == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 30
 
+    @pytest.mark.parametrize("reducer", ["identity", "suffix_stemmer"])
+    def test_dictionary_reduced_like_the_documents(self, tmp_path, reducer):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(
+            json.dumps({"src_id": "e1", "tgt_id": "a1", "src_text": "houses cats",
+                        "tgt_text": "xhouses xcats"}) + "\n",
+            encoding="utf-8",
+        )
+        dictionary = tmp_path / "d.tsv"
+        dictionary.write_text("houses\txhouses\ncats\txcats\n", encoding="utf-8")
+        out = tmp_path / "match.tsv"
+        rc = main(
+            [
+                "score", "--corpus", str(corpus), "--dictionary", str(dictionary),
+                "--measure", "match", "--reducer-source", reducer, "--output", str(out),
+            ]
+        )
+        assert rc == 0
+        assert out.read_text(encoding="utf-8") == "e1\ta1\t0.500000\n"
+
     def test_morphar_without_dictionary_exits_two(self, tmp_path, corpus_file, capsys):
         rc = main(
             [

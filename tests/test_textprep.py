@@ -206,6 +206,41 @@ class TestRunPipeline:
     def test_pipeline_default_is_tokenize(self):
         assert run_pipeline(["He writes, well."]) == [["he", "writes", "well"]]
 
+    @pytest.mark.parametrize("kind", list(ReducerKind))
+    def test_matches_per_token_reference(self, kind):
+        texts = [
+            "The writers wrote books; the books were written.",
+            "Writers write, and the houses of writers hold books.",
+            "والكتاب المكتبة يكتب الكتب والكتاب",
+            "المكتبة والمكتبات مكتب الكتاب",
+            "",
+        ]
+        dictionary = BilingualDictionary([(("كتاب", "مكتب"), ("book", "office"))])
+        config = PipelineConfig(
+            stopwords=frozenset({"the", "and"}),
+            min_corpus_frequency=2,
+            reducer_source=kind,
+        )
+        reducer = make_reducer(kind, dictionary=dictionary, side="source")
+        reduced = [[reducer(t.reduced) for t in tokenize(text)] for text in texts]
+        counts: dict[str, int] = {}
+        for doc in reduced:
+            for w in doc:
+                counts[w] = counts.get(w, 0) + 1
+        expected = [
+            [
+                w
+                for t, w in zip(tokenize(text), doc)
+                if t.reduced not in config.stopwords
+                and w not in config.stopwords
+                and counts[w] >= 2
+            ]
+            for text, doc in zip(texts, reduced)
+        ]
+        assert any(expected)
+        got = run_pipeline(texts, config, side="source", dictionary=dictionary)
+        assert got == expected
+
 
 class TestListFiles:
     def test_stopwords_with_comments(self, tmp_path):
