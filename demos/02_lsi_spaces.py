@@ -13,11 +13,10 @@ languages project into one shared concept space with no translation step.
 
 import numpy as np
 
-from xling.lsi import build_cross_matrix, build_mono_matrix, embed_crosslingual, project, train
+from xling.lsi import build_cross_matrix, build_mono_matrix, embed_crosslingual, fold_in, train
 from xling.retrieval import Embeddings, retrieve
 from xling.synthetic import SyntheticSpec, make_parallel_corpus
 from xling.textprep import tokenize
-from xling.vsm import vectorize
 
 spec = SyntheticSpec(n_topics=6, words_per_topic=30, common_words=8,
                      doc_length=(60, 100), topic_alpha=0.15)
@@ -32,8 +31,7 @@ print(f"monolingual model: |V|={len(mono.vocabulary)}, d={mono.n_docs}, k={mono.
 print("singular values:", np.round(mono.s[:6], 3), "...")
 
 # Folding a training document back in reproduces its row of V.
-vec = vectorize(tgt_tokens[0], mono.vocabulary)
-deviation = np.max(np.abs(project(vec, mono) - mono.v[0]))
+deviation = np.max(np.abs(fold_in(tgt_tokens[0], mono) - mono.v[0]))
 print(f"fold-in identity on column 0: max deviation {deviation:.2e}")
 
 # --- cross-lingual space ---------------------------------------------------

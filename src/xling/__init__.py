@@ -36,6 +36,7 @@ from .lsi import (
     build_cross_matrix,
     build_mono_matrix,
     embed_crosslingual,
+    fold_in,
     load_model,
     project,
     save_model,
@@ -75,14 +76,7 @@ from .textprep import (
     suffix_stem,
     tokenize,
 )
-from .vsm import (
-    DocVector,
-    TermDocMatrix,
-    Vocabulary,
-    build_vocabulary,
-    tfidf_weight,
-    vectorize,
-)
+from .vsm import TermDocMatrix, Vocabulary, build_vocabulary
 from .wikitext import (
     WikiArticle,
     extract_comparable_articles,

@@ -17,13 +17,12 @@ measures never build it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import MalformedLineError, UndefinedRateError
-from .vsm import Vocabulary, tfidf_weight
+from .vsm import Vocabulary
 
 __all__ = [
     "BilingualDictionary",
@@ -359,14 +358,5 @@ def _tfidf_weights(
     doc: Sequence[str], stats: Vocabulary, known: Mapping[str, tuple[str, ...]]
 ) -> dict[str, float]:
     """Non-zero tfidf weight of each term of ``doc`` in both ``stats`` and ``known``."""
-    weights = {}
-    for term, tf in Counter(doc).items():
-        if term not in known:
-            continue
-        i = stats.get(term)
-        if i is None:
-            continue
-        w = tfidf_weight(tf, int(stats.df[i]), stats.n_docs)
-        if w != 0.0:
-            weights[term] = w
-    return weights
+    idx, val = stats.weights(t for t in doc if t in known)
+    return {stats.terms[i]: w for i, w in zip(idx.tolist(), val.tolist())}

@@ -35,7 +35,6 @@ from .errors import (
     ModelError,
     SelfTestError,
     UndefinedRateError,
-    WeightDomainError,
     XlingError,
 )
 from .textprep import PipelineConfig, ReducerKind, load_stopwords, make_reducer, run_pipeline
@@ -49,7 +48,6 @@ _DATA_ERRORS = (
     MissingGoldError,
     SelfTestError,
     UndefinedRateError,
-    WeightDomainError,
 )
 _NUMERIC_ERRORS = (ConvergenceError, FloatingPointError, ZeroDivisionError)
 

@@ -54,10 +54,6 @@ class UndefinedRateError(XlingError):
     """A rate with an empty denominator (e.g. OOV rate of an empty document)."""
 
 
-class WeightDomainError(XlingError, ValueError):
-    """tf/df/N combination outside the tfidf domain (df > N, or df = 0 with tf > 0)."""
-
-
 class DimensionMismatchError(XlingError):
     """Vector or matrix dimensions do not match the model's space."""
 

@@ -2,8 +2,11 @@
 
 Supports a monolingual space (one language's matrix) and a cross-lingual
 space whose rows stack both languages' vocabularies and whose columns are
-concatenated document couples. Unseen documents enter a trained space by
-fold-in: ``v' = v^t U S^{-1}``.
+concatenated document couples: the two languages' monolingual matrices,
+one above the other. Unseen documents enter a trained space by fold-in,
+``v' = v^t U S^{-1}``: :func:`fold_in` takes a token list's weights from
+``Vocabulary.weights`` (one side's vocabulary, shifted to that side's rows
+in a cross space) and multiplies them into the matching rows of ``U``.
 
 The factorization is a randomized range-finder (Gaussian sketch, power
 iterations, small-matrix SVD) so large sparse vocabularies stay cheap; a
@@ -17,7 +20,6 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -32,14 +34,7 @@ from .errors import (
     EmptyCorpusError,
     VersionMismatchError,
 )
-from .vsm import (
-    DocVector,
-    TermDocMatrix,
-    Vocabulary,
-    build_term_doc_matrix,
-    build_vocabulary,
-    tfidf_weight,
-)
+from .vsm import TermDocMatrix, Vocabulary, build_term_doc_matrix, build_vocabulary
 
 __all__ = [
     "CrossVocabulary",
@@ -48,6 +43,7 @@ __all__ = [
     "build_cross_matrix",
     "train",
     "project",
+    "fold_in",
     "embed_crosslingual",
     "save_model",
     "load_model",
@@ -103,26 +99,6 @@ class CrossVocabulary:
     def offset_for(self, side: str) -> int:
         return 0 if side == "source" else len(self.source)
 
-    def term_at(self, i: int) -> tuple[str, str]:
-        if i < len(self.source):
-            return self.source.terms[i], "source"
-        return self.target.terms[i - len(self.source)], "target"
-
-    def side_vector(self, tokens: Sequence[str], side: str) -> DocVector:
-        """tfidf vector over the combined index with the other side zeroed."""
-        vocab = self.vocab_for(side)
-        offset = self.offset_for(side)
-        counts = Counter(tokens)
-        weights: dict[int, float] = {}
-        for term, tf in counts.items():
-            i = vocab.get(term)
-            if i is None:
-                continue
-            w = tfidf_weight(tf, int(vocab.df[i]), vocab.n_docs)
-            if w != 0.0:
-                weights[offset + i] = w
-        return DocVector.from_mapping(weights, len(self))
-
     def to_dict(self) -> dict:
         return {
             "source": self.source.to_dict(),
@@ -164,7 +140,8 @@ def build_cross_matrix(
     """Stacked-vocabulary matrix whose columns are concatenated couples.
 
     Document frequencies are computed over the concatenated pseudo-documents
-    (a term's df is the number of couples whose own side contains it).
+    (a term's df is the number of couples whose own side contains it), so
+    the matrix is the source side's monolingual matrix above the target's.
     """
     if not source_documents or not target_documents:
         raise EmptyCorpusError("no documents")
@@ -181,16 +158,12 @@ def build_cross_matrix(
         source_language,
         target_language,
     )
-    rows, cols, data = [], [], []
-    for j, (src_tokens, tgt_tokens) in enumerate(zip(source_documents, target_documents)):
-        for side, tokens in (("source", src_tokens), ("target", tgt_tokens)):
-            vec = vocabulary.side_vector(tokens, side)
-            rows.append(vec.indices)
-            cols.append(np.full(vec.nnz, j, dtype=np.int64))
-            data.append(vec.values)
-    matrix = sp.csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(vocabulary), len(source_documents)),
+    matrix = sp.vstack(
+        [
+            build_term_doc_matrix(source_documents, vocabulary.source).matrix,
+            build_term_doc_matrix(target_documents, vocabulary.target).matrix,
+        ],
+        format="csc",
     )
     return TermDocMatrix(matrix, vocabulary)
 
@@ -213,6 +186,10 @@ class LsiModel:
     def __post_init__(self):
         if self.kind not in ("monolingual", "crosslingual"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if (self.kind == "crosslingual") != isinstance(self.vocabulary, CrossVocabulary):
+            raise ValueError(
+                f"a {self.kind} model cannot hold a {type(self.vocabulary).__name__}"
+            )
         k = self.s.shape[0]
         if self.u.ndim != 2 or self.u.shape[1] != k or self.v.ndim != 2 or self.v.shape[1] != k:
             raise ValueError("factor shapes are inconsistent")
@@ -312,19 +289,11 @@ def train(
     )
 
 
-def project(doc_vector: DocVector | np.ndarray, model: LsiModel) -> np.ndarray:
-    """Fold a document vector into the LSI space: ``v' = v^t U S^{-1}``.
+def project(doc_vector: np.ndarray, model: LsiModel) -> np.ndarray:
+    """Fold a dense document vector into the LSI space: ``v' = v^t U S^{-1}``.
 
     For a training column ``j`` the result reproduces row ``j`` of ``V``.
     """
-    if isinstance(doc_vector, DocVector):
-        if doc_vector.size != model.u.shape[0]:
-            raise DimensionMismatchError(
-                f"vector size {doc_vector.size} does not match |V|={model.u.shape[0]}"
-            )
-        if doc_vector.nnz == 0:
-            return np.zeros(model.k)
-        return (doc_vector.values @ model.u[doc_vector.indices, :]) / model.s
     arr = np.asarray(doc_vector, dtype=np.float64)
     if arr.shape != (model.u.shape[0],):
         raise DimensionMismatchError(
@@ -333,12 +302,28 @@ def project(doc_vector: DocVector | np.ndarray, model: LsiModel) -> np.ndarray:
     return (arr @ model.u) / model.s
 
 
+def fold_in(tokens: Sequence[str], model: LsiModel, side: str | None = None) -> np.ndarray:
+    """Fold a token list into the LSI space: its tfidf weights times ``U S^{-1}``.
+
+    A monolingual model takes no ``side``. A crosslingual model needs the
+    document's ``side`` (``"source"`` or ``"target"``); the other language's
+    coordinates are zero. A document with no weighted term folds to zero.
+    """
+    if side is None:
+        if model.kind != "monolingual":
+            raise ValueError("a crosslingual model needs side='source' or 'target'")
+        vocab, offset = model.vocabulary, 0
+    else:
+        if model.kind != "crosslingual":
+            raise ValueError(f"side={side!r} needs a crosslingual model")
+        vocab, offset = model.vocabulary.vocab_for(side), model.vocabulary.offset_for(side)
+    idx, val = vocab.weights(tokens)
+    return (val @ model.u[idx + offset]) / model.s
+
+
 def embed_crosslingual(tokens: Sequence[str], side: str, model: LsiModel) -> np.ndarray:
     """Embed one side's document with the other language's coordinates zero."""
-    if model.kind != "crosslingual":
-        raise ValueError("embed_crosslingual needs a crosslingual model")
-    vec = model.vocabulary.side_vector(tokens, side)
-    return project(vec, model)
+    return fold_in(tokens, model, side)
 
 
 # --------------------------------------------------------------------------
@@ -397,14 +382,21 @@ def load_model(path: str | Path) -> LsiModel:
         raise CorruptModelError(f"unreadable vocabulary block: {exc}") from exc
     offset += vocab_len
 
-    if "cross" in vocab_payload:
-        vocabulary: Vocabulary | CrossVocabulary = CrossVocabulary.from_dict(
-            vocab_payload["cross"]
+    if kind_byte not in (0, 1):
+        raise CorruptModelError(f"unknown model kind byte {kind_byte}")
+    key = "cross" if kind_byte == 1 else "mono"
+    if not isinstance(vocab_payload, dict) or list(vocab_payload) != [key]:
+        raise CorruptModelError(
+            f"kind byte {kind_byte} needs a vocabulary block with one {key!r} entry"
         )
-    elif "mono" in vocab_payload:
-        vocabulary = Vocabulary.from_dict(vocab_payload["mono"])
-    else:
-        raise CorruptModelError("vocabulary block missing 'mono'/'cross' entry")
+    try:
+        vocabulary = (CrossVocabulary if kind_byte == 1 else Vocabulary).from_dict(
+            vocab_payload[key]
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptModelError(
+            f"invalid vocabulary block ({type(exc).__name__}: {exc})"
+        ) from exc
     if len(vocabulary) != n_terms:
         raise CorruptModelError("vocabulary size does not match the header")
 
@@ -422,4 +414,7 @@ def load_model(path: str | Path) -> LsiModel:
     s = take(k, (k,))
     v = take(n_docs * k, (n_docs, k))
     kind = "crosslingual" if kind_byte == 1 else "monolingual"
-    return LsiModel(u, s, v, vocabulary, kind)
+    try:
+        return LsiModel(u, s, v, vocabulary, kind)
+    except ValueError as exc:
+        raise CorruptModelError(f"inconsistent model factors: {exc}") from exc

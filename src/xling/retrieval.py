@@ -27,9 +27,8 @@ from .errors import (
     SelfTestError,
     TranslationError,
 )
-from .lsi import LsiModel, embed_crosslingual, project
+from .lsi import LsiModel, embed_crosslingual, fold_in
 from .textprep import tokenize
-from .vsm import vectorize
 
 __all__ = [
     "RankedList",
@@ -254,7 +253,7 @@ def project_documents(
     """Fold documents into a monolingual LSI space."""
     return Embeddings(
         [doc.id for doc in docs],
-        [project(vectorize(preprocess(doc.text), model.vocabulary), model) for doc in docs],
+        [fold_in(preprocess(doc.text), model) for doc in docs],
     )
 
 
@@ -299,7 +298,7 @@ def retrieve_ar_lsi(
             warnings.warn(f"query {doc.id} skipped: {exc}", stacklevel=2)
             results.append(RankedList(doc.id, (), skipped=True))
             continue
-        query_vec = project(vectorize(preprocess(translated.text), model.vocabulary), model)
+        query_vec = fold_in(preprocess(translated.text), model)
         results.append(retrieve(query_vec, candidates, n, query_id=doc.id))
     return results
 

@@ -6,6 +6,8 @@ enumeration (no indexes, no shortcuts) so the package implementations have
 a fully independent oracle to agree with. Only suitable for toy documents.
 ``pair_loop_dict_cosine`` is the exception: it walks every translation
 pair in order, so the indexed ``dict_cosine`` must match it bit for bit.
+``brute_tfidf`` is the per-term loop that ``Vocabulary.weights`` must
+reproduce bit for bit, and with it every matrix and fold-in built on it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,32 @@ from typing import Mapping
 
 import numpy as np
 
-from xling.vsm import tfidf_weight
+
+
+def tfidf(tf: int, df: int, n_docs: int) -> float:
+    """``tf * ln(N/df)``, one term at a time."""
+    return tf * math.log(n_docs / df)
+
+
+def brute_tfidf(tokens, vocabulary) -> dict[int, float]:
+    """Non-zero tfidf weight of each in-vocabulary term of ``tokens``, by index."""
+    weights = {}
+    for term, tf in Counter(tokens).items():
+        i = vocabulary.get(term)
+        if i is None:
+            continue
+        w = tfidf(tf, int(vocabulary.df[i]), vocabulary.n_docs)
+        if w != 0.0:
+            weights[i] = w
+    return weights
+
+
+def brute_fold_in(tokens, vocabulary, offset: int, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``v^t U S^{-1}`` over the rows of ``brute_tfidf``'s terms, shifted by ``offset``."""
+    weights = sorted(brute_tfidf(tokens, vocabulary).items())
+    rows = np.array([offset + i for i, _ in weights], dtype=np.int64)
+    values = np.array([w for _, w in weights], dtype=np.float64)
+    return (values @ u[rows]) / s
 
 
 def _in_vocab(word: str, synsets, side: int) -> bool:
@@ -127,7 +154,7 @@ def pair_loop_dict_cosine(d_s, d_t, dictionary, source_stats, target_stats) -> f
         i = stats.get(term)
         if i is None:
             return 0.0
-        return tfidf_weight(tf, int(stats.df[i]), stats.n_docs)
+        return tfidf(tf, int(stats.df[i]), stats.n_docs)
 
     dot = 0.0
     norm_s = 0.0

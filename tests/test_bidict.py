@@ -217,7 +217,7 @@ class TestIndexedDictCosine:
         assert d.contains(unseen) and any(unseen in doc for doc in docs_s)
         stats_s = build_vocabulary([[w for w in doc if w != unseen] for doc in docs_s])
         stats_t = build_vocabulary(docs_t + [[cipher_word(unseen)]])
-        assert stats_s.idf(stats_s.index("sall")) == 0.0
+        assert stats_s.idf[stats_s.index("sall")] == 0.0
         scores = []
         for d_s, d_t in zip(docs_s, docs_t):
             got = dict_cosine(d_s, d_t, d, stats_s, stats_t)

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,41 @@ class TestRetrieveEvalAlign:
         )
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "CorruptModelError"
+
+    @pytest.mark.parametrize(
+        "damage", ["kind byte 0", "kind byte 7", "empty cross", "df > n", "negative sigma"]
+    )
+    def test_damaged_model_exits_three(self, tmp_path, corpus_file, capsys, damage):
+        model_path = _train(tmp_path, corpus_file)
+        blob = bytearray(model_path.read_bytes())
+        header = 29  # magic, version, kind byte (offset 8), k, |V|, d
+        (size,) = struct.unpack_from("<Q", blob, header)
+        if damage.startswith("kind byte"):
+            blob[8] = int(damage.split()[-1])
+        elif damage == "negative sigma":
+            _, _, _, k, n_terms, _ = struct.unpack_from("<4sIBIQQ", blob)
+            at = header + 8 + size + 8 * n_terms * k  # first singular value
+            blob[at : at + 8] = struct.pack("<d", -1.0)
+        else:
+            vocab = json.loads(blob[header + 8 : header + 8 + size])
+            if damage == "empty cross":
+                vocab = {"cross": {}}
+            else:
+                vocab["cross"]["source"]["df"][0] = vocab["cross"]["source"]["n_docs"] + 1
+            payload = json.dumps(vocab).encode("utf-8")
+            blob[header : header + 8 + size] = struct.pack("<Q", len(payload)) + payload
+        model_path.write_bytes(bytes(blob))
+        rc = main(
+            [
+                "retrieve", "--model", str(model_path),
+                "--corpus", str(model_path) + ".test.jsonl",
+                "--output", str(tmp_path / "r.json"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "CorruptModelError"
 
     def test_align_grouped_top_n(self, tmp_path):
         corpus = make_parallel_corpus(30, SPEC, seed=12)

@@ -10,6 +10,7 @@ from xling.lsi import (
     build_cross_matrix,
     build_mono_matrix,
     embed_crosslingual,
+    fold_in,
     load_model,
     project,
     save_model,
@@ -17,7 +18,7 @@ from xling.lsi import (
 )
 from xling.synthetic import SyntheticSpec, make_parallel_corpus
 from xling.textprep import tokenize
-from xling.vsm import DocVector, TermDocMatrix, Vocabulary
+from xling.vsm import TermDocMatrix, Vocabulary
 
 LN2 = math.log(2.0)
 
@@ -97,8 +98,9 @@ class TestBuildCrossMatrix:
     def test_row_layout_source_block_first(self):
         tdm = build_cross_matrix([["a"], ["b"]], [["x"], ["y"]], "en", "ar")
         vocab = tdm.vocabulary
-        assert vocab.term_at(0) == ("a", "source")
-        assert vocab.term_at(len(vocab.source)) == ("x", "target")
+        assert vocab.source.terms[0] == "a" and vocab.offset_for("source") == 0
+        assert vocab.target.terms[0] == "x" and vocab.offset_for("target") == len(vocab.source)
+        assert tdm.matrix[0, 0] > 0 and tdm.matrix[len(vocab.source), 0] > 0
         assert vocab.source_language == "en"
 
     def test_couple_count_mismatch(self):
@@ -172,8 +174,9 @@ class TestProject:
 
     def test_zero_vector(self):
         model = self._model()
-        out = project(DocVector.empty(len(model.vocabulary)), model)
+        out = project(np.zeros(len(model.vocabulary)), model)
         assert np.array_equal(out, np.zeros(model.k))
+        assert np.array_equal(fold_in([], model), np.zeros(model.k))
 
     def test_training_columns_reproduce_v_rows(self):
         docs = [["a", "b", "b"], ["b", "c"], ["a", "c", "d"], ["d", "e"]]
@@ -185,17 +188,14 @@ class TestProject:
 
     def test_unseen_terms_only(self):
         model = self._model()
-        from xling.vsm import vectorize
-
-        vec = vectorize(["zz", "qq"], model.vocabulary)
-        assert np.array_equal(project(vec, model), np.zeros(model.k))
+        assert np.array_equal(fold_in(["zz", "qq"], model), np.zeros(model.k))
 
     def test_dimension_mismatch(self):
         model = self._model()
         with pytest.raises(DimensionMismatchError):
-            project(DocVector.empty(99), model)
-        with pytest.raises(DimensionMismatchError):
             project(np.ones(99), model)
+        with pytest.raises(DimensionMismatchError):
+            project(np.ones((1, len(model.vocabulary))), model)
 
     def test_linearity(self):
         model = self._model()
@@ -233,10 +233,10 @@ class TestEmbedCrosslingual:
         tgt = _tokens(corpus.target_docs)
         vocab = model.vocabulary
         j = 7
-        combined = (
-            vocab.side_vector(src[j], "source").to_dense()
-            + vocab.side_vector(tgt[j], "target").to_dense()
-        )
+        combined = np.zeros(len(vocab))
+        for side, tokens in (("source", src[j]), ("target", tgt[j])):
+            idx, val = vocab.vocab_for(side).weights(tokens)
+            combined[idx + vocab.offset_for(side)] = val
         assert np.max(np.abs(project(combined, model) - model.v[j])) < 1e-6
 
     def test_cipher_couples_nearly_parallel_embeddings(self):
@@ -337,3 +337,5 @@ class TestLsiModelValidation:
         vocab = Vocabulary(["a", "b"], [1, 1], 2)
         with pytest.raises(ValueError):
             LsiModel(np.eye(2), np.array([2.0, 1.0]), np.eye(2), vocab, "bilingual")
+        with pytest.raises(ValueError, match="cannot hold a Vocabulary"):
+            LsiModel(np.eye(2), np.array([2.0, 1.0]), np.eye(2), vocab, "crosslingual")

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from measure_oracles import brute_fold_in, brute_tfidf
 
-from xling.errors import DimensionMismatchError, EmptyCorpusError, WeightDomainError
+from xling.errors import DimensionMismatchError, EmptyCorpusError
+from xling.lsi import LsiModel, build_cross_matrix, build_mono_matrix, fold_in
 from xling.retrieval import Embeddings, retrieve
-from xling.vsm import (
-    DocVector,
-    build_term_doc_matrix,
-    build_vocabulary,
-    tfidf_weight,
-    vectorize,
-)
+from xling.vsm import Vocabulary, build_term_doc_matrix, build_vocabulary
+
+
+def _dense(weights: dict[int, float], size: int) -> np.ndarray:
+    vec = np.zeros(size)
+    for i, w in weights.items():
+        vec[i] = w
+    return vec
 
 
 class TestVocabulary:
@@ -41,26 +44,27 @@ class TestVocabulary:
 
 class TestTfidfWeight:
     def test_ubiquitous_term_weighs_zero(self):
-        assert tfidf_weight(5, 3, 3) == 0.0
+        vocab = Vocabulary(["a"], [3], 3)
+        assert vocab.idf[0] == 0.0
+        idx, val = vocab.weights(["a"] * 5)
+        assert idx.tolist() == [] and val.tolist() == []
 
     def test_zero_tf(self):
-        assert tfidf_weight(0, 1, 4) == 0.0
+        idx, val = Vocabulary(["a", "b"], [1, 1], 4).weights(["b"])
+        assert idx.tolist() == [1]  # "a" has tf 0 and no entry
 
     def test_direct_formula_value(self):
         # 2 * ln(4/1) = 2.772588722239781
-        assert tfidf_weight(2, 1, 4) == pytest.approx(2.772588722239781, abs=1e-15)
+        _, val = Vocabulary(["a"], [1], 4).weights(["a", "a"])
+        assert val[0] == pytest.approx(2.772588722239781, abs=1e-15)
 
     def test_df_above_n_rejected(self):
-        with pytest.raises(WeightDomainError):
-            tfidf_weight(1, 5, 4)
+        with pytest.raises(ValueError):
+            Vocabulary(["a"], [5], 4)
 
     def test_df_zero_with_tf_rejected(self):
-        with pytest.raises(WeightDomainError):
-            tfidf_weight(1, 0, 4)
-
-    def test_negative_tf_rejected(self):
-        with pytest.raises(WeightDomainError):
-            tfidf_weight(-1, 1, 4)
+        with pytest.raises(ValueError):
+            Vocabulary(["a"], [0], 4)
 
 
 class TestVectorize:
@@ -68,23 +72,89 @@ class TestVectorize:
         return build_vocabulary([["a", "b"], ["b", "c"], ["c", "d"]])
 
     def test_all_unseen_gives_zero_vector(self):
-        vec = vectorize(["zz", "qq"], self._vocab())
-        assert vec.nnz == 0
+        idx, val = self._vocab().weights(["zz", "qq"])
+        assert len(idx) == 0 and len(val) == 0
 
     def test_mixed_seen_unseen(self):
         vocab = self._vocab()
-        vec = vectorize(["a", "zz"], vocab)
-        assert vec.indices.tolist() == [vocab.index("a")]
+        idx, _ = vocab.weights(["a", "zz"])
+        assert idx.tolist() == [vocab.index("a")]
 
     def test_training_document_matches_matrix_column(self):
         docs = [["a", "b", "b"], ["b", "c"], ["a", "d"]]
         vocab = build_vocabulary(docs)
         tdm = build_term_doc_matrix(docs, vocab)
         for j, doc in enumerate(docs):
-            vec = vectorize(doc, vocab)
+            idx, val = vocab.weights(doc)
             col = tdm.column(j)
-            assert vec.indices.tolist() == col.indices.tolist()
-            assert vec.values.tolist() == col.values.tolist()  # exact reproduction
+            assert np.flatnonzero(col).tolist() == idx.tolist()
+            assert col[idx].tolist() == val.tolist()  # exact reproduction
+
+
+# "same" is spelled alike on both sides; "every" is added to every source
+# document, so its idf is 0; "oov" only ever appears in queries.
+_SOURCE_WORDS = ["a", "b", "c", "same"]
+_TARGET_WORDS = ["x", "y", "same"]
+
+
+def _oracle_matrix(documents, vocabulary, offset=0, n_rows=None):
+    dense = np.zeros((n_rows or len(vocabulary), len(documents)))
+    for j, doc in enumerate(documents):
+        for i, w in brute_tfidf(doc, vocabulary).items():
+            dense[offset + i, j] = w
+    return dense
+
+
+class TestWeightsOracle:
+    """``Vocabulary.weights`` and everything built on it equal the per-term loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        couples=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(_SOURCE_WORDS), max_size=8),
+                st.lists(st.sampled_from(_TARGET_WORDS), max_size=8),
+            ),
+            min_size=2,
+            max_size=7,
+        ),
+        query=st.lists(st.sampled_from(_SOURCE_WORDS + _TARGET_WORDS + ["every", "oov"]),
+                       max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weights_matrices_and_fold_in(self, couples, query, seed):
+        src = [doc + ["every"] for doc, _ in couples]
+        tgt = [doc for _, doc in couples]
+        vocab = build_vocabulary(src)
+        assert vocab.idf[vocab.index("every")] == 0.0
+
+        idx, val = vocab.weights(query)
+        expected = sorted(brute_tfidf(query, vocab).items())
+        assert idx.tolist() == [i for i, _ in expected]
+        assert val.tolist() == [w for _, w in expected]
+
+        mono = build_mono_matrix(src).matrix
+        dense = _oracle_matrix(src, vocab)
+        assert np.array_equal(mono.toarray(), dense) and mono.nnz == np.count_nonzero(dense)
+
+        tdm = build_cross_matrix(src, tgt)
+        cross = tdm.vocabulary
+        n_rows, offset = len(cross), cross.offset_for("target")
+        dense = _oracle_matrix(src, cross.source, 0, n_rows) + _oracle_matrix(
+            tgt, cross.target, offset, n_rows
+        )
+        assert np.array_equal(tdm.matrix.toarray(), dense)
+        assert tdm.matrix.nnz == np.count_nonzero(dense)
+
+        rng = np.random.default_rng(seed)
+        s = np.array([3.0, 2.0, 0.5])
+        u = rng.standard_normal((n_rows, 3))
+        model = LsiModel(u, s, np.zeros((len(src), 3)), cross, "crosslingual")
+        for side, off in (("source", 0), ("target", offset)):
+            got = fold_in(query, model, side)
+            assert got.tolist() == brute_fold_in(query, cross.vocab_for(side), off, u, s).tolist()
+        mono_model = LsiModel(u[: len(vocab)], s, np.zeros((len(src), 3)), vocab, "monolingual")
+        assert fold_in(query, mono_model).tolist() == brute_fold_in(query, vocab, 0, u, s).tolist()
 
 
 def _cos(u, v) -> float:
@@ -94,7 +164,7 @@ def _cos(u, v) -> float:
 
 class TestCosine:
     def test_self_similarity_is_one(self):
-        v = DocVector.from_mapping({0: 1.5, 3: 2.0}, 5).to_dense()
+        v = _dense({0: 1.5, 3: 2.0}, 5)
         assert _cos(v, v) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal(self):
@@ -126,13 +196,8 @@ class TestCosine:
             size = int(rng.integers(2, 60))
             u_idx = rng.choice(size, size=int(rng.integers(0, size)), replace=False)
             v_idx = rng.choice(size, size=int(rng.integers(0, size)), replace=False)
-            u = DocVector.from_mapping(
-                {int(i): float(rng.normal()) for i in u_idx}, size
-            )
-            v = DocVector.from_mapping(
-                {int(i): float(rng.normal()) for i in v_idx}, size
-            )
-            du, dv = u.to_dense(), v.to_dense()
+            du = _dense({int(i): float(rng.normal()) for i in u_idx}, size)
+            dv = _dense({int(i): float(rng.normal()) for i in v_idx}, size)
             nu, nv = np.linalg.norm(du), np.linalg.norm(dv)
             expected = 0.0 if nu == 0 or nv == 0 else float(du @ dv) / (nu * nv)
             assert _cos(du, dv) == pytest.approx(expected, abs=1e-12)
@@ -151,24 +216,10 @@ class TestCosine:
         scale=st.floats(min_value=0.1, max_value=100.0),
     )
     def test_nonnegative_range_symmetry_scale_invariance(self, weights, other, scale):
-        u = DocVector.from_mapping(weights, 10).to_dense()
-        v = DocVector.from_mapping(other, 10).to_dense()
+        u = _dense(weights, 10)
+        v = _dense(other, 10)
         sim = _cos(u, v)
         assert 0.0 <= sim <= 1.0 + 1e-12
         assert _cos(v, u) == sim
-        scaled = DocVector.from_mapping({k: w * scale for k, w in weights.items()}, 10)
-        assert _cos(scaled.to_dense(), v) == pytest.approx(sim, abs=1e-9)
-
-
-class TestDocVector:
-    def test_duplicate_indices_rejected(self):
-        with pytest.raises(ValueError):
-            DocVector(np.array([1, 1]), np.array([1.0, 2.0]), 3)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            DocVector(np.array([3]), np.array([1.0]), 3)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            DocVector(np.array([0]), np.array([np.inf]), 3)
+        scaled = _dense({k: w * scale for k, w in weights.items()}, 10)
+        assert _cos(scaled, v) == pytest.approx(sim, abs=1e-9)
