@@ -8,9 +8,10 @@ one above the other. Unseen documents enter a trained space by fold-in,
 ``Vocabulary.weights`` (one side's vocabulary, shifted to that side's rows
 in a cross space) and multiplies them into the matching rows of ``U``.
 
-The factorization is a randomized range-finder (Gaussian sketch, power
-iterations, small-matrix SVD) so large sparse vocabularies stay cheap; a
-dense SVD oracle pins its correctness in the test suite. Swap
+The factorization is a randomized range-finder (Gaussian sketch,
+LU-normalized power iterations, one final economic QR, small-matrix SVD)
+so large sparse vocabularies stay cheap; a dense SVD oracle and the
+all-QR range-finder it replaced pin its correctness in the test suite. Swap
 ``_randomized_svd`` for an iterative solver if a different accuracy
 profile is ever needed.
 """
@@ -214,14 +215,23 @@ def _randomized_svd(
     power_iterations: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Imported here: scipy.linalg adds about 7 MB to every process that
+    # loads it, and only training needs it.
+    import scipy.linalg
+
     m, n = a.shape
     sketch = min(k + oversample, min(m, n))
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n, sketch))
-    q, _ = np.linalg.qr(a @ omega)
+    # The power iterations only need a basis of the same span, so a permuted
+    # LU factor (no Q to form) normalizes them; one QR makes the final basis
+    # orthonormal (Halko, Martinsson & Tropp 2011, section 4.5).
+    y = a @ omega
     for _ in range(power_iterations):
-        z, _ = np.linalg.qr(a.T @ q)
-        q, _ = np.linalg.qr(a @ z)
+        y = scipy.linalg.lu(y, permute_l=True, check_finite=False)[0]
+        z = scipy.linalg.lu(a.T @ y, permute_l=True, check_finite=False)[0]
+        y = a @ z
+    q = scipy.linalg.qr(y, mode="economic", check_finite=False)[0]
     b = (a.T @ q).T
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
     return (q @ ub)[:, :k], s[:k], vt[:k, :]
@@ -273,11 +283,10 @@ def train(
 
     # Fix the sign ambiguity so equal inputs give byte-equal factors: the
     # largest-magnitude entry of each left singular vector is positive.
-    for i in range(u.shape[1]):
-        pivot = np.argmax(np.abs(u[:, i]))
-        if u[pivot, i] < 0:
-            u[:, i] = -u[:, i]
-            vt[i, :] = -vt[i, :]
+    pivot = np.argmax(np.abs(u), axis=0)
+    flip = u[pivot, np.arange(u.shape[1])] < 0
+    u[:, flip] = -u[:, flip]
+    vt[flip, :] = -vt[flip, :]
 
     kind = "crosslingual" if isinstance(matrix.vocabulary, CrossVocabulary) else "monolingual"
     return LsiModel(

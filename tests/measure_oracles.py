@@ -8,6 +8,8 @@ a fully independent oracle to agree with. Only suitable for toy documents.
 pair in order, so the indexed ``dict_cosine`` must match it bit for bit.
 ``brute_tfidf`` is the per-term loop that ``Vocabulary.weights`` must
 reproduce bit for bit, and with it every matrix and fold-in built on it.
+``qr_power_iteration_svd`` is the randomized SVD with a full QR after every
+product, which the LU-normalized range finder in ``lsi`` must match.
 """
 
 from __future__ import annotations
@@ -202,3 +204,18 @@ def brute_retrieve(query_vec, candidates: Mapping[str, np.ndarray], n: int):
     scored = [(cid, brute_cosine(query_vec, vec)) for cid, vec in candidates.items()]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:n]
+
+
+def qr_power_iteration_svd(a, k: int, oversample: int, power_iterations: int, seed: int):
+    """Randomized truncated SVD that orthonormalizes every product by QR."""
+    m, n = a.shape
+    sketch = min(k + oversample, min(m, n))
+    rng = np.random.default_rng(seed)
+    omega = rng.standard_normal((n, sketch))
+    q, _ = np.linalg.qr(a @ omega)
+    for _ in range(power_iterations):
+        z, _ = np.linalg.qr(a.T @ q)
+        q, _ = np.linalg.qr(a @ z)
+    b = (a.T @ q).T
+    ub, s, vt = np.linalg.svd(b, full_matrices=False)
+    return (q @ ub)[:, :k], s[:k], vt[:k, :]

@@ -1,12 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from measure_oracles import qr_power_iteration_svd
+from scipy.linalg import subspace_angles
 
+import xling
 from xling.errors import CorruptModelError, DimensionMismatchError, VersionMismatchError
 from xling.lsi import (
     LsiModel,
+    _randomized_svd,
     build_cross_matrix,
     build_mono_matrix,
     embed_crosslingual,
@@ -165,6 +173,56 @@ class TestTrain:
             approx = model.u @ np.diag(model.s) @ model.v.T
             errors.append(np.linalg.norm(dense - approx))
         assert all(a >= b - 1e-9 for a, b in zip(errors, errors[1:]))
+
+
+def _parallel_cross_matrix() -> sp.spmatrix:
+    corpus = make_parallel_corpus(200, SyntheticSpec(), seed=7)
+    return build_cross_matrix(_tokens(corpus.source_docs), _tokens(corpus.target_docs)).matrix
+
+
+def _random_sparse(m: int, n: int, seed: int) -> sp.spmatrix:
+    return sp.random(m, n, density=0.4, random_state=np.random.default_rng(seed), format="csc")
+
+
+def _rank_six() -> sp.spmatrix:
+    rng = np.random.default_rng(6)
+    return sp.csc_matrix(rng.standard_normal((60, 6)) @ rng.standard_normal((6, 40)))
+
+
+class TestRangeFinderMatchesQrOracle:
+    """LU-normalized power iterations span what the all-QR loop spans."""
+
+    @pytest.mark.parametrize(
+        "make, k, oversample, power_iterations, compared",
+        [
+            (_parallel_cross_matrix, 100, 10, 2, 100),
+            (lambda: _random_sparse(40, 30, 1), 29, 10, 2, 29),  # k = k_cap: square LU
+            (lambda: _random_sparse(30, 80, 2), 10, 10, 2, 10),  # wide
+            (_parallel_cross_matrix, 50, 10, 0, 50),
+            (_rank_six, 10, 6, 2, 6),  # sketch 16 over a rank-6 range
+        ],
+        ids=["parallel-cross", "k-cap", "wide", "no-power-iterations", "rank-deficient"],
+    )
+    def test_factors_match(self, make, k, oversample, power_iterations, compared):
+        a = make()
+        u, s, _ = _randomized_svd(a, k, oversample, power_iterations, seed=42)
+        u_ref, s_ref, _ = qr_power_iteration_svd(a, k, oversample, power_iterations, seed=42)
+        assert u.shape == u_ref.shape and s.shape == s_ref.shape
+        s, s_ref = s[:compared], s_ref[:compared]
+        assert np.max(np.abs(s - s_ref) / s_ref) < 1e-12
+        assert np.max(subspace_angles(u[:, :compared], u_ref[:, :compared])) < 1e-10
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs every process that loads it about 7 MB, so only
+    # training imports it.
+    src = str(Path(xling.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import xling, xling.cli, sys; print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestProject:
