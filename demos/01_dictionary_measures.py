@@ -31,8 +31,8 @@ dictionary = BilingualDictionary(
     ]
 )
 
-english = [t.reduced for t in tokenize("Good olive oil, fine oil from the press.")]
-arabic = [t.reduced for t in tokenize("zayt zaytun jayid min mitbaa")]
+english = tokenize("Good olive oil, fine oil from the press.")
+arabic = tokenize("zayt zaytun jayid min mitbaa")
 print("source tokens:", english)
 print("target tokens:", arabic)
 

@@ -21,8 +21,8 @@ from xling.textprep import tokenize
 spec = SyntheticSpec(n_topics=6, words_per_topic=30, common_words=8,
                      doc_length=(60, 100), topic_alpha=0.15)
 corpus = make_parallel_corpus(60, spec, seed=11)
-src_tokens = [[t.reduced for t in tokenize(d.text)] for d in corpus.source_docs]
-tgt_tokens = [[t.reduced for t in tokenize(d.text)] for d in corpus.target_docs]
+src_tokens = [tokenize(d.text) for d in corpus.source_docs]
+tgt_tokens = [tokenize(d.text) for d in corpus.target_docs]
 
 # --- monolingual space over the target language ---------------------------
 mono_matrix = build_mono_matrix(tgt_tokens)

@@ -15,7 +15,7 @@ from xling.textprep import tokenize
 
 
 def tokens(docs):
-    return [[t.reduced for t in tokenize(d.text)] for d in docs]
+    return [tokenize(d.text) for d in docs]
 
 
 spec = SyntheticSpec(n_topics=20, words_per_topic=80, common_words=10,

@@ -63,13 +63,11 @@ from .retrieval import (
 )
 from .textprep import (
     PipelineConfig,
+    Preprocessor,
     ReducerKind,
-    Token,
-    apply_filters,
     light_stem,
     lemmatize,
     make_reducer,
-    morphar_lookup,
     reduce,
     root_stem,
     run_pipeline,

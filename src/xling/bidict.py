@@ -70,14 +70,6 @@ class BilingualDictionary:
         """Dictionary mapping every term to itself (useful for self-tests)."""
         return cls([((t,), (t,)) for t in sorted(set(terms))])
 
-    @property
-    def source_vocab(self) -> frozenset[str]:
-        return frozenset(self._source_index)
-
-    @property
-    def target_vocab(self) -> frozenset[str]:
-        return frozenset(self._target_index)
-
     def _index_for(self, side: str) -> dict[str, list[int]]:
         if side == "source":
             return self._source_index

@@ -37,7 +37,7 @@ from .errors import (
     UndefinedRateError,
     XlingError,
 )
-from .textprep import PipelineConfig, ReducerKind, load_stopwords, make_reducer, run_pipeline
+from .textprep import PipelineConfig, Preprocessor, ReducerKind, load_stopwords, run_pipeline
 from .vsm import build_vocabulary
 
 _USAGE_ERRORS = (FileNotFoundError, NotADirectoryError, CorpusError, DictionaryError, ValueError)
@@ -124,14 +124,15 @@ def _resolve_paths(args) -> None:
             setattr(args, option, str(base / value))
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
-    return PipelineConfig(
-        stopwords=stopwords,
+def _preprocessors(args, dictionary=None) -> tuple[Preprocessor, Preprocessor]:
+    """The source and target preprocessors the pipeline flags describe."""
+    config = PipelineConfig(
+        stopwords=load_stopwords(args.stopwords) if args.stopwords else frozenset(),
         min_corpus_frequency=args.min_count,
         reducer_source=ReducerKind(args.reducer_source),
         reducer_target=ReducerKind(args.reducer_target),
     )
+    return Preprocessor(config, "source", dictionary), Preprocessor(config, "target", dictionary)
 
 
 def _load_optional_dictionary(args):
@@ -143,13 +144,9 @@ def _load_optional_dictionary(args):
     return None
 
 
-def _preprocess_corpus(corpus, config: PipelineConfig, dictionary=None):
-    src_tokens = run_pipeline(
-        [d.text for d in corpus.source_docs], config, side="source", dictionary=dictionary
-    )
-    tgt_tokens = run_pipeline(
-        [d.text for d in corpus.target_docs], config, side="target", dictionary=dictionary
-    )
+def _preprocess_corpus(corpus, source: Preprocessor, target: Preprocessor):
+    src_tokens = run_pipeline([d.text for d in corpus.source_docs], source)
+    tgt_tokens = run_pipeline([d.text for d in corpus.target_docs], target)
     return src_tokens, tgt_tokens
 
 
@@ -215,9 +212,8 @@ def _cmd_train(args) -> int:
     else:
         train_part, test_part = corpus_io.split_corpus(corpus, args.train_fraction, args.seed)
 
-    config = _pipeline_config(args)
-    dictionary = _load_optional_dictionary(args)
-    src_tokens, tgt_tokens = _preprocess_corpus(train_part, config, dictionary)
+    source, target = _preprocessors(args, _load_optional_dictionary(args))
+    src_tokens, tgt_tokens = _preprocess_corpus(train_part, source, target)
 
     if args.kind == "cross":
         matrix = lsi.build_cross_matrix(
@@ -363,25 +359,24 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _dictionary_reducer(kind: ReducerKind):
+def _dictionary_reducer(preprocessor: Preprocessor):
     """The reducer that brings dictionary terms to the documents' reduced forms.
 
     None for ``identity``, and for ``morphar``, which already maps words
-    onto the dictionary's own terms.
+    onto the dictionary's own terms. Otherwise the side's memoized reducer,
+    so words the documents already reduced are not reduced again.
     """
-    if kind in (ReducerKind.IDENTITY, ReducerKind.MORPHAR):
+    if preprocessor.kind in (ReducerKind.IDENTITY, ReducerKind.MORPHAR):
         return None
-    return make_reducer(kind)
+    return preprocessor.reduce
 
 
 def _cmd_score(args) -> int:
     corpus = corpus_io.load_aligned_corpus(args.corpus)
     dictionary = load_dictionary(args.dictionary)
-    config = _pipeline_config(args)
-    src_tokens, tgt_tokens = _preprocess_corpus(corpus, config, dictionary)
-    dictionary = dictionary.reduced(
-        _dictionary_reducer(config.reducer_source), _dictionary_reducer(config.reducer_target)
-    )
+    source, target = _preprocessors(args, dictionary)
+    src_tokens, tgt_tokens = _preprocess_corpus(corpus, source, target)
+    dictionary = dictionary.reduced(_dictionary_reducer(source), _dictionary_reducer(target))
 
     if args.measure == "bincos":
         source_stats = build_vocabulary(src_tokens)

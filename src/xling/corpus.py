@@ -310,7 +310,7 @@ def document_stats(docs: Sequence[Document]) -> dict:
     vocab: set[str] = set()
     for doc in docs:
         n_sentences += sum(1 for s in _SENTENCE_RE.split(doc.text) if s.strip())
-        words = [t.reduced for t in tokenize(doc.text)]
+        words = tokenize(doc.text)
         n_words += len(words)
         vocab.update(words)
     n_docs = len(docs)

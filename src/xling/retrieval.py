@@ -14,7 +14,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "IdentityProvider",
     "DictionaryProvider",
     "FileCacheProvider",
-    "default_preprocess",
     "Embeddings",
     "retrieve",
     "project_documents",
@@ -57,11 +56,6 @@ __all__ = [
     "write_histogram_csv",
     "write_ranges_csv",
 ]
-
-
-def default_preprocess(text: str) -> list[str]:
-    """Lowercased word tokens; terms unknown to a model are dropped later."""
-    return [t.reduced for t in tokenize(text)]
 
 
 @dataclass(frozen=True)
@@ -141,15 +135,14 @@ class DictionaryProvider(TranslationProvider):
     synsets; out-of-vocabulary tokens pass through unchanged.
     """
 
-    def __init__(self, dictionary: BilingualDictionary, lowercase: bool = True):
+    def __init__(self, dictionary: BilingualDictionary):
         self.dictionary = dictionary
-        self.lowercase = lowercase
 
     def translate(self, document: Document, target_language: str) -> Document:
         words = []
-        for token in tokenize(document.text, lowercase=self.lowercase):
-            options = self.dictionary.translations(token.reduced, "source")
-            words.append(min(options) if options else token.reduced)
+        for word in tokenize(document.text):
+            options = self.dictionary.translations(word, "source")
+            words.append(min(options) if options else word)
         text = " ".join(words)
         return dataclasses.replace(
             document, language=target_language, text=text, degenerate=not text
@@ -245,28 +238,19 @@ def retrieve(
     return RankedList(query_id, tuple((candidates.ids[i], float(sims[i])) for i in top))
 
 
-def project_documents(
-    docs: Sequence[Document],
-    model: LsiModel,
-    preprocess: Callable[[str], list[str]] = default_preprocess,
-) -> Embeddings:
+def project_documents(docs: Sequence[Document], model: LsiModel) -> Embeddings:
     """Fold documents into a monolingual LSI space."""
     return Embeddings(
         [doc.id for doc in docs],
-        [fold_in(preprocess(doc.text), model) for doc in docs],
+        [fold_in(tokenize(doc.text), model) for doc in docs],
     )
 
 
-def embed_documents(
-    docs: Sequence[Document],
-    side: str,
-    model: LsiModel,
-    preprocess: Callable[[str], list[str]] = default_preprocess,
-) -> Embeddings:
+def embed_documents(docs: Sequence[Document], side: str, model: LsiModel) -> Embeddings:
     """Embed documents into a cross-lingual LSI space."""
     return Embeddings(
         [doc.id for doc in docs],
-        [embed_crosslingual(preprocess(doc.text), side, model) for doc in docs],
+        [embed_crosslingual(tokenize(doc.text), side, model) for doc in docs],
     )
 
 
@@ -276,7 +260,6 @@ def retrieve_ar_lsi(
     model: LsiModel,
     provider: TranslationProvider,
     n: int,
-    preprocess: Callable[[str], list[str]] = default_preprocess,
 ) -> list[RankedList]:
     """Monolingual-space retrieval: translate each query, project, rank.
 
@@ -289,7 +272,7 @@ def retrieve_ar_lsi(
     if not source_docs:
         return []
     target_language = target_docs[0].language if target_docs else "und"
-    candidates = project_documents(target_docs, model, preprocess)
+    candidates = project_documents(target_docs, model)
     results = []
     for doc in source_docs:
         try:
@@ -298,7 +281,7 @@ def retrieve_ar_lsi(
             warnings.warn(f"query {doc.id} skipped: {exc}", stacklevel=2)
             results.append(RankedList(doc.id, (), skipped=True))
             continue
-        query_vec = fold_in(preprocess(translated.text), model)
+        query_vec = fold_in(tokenize(translated.text), model)
         results.append(retrieve(query_vec, candidates, n, query_id=doc.id))
     return results
 
@@ -308,17 +291,16 @@ def retrieve_cl_lsi(
     target_docs: Sequence[Document],
     model: LsiModel,
     n: int,
-    preprocess: Callable[[str], list[str]] = default_preprocess,
 ) -> list[RankedList]:
     """Cross-lingual retrieval: embed both sides directly, no translation."""
     if model.kind != "crosslingual":
         raise ValueError("retrieve_cl_lsi needs a crosslingual model")
     if not source_docs:
         return []
-    candidates = embed_documents(target_docs, "target", model, preprocess)
+    candidates = embed_documents(target_docs, "target", model)
     results = []
     for doc in source_docs:
-        query_vec = embed_crosslingual(preprocess(doc.text), "source", model)
+        query_vec = embed_crosslingual(tokenize(doc.text), "source", model)
         results.append(retrieve(query_vec, candidates, n, query_id=doc.id))
     return results
 
@@ -334,7 +316,6 @@ def align_corpora(
     model: LsiModel,
     top_n: int = 15,
     group_by: str | None = None,
-    preprocess: Callable[[str], list[str]] = default_preprocess,
     *,
     mutual_best: bool = False,
 ) -> list[AlignmentPair]:
@@ -369,8 +350,8 @@ def align_corpora(
         if not src_bucket or not tgt_bucket:
             warnings.warn(f"group {key!r} is empty on one side; skipped", stacklevel=2)
             continue
-        tgt_vecs = embed_documents(tgt_bucket, "target", model, preprocess)
-        src_vecs = embed_documents(src_bucket, "source", model, preprocess)
+        tgt_vecs = embed_documents(tgt_bucket, "target", model)
+        src_vecs = embed_documents(src_bucket, "source", model)
         bucket_pairs = []
         for src_id, vec in zip(src_vecs.ids, src_vecs.unit):
             ((tgt_id, sim),) = retrieve(vec, tgt_vecs, 1).entries
@@ -478,12 +459,7 @@ def alignment_report(
     return report
 
 
-def oracle_experiment(
-    docs: Sequence[Document],
-    model: LsiModel,
-    k: int = 1,
-    preprocess: Callable[[str], list[str]] = default_preprocess,
-) -> float:
+def oracle_experiment(docs: Sequence[Document], model: LsiModel, k: int = 1) -> float:
     """Self-retrieval check: each document queried against the whole corpus
     must rank itself first.
 
@@ -493,9 +469,9 @@ def oracle_experiment(
     if not docs:
         raise ValueError("oracle experiment needs a non-empty corpus")
     if model.kind == "crosslingual":
-        vectors = embed_documents(docs, "target", model, preprocess)
+        vectors = embed_documents(docs, "target", model)
     else:
-        vectors = project_documents(docs, model, preprocess)
+        vectors = project_documents(docs, model)
 
     degenerate = [vectors.ids[i] for i in np.flatnonzero(~vectors.unit.any(axis=1))]
     if degenerate:

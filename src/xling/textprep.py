@@ -1,10 +1,17 @@
-"""Tokenization, filtering and word reduction.
+"""Tokenization, word reduction and per-side filtering.
+
+Text becomes terms in one way: :func:`tokenize` splits it into lowercased
+words, and a :class:`Preprocessor`, built once per corpus side from a
+:class:`PipelineConfig`, maps each word to its reduced term or to None for
+a stopword. :func:`run_pipeline` applies it to a whole side and then drops
+terms below the corpus-frequency floor.
 
 The word reducers shipped here are deliberately small, rule-table driven
 stand-ins for the heavyweight morphological tools commonly used for Arabic
 and English. Every reducer is a pure function and is idempotent on its own
 output: each one re-applies its rule pass until the word stops changing, so
-``reduce(reduce(w)) == reduce(w)`` holds by construction.
+``reduce(reduce(w)) == reduce(w)`` holds by construction. Being pure, a
+reducer runs once per distinct word; the preprocessor memoizes the rest.
 """
 
 from __future__ import annotations
@@ -13,13 +20,14 @@ import enum
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 __all__ = [
-    "Token",
     "ReducerKind",
     "PipelineConfig",
+    "Preprocessor",
     "tokenize",
     "reduce",
     "make_reducer",
@@ -27,20 +35,10 @@ __all__ = [
     "root_stem",
     "suffix_stem",
     "lemmatize",
-    "morphar_lookup",
-    "corpus_term_counts",
-    "apply_filters",
     "run_pipeline",
     "load_stopwords",
     "load_affix_list",
 ]
-
-
-class Token(NamedTuple):
-    """A word occurrence: the raw surface form and its current reduced form."""
-
-    surface: str
-    reduced: str
 
 
 # Word = maximal run of Unicode letters/digits. Underscore is excluded so
@@ -48,18 +46,15 @@ class Token(NamedTuple):
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def tokenize(text: str, lowercase: bool = True) -> list[Token]:
-    """Split ``text`` into word tokens, dropping punctuation.
+def tokenize(text: str) -> list[str]:
+    """Split ``text`` into lowercased word tokens, dropping punctuation.
 
     Digits are kept as tokens; mixed runs such as ``v2`` stay in one piece.
-    The ``reduced`` field starts out as the (optionally lowercased) surface.
+    Each word is lowercased after the split: lowercasing the text first
+    could split a word, since ``"İ".lower()`` adds a combining dot, which
+    is not a word character.
     """
-    tokens = []
-    for m in _WORD_RE.finditer(text):
-        surface = m.group(0)
-        reduced = surface.lower() if lowercase else surface
-        tokens.append(Token(surface, reduced))
-    return tokens
+    return list(map(str.lower, _WORD_RE.findall(text)))
 
 
 class ReducerKind(enum.Enum):
@@ -247,7 +242,7 @@ def reduce(word: str, kind: ReducerKind) -> str:
     """Apply the named reduction to one word.
 
     ``ReducerKind.MORPHAR`` is dictionary-directed and cannot be applied
-    without one; use :func:`make_reducer` or :func:`morphar_lookup`.
+    without one; use :func:`make_reducer`.
     """
     if kind is ReducerKind.IDENTITY:
         return word
@@ -292,27 +287,8 @@ def make_reducer(
     return lambda w: reduce(w, kind)
 
 
-def morphar_lookup(
-    word: str,
-    dictionary,
-    *,
-    side: str = "source",
-    light: Callable[[str], str] = light_stem,
-    root: Callable[[str], str] = root_stem,
-) -> frozenset[str]:
-    """Translations of ``word`` under light-stem-first, root-fallback lookup.
-
-    Returns the translations of the light stem when the dictionary contains
-    it; otherwise the translations of the root (possibly empty).
-    """
-    stem = light(word)
-    if dictionary.contains(stem, side):
-        return dictionary.translations(stem, side)
-    return dictionary.translations(root(word), side)
-
-
 # --------------------------------------------------------------------------
-# Filtering pipeline
+# Per-side preprocessing
 # --------------------------------------------------------------------------
 
 
@@ -320,7 +296,6 @@ def morphar_lookup(
 class PipelineConfig:
     """Knobs for the per-side preprocessing pipeline."""
 
-    lowercase: bool = True
     stopwords: frozenset[str] = field(default_factory=frozenset)
     min_corpus_frequency: int = 1
     reducer_source: ReducerKind = ReducerKind.IDENTITY
@@ -338,63 +313,61 @@ class PipelineConfig:
         raise ValueError(f"side must be 'source' or 'target', got {side!r}")
 
 
-def corpus_term_counts(docs: Iterable[Sequence[Token]]) -> Counter:
-    """Total occurrence count per reduced term over the whole corpus."""
-    counts: Counter = Counter()
-    for doc in docs:
-        counts.update(t.reduced for t in doc)
-    return counts
+class Preprocessor:
+    """Word-to-term mapping for one corpus side, reducing each word once.
 
-
-def apply_filters(
-    docs: Sequence[Sequence[Token]],
-    config: PipelineConfig,
-    corpus_counts: Mapping[str, int],
-) -> list[list[Token]]:
-    """Drop stopwords and low-frequency terms.
-
-    Stopwords are matched against both the lowercased surface and the
-    reduced form; frequency is checked on the reduced form, against counts
-    computed over the same reduction.
+    ``dictionary`` is needed by the ``morphar`` reducer only. The memo holds
+    the reduced form of every word seen, stopwords included, so that
+    corpus-frequency counts and dictionary terms can use it too.
     """
-    out = []
-    for doc in docs:
-        kept = [
-            t
-            for t in doc
-            if t.surface.lower() not in config.stopwords
-            and t.reduced not in config.stopwords
-            and corpus_counts.get(t.reduced, 0) >= config.min_corpus_frequency
-        ]
-        out.append(kept)
-    return out
+
+    def __init__(
+        self, config: PipelineConfig = PipelineConfig(), side: str = "source", dictionary=None
+    ):
+        self.kind = config.reducer_for(side)
+        self.stopwords = config.stopwords
+        self.min_count = config.min_corpus_frequency
+        self._reducer = make_reducer(self.kind, dictionary=dictionary, side=side)
+        self._memo: dict[str, str] = {}
+
+    def reduce(self, word: str) -> str:
+        """The reduced form of ``word``."""
+        reduced = self._memo.get(word)
+        if reduced is None:
+            reduced = self._memo[word] = self._reducer(word)
+        return reduced
+
+    def term(self, word: str) -> str | None:
+        """The term a token contributes: its reduced form, or None for a stopword.
+
+        A token is a stopword when it or its reduced form is in the list.
+        """
+        reduced = self.reduce(word)
+        if word in self.stopwords or reduced in self.stopwords:
+            return None
+        return reduced
 
 
 def run_pipeline(
-    texts: Sequence[str],
-    config: PipelineConfig = PipelineConfig(),
-    *,
-    side: str = "source",
-    dictionary=None,
+    texts: Sequence[str], preprocessor: Preprocessor | None = None
 ) -> list[list[str]]:
-    """Tokenize, reduce and filter one corpus side; returns reduced terms.
+    """Tokenize, reduce and filter one corpus side; returns its terms.
 
-    Reducers are pure, so each distinct word is reduced once per call.
+    Stopwords are dropped, and so are terms whose count over the whole side
+    (stopword occurrences included) is below ``min_corpus_frequency``. The
+    default preprocessor only tokenizes.
     """
-    kind = config.reducer_for(side)
-    docs = [tokenize(text, lowercase=config.lowercase) for text in texts]
-    if kind is not ReducerKind.IDENTITY:
-        reducer = make_reducer(kind, dictionary=dictionary, side=side)
-        memo: dict[str, str] = {}
-        for doc in docs:
-            for i, t in enumerate(doc):
-                reduced = memo.get(t.reduced)
-                if reduced is None:
-                    reduced = memo[t.reduced] = reducer(t.reduced)
-                doc[i] = Token(t.surface, reduced)
-    counts = corpus_term_counts(docs)
-    filtered = apply_filters(docs, config, counts)
-    return [[t.reduced for t in doc] for doc in filtered]
+    prep = preprocessor if preprocessor is not None else Preprocessor()
+    docs = [tokenize(text) for text in texts]
+    term_of = {word: prep.term(word) for word in set().union(*docs)}
+    if prep.min_count > 1:
+        counts: Counter = Counter()
+        for word, n in Counter(chain.from_iterable(docs)).items():
+            counts[prep.reduce(word)] += n
+        for word, term in term_of.items():
+            if term is not None and counts[term] < prep.min_count:
+                term_of[word] = None
+    return [[t for t in map(term_of.__getitem__, doc) if t is not None] for doc in docs]
 
 
 # --------------------------------------------------------------------------
@@ -412,8 +385,11 @@ def _read_list_file(path: str | Path) -> list[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Load a stopword file (one token per line, ``#`` comments)."""
-    return frozenset(_read_list_file(path))
+    """Load a stopword file (one token per line, ``#`` comments).
+
+    Entries are lowercased, as tokens are.
+    """
+    return frozenset(entry.lower() for entry in _read_list_file(path))
 
 
 def load_affix_list(path: str | Path) -> tuple[str, ...]:

@@ -10,16 +10,21 @@ pair in order, so the indexed ``dict_cosine`` must match it bit for bit.
 reproduce bit for bit, and with it every matrix and fold-in built on it.
 ``qr_power_iteration_svd`` is the randomized SVD with a full QR after every
 product, which the LU-normalized range finder in ``lsi`` must match.
+``token_pipeline`` is the preprocessing that carried a ``Token`` (surface and
+reduced form) per word occurrence through reduction and filtering; the
+plain-string ``run_pipeline`` and ``tokenize`` must reproduce it exactly.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from xling.textprep import ReducerKind, make_reducer
 
 
 def tfidf(tf: int, df: int, n_docs: int) -> float:
@@ -219,3 +224,65 @@ def qr_power_iteration_svd(a, k: int, oversample: int, power_iterations: int, se
     b = (a.T @ q).T
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
     return (q @ ub)[:, :k], s[:k], vt[:k, :]
+
+
+class Token(NamedTuple):
+    """A word occurrence: the raw surface form and its current reduced form."""
+
+    surface: str
+    reduced: str
+
+
+_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+def token_tokenize(text: str, lowercase: bool = True) -> list[Token]:
+    """Split ``text`` into word tokens, dropping punctuation."""
+    tokens = []
+    for m in _WORD_RE.finditer(text):
+        surface = m.group(0)
+        reduced = surface.lower() if lowercase else surface
+        tokens.append(Token(surface, reduced))
+    return tokens
+
+
+def corpus_term_counts(docs: Iterable[Sequence[Token]]) -> Counter:
+    """Total occurrence count per reduced term over the whole corpus."""
+    counts: Counter = Counter()
+    for doc in docs:
+        counts.update(t.reduced for t in doc)
+    return counts
+
+
+def apply_filters(docs, config, corpus_counts: Mapping[str, int]) -> list[list[Token]]:
+    """Drop stopwords (by lowercased surface or reduced form) and terms
+    whose corpus count is below ``config.min_corpus_frequency``."""
+    out = []
+    for doc in docs:
+        kept = [
+            t
+            for t in doc
+            if t.surface.lower() not in config.stopwords
+            and t.reduced not in config.stopwords
+            and corpus_counts.get(t.reduced, 0) >= config.min_corpus_frequency
+        ]
+        out.append(kept)
+    return out
+
+
+def token_pipeline(texts, config, *, side: str = "source", dictionary=None) -> list[list[str]]:
+    """Tokenize, reduce (each distinct word once) and filter one corpus side."""
+    kind = config.reducer_for(side)
+    docs = [token_tokenize(text) for text in texts]
+    if kind is not ReducerKind.IDENTITY:
+        reducer = make_reducer(kind, dictionary=dictionary, side=side)
+        memo: dict[str, str] = {}
+        for doc in docs:
+            for i, t in enumerate(doc):
+                reduced = memo.get(t.reduced)
+                if reduced is None:
+                    reduced = memo[t.reduced] = reducer(t.reduced)
+                doc[i] = Token(t.surface, reduced)
+    counts = corpus_term_counts(docs)
+    filtered = apply_filters(docs, config, counts)
+    return [[t.reduced for t in doc] for doc in filtered]

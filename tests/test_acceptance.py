@@ -73,7 +73,7 @@ def _verdict(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _tokens(docs):
-    return [[t.reduced for t in tokenize(d.text)] for d in docs]
+    return [tokenize(d.text) for d in docs]
 
 
 # --------------------------------------------------------------------------

@@ -422,6 +422,28 @@ class TestScore:
         assert rc == 0
         assert out.read_text(encoding="utf-8") == "e1\ta1\t0.500000\n"
 
+    def test_capitalized_stopword_entry_matches(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(
+            json.dumps({"src_id": "e1", "tgt_id": "a1", "src_text": "The cat of THE hat",
+                        "tgt_text": "xcat xhat"}) + "\n",
+            encoding="utf-8",
+        )
+        dictionary = tmp_path / "d.tsv"
+        dictionary.write_text("cat\txcat\nhat\txhat\nthe\txthe\n", encoding="utf-8")
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("The\nof\n", encoding="utf-8")
+        out = tmp_path / "match.tsv"
+        rc = main(
+            [
+                "score", "--corpus", str(corpus), "--dictionary", str(dictionary),
+                "--measure", "match", "--stopwords", str(stopwords), "--output", str(out),
+            ]
+        )
+        assert rc == 0
+        # 2 matched pairs over 2 + 2 terms; a kept "the" would make it 2 / 6
+        assert out.read_text(encoding="utf-8") == "e1\ta1\t0.500000\n"
+
     def test_morphar_without_dictionary_exits_two(self, tmp_path, corpus_file, capsys):
         rc = main(
             [

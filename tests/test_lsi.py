@@ -43,7 +43,7 @@ def _dummy_matrix(dense: np.ndarray) -> TermDocMatrix:
 
 
 def _tokens(docs):
-    return [[t.reduced for t in tokenize(d.text)] for d in docs]
+    return [tokenize(d.text) for d in docs]
 
 
 class TestBuildMonoMatrix:

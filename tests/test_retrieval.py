@@ -23,7 +23,6 @@ from xling.retrieval import (
     RankedList,
     align_corpora,
     alignment_report,
-    default_preprocess,
     embed_crosslingual,
     evaluate_retrieval,
     gold_mapping,
@@ -43,7 +42,7 @@ from xling.textprep import tokenize
 
 
 def _tokens(docs):
-    return [[t.reduced for t in tokenize(d.text)] for d in docs]
+    return [tokenize(d.text) for d in docs]
 
 
 def _embeddings(candidates: dict) -> Embeddings:
@@ -278,13 +277,13 @@ class TestClLsiPipeline:
         candidates = Embeddings(
             [d.id for d in corpus.target_docs],
             [
-                embed_crosslingual(default_preprocess(d.text), "target", model)
+                embed_crosslingual(tokenize(d.text), "target", model)
                 for d in corpus.target_docs
             ],
         )
         for doc, rl in zip(corpus.source_docs, ranked):
             direct = retrieve(
-                embed_crosslingual(default_preprocess(doc.text), "source", model),
+                embed_crosslingual(tokenize(doc.text), "source", model),
                 candidates,
                 4,
                 query_id=doc.id,

@@ -1,19 +1,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from measure_oracles import token_pipeline, token_tokenize
 from xling.bidict import BilingualDictionary
 from xling.textprep import (
     PipelineConfig,
+    Preprocessor,
     ReducerKind,
-    Token,
-    apply_filters,
-    corpus_term_counts,
     lemmatize,
     light_stem,
     load_affix_list,
     load_stopwords,
     make_reducer,
-    morphar_lookup,
     reduce,
     root_stem,
     run_pipeline,
@@ -24,24 +22,21 @@ from xling.textprep import (
 
 class TestTokenize:
     def test_punctuation_dropped_lowercased(self):
-        assert [t.reduced for t in tokenize("He writes, well.")] == ["he", "writes", "well"]
+        assert tokenize("He writes, well.") == ["he", "writes", "well"]
 
     def test_empty(self):
         assert tokenize("") == []
 
     def test_digits_kept_mixed_runs_intact(self):
-        assert [t.reduced for t in tokenize("v2.0 beta")] == ["v2", "0", "beta"]
-
-    def test_surface_preserved(self):
-        assert tokenize("He")[0] == Token("He", "he")
-
-    def test_no_lowercase(self):
-        assert [t.reduced for t in tokenize("He", lowercase=False)] == ["He"]
+        assert tokenize("v2.0 beta") == ["v2", "0", "beta"]
 
     def test_arabic_text(self):
-        assert [t.reduced for t in tokenize("زيت الزيتون جيد!")] == [
-            "زيت", "الزيتون", "جيد",
-        ]
+        assert tokenize("زيت الزيتون جيد!") == ["زيت", "الزيتون", "جيد"]
+
+    def test_word_lowercased_after_the_split(self):
+        # "İ".lower() is "i" plus a combining dot, which is not a word
+        # character; lowercasing the text first would split the word.
+        assert tokenize("İstanbul") == ["i\u0307stanbul"]
 
 
 # Expected stems trace the shipped affix tables on the classic
@@ -130,17 +125,27 @@ class TestMorphar:
             ]
         )
 
+    def _lookup(self, word, d, **kwargs):
+        return d.translations(make_reducer(ReducerKind.MORPHAR, dictionary=d, **kwargs)(word))
+
     def test_light_path_wins_root_never_consulted(self):
         d = self._dictionary()
-        assert morphar_lookup("المكتبة", d) == frozenset({"office"})
+        rooted = []
+
+        def root(word):
+            rooted.append(word)
+            return root_stem(word)
+
+        assert self._lookup("المكتبة", d, root=root) == frozenset({"office"})
+        assert rooted == []
 
     def test_root_fallback(self):
         d = self._dictionary()
         # light stem of المسافرون is مسافر (absent); its root سفر is present
-        assert morphar_lookup("المسافرون", d) == frozenset({"travel"})
+        assert self._lookup("المسافرون", d) == frozenset({"travel"})
 
     def test_oov_empty(self):
-        assert morphar_lookup("قلم", self._dictionary()) == frozenset()
+        assert self._lookup("قلم", self._dictionary()) == frozenset()
 
     def test_priority_property_reducer(self):
         d = self._dictionary()
@@ -149,32 +154,19 @@ class TestMorphar:
         assert reducer("المسافرون") == "سفر"  # falls back to the root
 
 
-def _tok(*words: str) -> list[Token]:
-    return [Token(w, w) for w in words]
-
-
 class TestFilters:
     def test_low_frequency_removed(self):
         # "rare" occurs twice in the corpus, below the threshold of three
-        docs = [_tok("rare", "common"), _tok("rare", "common", "common")]
-        counts = corpus_term_counts(docs)
-        config = PipelineConfig(min_corpus_frequency=3)
-        filtered = apply_filters(docs, config, counts)
-        assert [[t.reduced for t in d] for d in filtered] == [
-            ["common"],
-            ["common", "common"],
-        ]
+        texts = ["rare common", "rare common common"]
+        prep = Preprocessor(PipelineConfig(min_corpus_frequency=3))
+        assert run_pipeline(texts, prep) == [["common"], ["common", "common"]]
 
     def test_identity_config_is_identity(self):
-        docs = [_tok("a", "b"), _tok("c")]
-        filtered = apply_filters(docs, PipelineConfig(), corpus_term_counts(docs))
-        assert filtered == docs
+        assert run_pipeline(["a b", "c"], Preprocessor(PipelineConfig())) == [["a", "b"], ["c"]]
 
     def test_stopwords_removed(self):
-        docs = [_tok("the", "oil"), _tok("the")]
-        config = PipelineConfig(stopwords=frozenset({"the"}))
-        filtered = apply_filters(docs, config, corpus_term_counts(docs))
-        assert [[t.reduced for t in d] for d in filtered] == [["oil"], []]
+        prep = Preprocessor(PipelineConfig(stopwords=frozenset({"the"})))
+        assert run_pipeline(["the oil", "the"], prep) == [["oil"], []]
 
     def test_min_frequency_validation(self):
         with pytest.raises(ValueError):
@@ -186,11 +178,10 @@ class TestFilters:
         )
     )
     def test_filtering_never_increases_token_count(self, texts):
-        docs = [tokenize(t) for t in texts]
         config = PipelineConfig(stopwords=frozenset({"a"}), min_corpus_frequency=2)
-        filtered = apply_filters(docs, config, corpus_term_counts(docs))
-        for before, after in zip(docs, filtered):
-            assert len(after) <= len(before)
+        filtered = run_pipeline(texts, Preprocessor(config))
+        for text, after in zip(texts, filtered):
+            assert len(after) <= len(tokenize(text))
 
 
 class TestRunPipeline:
@@ -200,7 +191,7 @@ class TestRunPipeline:
             stopwords=frozenset({"the"}),
             reducer_source=ReducerKind.SUFFIX_STEMMER,
         )
-        docs = run_pipeline(texts, config, side="source")
+        docs = run_pipeline(texts, Preprocessor(config, "source"))
         assert docs == [["library", "opene"], ["library", "close", "close"]]
 
     def test_pipeline_default_is_tokenize(self):
@@ -222,7 +213,7 @@ class TestRunPipeline:
             reducer_source=kind,
         )
         reducer = make_reducer(kind, dictionary=dictionary, side="source")
-        reduced = [[reducer(t.reduced) for t in tokenize(text)] for text in texts]
+        reduced = [[reducer(t) for t in tokenize(text)] for text in texts]
         counts: dict[str, int] = {}
         for doc in reduced:
             for w in doc:
@@ -231,15 +222,72 @@ class TestRunPipeline:
             [
                 w
                 for t, w in zip(tokenize(text), doc)
-                if t.reduced not in config.stopwords
+                if t not in config.stopwords
                 and w not in config.stopwords
                 and counts[w] >= 2
             ]
             for text, doc in zip(texts, reduced)
         ]
         assert any(expected)
-        got = run_pipeline(texts, config, side="source", dictionary=dictionary)
+        got = run_pipeline(texts, Preprocessor(config, "source", dictionary))
         assert got == expected
+
+    def test_stopword_occurrences_count_towards_min_count(self):
+        # "books" is a stopword, but its reduced form "book" is not: both
+        # occurrences count, so the one kept "book" reaches the floor of two.
+        config = PipelineConfig(
+            stopwords=frozenset({"books"}),
+            min_corpus_frequency=2,
+            reducer_source=ReducerKind.SUFFIX_STEMMER,
+        )
+        assert run_pipeline(["books", "book"], Preprocessor(config)) == [[], ["book"]]
+
+    def test_preprocessor_reduces_each_word_once(self):
+        calls = []
+        prep = Preprocessor(PipelineConfig(reducer_source=ReducerKind.SUFFIX_STEMMER))
+        prep._reducer = lambda w: calls.append(w) or suffix_stem(w)
+        run_pipeline(["books books", "books writes"], prep)
+        assert prep.reduce("writes") == "write"
+        assert sorted(calls) == ["books", "writes"]
+
+
+# Fragments a property test joins into text: mixed case, digits, "_",
+# combining marks, dotted capital I, sharp s, Arabic with clitics, and
+# words the stopword list and the reducers act on.
+_FRAGMENTS = st.sampled_from([
+    " ", " ", ", ", ".", "_", "\u0301", "\u0307", "-",
+    "The", "the", "THE", "Of", "İstanbul", "İ", "i", "ß", "STRASSE", "straße", "Σ",
+    "writes", "Writes", "written", "went", "books", "Books", "book", "v2", "42", "x_1",
+    "cafe\u0301", "café", "الكتاب", "والمكتبة", "مكتب", "المسافرون", "سافرت", "كتب",
+])
+_TEXTS = st.lists(
+    st.lists(
+        st.one_of(_FRAGMENTS, st.text(alphabet="aBİßς_1\u0301 كت", max_size=4)), max_size=12
+    ).map("".join),
+    min_size=1,
+    max_size=5,
+)
+_STOPWORDS = frozenset({"the", "of", "i\u0307stanbul", "books", "write", "كتب", "ß"})
+_MORPHAR_DICTIONARY = BilingualDictionary(
+    [(("كتاب", "مكتب"), ("book", "office")), (("سفر",), ("travel",)), (("book",), ("كتاب",))]
+)
+
+
+class TestMatchesTokenPipeline:
+    @pytest.mark.parametrize("kind", list(ReducerKind))
+    @given(texts=_TEXTS)
+    def test_run_pipeline_equals_oracle(self, kind, texts):
+        config = PipelineConfig(
+            stopwords=_STOPWORDS, min_corpus_frequency=2, reducer_source=kind
+        )
+        expected = token_pipeline(texts, config, side="source", dictionary=_MORPHAR_DICTIONARY)
+        got = run_pipeline(texts, Preprocessor(config, "source", _MORPHAR_DICTIONARY))
+        assert got == expected
+
+    @given(texts=_TEXTS)
+    def test_tokenize_equals_oracle_reduced_forms(self, texts):
+        for text in texts:
+            assert tokenize(text) == [t.reduced for t in token_tokenize(text)]
 
 
 class TestListFiles:
@@ -247,6 +295,12 @@ class TestListFiles:
         path = tmp_path / "stop.txt"
         path.write_text("# comment\nthe\nof # trailing\n\n", encoding="utf-8")
         assert load_stopwords(path) == frozenset({"the", "of"})
+
+    def test_stopwords_lowercased_like_tokens(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("The\nof\n", encoding="utf-8")
+        prep = Preprocessor(PipelineConfig(stopwords=load_stopwords(path)))
+        assert run_pipeline(["The cat of THE hat"], prep) == [["cat", "hat"]]
 
     def test_affix_list_keeps_order(self, tmp_path):
         path = tmp_path / "prefix.txt"
