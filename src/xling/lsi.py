@@ -8,12 +8,13 @@ one above the other. Unseen documents enter a trained space by fold-in,
 ``Vocabulary.weights`` (one side's vocabulary, shifted to that side's rows
 in a cross space) and multiplies them into the matching rows of ``U``.
 
-The factorization is a randomized range-finder (Gaussian sketch,
-LU-normalized power iterations, one final economic QR, small-matrix SVD)
-so large sparse vocabularies stay cheap; a dense SVD oracle and the
-all-QR range-finder it replaced pin its correctness in the test suite. Swap
-``_randomized_svd`` for an iterative solver if a different accuracy
-profile is ever needed.
+The factorization is a randomized range-finder (Gaussian sketch, power
+iterations with one LU normalization per ``A^T A`` product, a blocked
+Householder QR for the final basis, small-matrix SVD) so large sparse
+vocabularies stay cheap; a dense SVD oracle and the two range-finders it
+replaced (all-QR, and LU on every half step) pin its correctness in the
+test suite. Swap ``_randomized_svd`` for an iterative solver if a
+different accuracy profile is ever needed.
 """
 
 from __future__ import annotations
@@ -222,19 +223,27 @@ def _randomized_svd(
     m, n = a.shape
     sketch = min(k + oversample, min(m, n))
     rng = np.random.default_rng(seed)
-    omega = rng.standard_normal((n, sketch))
-    # The power iterations only need a basis of the same span, so a permuted
-    # LU factor (no Q to form) normalizes them; one QR makes the final basis
-    # orthonormal (Halko, Martinsson & Tropp 2011, section 4.5).
-    y = a @ omega
+    z = rng.standard_normal((n, sketch))
+    # The power iterations only need a basis of the same span, so one
+    # permuted LU factor (no Q to form) of the document-side block
+    # normalizes each A^T A product; Y = A (A^T A)^q Omega then spans what
+    # the all-QR loop spans. A blocked (compact-WY) Householder QR makes the
+    # final basis orthonormal (Halko, Martinsson & Tropp 2011, section 4.5).
     for _ in range(power_iterations):
-        y = scipy.linalg.lu(y, permute_l=True, check_finite=False)[0]
-        z = scipy.linalg.lu(a.T @ y, permute_l=True, check_finite=False)[0]
-        y = a @ z
-    q = scipy.linalg.qr(y, mode="economic", check_finite=False)[0]
+        z = scipy.linalg.lu(a.T @ (a @ z), permute_l=True, check_finite=False)[0]
+    y = a @ z
+    reflectors, t, info = scipy.linalg.lapack.dgeqrt(min(32, sketch), y, overwrite_a=True)
+    if info == 0:
+        identity = np.eye(m, sketch, order="F")
+        q, info = scipy.linalg.lapack.dgemqrt(reflectors, t, identity, overwrite_c=True)
+    if info != 0:
+        raise ConvergenceError(
+            f"Householder QR of the {m}x{sketch} range basis failed (LAPACK info {info})",
+            diagnostics={"shape": (m, n), "k": k, "sketch": sketch, "info": int(info)},
+        )
     b = (a.T @ q).T
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    return (q @ ub)[:, :k], s[:k], vt[:k, :]
+    return q @ ub[:, :k], s[:k], vt[:k, :]
 
 
 def train(
@@ -279,7 +288,8 @@ def train(
         )
 
     keep = s > _RANK_TRUNCATION * (s[0] if len(s) else 0.0)
-    u, s, vt = u[:, keep], s[keep], vt[keep, :]
+    if not keep.all():
+        u, s, vt = u[:, keep], s[keep], vt[keep, :]
 
     # Fix the sign ambiguity so equal inputs give byte-equal factors: the
     # largest-magnitude entry of each left singular vector is positive.
@@ -366,9 +376,8 @@ def save_model(model: LsiModel, path: str | Path) -> None:
         )
         fh.write(struct.pack("<Q", len(vocab_blob)))
         fh.write(vocab_blob)
-        fh.write(model.u.astype("<f8").tobytes(order="C"))
-        fh.write(model.s.astype("<f8").tobytes(order="C"))
-        fh.write(model.v.astype("<f8").tobytes(order="C"))
+        for factor in (model.u, model.s, model.v):
+            fh.write(memoryview(np.ascontiguousarray(factor, dtype="<f8")))
 
 
 def load_model(path: str | Path) -> LsiModel:

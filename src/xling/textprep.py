@@ -294,7 +294,10 @@ def make_reducer(
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for the per-side preprocessing pipeline."""
+    """Knobs for the per-side preprocessing pipeline.
+
+    Stopwords are lowercased, as tokens are, so ``"The"`` drops ``the``.
+    """
 
     stopwords: frozenset[str] = field(default_factory=frozenset)
     min_corpus_frequency: int = 1
@@ -304,6 +307,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.min_corpus_frequency < 1:
             raise ValueError("min_corpus_frequency must be >= 1")
+        object.__setattr__(self, "stopwords", frozenset(map(str.lower, self.stopwords)))
 
     def reducer_for(self, side: str) -> ReducerKind:
         if side == "source":
@@ -387,9 +391,9 @@ def _read_list_file(path: str | Path) -> list[str]:
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a stopword file (one token per line, ``#`` comments).
 
-    Entries are lowercased, as tokens are.
+    Entries keep their case; :class:`PipelineConfig` lowercases them.
     """
-    return frozenset(entry.lower() for entry in _read_list_file(path))
+    return frozenset(_read_list_file(path))
 
 
 def load_affix_list(path: str | Path) -> tuple[str, ...]:

@@ -9,7 +9,9 @@ pair in order, so the indexed ``dict_cosine`` must match it bit for bit.
 ``brute_tfidf`` is the per-term loop that ``Vocabulary.weights`` must
 reproduce bit for bit, and with it every matrix and fold-in built on it.
 ``qr_power_iteration_svd`` is the randomized SVD with a full QR after every
-product, which the LU-normalized range finder in ``lsi`` must match.
+product, and ``lu_half_step_svd`` the one that LU-normalizes both blocks on
+every half step and takes an economic QR; the range finder in ``lsi``, which
+normalizes once per power iteration, must match both.
 ``token_pipeline`` is the preprocessing that carried a ``Token`` (surface and
 reduced form) per word occurrence through reduction and filtering; the
 plain-string ``run_pipeline`` and ``tokenize`` must reproduce it exactly.
@@ -23,6 +25,7 @@ from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from xling.textprep import ReducerKind, make_reducer
 
@@ -221,6 +224,24 @@ def qr_power_iteration_svd(a, k: int, oversample: int, power_iterations: int, se
     for _ in range(power_iterations):
         z, _ = np.linalg.qr(a.T @ q)
         q, _ = np.linalg.qr(a @ z)
+    b = (a.T @ q).T
+    ub, s, vt = np.linalg.svd(b, full_matrices=False)
+    return (q @ ub)[:, :k], s[:k], vt[:k, :]
+
+
+def lu_half_step_svd(a, k: int, oversample: int, power_iterations: int, seed: int):
+    """Randomized truncated SVD that LU-normalizes the tall and the short
+    block after every product, then takes one economic QR."""
+    m, n = a.shape
+    sketch = min(k + oversample, min(m, n))
+    rng = np.random.default_rng(seed)
+    omega = rng.standard_normal((n, sketch))
+    y = a @ omega
+    for _ in range(power_iterations):
+        y = scipy.linalg.lu(y, permute_l=True, check_finite=False)[0]
+        z = scipy.linalg.lu(a.T @ y, permute_l=True, check_finite=False)[0]
+        y = a @ z
+    q = scipy.linalg.qr(y, mode="economic", check_finite=False)[0]
     b = (a.T @ q).T
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
     return (q @ ub)[:, :k], s[:k], vt[:k, :]

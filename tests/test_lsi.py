@@ -6,12 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
-from measure_oracles import qr_power_iteration_svd
+from measure_oracles import lu_half_step_svd, qr_power_iteration_svd
 from scipy.linalg import subspace_angles
 
 import xling
-from xling.errors import CorruptModelError, DimensionMismatchError, VersionMismatchError
+from xling.errors import (
+    ConvergenceError,
+    CorruptModelError,
+    DimensionMismatchError,
+    VersionMismatchError,
+)
 from xling.lsi import (
     LsiModel,
     _randomized_svd,
@@ -164,6 +170,21 @@ class TestTrain:
         assert np.array_equal(a.s, b.s)
         assert np.array_equal(a.v, b.v)
 
+    def test_steep_spectrum_matches_dense_svd(self):
+        # sigma_i = 10^(-0.45 i): sigma_22 / sigma_0 = 10^-9.9 sits above the
+        # 1e-10 rank truncation and sigma_23 below it, so the kept count
+        # cannot flip on rounding (a step of 10^-0.5 would put sigma_20
+        # exactly on the threshold).
+        rng = np.random.default_rng(12)
+        left = np.linalg.qr(rng.standard_normal((300, 120)))[0]
+        right = np.linalg.qr(rng.standard_normal((120, 120)))[0]
+        dense = (left * 10.0 ** (-0.45 * np.arange(120))) @ right.T
+        model = train(_dummy_matrix(dense), k=40)
+        u_ref, s_ref, _ = np.linalg.svd(dense, full_matrices=False)
+        assert model.k == 23
+        assert np.max(np.abs(model.s - s_ref[:23]) / s_ref[:23]) < 1e-6
+        assert np.max(subspace_angles(model.u[:, :10], u_ref[:, :10])) < 1e-9
+
     def test_reconstruction_error_non_increasing_in_k(self):
         rng = np.random.default_rng(9)
         dense = rng.random((40, 25))
@@ -190,7 +211,9 @@ def _rank_six() -> sp.spmatrix:
 
 
 class TestRangeFinderMatchesQrOracle:
-    """LU-normalized power iterations span what the all-QR loop spans."""
+    """One LU per power iteration spans what the all-QR loop spans."""
+
+    oracle = staticmethod(qr_power_iteration_svd)
 
     @pytest.mark.parametrize(
         "make, k, oversample, power_iterations, compared",
@@ -206,11 +229,26 @@ class TestRangeFinderMatchesQrOracle:
     def test_factors_match(self, make, k, oversample, power_iterations, compared):
         a = make()
         u, s, _ = _randomized_svd(a, k, oversample, power_iterations, seed=42)
-        u_ref, s_ref, _ = qr_power_iteration_svd(a, k, oversample, power_iterations, seed=42)
+        u_ref, s_ref, _ = self.oracle(a, k, oversample, power_iterations, seed=42)
         assert u.shape == u_ref.shape and s.shape == s_ref.shape
         s, s_ref = s[:compared], s_ref[:compared]
         assert np.max(np.abs(s - s_ref) / s_ref) < 1e-12
         assert np.max(subspace_angles(u[:, :compared], u_ref[:, :compared])) < 1e-10
+
+
+class TestRangeFinderMatchesLuHalfStepOracle(TestRangeFinderMatchesQrOracle):
+    """It also spans what the loop LU-normalizing both blocks on every half step spans."""
+
+    oracle = staticmethod(lu_half_step_svd)
+
+
+def test_householder_failure_raises_convergence_error(monkeypatch):
+    def failing_dgeqrt(nb, a, overwrite_a=0):
+        return a, np.zeros((nb, a.shape[1])), -2
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", failing_dgeqrt)
+    with pytest.raises(ConvergenceError, match="LAPACK info -2"):
+        _randomized_svd(_rank_six(), 4, 2, 1, seed=42)
 
 
 def test_importing_the_cli_leaves_scipy_linalg_unloaded():
@@ -357,6 +395,24 @@ class TestModelPersistence:
         resaved = tmp_path / "m2.xlsm"
         save_model(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("layout", ["fortran", "column-sliced", "big-endian"])
+    def test_factor_layout_does_not_change_the_bytes(self, tmp_path, layout):
+        _, cross = self._models()
+        u, s, v = cross.u, cross.s, cross.v
+        if layout == "fortran":
+            u, v = np.asfortranarray(u), np.asfortranarray(v)
+        elif layout == "column-sliced":
+            u = np.hstack([u, u])[:, : cross.k]
+            v = np.hstack([v, v])[:, : cross.k]
+        else:
+            u, s, v = u.astype(">f8"), s.astype(">f8"), v.astype(">f8")
+        save_model(cross, tmp_path / "c.xlsm")
+        save_model(LsiModel(u, s, v, cross.vocabulary, cross.kind), tmp_path / "m.xlsm")
+        blob = (tmp_path / "m.xlsm").read_bytes()
+        assert blob == (tmp_path / "c.xlsm").read_bytes()
+        factors = b"".join(f.astype("<f8").tobytes(order="C") for f in (u, s, v))
+        assert blob.endswith(factors)
 
     def test_truncated_file(self, tmp_path):
         mono, _ = self._models()

@@ -185,6 +185,10 @@ class TestFilters:
 
 
 class TestRunPipeline:
+    def test_capitalized_stopword_built_in_code_matches(self):
+        prep = Preprocessor(PipelineConfig(stopwords=frozenset({"The"})))
+        assert run_pipeline(["The cat"], prep) == [["cat"]]
+
     def test_end_to_end(self):
         texts = ["The libraries opened.", "The library closed, closed."]
         config = PipelineConfig(
