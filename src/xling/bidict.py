@@ -12,14 +12,16 @@ A dictionary builds its translation-pair index once, on first use: the
 sorted, deduplicated (source, target) pairs plus each term's sorted
 partners on the other side. ``dict_cosine`` walks only the partners of the
 couple's own terms instead of every pair; the binary, OOV and matching
-measures never build it.
+measures never build it. ``dict_cosines`` scores many couples and weights
+each side's documents in one pass (``Vocabulary.weight_rows``);
+``dict_cosine`` is its one-couple case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MalformedLineError, UndefinedRateError
 from .vsm import Vocabulary
@@ -33,6 +35,7 @@ __all__ = [
     "bin_symmetric",
     "bin_pooled",
     "dict_cosine",
+    "dict_cosines",
     "oov_rate",
     "matching_rate",
     "match_report",
@@ -324,12 +327,36 @@ def dict_cosine(
     Only pairs with a non-zero attribute add to a sum, so each sum walks the
     couple's own terms through the dictionary's pair index. It adds the same
     terms in the same (w_s, w_t) order as a walk over every pair would, so
-    the score is bit-identical to that walk.
+    the score is bit-identical to that walk. This is :func:`dict_cosines`
+    of one couple.
     """
-    index = dictionary._pair_index()
-    weights_s = _tfidf_weights(d_s, source_stats, index.targets_of)
-    weights_t = _tfidf_weights(d_t, target_stats, index.sources_of)
+    return dict_cosines([d_s], [d_t], dictionary, source_stats, target_stats)[0]
 
+
+def dict_cosines(
+    source_docs: Sequence[Sequence[str]],
+    target_docs: Sequence[Sequence[str]],
+    dictionary: BilingualDictionary,
+    source_stats: Vocabulary,
+    target_stats: Vocabulary,
+) -> list[float]:
+    """:func:`dict_cosine` of every couple ``(source_docs[j], target_docs[j])``.
+
+    Each side's documents are weighted in one pass over the collection.
+    """
+    if len(source_docs) != len(target_docs):
+        raise ValueError(
+            f"{len(source_docs)} source documents for {len(target_docs)} target documents"
+        )
+    index = dictionary._pair_index()
+    rows_s = _tfidf_rows(source_docs, source_stats, index.targets_of)
+    rows_t = _tfidf_rows(target_docs, target_stats, index.sources_of)
+    return [_paired_cosine(w_s, w_t, index) for w_s, w_t in zip(rows_s, rows_t)]
+
+
+def _paired_cosine(
+    weights_s: Mapping[str, float], weights_t: Mapping[str, float], index: _PairIndex
+) -> float:
     dot = 0.0
     norm_s = 0.0
     for ws in sorted(weights_s):
@@ -346,9 +373,16 @@ def dict_cosine(
     return dot / (norm_s**0.5 * norm_t**0.5)
 
 
-def _tfidf_weights(
-    doc: Sequence[str], stats: Vocabulary, known: Mapping[str, tuple[str, ...]]
-) -> dict[str, float]:
-    """Non-zero tfidf weight of each term of ``doc`` in both ``stats`` and ``known``."""
-    idx, val = stats.weights(t for t in doc if t in known)
-    return {stats.terms[i]: w for i, w in zip(idx.tolist(), val.tolist())}
+def _tfidf_rows(
+    docs: Sequence[Sequence[str]], stats: Vocabulary, known: Mapping[str, tuple[str, ...]]
+) -> Iterator[dict[str, float]]:
+    """Per document, the non-zero tfidf weight of each term in both ``stats`` and ``known``.
+
+    The collection is weighted at the first ``next``; each document's dict
+    is built only when it is reached.
+    """
+    indptr, idx, val = stats.weight_rows(docs)
+    terms = stats.terms
+    for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        pairs = zip(map(terms.__getitem__, idx[a:b].tolist()), val[a:b].tolist())
+        yield {t: w for t, w in pairs if t in known}

@@ -20,7 +20,8 @@ from . import lsi, retrieval, wikitext
 from .bidict import (
     bin_pooled,
     bin_symmetric,
-    dict_cosine,
+    dict_cosine,  # noqa: F401  (the per-couple case, wrapped by name in perfbench/tracing.py)
+    dict_cosines,
     load_dictionary,
     matching_rate,
     oov_rate,
@@ -82,8 +83,8 @@ def _write_manifest(path: Path, command: str, options: dict, inputs: list[Path])
     )
 
 
-def _read_config_file(path: Path) -> dict:
-    """key=value overrides; values are coerced to int/float/bool when possible."""
+def _read_config_file(path: Path) -> dict[str, str]:
+    """key=value overrides, values kept as the strings a flag would receive."""
     overrides = {}
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -92,19 +93,38 @@ def _read_config_file(path: Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key=value")
         key, _, value = line.partition("=")
-        overrides[key.strip().replace("-", "_")] = _coerce(value.strip())
+        overrides[key.strip().replace("-", "_")] = value.strip()
     return overrides
 
 
-def _coerce(value: str):
-    lowered = value.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for caster in (int, float):
+def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """Every option of the top-level parser and of ``command``'s subparser, by dest."""
+    actions = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            actions.update((a.dest, a) for a in action.choices[command]._actions)
+        else:
+            actions[action.dest] = action
+    actions.pop("help", None)
+    return actions
+
+
+def _config_value(action: argparse.Action, key: str, raw: str):
+    """A config value checked and converted as the flag's own value would be."""
+    if action.nargs == 0:  # store_true / store_false switches
+        if raw.lower() not in ("true", "false"):
+            raise ValueError(f"config {key}: expected true or false, got {raw!r}")
+        return raw.lower() == "true"
+    value = raw
+    if action.type is not None:
         try:
-            return caster(value)
-        except ValueError:
-            pass
+            value = action.type(raw)
+        except (TypeError, ValueError):
+            name = getattr(action.type, "__name__", repr(action.type))
+            raise ValueError(f"config {key}: invalid {name} value {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(f"config {key}: invalid choice {raw!r} (choose from {choices})")
     return value
 
 
@@ -378,26 +398,31 @@ def _cmd_score(args) -> int:
     src_tokens, tgt_tokens = _preprocess_corpus(corpus, source, target)
     dictionary = dictionary.reduced(_dictionary_reducer(source), _dictionary_reducer(target))
 
-    if args.measure == "bincos":
-        source_stats = build_vocabulary(src_tokens)
-        target_stats = build_vocabulary(tgt_tokens)
-
     def score_pair(d_s, d_t) -> float:
         if args.measure == "bin":
             if args.bin_variant == "pooled":
                 return bin_pooled(d_s, d_t, dictionary)
             return bin_symmetric(d_s, d_t, dictionary)
-        if args.measure == "bincos":
-            return dict_cosine(d_s, d_t, dictionary, source_stats, target_stats)
         if args.measure == "oov":
             return oov_rate(d_s, d_t, dictionary)
         if args.measure == "match":
             return matching_rate(d_s, d_t, dictionary)
         raise ValueError(f"unknown measure {args.measure!r}")
 
+    if args.measure == "bincos":
+        # Each side is weighted once for the whole corpus, not per couple.
+        scores = dict_cosines(
+            src_tokens,
+            tgt_tokens,
+            dictionary,
+            build_vocabulary(src_tokens),
+            build_vocabulary(tgt_tokens),
+        )
+    else:
+        scores = map(score_pair, src_tokens, tgt_tokens)
     with Path(args.output).open("w", encoding="utf-8", newline="\n") as fh:
-        for (src, tgt), d_s, d_t in zip(corpus.pairs(), src_tokens, tgt_tokens):
-            fh.write(f"{src.id}\t{tgt.id}\t{score_pair(d_s, d_t):.6f}\n")
+        for (src, tgt), score in zip(corpus.pairs(), scores):
+            fh.write(f"{src.id}\t{tgt.id}\t{score:.6f}\n")
     print(f"scored {corpus.pair_count} pairs with {args.measure} -> {args.output}")
     return 0
 
@@ -517,7 +542,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         overrides = _read_config_file(Path(args.config))
-        unknown = [k for k in overrides if not hasattr(args, k)]
+        actions = _flag_actions(parser, args.command)
+        unknown = [k for k in overrides if k not in actions]
         if unknown:
             _print_error(ValueError(f"unknown config keys: {', '.join(sorted(unknown))}"))
             return 2
@@ -528,9 +554,13 @@ def main(argv: list[str] | None = None) -> int:
             for token in (argv if argv is not None else sys.argv[1:])
             if token.startswith("--")
         }
-        for key, value in overrides.items():
-            if key not in given:
-                setattr(args, key, value)
+        try:
+            for key, raw in overrides.items():
+                if key not in given:
+                    setattr(args, key, _config_value(actions[key], key, raw))
+        except ValueError as exc:
+            _print_error(exc)
+            return 2
     _resolve_paths(args)
     try:
         return args.func(args)

@@ -54,6 +54,10 @@ class Document:
     def __post_init__(self):
         if not self.id:
             raise ValueError("document id must be non-empty")
+        if not isinstance(self.text, str):
+            raise TypeError(
+                f"document {self.id!r} text must be a string, not {type(self.text).__name__}"
+            )
         if not self.text and not self.degenerate:
             raise ValueError(f"document {self.id!r} has empty text and is not flagged degenerate")
 

@@ -4,9 +4,10 @@ Supports a monolingual space (one language's matrix) and a cross-lingual
 space whose rows stack both languages' vocabularies and whose columns are
 concatenated document couples: the two languages' monolingual matrices,
 one above the other. Unseen documents enter a trained space by fold-in,
-``v' = v^t U S^{-1}``: :func:`fold_in` takes a token list's weights from
-``Vocabulary.weights`` (one side's vocabulary, shifted to that side's rows
-in a cross space) and multiplies them into the matching rows of ``U``.
+``v' = v^t U S^{-1}``: :func:`fold_in_many` weights a whole collection of
+token lists with ``Vocabulary.weight_rows`` (one side's vocabulary, shifted
+to that side's rows in a cross space) and multiplies each row into the
+matching rows of ``U``; :func:`fold_in` is its one-document case.
 
 The factorization is a randomized range-finder (Gaussian sketch, power
 iterations with one LU normalization per ``A^T A`` product, a blocked
@@ -24,7 +25,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +47,7 @@ __all__ = [
     "train",
     "project",
     "fold_in",
+    "fold_in_many",
     "embed_crosslingual",
     "save_model",
     "load_model",
@@ -321,11 +323,14 @@ def project(doc_vector: np.ndarray, model: LsiModel) -> np.ndarray:
     return (arr @ model.u) / model.s
 
 
-def fold_in(tokens: Sequence[str], model: LsiModel, side: str | None = None) -> np.ndarray:
-    """Fold a token list into the LSI space: its tfidf weights times ``U S^{-1}``.
+def fold_in_many(
+    documents: Iterable[Sequence[str]], model: LsiModel, side: str | None = None
+) -> np.ndarray:
+    """Fold a collection of token lists into the LSI space, one row each.
 
-    A monolingual model takes no ``side``. A crosslingual model needs the
-    document's ``side`` (``"source"`` or ``"target"``); the other language's
+    Row ``r`` is document ``r``'s tfidf weights times ``U S^{-1}``. A
+    monolingual model takes no ``side``. A crosslingual model needs the
+    documents' ``side`` (``"source"`` or ``"target"``); the other language's
     coordinates are zero. A document with no weighted term folds to zero.
     """
     if side is None:
@@ -336,8 +341,19 @@ def fold_in(tokens: Sequence[str], model: LsiModel, side: str | None = None) -> 
         if model.kind != "crosslingual":
             raise ValueError(f"side={side!r} needs a crosslingual model")
         vocab, offset = model.vocabulary.vocab_for(side), model.vocabulary.offset_for(side)
-    idx, val = vocab.weights(tokens)
-    return (val @ model.u[idx + offset]) / model.s
+    indptr, idx, val = vocab.weight_rows(documents)
+    idx += offset
+    folded = np.empty((len(indptr) - 1, model.k))
+    # One product per row: a sparse-times-dense product over the whole
+    # block would sum each row in a different order.
+    for r, (a, b) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
+        folded[r] = val[a:b] @ model.u[idx[a:b]]
+    return folded / model.s
+
+
+def fold_in(tokens: Sequence[str], model: LsiModel, side: str | None = None) -> np.ndarray:
+    """Fold one token list into the LSI space: :func:`fold_in_many` of one row."""
+    return fold_in_many([tokens], model, side)[0]
 
 
 def embed_crosslingual(tokens: Sequence[str], side: str, model: LsiModel) -> np.ndarray:

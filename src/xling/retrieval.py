@@ -23,11 +23,15 @@ from .corpus import AlignedCorpus, Document
 from .errors import (
     DimensionMismatchError,
     EmptyCandidatesError,
+    MalformedRecordError,
     MissingGoldError,
     SelfTestError,
     TranslationError,
 )
-from .lsi import LsiModel, embed_crosslingual, fold_in
+# The pipelines fold whole collections with fold_in_many; the per-document
+# embed_crosslingual stays importable from here, where perfbench/tracing.py
+# wraps it.
+from .lsi import LsiModel, embed_crosslingual, fold_in_many  # noqa: F401
 from .textprep import tokenize
 
 __all__ = [
@@ -155,11 +159,18 @@ class FileCacheProvider(TranslationProvider):
     def __init__(self, path: str | Path):
         self._cache: dict[str, str] = {}
         with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
+            for line_number, raw in enumerate(fh, start=1):
+                line = raw.strip()
                 if not line:
                     continue
-                record = json.loads(line)
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecordError(line_number, f"invalid JSON: {exc}") from exc
+                if not isinstance(record, dict) or "id" not in record or "text" not in record:
+                    raise MalformedRecordError(line_number, "record needs 'id' and 'text'")
+                if not isinstance(record["text"], str):
+                    raise MalformedRecordError(line_number, "'text' must be a string")
                 self._cache[str(record["id"])] = record["text"]
 
     def translate(self, document: Document, target_language: str) -> Document:
@@ -190,7 +201,9 @@ class Embeddings:
 
     __slots__ = ("ids", "unit")
 
-    def __init__(self, ids: Sequence[str], vectors: Sequence[np.ndarray]):
+    def __init__(self, ids: Sequence[str], vectors: np.ndarray | Sequence[np.ndarray]):
+        """``vectors`` is an n-by-k block (or n vectors of length k) whose
+        row ``i`` belongs to ``ids[i]``."""
         if len(ids) != len(vectors):
             raise ValueError(f"{len(ids)} ids for {len(vectors)} vectors")
         order = sorted(range(len(ids)), key=ids.__getitem__)
@@ -198,12 +211,10 @@ class Embeddings:
         for a, b in zip(self.ids, self.ids[1:]):
             if a == b:
                 raise ValueError(f"duplicate id {a!r}")
-        matrix = (
-            np.array([vectors[i] for i in order], dtype=np.float64) if order else np.zeros((0, 0))
-        )
+        matrix = np.asarray(vectors, dtype=np.float64) if order else np.zeros((0, 0))
         if matrix.ndim != 2:
             raise ValueError("vectors must be 1-D and of equal length")
-        self.unit: np.ndarray = _unit_rows(matrix)
+        self.unit: np.ndarray = _unit_rows(matrix[order])
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -238,20 +249,19 @@ def retrieve(
     return RankedList(query_id, tuple((candidates.ids[i], float(sims[i])) for i in top))
 
 
+def _fold_texts(docs: Iterable[Document], model: LsiModel, side: str | None) -> np.ndarray:
+    """Tokenize and fold documents into the model's space, one row each."""
+    return fold_in_many((tokenize(doc.text) for doc in docs), model, side)
+
+
 def project_documents(docs: Sequence[Document], model: LsiModel) -> Embeddings:
     """Fold documents into a monolingual LSI space."""
-    return Embeddings(
-        [doc.id for doc in docs],
-        [fold_in(tokenize(doc.text), model) for doc in docs],
-    )
+    return Embeddings([doc.id for doc in docs], _fold_texts(docs, model, None))
 
 
 def embed_documents(docs: Sequence[Document], side: str, model: LsiModel) -> Embeddings:
     """Embed documents into a cross-lingual LSI space."""
-    return Embeddings(
-        [doc.id for doc in docs],
-        [embed_crosslingual(tokenize(doc.text), side, model) for doc in docs],
-    )
+    return Embeddings([doc.id for doc in docs], _fold_texts(docs, model, side))
 
 
 def retrieve_ar_lsi(
@@ -273,16 +283,20 @@ def retrieve_ar_lsi(
         return []
     target_language = target_docs[0].language if target_docs else "und"
     candidates = project_documents(target_docs, model)
-    results = []
+    translated: list[Document | None] = []
     for doc in source_docs:
         try:
-            translated = provider.translate(doc, target_language)
+            translated.append(provider.translate(doc, target_language))
         except TranslationError as exc:
             warnings.warn(f"query {doc.id} skipped: {exc}", stacklevel=2)
+            translated.append(None)
+    queries = iter(_fold_texts([t for t in translated if t is not None], model, None))
+    results = []
+    for doc, query in zip(source_docs, translated):
+        if query is None:
             results.append(RankedList(doc.id, (), skipped=True))
-            continue
-        query_vec = fold_in(tokenize(translated.text), model)
-        results.append(retrieve(query_vec, candidates, n, query_id=doc.id))
+        else:
+            results.append(retrieve(next(queries), candidates, n, query_id=doc.id))
     return results
 
 
@@ -298,11 +312,11 @@ def retrieve_cl_lsi(
     if not source_docs:
         return []
     candidates = embed_documents(target_docs, "target", model)
-    results = []
-    for doc in source_docs:
-        query_vec = embed_crosslingual(tokenize(doc.text), "source", model)
-        results.append(retrieve(query_vec, candidates, n, query_id=doc.id))
-    return results
+    queries = _fold_texts(source_docs, model, "source")
+    return [
+        retrieve(query_vec, candidates, n, query_id=doc.id)
+        for doc, query_vec in zip(source_docs, queries)
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -2,17 +2,20 @@
 
 Weighting is ``tf * ln(N/df)`` with raw in-document counts and no
 smoothing, so a term present in every document weighs zero. It lives in
-one place, ``Vocabulary.weights``: the matrices built here, the LSI
-fold-in (:func:`xling.lsi.fold_in`) and ``bidict.dict_cosine`` all take
-their weights from it, so it is the single place to swap weighting
-variants.
+one place, ``Vocabulary.weight_rows``, which weights a whole collection of
+token lists in one pass and returns CSR arrays: the matrices built here,
+the LSI fold-in (:func:`xling.lsi.fold_in_many`) and
+``bidict.dict_cosines`` all take their weights from it, so it is the single
+place to swap weighting variants.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -67,15 +70,39 @@ class Vocabulary:
     def get(self, term: str) -> int | None:
         return self._index.get(term)
 
-    def weights(self, tokens: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-        """tfidf of a token list: ascending term indices and their non-zero
-        ``tf * idf`` weights. Unseen terms are dropped."""
-        index = self._index
-        hits = sorted((index[t], tf) for t, tf in Counter(tokens).items() if t in index)
-        idx = np.array([i for i, _ in hits], dtype=np.int64)
-        val = np.array([tf for _, tf in hits], dtype=np.float64) * self.idf[idx]
-        nonzero = val != 0.0
-        return idx[nonzero], val[nonzero]
+    def weight_rows(
+        self, documents: Iterable[Iterable[str]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """tfidf rows of a collection of token lists, in CSR layout.
+
+        Returns ``(indptr, indices, data)``: row ``r`` holds the ascending
+        term indices ``indices[indptr[r]:indptr[r + 1]]`` of document ``r``
+        and their non-zero ``tf * idf`` weights. Unseen terms are dropped.
+        One Python pass maps each token to its term index (``-1`` when
+        unseen), one document at a time; the counting and weighting are
+        array operations over the whole collection.
+        """
+        lookup = self._index.get
+        ids = array("q")
+        ends = [0]
+        for tokens in documents:
+            ids.extend(map(lookup, tokens, repeat(-1)))
+            ends.append(len(ids))
+        term = np.frombuffer(ids, dtype=np.int64) if ids else np.zeros(0, dtype=np.int64)
+        # One key per seen token, row * stride + term: equal keys are one
+        # term's occurrences in one document, and sorted keys ascend by row,
+        # then by term.
+        stride = max(len(self.terms), 1)
+        keys = np.repeat(np.arange(len(ends) - 1, dtype=np.int64) * stride, np.diff(ends))
+        keys += term
+        keys = keys[term >= 0]
+        keys, tf = np.unique(keys, return_counts=True)
+        term = keys % stride
+        data = tf * self.idf[term]
+        nonzero = data != 0.0
+        keys, term, data = keys[nonzero], term[nonzero], data[nonzero]
+        indptr = np.searchsorted(keys, np.arange(len(ends), dtype=np.int64) * stride)
+        return indptr, term, data
 
     def to_dict(self) -> dict:
         return {"terms": list(self.terms), "df": self.df.tolist(), "n_docs": self.n_docs}
@@ -132,17 +159,11 @@ class TermDocMatrix:
 def build_term_doc_matrix(
     documents: Sequence[Sequence[str]], vocabulary: Vocabulary
 ) -> TermDocMatrix:
-    """Stack the tfidf weights of each document as the columns of a sparse matrix."""
+    """Stack the tfidf rows of the documents as the columns of a sparse matrix."""
     if not documents:
         raise EmptyCorpusError("cannot build a matrix from zero documents")
-    columns = [vocabulary.weights(tokens) for tokens in documents]
-    indptr = np.cumsum([0] + [len(idx) for idx, _ in columns])
+    indptr, indices, data = vocabulary.weight_rows(documents)
     matrix = sp.csc_matrix(
-        (
-            np.concatenate([val for _, val in columns]),
-            np.concatenate([idx for idx, _ in columns]),
-            indptr,
-        ),
-        shape=(len(vocabulary), len(documents)),
+        (data, indices, indptr), shape=(len(vocabulary), len(documents))
     )
     return TermDocMatrix(matrix, vocabulary)

@@ -6,8 +6,9 @@ enumeration (no indexes, no shortcuts) so the package implementations have
 a fully independent oracle to agree with. Only suitable for toy documents.
 ``pair_loop_dict_cosine`` is the exception: it walks every translation
 pair in order, so the indexed ``dict_cosine`` must match it bit for bit.
-``brute_tfidf`` is the per-term loop that ``Vocabulary.weights`` must
-reproduce bit for bit, and with it every matrix and fold-in built on it.
+``brute_tfidf`` is the per-term loop that each row of
+``Vocabulary.weight_rows`` must reproduce bit for bit, and with it every
+matrix and fold-in built on it.
 ``qr_power_iteration_svd`` is the randomized SVD with a full QR after every
 product, and ``lu_half_step_svd`` the one that LU-normalizes both blocks on
 every half step and takes an economic QR; the range finder in ``lsi``, which

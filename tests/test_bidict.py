@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from measure_oracles import (
     brute_bin_symmetric,
@@ -16,6 +16,7 @@ from xling.bidict import (
     bin_pooled,
     bin_symmetric,
     dict_cosine,
+    dict_cosines,
     load_dictionary,
     match_report,
     matching_rate,
@@ -224,6 +225,53 @@ class TestIndexedDictCosine:
             assert got == pair_loop_dict_cosine(d_s, d_t, d, stats_s, stats_t)
             scores.append(got)
         assert min(scores) > 0.0
+
+
+_SRC_POOL = [f"s{i}" for i in range(6)]
+_TGT_POOL = [f"t{i}" for i in range(6)]
+
+
+def _docs(pool):
+    return st.lists(st.lists(st.sampled_from(pool), max_size=8), max_size=6)
+
+
+class TestBatchedDictCosine:
+    """``dict_cosines`` weights each side once and scores every couple exactly
+    as the per-couple ``dict_cosine`` and the all-pairs loop do."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        docs_s=_docs(_SRC_POOL),
+        docs_t=_docs(_TGT_POOL),
+        stats_docs_s=_docs(_SRC_POOL[:-1]),
+        stats_docs_t=_docs(_TGT_POOL[:-1]),
+        synsets=st.lists(
+            st.tuples(
+                st.frozensets(st.sampled_from(_SRC_POOL), min_size=1, max_size=3),
+                st.frozensets(st.sampled_from(_TGT_POOL), min_size=1, max_size=3),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_equals_per_couple(self, docs_s, docs_t, stats_docs_s, stats_docs_t, synsets):
+        n = min(len(docs_s), len(docs_t))
+        docs_s, docs_t = docs_s[:n], docs_t[:n]
+        # s0/t0 are in every stats document (idf 0); s5/t5 never are.
+        stats_s = build_vocabulary([doc + ["s0"] for doc in stats_docs_s] or [["s0"]])
+        stats_t = build_vocabulary([doc + ["t0"] for doc in stats_docs_t] or [["t0"]])
+        d = BilingualDictionary(synsets)
+        got = dict_cosines(docs_s, docs_t, d, stats_s, stats_t)
+        assert len(got) == n
+        for score, d_s, d_t in zip(got, docs_s, docs_t):
+            assert score == dict_cosine(d_s, d_t, d, stats_s, stats_t)
+            assert score == pair_loop_dict_cosine(d_s, d_t, d, stats_s, stats_t)
+
+    def test_empty_collection_and_length_mismatch(self):
+        d = BilingualDictionary([(("a",), ("x",))])
+        stats = build_vocabulary([["a"], ["x"]])
+        assert dict_cosines([], [], d, stats, stats) == []
+        with pytest.raises(ValueError):
+            dict_cosines([["a"]], [], d, stats, stats)
 
 
 class TestPairIndex:

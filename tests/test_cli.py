@@ -4,10 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from xling.bidict import dict_cosine, load_dictionary
 from xling.cli import main
 from xling.corpus import load_aligned_corpus, save_aligned_corpus, save_documents
 from xling.lsi import load_model
 from xling.synthetic import SyntheticSpec, cipher_word, make_parallel_corpus, source_vocabulary
+from xling.textprep import run_pipeline
+from xling.vsm import build_vocabulary
 
 SPEC = SyntheticSpec(n_topics=4, words_per_topic=20, common_words=5,
                      doc_length=(30, 50), topic_alpha=0.1)
@@ -110,6 +113,23 @@ class TestIngest:
 
 
 class TestTrain:
+    def test_non_string_pair_text_exits_two(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(
+            json.dumps({"src_id": "e1", "tgt_id": "a1", "src_text": "a b", "tgt_text": "x y"})
+            + "\n"
+            + json.dumps({"src_id": "e2", "tgt_id": "a2", "src_text": 5, "tgt_text": "x"})
+            + "\n",
+            encoding="utf-8",
+        )
+        rc = main(["train", "--corpus", str(corpus), "--output", str(tmp_path / "m.xlsm")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "MalformedRecordError"
+        assert payload["message"].startswith("line 2:")
+
     def test_cross_model_and_test_split_written(self, tmp_path, corpus_file):
         model_path = _train(tmp_path, corpus_file)
         model = load_model(model_path)
@@ -252,6 +272,61 @@ class TestRetrieveEvalAlign:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MalformedRecordError"
         assert err["message"].startswith("line 3:")
+
+    def test_align_non_string_text_exits_two(self, tmp_path, corpus_file, capsys):
+        model_path = _train(tmp_path, corpus_file)
+        corpus = load_aligned_corpus(corpus_file)
+        sources = tmp_path / "src.jsonl"
+        targets = tmp_path / "tgt.jsonl"
+        save_documents(corpus.target_docs[:2], targets)
+        sources.write_text(
+            json.dumps({"id": "s1", "text": "one two"}) + "\n"
+            + json.dumps({"id": "x", "text": 5}) + "\n",
+            encoding="utf-8",
+        )
+        rc = main(
+            [
+                "align", "--model", str(model_path), "--source-docs", str(sources),
+                "--target-docs", str(targets), "--output", str(tmp_path / "pairs.tsv"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "MalformedRecordError"
+        assert payload["message"].startswith("line 2:") and "string" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [('{"id": "x"}', "needs 'id' and 'text'"), ("[1, 2]", "needs 'id' and 'text'"),
+         ('{"id": "x", "text": 5}', "must be a string"), ("{oops", "invalid JSON")],
+    )
+    def test_retrieve_malformed_cache_line_exits_two(
+        self, tmp_path, corpus_file, capsys, line, reason
+    ):
+        model_path = tmp_path / "mono.xlsm"
+        assert main(
+            ["train", "--corpus", str(corpus_file), "--kind", "mono", "--k", "6",
+             "--output", str(model_path)]
+        ) == 0
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(json.dumps({"id": "e0000", "text": "ok"}) + "\n" + line + "\n",
+                         encoding="utf-8")
+        capsys.readouterr()
+        rc = main(
+            [
+                "retrieve", "--model", str(model_path), "--corpus", str(corpus_file),
+                "--provider", "cache", "--cache", str(cache),
+                "--output", str(tmp_path / "ranked.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "MalformedRecordError"
+        assert payload["message"].startswith("line 2:") and reason in payload["message"]
 
     def test_eval_oracle_self_test_failure_exits_three(self, tmp_path, capsys):
         corpus = make_parallel_corpus(12, SPEC, seed=12)
@@ -444,6 +519,26 @@ class TestScore:
         # 2 matched pairs over 2 + 2 terms; a kept "the" would make it 2 / 6
         assert out.read_text(encoding="utf-8") == "e1\ta1\t0.500000\n"
 
+    def test_bincos_equals_per_couple_dict_cosine(self, tmp_path, corpus_file, dictionary_file):
+        out = tmp_path / "bincos.tsv"
+        rc = main(
+            [
+                "score", "--corpus", str(corpus_file), "--dictionary", str(dictionary_file),
+                "--measure", "bincos", "--output", str(out),
+            ]
+        )
+        assert rc == 0
+        corpus = load_aligned_corpus(corpus_file)
+        src = run_pipeline([d.text for d in corpus.source_docs])
+        tgt = run_pipeline([d.text for d in corpus.target_docs])
+        stats_s, stats_t = build_vocabulary(src), build_vocabulary(tgt)
+        dictionary = load_dictionary(dictionary_file)
+        expected = "".join(
+            f"{s.id}\t{t.id}\t{dict_cosine(d_s, d_t, dictionary, stats_s, stats_t):.6f}\n"
+            for (s, t), d_s, d_t in zip(corpus.pairs(), src, tgt)
+        )
+        assert out.read_text(encoding="utf-8") == expected
+
     def test_morphar_without_dictionary_exits_two(self, tmp_path, corpus_file, capsys):
         rc = main(
             [
@@ -505,6 +600,47 @@ class TestConfigAndDeterminism:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("kind = crosss", "config kind: invalid choice 'crosss'"),
+            ("k = abc", "config k: invalid int value 'abc'"),
+            ("train_fraction = most", "config train_fraction: invalid float value 'most'"),
+            ("no_split = maybe", "config no_split: expected true or false"),
+        ],
+    )
+    def test_bad_config_value_exits_two(self, tmp_path, corpus_file, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        model_path = tmp_path / "m.xlsm"
+        rc = main(
+            [
+                "--config", str(config),
+                "train", "--corpus", str(corpus_file), "--output", str(model_path),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and payload["message"].startswith(message)
+        assert not model_path.exists()
+
+    def test_config_values_converted_like_flags(self, tmp_path, corpus_file):
+        config = tmp_path / "run.cfg"
+        config.write_text("kind = mono\nk = 5\nno_split = TRUE\n", encoding="utf-8")
+        model_path = tmp_path / "m.xlsm"
+        rc = main(
+            [
+                "--config", str(config),
+                "train", "--corpus", str(corpus_file), "--output", str(model_path),
+            ]
+        )
+        assert rc == 0
+        model = load_model(model_path)
+        assert model.kind == "monolingual" and model.k == 5 and model.n_docs == 30
+        assert not Path(str(model_path) + ".test.jsonl").exists()
 
     def test_pipeline_outputs_byte_identical_across_reruns(self, tmp_path, corpus_file):
         outputs = []

@@ -38,6 +38,11 @@ class TestDocument:
             Document("d1", "en", "")
         assert Document("d1", "en", "", degenerate=True).text == ""
 
+    @pytest.mark.parametrize("text", [5, None, ["a"], b"bytes"])
+    def test_non_string_text_rejected(self, text):
+        with pytest.raises(TypeError, match="must be a string"):
+            Document("d1", "en", text, degenerate=True)
+
 
 class TestAlignedCorpus:
     def test_length_mismatch(self):
@@ -101,6 +106,19 @@ class TestJsonl:
             load_aligned_corpus(path)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("field", ["src_text", "tgt_text"])
+    def test_non_string_text_reports_line(self, tmp_path, field):
+        path = tmp_path / "c.jsonl"
+        bad = {"src_id": "e2", "tgt_id": "a2", "src_text": "x", "tgt_text": "y", field: 5}
+        lines = [
+            json.dumps({"src_id": "e1", "tgt_id": "a1", "src_text": "x", "tgt_text": "y"}),
+            json.dumps(bad),
+        ]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as err:
+            load_aligned_corpus(path)
+        assert err.value.line_number == 2 and "string" in str(err.value)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"src_id": "e1"\nnot json', encoding="utf-8")
@@ -153,6 +171,14 @@ class TestDocumentsFile:
         path.write_text('{"id": "d1"}', encoding="utf-8")
         with pytest.raises(MalformedRecordError):
             load_documents(path)
+
+    def test_non_string_text_reports_line(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        lines = [{"id": "d1", "text": "one"}, {"id": "x", "text": 5}]
+        path.write_text("\n".join(json.dumps(r) for r in lines), encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as err:
+            load_documents(path)
+        assert err.value.line_number == 2 and "string" in str(err.value)
 
     def test_duplicate_id_reports_line(self, tmp_path):
         path = tmp_path / "docs.jsonl"

@@ -331,7 +331,7 @@ class TestEmbedCrosslingual:
         j = 7
         combined = np.zeros(len(vocab))
         for side, tokens in (("source", src[j]), ("target", tgt[j])):
-            idx, val = vocab.vocab_for(side).weights(tokens)
+            _, idx, val = vocab.vocab_for(side).weight_rows([tokens])
             combined[idx + vocab.offset_for(side)] = val
         assert np.max(np.abs(project(combined, model) - model.v[j])) < 1e-6
 

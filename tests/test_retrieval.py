@@ -9,11 +9,12 @@ from xling.bidict import BilingualDictionary
 from xling.corpus import Document
 from xling.errors import (
     EmptyCandidatesError,
+    MalformedRecordError,
     MissingGoldError,
     SelfTestError,
     TranslationError,
 )
-from xling.lsi import build_cross_matrix, build_mono_matrix, train
+from xling.lsi import build_cross_matrix, build_mono_matrix, fold_in, train
 from xling.retrieval import (
     AlignmentPair,
     DictionaryProvider,
@@ -24,6 +25,7 @@ from xling.retrieval import (
     align_corpora,
     alignment_report,
     embed_crosslingual,
+    embed_documents,
     evaluate_retrieval,
     gold_mapping,
     oracle_experiment,
@@ -61,6 +63,25 @@ class TestEmbeddings:
     def test_duplicate_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Embeddings(["a", "b", "a"], [np.ones(2)] * 3)
+
+    def test_block_rows_reordered_by_id(self):
+        block = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 1.0]])
+        emb = Embeddings(["b", "a", "c"], block)
+        listed = Embeddings(["b", "a", "c"], list(block))
+        assert emb.ids == listed.ids == ("a", "b", "c")
+        assert emb.unit.tobytes() == listed.unit.tobytes()
+        assert emb.unit[1].tolist() == [0.6, 0.8]
+
+    def test_zero_rows(self):
+        for vectors in ([], np.zeros((0, 3))):
+            emb = Embeddings([], vectors)
+            assert len(emb) == 0 and emb.unit.ndim == 2
+            with pytest.raises(EmptyCandidatesError):
+                retrieve(np.ones(3), emb, 1)
+
+    def test_row_count_must_match_ids(self):
+        with pytest.raises(ValueError, match="2 ids for 3 vectors"):
+            Embeddings(["a", "b"], np.ones((3, 2)))
 
 
 class TestRetrieve:
@@ -183,6 +204,18 @@ class TestProviders:
         with pytest.raises(TranslationError):
             provider.translate(Document("d2", "en", "x"), "ar")
 
+    @pytest.mark.parametrize(
+        "line", ['{"id": "x"}', "[1, 2]", '{"id": "x", "text": 5}', "not json"]
+    )
+    def test_file_cache_malformed_line_names_it(self, tmp_path, line):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            json.dumps({"id": "d1", "text": "cached"}) + "\n\n" + line + "\n", encoding="utf-8"
+        )
+        with pytest.raises(MalformedRecordError) as err:
+            FileCacheProvider(path)
+        assert err.value.line_number == 3
+
 
 def _mono_model(docs):
     return train(build_mono_matrix(_tokens(docs)), k=4)
@@ -231,6 +264,41 @@ class TestArLsiPipeline:
         assert not ranked[0].skipped
         assert ranked[1].skipped and ranked[1].entries == ()
 
+    def test_batched_queries_equal_one_at_a_time(self, tmp_path):
+        targets = _target_docs()
+        model = _mono_model(targets)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(
+            "".join(json.dumps({"id": f"q{i}", "text": targets[i].text}) + "\n"
+                    for i in (0, 2, 3))
+            + json.dumps({"id": "q4", "text": ""}) + "\n",
+            encoding="utf-8",
+        )
+        queries = [Document(f"q{i}", "en", "x") for i in range(5)]
+        with pytest.warns(UserWarning, match="q1 skipped"):
+            ranked = retrieve_ar_lsi(queries, targets, model, FileCacheProvider(cache), 3)
+        candidates = Embeddings(
+            [d.id for d in targets], [fold_in(tokenize(d.text), model) for d in targets]
+        )
+        assert [rl.skipped for rl in ranked] == [False, True, False, False, False]
+        for rl, text in zip(ranked, [targets[0].text, None, targets[2].text,
+                                     targets[3].text, ""]):
+            if text is not None:
+                expected = retrieve(fold_in(tokenize(text), model), candidates, 3,
+                                    query_id=rl.query_id)
+                assert rl == expected
+
+    def test_all_skipped_with_no_candidates(self, tmp_path):
+        model = _mono_model(_target_docs())
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("", encoding="utf-8")
+        with pytest.warns(UserWarning, match="skipped"):
+            ranked = retrieve_ar_lsi([Document("q0", "en", "x")], [], model,
+                                     FileCacheProvider(cache), 2)
+        assert ranked == [RankedList("q0", (), skipped=True)]
+        with pytest.raises(EmptyCandidatesError):
+            retrieve_ar_lsi([Document("q0", "en", "x")], [], model, IdentityProvider(), 2)
+
     def test_wrong_model_kind_rejected(self, tmp_path):
         spec = SyntheticSpec(n_topics=3, words_per_topic=10, common_words=4,
                              doc_length=(20, 30), topic_alpha=0.3)
@@ -269,6 +337,13 @@ class TestClLsiPipeline:
         shuffled = list(corpus.target_docs)[::-1]
         backward = retrieve_cl_lsi(corpus.source_docs, shuffled, model, 3)
         assert forward == backward
+
+    def test_no_candidates_raises(self):
+        corpus = self._fixture()
+        model = _cross_model(corpus)
+        with pytest.raises(EmptyCandidatesError):
+            retrieve_cl_lsi(corpus.source_docs, [], model, 3)
+        assert len(embed_documents([], "target", model)) == 0
 
     def test_pipeline_equals_embed_plus_retrieve(self):
         corpus = self._fixture()

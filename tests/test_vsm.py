@@ -4,9 +4,15 @@ from hypothesis import given, settings, strategies as st
 from measure_oracles import brute_fold_in, brute_tfidf
 
 from xling.errors import DimensionMismatchError, EmptyCorpusError
-from xling.lsi import LsiModel, build_cross_matrix, build_mono_matrix, fold_in
+from xling.lsi import LsiModel, build_cross_matrix, build_mono_matrix, fold_in, fold_in_many
 from xling.retrieval import Embeddings, retrieve
 from xling.vsm import Vocabulary, build_term_doc_matrix, build_vocabulary
+
+
+def _weights(vocabulary: Vocabulary, tokens):
+    """One document's row of ``weight_rows``: term indices and weights."""
+    _, idx, val = vocabulary.weight_rows([tokens])
+    return idx, val
 
 
 def _dense(weights: dict[int, float], size: int) -> np.ndarray:
@@ -46,16 +52,16 @@ class TestTfidfWeight:
     def test_ubiquitous_term_weighs_zero(self):
         vocab = Vocabulary(["a"], [3], 3)
         assert vocab.idf[0] == 0.0
-        idx, val = vocab.weights(["a"] * 5)
+        idx, val = _weights(vocab, ["a"] * 5)
         assert idx.tolist() == [] and val.tolist() == []
 
     def test_zero_tf(self):
-        idx, val = Vocabulary(["a", "b"], [1, 1], 4).weights(["b"])
+        idx, val = _weights(Vocabulary(["a", "b"], [1, 1], 4), ["b"])
         assert idx.tolist() == [1]  # "a" has tf 0 and no entry
 
     def test_direct_formula_value(self):
         # 2 * ln(4/1) = 2.772588722239781
-        _, val = Vocabulary(["a"], [1], 4).weights(["a", "a"])
+        _, val = _weights(Vocabulary(["a"], [1], 4), ["a", "a"])
         assert val[0] == pytest.approx(2.772588722239781, abs=1e-15)
 
     def test_df_above_n_rejected(self):
@@ -72,12 +78,12 @@ class TestVectorize:
         return build_vocabulary([["a", "b"], ["b", "c"], ["c", "d"]])
 
     def test_all_unseen_gives_zero_vector(self):
-        idx, val = self._vocab().weights(["zz", "qq"])
+        idx, val = _weights(self._vocab(), ["zz", "qq"])
         assert len(idx) == 0 and len(val) == 0
 
     def test_mixed_seen_unseen(self):
         vocab = self._vocab()
-        idx, _ = vocab.weights(["a", "zz"])
+        idx, _ = _weights(vocab, ["a", "zz"])
         assert idx.tolist() == [vocab.index("a")]
 
     def test_training_document_matches_matrix_column(self):
@@ -85,7 +91,7 @@ class TestVectorize:
         vocab = build_vocabulary(docs)
         tdm = build_term_doc_matrix(docs, vocab)
         for j, doc in enumerate(docs):
-            idx, val = vocab.weights(doc)
+            idx, val = _weights(vocab, doc)
             col = tdm.column(j)
             assert np.flatnonzero(col).tolist() == idx.tolist()
             assert col[idx].tolist() == val.tolist()  # exact reproduction
@@ -106,7 +112,7 @@ def _oracle_matrix(documents, vocabulary, offset=0, n_rows=None):
 
 
 class TestWeightsOracle:
-    """``Vocabulary.weights`` and everything built on it equal the per-term loop bit for bit."""
+    """``Vocabulary.weight_rows`` and everything built on it equal the per-term loop bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -128,7 +134,7 @@ class TestWeightsOracle:
         vocab = build_vocabulary(src)
         assert vocab.idf[vocab.index("every")] == 0.0
 
-        idx, val = vocab.weights(query)
+        idx, val = _weights(vocab, query)
         expected = sorted(brute_tfidf(query, vocab).items())
         assert idx.tolist() == [i for i, _ in expected]
         assert val.tolist() == [w for _, w in expected]
@@ -155,6 +161,84 @@ class TestWeightsOracle:
             assert got.tolist() == brute_fold_in(query, cross.vocab_for(side), off, u, s).tolist()
         mono_model = LsiModel(u[: len(vocab)], s, np.zeros((len(src), 3)), vocab, "monolingual")
         assert fold_in(query, mono_model).tolist() == brute_fold_in(query, vocab, 0, u, s).tolist()
+
+
+class TestWeightRowsOracle:
+    """One pass over a collection equals the per-document loops bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        couples=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(_SOURCE_WORDS), max_size=8),
+                st.lists(st.sampled_from(_TARGET_WORDS), max_size=8),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        # Empty documents, all-OOV documents, repeated tokens, the idf-0
+        # "every" and the empty collection are all in range.
+        queries=st.lists(
+            st.lists(st.sampled_from(_SOURCE_WORDS + _TARGET_WORDS + ["every", "oov"]),
+                     max_size=12),
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_and_batched_fold_in(self, couples, queries, seed):
+        src = [doc + ["every"] for doc, _ in couples]
+        tgt = [doc for _, doc in couples]
+        cross = build_cross_matrix(src, tgt).vocabulary
+        vocab = cross.source
+        assert vocab.idf[vocab.index("every")] == 0.0
+
+        for vocabulary in (cross.source, cross.target):
+            indptr, idx, val = vocabulary.weight_rows(iter(queries))
+            assert indptr.tolist()[0] == 0 and len(indptr) == len(queries) + 1
+            for r, query in enumerate(queries):
+                expected = sorted(brute_tfidf(query, vocabulary).items())
+                a, b = indptr[r], indptr[r + 1]
+                assert idx[a:b].tolist() == [i for i, _ in expected]
+                assert val[a:b].tolist() == [w for _, w in expected]
+
+        rng = np.random.default_rng(seed)
+        s = np.array([3.0, 2.0, 0.5])
+        u = rng.standard_normal((len(cross), 3))
+        model = LsiModel(u, s, np.zeros((len(src), 3)), cross, "crosslingual")
+        for side in ("source", "target"):
+            block = fold_in_many(iter(queries), model, side)
+            assert block.shape == (len(queries), 3)
+            off = cross.offset_for(side)
+            for row, query in zip(block, queries):
+                expected = brute_fold_in(query, cross.vocab_for(side), off, u, s)
+                assert row.tolist() == expected.tolist()
+        mono_model = LsiModel(u[: len(vocab)], s, np.zeros((len(src), 3)), vocab, "monolingual")
+        block = fold_in_many(queries, mono_model)
+        assert block.shape == (len(queries), 3)
+        for row, query in zip(block, queries):
+            assert row.tolist() == brute_fold_in(query, vocab, 0, u, s).tolist()
+
+    def test_empty_vocabulary(self):
+        vocab = Vocabulary([], [], 3)
+        indptr, idx, val = vocab.weight_rows([["a", "a"], []])
+        assert indptr.tolist() == [0, 0, 0] and idx.size == 0 and val.size == 0
+        model = LsiModel(np.zeros((0, 2)), np.array([2.0, 1.0]), np.zeros((3, 2)), vocab,
+                         "monolingual")
+        assert fold_in_many([["a"], []], model).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert fold_in_many([], model).shape == (0, 2)
+
+    def test_rows_ascend_and_skip_zero_weights(self):
+        vocab = build_vocabulary([["a", "b"], ["b", "c"]])  # "b" has idf 0
+        indptr, idx, val = vocab.weight_rows([["c", "b", "a", "c"], ["b"], ["zz"], ["a"]])
+        assert indptr.tolist() == [0, 2, 2, 2, 3]
+        assert idx.tolist() == [0, 2, 0]
+        assert val.tolist() == [vocab.idf[0], 2 * vocab.idf[2], vocab.idf[0]]
+
+    def test_wrong_side_rejected(self):
+        vocab = build_vocabulary([["a"], ["b"]])
+        mono = LsiModel(np.ones((2, 1)), np.ones(1), np.zeros((2, 1)), vocab, "monolingual")
+        with pytest.raises(ValueError):
+            fold_in_many([["a"]], mono, "source")
 
 
 def _cos(u, v) -> float:
