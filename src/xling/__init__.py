@@ -10,16 +10,13 @@ latent semantic indexing (:mod:`xling.lsi`), retrieval/alignment/evaluation
 
 from .bidict import (
     BilingualDictionary,
-    MatchReport,
     bin_measure,
     bin_pooled,
     bin_symmetric,
     dict_cosine,
     load_dictionary,
-    match_report,
     matching_rate,
     oov_rate,
-    trans,
 )
 from .corpus import (
     AlignedCorpus,
@@ -68,7 +65,6 @@ from .textprep import (
     light_stem,
     lemmatize,
     make_reducer,
-    reduce,
     root_stem,
     run_pipeline,
     suffix_stem,

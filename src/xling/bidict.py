@@ -19,7 +19,6 @@ each side's documents in one pass (``Vocabulary.weight_rows``);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -28,7 +27,6 @@ from .vsm import Vocabulary
 
 __all__ = [
     "BilingualDictionary",
-    "MatchReport",
     "load_dictionary",
     "trans",
     "bin_measure",
@@ -38,7 +36,6 @@ __all__ = [
     "dict_cosines",
     "oov_rate",
     "matching_rate",
-    "match_report",
 ]
 
 
@@ -83,14 +80,11 @@ class BilingualDictionary:
     def contains(self, term: str, side: str = "source") -> bool:
         return term in self._index_for(side)
 
-    def synset_ids(self, term: str, side: str = "source") -> list[int]:
-        return self._index_for(side).get(term, [])
-
     def translations(self, term: str, side: str = "source") -> frozenset[str]:
         """All terms on the opposite side of any synset containing ``term``."""
         out: set[str] = set()
         opposite = 1 if side == "source" else 0
-        for sid in self.synset_ids(term, side):
+        for sid in self._index_for(side).get(term, ()):
             out.update(self.synsets[sid][opposite])
         return frozenset(out)
 
@@ -236,19 +230,18 @@ def bin_pooled(
     return (fwd + bwd) / (len(d_s) + len(d_t))
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    """Pair-matching summary for one document couple."""
-
-    matched_pairs: int
-    oov_source: int
-    oov_target: int
-    size_source: int
-    size_target: int
-
-
-def _max_bipartite_matching(edges: dict[str, list[str]]) -> int:
-    """Maximum matching size via augmenting paths (Kuhn's algorithm)."""
+def _matched_pairs(
+    d_s: Sequence[str], d_t: Sequence[str], dictionary: BilingualDictionary
+) -> int:
+    """Size of a maximum one-to-one matching between the source and target
+    term types that a dictionary translation connects, so at most
+    min(|d_s|, |d_t|). Found by augmenting paths (Kuhn's algorithm).
+    """
+    target_types = set(d_t)
+    edges = {
+        ws: sorted(dictionary.translations(ws, "source") & target_types)
+        for ws in sorted(set(d_s))
+    }
     match_of_target: dict[str, str] = {}
 
     def try_assign(source: str, visited: set[str]) -> bool:
@@ -263,32 +256,10 @@ def _max_bipartite_matching(edges: dict[str, list[str]]) -> int:
         return False
 
     matched = 0
-    for source in sorted(edges):
+    for source in edges:
         if try_assign(source, set()):
             matched += 1
     return matched
-
-
-def match_report(
-    d_s: Sequence[str], d_t: Sequence[str], dictionary: BilingualDictionary
-) -> MatchReport:
-    """Count matched translation pairs and OOV tokens for a couple.
-
-    The matched count is the size of a maximum one-to-one matching between
-    source and target term types connected by a dictionary translation, so
-    it never exceeds min(|d_s|, |d_t|).
-    """
-    source_types = sorted(set(d_s))
-    target_types = set(d_t)
-    edges: dict[str, list[str]] = {}
-    for ws in source_types:
-        partners = dictionary.translations(ws, "source") & target_types
-        if partners:
-            edges[ws] = sorted(partners)
-    matched = _max_bipartite_matching(edges) if edges else 0
-    oov_s = sum(1 for w in d_s if not dictionary.contains(w, "source"))
-    oov_t = sum(1 for w in d_t if not dictionary.contains(w, "target"))
-    return MatchReport(matched, oov_s, oov_t, len(d_s), len(d_t))
 
 
 def oov_rate(
@@ -297,8 +268,9 @@ def oov_rate(
     """Mean of the two sides' out-of-vocabulary token fractions."""
     if not d_s or not d_t:
         raise UndefinedRateError("OOV rate is undefined for an empty document")
-    report = match_report(d_s, d_t, dictionary)
-    return 0.5 * (report.oov_source / report.size_source + report.oov_target / report.size_target)
+    oov_s = sum(1 for w in d_s if not dictionary.contains(w, "source"))
+    oov_t = sum(1 for w in d_t if not dictionary.contains(w, "target"))
+    return 0.5 * (oov_s / len(d_s) + oov_t / len(d_t))
 
 
 def matching_rate(
@@ -307,8 +279,7 @@ def matching_rate(
     """Matched translation-pair count over the summed document sizes."""
     if not d_s and not d_t:
         raise UndefinedRateError("matching rate is undefined for two empty documents")
-    report = match_report(d_s, d_t, dictionary)
-    return report.matched_pairs / (report.size_source + report.size_target)
+    return _matched_pairs(d_s, d_t, dictionary) / (len(d_s) + len(d_t))
 
 
 def dict_cosine(

@@ -58,6 +58,13 @@ class Document:
             raise TypeError(
                 f"document {self.id!r} text must be a string, not {type(self.text).__name__}"
             )
+        for name in ("group_key", "category"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise TypeError(
+                    f"document {self.id!r} {name} must be a string or null, "
+                    f"not {type(value).__name__}"
+                )
         if not self.text and not self.degenerate:
             raise ValueError(f"document {self.id!r} has empty text and is not flagged degenerate")
 

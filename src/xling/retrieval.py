@@ -44,7 +44,6 @@ __all__ = [
     "FileCacheProvider",
     "Embeddings",
     "retrieve",
-    "project_documents",
     "embed_documents",
     "retrieve_ar_lsi",
     "retrieve_cl_lsi",
@@ -254,13 +253,9 @@ def _fold_texts(docs: Iterable[Document], model: LsiModel, side: str | None) -> 
     return fold_in_many((tokenize(doc.text) for doc in docs), model, side)
 
 
-def project_documents(docs: Sequence[Document], model: LsiModel) -> Embeddings:
-    """Fold documents into a monolingual LSI space."""
-    return Embeddings([doc.id for doc in docs], _fold_texts(docs, model, None))
-
-
-def embed_documents(docs: Sequence[Document], side: str, model: LsiModel) -> Embeddings:
-    """Embed documents into a cross-lingual LSI space."""
+def embed_documents(docs: Sequence[Document], side: str | None, model: LsiModel) -> Embeddings:
+    """Fold documents into the model's space: ``side`` is None for a
+    monolingual model, ``"source"`` or ``"target"`` for a cross-lingual one."""
     return Embeddings([doc.id for doc in docs], _fold_texts(docs, model, side))
 
 
@@ -282,7 +277,7 @@ def retrieve_ar_lsi(
     if not source_docs:
         return []
     target_language = target_docs[0].language if target_docs else "und"
-    candidates = project_documents(target_docs, model)
+    candidates = embed_documents(target_docs, None, model)
     translated: list[Document | None] = []
     for doc in source_docs:
         try:
@@ -473,7 +468,7 @@ def alignment_report(
     return report
 
 
-def oracle_experiment(docs: Sequence[Document], model: LsiModel, k: int = 1) -> float:
+def oracle_experiment(docs: Sequence[Document], model: LsiModel) -> float:
     """Self-retrieval check: each document queried against the whole corpus
     must rank itself first.
 
@@ -482,10 +477,8 @@ def oracle_experiment(docs: Sequence[Document], model: LsiModel, k: int = 1) -> 
     """
     if not docs:
         raise ValueError("oracle experiment needs a non-empty corpus")
-    if model.kind == "crosslingual":
-        vectors = embed_documents(docs, "target", model)
-    else:
-        vectors = project_documents(docs, model)
+    side = "target" if model.kind == "crosslingual" else None
+    vectors = embed_documents(docs, side, model)
 
     degenerate = [vectors.ids[i] for i in np.flatnonzero(~vectors.unit.any(axis=1))]
     if degenerate:
@@ -494,7 +487,7 @@ def oracle_experiment(docs: Sequence[Document], model: LsiModel, k: int = 1) -> 
     offenders = [
         doc_id
         for doc_id, vec in zip(vectors.ids, vectors.unit)
-        if retrieve(vec, vectors, max(k, 1), query_id=doc_id).entries[0][0] != doc_id
+        if retrieve(vec, vectors, 1, query_id=doc_id).entries[0][0] != doc_id
     ]
     if offenders:
         raise SelfTestError(offenders)

@@ -8,9 +8,9 @@ terms below the corpus-frequency floor.
 
 The word reducers shipped here are deliberately small, rule-table driven
 stand-ins for the heavyweight morphological tools commonly used for Arabic
-and English. Every reducer is a pure function and is idempotent on its own
-output: each one re-applies its rule pass until the word stops changing, so
-``reduce(reduce(w)) == reduce(w)`` holds by construction. Being pure, a
+and English. Every reducer ``r`` is a pure function and is idempotent on
+its own output: each one re-applies its rule pass until the word stops
+changing, so ``r(r(w)) == r(w)`` holds by construction. Being pure, a
 reducer runs once per distinct word; the preprocessor memoizes the rest.
 """
 
@@ -29,7 +29,6 @@ __all__ = [
     "PipelineConfig",
     "Preprocessor",
     "tokenize",
-    "reduce",
     "make_reducer",
     "light_stem",
     "root_stem",
@@ -37,7 +36,6 @@ __all__ = [
     "lemmatize",
     "run_pipeline",
     "load_stopwords",
-    "load_affix_list",
 ]
 
 
@@ -68,14 +66,13 @@ class ReducerKind(enum.Enum):
 
 # --------------------------------------------------------------------------
 # Affix tables. Ordered by priority: longest entries first so that
-# longest-match wins. All lists are swappable via function arguments or
-# external files (see load_affix_list).
+# longest-match wins.
 # --------------------------------------------------------------------------
 
 # Definite-article family, future/imperfect markers and conjunctions. Bare
 # prepositions (b/k/l) are left out: they cascade badly on noun-initial
 # root letters once stripping runs to fixpoint.
-DEFAULT_AR_PREFIXES: tuple[str, ...] = (
+_AR_PREFIXES: tuple[str, ...] = (
     "وال",  # وال
     "بال",  # بال
     "كال",  # كال
@@ -89,7 +86,7 @@ DEFAULT_AR_PREFIXES: tuple[str, ...] = (
 )
 
 # Feminine/plural/dual endings and attached pronouns.
-DEFAULT_AR_SUFFIXES: tuple[str, ...] = (
+_AR_SUFFIXES: tuple[str, ...] = (
     "ات",  # ات
     "ون",  # ون
     "ين",  # ين
@@ -112,7 +109,7 @@ _AR_ROOT_PREFIX = "م"  # م
 # strictly shortens the word, which guarantees fixpoint termination; the
 # vowel suffixes rewrite to a trailing "e" so a later pass cannot cascade
 # into the bare-s rule.
-DEFAULT_EN_SUFFIX_RULES: tuple[tuple[str, str], ...] = (
+_EN_SUFFIX_RULES: tuple[tuple[str, str], ...] = (
     ("sses", "ss"),
     ("ies", "y"),
     ("ied", "y"),
@@ -124,7 +121,7 @@ DEFAULT_EN_SUFFIX_RULES: tuple[tuple[str, str], ...] = (
 
 # Exact-lookup exceptions consulted before the suffix stemmer. Values are
 # stable under lemmatize() so the reducer stays idempotent.
-DEFAULT_LEMMA_TABLE: Mapping[str, str] = {
+_LEMMA_TABLE: Mapping[str, str] = {
     "went": "go", "gone": "go", "goes": "go",
     "was": "be", "were": "be", "is": "be", "are": "be", "been": "be", "am": "be",
     "has": "have", "had": "have",
@@ -150,13 +147,13 @@ DEFAULT_LEMMA_TABLE: Mapping[str, str] = {
 _MIN_STEM = 3  # affix strips never leave fewer than three letters
 
 
-def _strip_once(word: str, prefixes: Sequence[str], suffixes: Sequence[str]) -> str:
+def _strip_once(word: str) -> str:
     """One light-stemming pass: strip at most one prefix and one suffix."""
-    for p in prefixes:
+    for p in _AR_PREFIXES:
         if word.startswith(p) and len(word) - len(p) >= _MIN_STEM:
             word = word[len(p):]
             break
-    for s in suffixes:
+    for s in _AR_SUFFIXES:
         if word.endswith(s) and len(word) - len(s) >= _MIN_STEM:
             word = word[: len(word) - len(s)]
             break
@@ -171,13 +168,9 @@ def _fixpoint(fn: Callable[[str], str], word: str) -> str:
     return word
 
 
-def light_stem(
-    word: str,
-    prefixes: Sequence[str] = DEFAULT_AR_PREFIXES,
-    suffixes: Sequence[str] = DEFAULT_AR_SUFFIXES,
-) -> str:
+def light_stem(word: str) -> str:
     """Strip attached prefixes and suffixes, leaving the stem intact."""
-    return _fixpoint(lambda w: _strip_once(w, prefixes, suffixes), word)
+    return _fixpoint(_strip_once, word)
 
 
 def _root_pass(word: str) -> str:
@@ -196,25 +189,21 @@ def _root_pass(word: str) -> str:
     return word
 
 
-def root_stem(
-    word: str,
-    prefixes: Sequence[str] = DEFAULT_AR_PREFIXES,
-    suffixes: Sequence[str] = DEFAULT_AR_SUFFIXES,
-) -> str:
+def root_stem(word: str) -> str:
     """Light-stem, then strip infix patterns down to a 3-4 letter root.
 
     A simplified stand-in for a real root extractor; falls back to the light
     stem when stripping would leave fewer than three letters.
     """
-    stem = light_stem(word, prefixes, suffixes)
-    root = _fixpoint(lambda w: _root_pass(light_stem(w, prefixes, suffixes)), stem)
+    stem = light_stem(word)
+    root = _fixpoint(lambda w: _root_pass(light_stem(w)), stem)
     if len(root) < _MIN_STEM:
         return stem
     return root
 
 
-def _suffix_pass(word: str, rules: Sequence[tuple[str, str]]) -> str:
-    for suffix, replacement in rules:
+def _suffix_pass(word: str) -> str:
+    for suffix, replacement in _EN_SUFFIX_RULES:
         if not word.endswith(suffix):
             continue
         if suffix == "s" and (word.endswith("ss") or word.endswith("us")):
@@ -225,47 +214,32 @@ def _suffix_pass(word: str, rules: Sequence[tuple[str, str]]) -> str:
     return word
 
 
-def suffix_stem(word: str, rules: Sequence[tuple[str, str]] = DEFAULT_EN_SUFFIX_RULES) -> str:
+def suffix_stem(word: str) -> str:
     """Strip English inflectional suffixes by ordered rewrite rules."""
-    return _fixpoint(lambda w: _suffix_pass(w, rules), word)
+    return _fixpoint(_suffix_pass, word)
 
 
-def lemmatize(word: str, table: Mapping[str, str] = DEFAULT_LEMMA_TABLE) -> str:
+def lemmatize(word: str) -> str:
     """Exception-table lookup with suffix-stemmer fallback."""
-    hit = table.get(word)
+    hit = _LEMMA_TABLE.get(word)
     if hit is not None:
         return hit
     return suffix_stem(word)
 
 
-def reduce(word: str, kind: ReducerKind) -> str:
-    """Apply the named reduction to one word.
-
-    ``ReducerKind.MORPHAR`` is dictionary-directed and cannot be applied
-    without one; use :func:`make_reducer`.
-    """
-    if kind is ReducerKind.IDENTITY:
-        return word
-    if kind is ReducerKind.SUFFIX_STEMMER:
-        return suffix_stem(word)
-    if kind is ReducerKind.LEMMA_TABLE:
-        return lemmatize(word)
-    if kind is ReducerKind.LIGHT_STEMMER:
-        return light_stem(word)
-    if kind is ReducerKind.ROOTER:
-        return root_stem(word)
-    if kind is ReducerKind.MORPHAR:
-        raise ValueError("morphar requires a bilingual dictionary; use make_reducer()")
-    raise ValueError(f"unknown reducer kind: {kind!r}")
+# Every reducer but morphar, which needs a dictionary (see make_reducer);
+# ``str`` returns a word unchanged.
+_REDUCERS: dict[ReducerKind, Callable[[str], str]] = {
+    ReducerKind.IDENTITY: str,
+    ReducerKind.SUFFIX_STEMMER: suffix_stem,
+    ReducerKind.LEMMA_TABLE: lemmatize,
+    ReducerKind.LIGHT_STEMMER: light_stem,
+    ReducerKind.ROOTER: root_stem,
+}
 
 
 def make_reducer(
-    kind: ReducerKind,
-    *,
-    dictionary=None,
-    side: str = "source",
-    light: Callable[[str], str] = light_stem,
-    root: Callable[[str], str] = root_stem,
+    kind: ReducerKind, *, dictionary=None, side: str = "source"
 ) -> Callable[[str], str]:
     """Build a word->word reducer for ``kind``.
 
@@ -273,18 +247,18 @@ def make_reducer(
     it on the given side, and the root otherwise, so downstream matching can
     work on plain reduced bags.
     """
-    if kind is ReducerKind.MORPHAR:
-        if dictionary is None:
-            raise ValueError("morphar requires a bilingual dictionary")
+    if kind is not ReducerKind.MORPHAR:
+        return _REDUCERS[kind]
+    if dictionary is None:
+        raise ValueError("morphar requires a bilingual dictionary")
 
-        def _morphar(word: str) -> str:
-            stem = light(word)
-            if dictionary.contains(stem, side):
-                return stem
-            return root(word)
+    def _morphar(word: str) -> str:
+        stem = light_stem(word)
+        if dictionary.contains(stem, side):
+            return stem
+        return root_stem(word)
 
-        return _morphar
-    return lambda w: reduce(w, kind)
+    return _morphar
 
 
 # --------------------------------------------------------------------------
@@ -374,28 +348,10 @@ def run_pipeline(
     return [[t for t in map(term_of.__getitem__, doc) if t is not None] for doc in docs]
 
 
-# --------------------------------------------------------------------------
-# External list files: UTF-8, one entry per line, '#' starts a comment.
-# --------------------------------------------------------------------------
-
-
-def _read_list_file(path: str | Path) -> list[str]:
-    entries = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            entries.append(line)
-    return entries
-
-
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Load a stopword file (one token per line, ``#`` comments).
+    """Load a stopword file: UTF-8, one token per line, ``#`` starts a comment.
 
     Entries keep their case; :class:`PipelineConfig` lowercases them.
     """
-    return frozenset(_read_list_file(path))
-
-
-def load_affix_list(path: str | Path) -> tuple[str, ...]:
-    """Load an affix file; entries keep file order (priority order)."""
-    return tuple(_read_list_file(path))
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return frozenset(filter(None, (raw.split("#", 1)[0].strip() for raw in lines)))

@@ -18,7 +18,6 @@ from xling.bidict import (
     dict_cosine,
     dict_cosines,
     load_dictionary,
-    match_report,
     matching_rate,
     oov_rate,
     trans,
@@ -352,9 +351,7 @@ class TestMatchingRate:
     def test_matched_bounded_by_smaller_document(self):
         # three sources all translating to one target type
         d = BilingualDictionary([(("w1", "w2", "w3"), ("v1",))])
-        report = match_report(["w1", "w2", "w3"], ["v1"], d)
-        assert report.matched_pairs == 1
-        assert report.matched_pairs <= min(report.size_source, report.size_target)
+        assert matching_rate(["w1", "w2", "w3"], ["v1"], d) == 1 / 4
 
     def test_both_empty_undefined(self, toy_dictionary):
         with pytest.raises(UndefinedRateError):

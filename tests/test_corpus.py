@@ -43,6 +43,11 @@ class TestDocument:
         with pytest.raises(TypeError, match="must be a string"):
             Document("d1", "en", text, degenerate=True)
 
+    @pytest.mark.parametrize("field", ["group_key", "category"])
+    def test_non_string_metadata_rejected(self, field):
+        with pytest.raises(TypeError, match=f"{field} must be a string"):
+            Document("d1", "en", "text", **{field: 3})
+
 
 class TestAlignedCorpus:
     def test_length_mismatch(self):
