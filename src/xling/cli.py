@@ -185,16 +185,8 @@ def _cmd_ingest(args) -> int:
         for pivot, linked in wikitext.extract_comparable_articles(
             args.input, args.pivot_lang, {args.tgt_lang}, stats=stats
         ):
-            source.append(
-                corpus_io.Document(
-                    pivot.title, args.pivot_lang, pivot.plain_text(), degenerate=True
-                )
-            )
-            target.append(
-                corpus_io.Document(
-                    linked.title, args.tgt_lang, linked.plain_text(), degenerate=True
-                )
-            )
+            source.append(corpus_io.Document(pivot.title, args.pivot_lang, pivot.plain_text()))
+            target.append(corpus_io.Document(linked.title, args.tgt_lang, linked.plain_text()))
         corpus = corpus_io.AlignedCorpus(tuple(source), tuple(target))
         extra = {"skipped_unresolved": stats["skipped_unresolved"]}
     else:

@@ -3,7 +3,10 @@
 A corpus is a pair of parallel document lists: index ``i`` on the source
 side aligns with index ``i`` on the target side. Two on-disk layouts are
 supported: pair directories (``<root>/<lang>/<id>.txt``) and JSONL with one
-pair object per line.
+pair object per line. Flat document files (one document object per line)
+serve ``align --source-docs/--target-docs`` and the translation cache.
+Every JSONL file is read through one record reader, :func:`_records`, and
+written through one record writer.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegenerateSplitError,
@@ -40,8 +43,8 @@ class Document:
     """One document: identifier, language, raw text and optional metadata.
 
     ``group_key`` buckets documents for grouped alignment (e.g. a month tag
-    such as ``"2012-03"``). Empty text is allowed only when the document is
-    explicitly flagged degenerate.
+    such as ``"2012-03"``). Text may be empty: a stripped page or an
+    untranslated query is still a document.
     """
 
     id: str
@@ -49,15 +52,16 @@ class Document:
     text: str
     group_key: str | None = None
     category: str | None = None
-    degenerate: bool = False
 
     def __post_init__(self):
         if not self.id:
             raise ValueError("document id must be non-empty")
-        if not isinstance(self.text, str):
-            raise TypeError(
-                f"document {self.id!r} text must be a string, not {type(self.text).__name__}"
-            )
+        for name in ("language", "text"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(
+                    f"document {self.id!r} {name} must be a string, not {type(value).__name__}"
+                )
         for name in ("group_key", "category"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
@@ -65,8 +69,6 @@ class Document:
                     f"document {self.id!r} {name} must be a string or null, "
                     f"not {type(value).__name__}"
                 )
-        if not self.text and not self.degenerate:
-            raise ValueError(f"document {self.id!r} has empty text and is not flagged degenerate")
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,13 @@ class AlignedCorpus:
         )
 
 
-_REQUIRED_JSONL_FIELDS = ("src_id", "tgt_id", "src_text", "tgt_text")
+def _records(path: Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line_number, record)`` for each non-blank line of a JSONL file.
 
-
-def _load_jsonl(path: Path, src_lang: str, tgt_lang: str) -> AlignedCorpus:
-    source, target = [], []
+    This is the one reader of every JSONL record file. A line that is not
+    a JSON object holding all ``required`` fields raises
+    :class:`MalformedRecordError` naming the line.
+    """
     with path.open("r", encoding="utf-8") as fh:
         for line_number, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -123,36 +127,35 @@ def _load_jsonl(path: Path, src_lang: str, tgt_lang: str) -> AlignedCorpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecordError(line_number, f"invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise MalformedRecordError(line_number, "record is not an object")
-            for fld in _REQUIRED_JSONL_FIELDS:
-                if fld not in record:
-                    raise MalformedRecordError(line_number, f"missing field {fld!r}")
-            group_key = record.get("group_key")
-            category = record.get("category")
-            try:
-                source.append(
-                    Document(
-                        id=str(record["src_id"]),
-                        language=src_lang,
-                        text=record["src_text"],
-                        group_key=group_key,
-                        category=category,
-                        degenerate=not record["src_text"],
-                    )
+            if not isinstance(record, dict) or any(f not in record for f in required):
+                *rest, last = map(repr, required)
+                raise MalformedRecordError(
+                    line_number, f"record needs {', '.join(rest)} and {last}"
                 )
-                target.append(
-                    Document(
-                        id=str(record["tgt_id"]),
-                        language=tgt_lang,
-                        text=record["tgt_text"],
-                        group_key=group_key,
-                        category=category,
-                        degenerate=not record["tgt_text"],
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise MalformedRecordError(line_number, str(exc)) from exc
+            yield line_number, record
+
+
+def _document(
+    line_number: int, record: dict, language: str, id_field: str = "id", text_field: str = "text"
+) -> Document:
+    """Build one ``Document`` from a record; a bad value names the line."""
+    try:
+        return Document(
+            str(record[id_field]),
+            language,
+            record[text_field],
+            record.get("group_key"),
+            record.get("category"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise MalformedRecordError(line_number, str(exc)) from exc
+
+
+def _load_jsonl(path: Path, src_lang: str, tgt_lang: str) -> AlignedCorpus:
+    source, target = [], []
+    for line_number, record in _records(path, ("src_id", "tgt_id", "src_text", "tgt_text")):
+        source.append(_document(line_number, record, src_lang, "src_id", "src_text"))
+        target.append(_document(line_number, record, tgt_lang, "tgt_id", "tgt_text"))
     return AlignedCorpus(tuple(source), tuple(target))
 
 
@@ -182,8 +185,8 @@ def _load_pairdirs(path: Path, src_lang: str | None, tgt_lang: str | None) -> Al
     for doc_id in src_ids:
         src_text = (src_dir / f"{doc_id}.txt").read_text(encoding="utf-8")
         tgt_text = (tgt_dir / f"{doc_id}.txt").read_text(encoding="utf-8")
-        source.append(Document(doc_id, src_lang, src_text, degenerate=not src_text))
-        target.append(Document(doc_id, tgt_lang, tgt_text, degenerate=not tgt_text))
+        source.append(Document(doc_id, src_lang, src_text))
+        target.append(Document(doc_id, tgt_lang, tgt_text))
     return AlignedCorpus(tuple(source), tuple(target))
 
 
@@ -212,76 +215,59 @@ def load_aligned_corpus(
     raise ValueError(f"unknown corpus format: {format!r}")
 
 
-def save_aligned_corpus(corpus: AlignedCorpus, path: str | Path) -> None:
-    """Write the corpus as JSONL; output is byte-deterministic."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for src, tgt in corpus.pairs():
-            record: dict = {
-                "src_id": src.id,
-                "tgt_id": tgt.id,
-                "src_text": src.text,
-                "tgt_text": tgt.text,
-            }
-            if src.group_key is not None:
-                record["group_key"] = src.group_key
-            if src.category is not None:
-                record["category"] = src.category
+def _write_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one JSON object per line; output is byte-deterministic."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        for record in records:
             fh.write(json.dumps(record, ensure_ascii=False))
             fh.write("\n")
 
 
-def load_documents(path: str | Path, *, language: str | None = None) -> list[Document]:
+def _metadata(doc: Document) -> dict:
+    """The optional fields of ``doc`` that are set, in record order."""
+    meta = {}
+    if doc.group_key is not None:
+        meta["group_key"] = doc.group_key
+    if doc.category is not None:
+        meta["category"] = doc.category
+    return meta
+
+
+def save_aligned_corpus(corpus: AlignedCorpus, path: str | Path) -> None:
+    """Write the corpus as pair JSONL; output is byte-deterministic."""
+    _write_records(
+        path,
+        (
+            {"src_id": s.id, "tgt_id": t.id, "src_text": s.text, "tgt_text": t.text,
+             **_metadata(s)}
+            for s, t in corpus.pairs()
+        ),
+    )
+
+
+def load_documents(path: str | Path) -> list[Document]:
     """Load a flat document file: JSONL with ``id``/``text`` plus metadata.
 
-    Ids must be unique within the file.
+    Ids must be unique within the file; a missing ``language`` reads ``"und"``.
     """
     docs = []
     first_line: dict[str, int] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(line_number, f"invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                raise MalformedRecordError(line_number, "record needs 'id' and 'text'")
-            doc_id = str(record["id"])
-            if doc_id in first_line:
-                raise MalformedRecordError(
-                    line_number, f"duplicate id {doc_id!r} (first on line {first_line[doc_id]})"
-                )
-            first_line[doc_id] = line_number
-            try:
-                docs.append(
-                    Document(
-                        id=doc_id,
-                        language=record.get("language", language or "und"),
-                        text=record["text"],
-                        group_key=record.get("group_key"),
-                        category=record.get("category"),
-                        degenerate=not record["text"],
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise MalformedRecordError(line_number, str(exc)) from exc
+    for line_number, record in _records(Path(path), ("id", "text")):
+        doc = _document(line_number, record, record.get("language", "und"))
+        if doc.id in first_line:
+            raise MalformedRecordError(
+                line_number, f"duplicate id {doc.id!r} (first on line {first_line[doc.id]})"
+            )
+        first_line[doc.id] = line_number
+        docs.append(doc)
     return docs
 
 
 def save_documents(docs: Sequence[Document], path: str | Path) -> None:
     """Write documents as flat JSONL (inverse of :func:`load_documents`)."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for doc in docs:
-            record: dict = {"id": doc.id, "language": doc.language, "text": doc.text}
-            if doc.group_key is not None:
-                record["group_key"] = doc.group_key
-            if doc.category is not None:
-                record["category"] = doc.category
-            fh.write(json.dumps(record, ensure_ascii=False))
-            fh.write("\n")
+    _write_records(
+        path, ({"id": d.id, "language": d.language, "text": d.text, **_metadata(d)} for d in docs)
+    )
 
 
 def split_corpus(

@@ -58,6 +58,8 @@ __all__ = [
 DEFAULT_RANK = 300
 
 _RANK_TRUNCATION = 1e-10  # singular values below this times s[0] are dropped
+_OVERSAMPLE = 10  # sketch columns beyond k
+_POWER_ITERATIONS = 2  # A^T A products before the final basis
 
 
 class CrossVocabulary:
@@ -177,23 +179,16 @@ class LsiModel:
     """Truncated SVD factors plus the vocabulary needed to fold in queries.
 
     ``u`` is term-by-k with orthonormal columns, ``s`` the positive singular
-    values in descending order, ``v`` document-by-k. ``kind`` is
-    ``"monolingual"`` or ``"crosslingual"``.
+    values in descending order, ``v`` document-by-k. A ``CrossVocabulary``
+    makes the model crosslingual.
     """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
     vocabulary: Vocabulary | CrossVocabulary
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in ("monolingual", "crosslingual"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if (self.kind == "crosslingual") != isinstance(self.vocabulary, CrossVocabulary):
-            raise ValueError(
-                f"a {self.kind} model cannot hold a {type(self.vocabulary).__name__}"
-            )
         k = self.s.shape[0]
         if self.u.ndim != 2 or self.u.shape[1] != k or self.v.ndim != 2 or self.v.shape[1] != k:
             raise ValueError("factor shapes are inconsistent")
@@ -201,6 +196,11 @@ class LsiModel:
             raise ValueError("u rows do not match the vocabulary size")
         if k and (np.any(self.s <= 0) or np.any(np.diff(self.s) > 1e-9 * self.s[0])):
             raise ValueError("singular values must be positive and descending")
+
+    @property
+    def kind(self) -> str:
+        """``"crosslingual"`` or ``"monolingual"``, read off the vocabulary."""
+        return "crosslingual" if isinstance(self.vocabulary, CrossVocabulary) else "monolingual"
 
     @property
     def k(self) -> int:
@@ -252,8 +252,6 @@ def train(
     matrix: TermDocMatrix,
     k: int = DEFAULT_RANK,
     *,
-    oversample: int = 10,
-    power_iterations: int = 2,
     seed: int = 42,
 ) -> LsiModel:
     """Factorize a term-document matrix into a rank-``k`` LSI model.
@@ -276,15 +274,15 @@ def train(
         warnings.warn(f"k={k} clamped to {k_cap} for a {n_terms}x{n_docs} matrix", stacklevel=2)
         k = k_cap
 
-    u, s, vt = _randomized_svd(a, k, oversample, power_iterations, seed)
+    u, s, vt = _randomized_svd(a, k, _OVERSAMPLE, _POWER_ITERATIONS, seed)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(s)) and np.all(np.isfinite(vt))):
         raise ConvergenceError(
             "factorization produced non-finite values",
             diagnostics={
                 "shape": tuple(a.shape),
                 "k": k,
-                "oversample": oversample,
-                "power_iterations": power_iterations,
+                "oversample": _OVERSAMPLE,
+                "power_iterations": _POWER_ITERATIONS,
                 "seed": seed,
             },
         )
@@ -300,13 +298,11 @@ def train(
     u[:, flip] = -u[:, flip]
     vt[flip, :] = -vt[flip, :]
 
-    kind = "crosslingual" if isinstance(matrix.vocabulary, CrossVocabulary) else "monolingual"
     return LsiModel(
         np.ascontiguousarray(u),
         np.ascontiguousarray(s),
         np.ascontiguousarray(vt.T),
         matrix.vocabulary,
-        kind,
     )
 
 
@@ -373,11 +369,7 @@ _MODEL_HEADER = struct.Struct("<4sIBIQQ")  # magic, version, kind, k, |V|, d
 
 def save_model(model: LsiModel, path: str | Path) -> None:
     kind_byte = 1 if model.kind == "crosslingual" else 0
-    vocab_payload = (
-        {"cross": model.vocabulary.to_dict()}
-        if isinstance(model.vocabulary, CrossVocabulary)
-        else {"mono": model.vocabulary.to_dict()}
-    )
+    vocab_payload = {"cross" if kind_byte else "mono": model.vocabulary.to_dict()}
     vocab_blob = json.dumps(vocab_payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
     with Path(path).open("wb") as fh:
         fh.write(
@@ -447,8 +439,7 @@ def load_model(path: str | Path) -> LsiModel:
     u = take(n_terms * k, (n_terms, k))
     s = take(k, (k,))
     v = take(n_docs * k, (n_docs, k))
-    kind = "crosslingual" if kind_byte == 1 else "monolingual"
     try:
-        return LsiModel(u, s, v, vocabulary, kind)
+        return LsiModel(u, s, v, vocabulary)
     except ValueError as exc:
         raise CorruptModelError(f"inconsistent model factors: {exc}") from exc

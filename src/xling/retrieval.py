@@ -19,11 +19,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bidict import BilingualDictionary
-from .corpus import AlignedCorpus, Document
+from .corpus import AlignedCorpus, Document, load_documents
 from .errors import (
     DimensionMismatchError,
     EmptyCandidatesError,
-    MalformedRecordError,
     MissingGoldError,
     SelfTestError,
     TranslationError,
@@ -147,38 +146,20 @@ class DictionaryProvider(TranslationProvider):
             options = self.dictionary.translations(word, "source")
             words.append(min(options) if options else word)
         text = " ".join(words)
-        return dataclasses.replace(
-            document, language=target_language, text=text, degenerate=not text
-        )
+        return dataclasses.replace(document, language=target_language, text=text)
 
 
 class FileCacheProvider(TranslationProvider):
-    """Looks translations up in a JSONL cache keyed by document id."""
+    """Looks translations up by document id in a flat documents file."""
 
     def __init__(self, path: str | Path):
-        self._cache: dict[str, str] = {}
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line_number, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecordError(line_number, f"invalid JSON: {exc}") from exc
-                if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                    raise MalformedRecordError(line_number, "record needs 'id' and 'text'")
-                if not isinstance(record["text"], str):
-                    raise MalformedRecordError(line_number, "'text' must be a string")
-                self._cache[str(record["id"])] = record["text"]
+        self._cache = {d.id: d.text for d in load_documents(path)}
 
     def translate(self, document: Document, target_language: str) -> Document:
         text = self._cache.get(document.id)
         if text is None:
             raise TranslationError(f"no cached translation for document {document.id!r}")
-        return dataclasses.replace(
-            document, language=target_language, text=text, degenerate=not text
-        )
+        return dataclasses.replace(document, language=target_language, text=text)
 
 
 # --------------------------------------------------------------------------

@@ -322,10 +322,35 @@ class TestRetrieveEvalAlign:
         assert payload["error"] == "MalformedRecordError"
         assert payload["message"].startswith("line 2:") and "group_key" in payload["message"]
 
+    def test_align_non_string_language_exits_two(self, tmp_path, corpus_file, capsys):
+        model_path = _train(tmp_path, corpus_file)
+        corpus = load_aligned_corpus(corpus_file)
+        sources = tmp_path / "src.jsonl"
+        targets = tmp_path / "tgt.jsonl"
+        save_documents(corpus.target_docs[:2], targets)
+        sources.write_text(
+            json.dumps({"id": "s0", "text": "one two"}) + "\n"
+            + json.dumps({"id": "s1", "text": "one two", "language": [1]}) + "\n",
+            encoding="utf-8",
+        )
+        rc = main(
+            [
+                "align", "--model", str(model_path), "--source-docs", str(sources),
+                "--target-docs", str(targets), "--output", str(tmp_path / "pairs.tsv"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "MalformedRecordError"
+        assert payload["message"].startswith("line 2:") and "language" in payload["message"]
+
     @pytest.mark.parametrize(
         "line, reason",
         [('{"id": "x"}', "needs 'id' and 'text'"), ("[1, 2]", "needs 'id' and 'text'"),
-         ('{"id": "x", "text": 5}', "must be a string"), ("{oops", "invalid JSON")],
+         ('{"id": "x", "text": 5}', "must be a string"), ("{oops", "invalid JSON"),
+         ('{"id": "e0000", "text": "again"}', "duplicate id 'e0000' (first on line 1)")],
     )
     def test_retrieve_malformed_cache_line_exits_two(
         self, tmp_path, corpus_file, capsys, line, reason

@@ -33,15 +33,18 @@ class TestDocument:
         with pytest.raises(ValueError):
             Document("", "en", "text")
 
-    def test_empty_text_needs_degenerate_flag(self):
-        with pytest.raises(ValueError):
-            Document("d1", "en", "")
-        assert Document("d1", "en", "", degenerate=True).text == ""
+    def test_empty_text_allowed(self):
+        assert Document("d1", "en", "").text == ""
 
     @pytest.mark.parametrize("text", [5, None, ["a"], b"bytes"])
     def test_non_string_text_rejected(self, text):
         with pytest.raises(TypeError, match="must be a string"):
-            Document("d1", "en", text, degenerate=True)
+            Document("d1", "en", text)
+
+    @pytest.mark.parametrize("language", [[1], None, 3])
+    def test_non_string_language_rejected(self, language):
+        with pytest.raises(TypeError, match="language must be a string"):
+            Document("d1", language, "text")
 
     @pytest.mark.parametrize("field", ["group_key", "category"])
     def test_non_string_metadata_rejected(self, field):
@@ -87,6 +90,11 @@ class TestPairdirs:
         assert corpus.source_docs[0].language == "aa"
         assert corpus.target_docs[0].language == "bb"
 
+    def test_empty_text_loads(self, tmp_path):
+        _write_pairdirs(tmp_path, [("001", "", "marhaba")])
+        corpus = load_aligned_corpus(tmp_path, "pairdirs", src_lang="en", tgt_lang="ar")
+        assert corpus.source_docs[0].text == ""
+
 
 class TestJsonl:
     def test_three_records_order_preserved(self, tmp_path):
@@ -109,7 +117,14 @@ class TestJsonl:
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(MalformedRecordError) as err:
             load_aligned_corpus(path)
-        assert err.value.line_number == 2
+        assert err.value.line_number == 2 and "'tgt_id'" in str(err.value)
+
+    def test_empty_text_loads(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        record = {"src_id": "e1", "tgt_id": "a1", "src_text": "", "tgt_text": "y"}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        corpus = load_aligned_corpus(path)
+        assert corpus.source_docs[0].text == "" and corpus.target_docs[0].text == "y"
 
     @pytest.mark.parametrize("field", ["src_text", "tgt_text"])
     def test_non_string_text_reports_line(self, tmp_path, field):
@@ -170,6 +185,11 @@ class TestDocumentsFile:
         loaded = load_documents(path)
         assert [d.id for d in loaded] == ["d1", "d2"]
         assert loaded[0].group_key == "g"
+
+    def test_empty_text_loads(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps({"id": "d1", "text": ""}) + "\n", encoding="utf-8")
+        assert load_documents(path)[0].text == ""
 
     def test_missing_text_field(self, tmp_path):
         path = tmp_path / "docs.jsonl"

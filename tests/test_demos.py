@@ -1,24 +1,43 @@
-"""Each demo script runs to completion in a fresh interpreter."""
+"""Each demo script, and README's library example, runs to completion in a
+fresh interpreter."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from xling.corpus import save_aligned_corpus
+from xling.synthetic import make_parallel_corpus
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_zero(demo, tmp_path):
+def _run(script: Path, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run(
+        [sys.executable, str(script)], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_zero(demo, tmp_path):
+    result = _run(demo, tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library example\s+```python\n(.*?)```", readme, re.S).group(1)
+    save_aligned_corpus(make_parallel_corpus(120), tmp_path / "corpus.jsonl")
+    (tmp_path / "example.py").write_text(example, encoding="utf-8")
+    result = _run(tmp_path / "example.py", tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "R@1:" in result.stdout

@@ -19,6 +19,7 @@ from xling.errors import (
     VersionMismatchError,
 )
 from xling.lsi import (
+    CrossVocabulary,
     LsiModel,
     _randomized_svd,
     build_cross_matrix,
@@ -408,7 +409,7 @@ class TestModelPersistence:
         else:
             u, s, v = u.astype(">f8"), s.astype(">f8"), v.astype(">f8")
         save_model(cross, tmp_path / "c.xlsm")
-        save_model(LsiModel(u, s, v, cross.vocabulary, cross.kind), tmp_path / "m.xlsm")
+        save_model(LsiModel(u, s, v, cross.vocabulary), tmp_path / "m.xlsm")
         blob = (tmp_path / "m.xlsm").read_bytes()
         assert blob == (tmp_path / "c.xlsm").read_bytes()
         factors = b"".join(f.astype("<f8").tobytes(order="C") for f in (u, s, v))
@@ -445,11 +446,11 @@ class TestLsiModelValidation:
         vocab = Vocabulary(["a", "b"], [1, 1], 2)
         u = np.eye(2)
         with pytest.raises(ValueError):
-            LsiModel(u, np.array([1.0, 2.0]), np.eye(2), vocab, "monolingual")
+            LsiModel(u, np.array([1.0, 2.0]), np.eye(2), vocab)
 
-    def test_kind_checked(self):
-        vocab = Vocabulary(["a", "b"], [1, 1], 2)
-        with pytest.raises(ValueError):
-            LsiModel(np.eye(2), np.array([2.0, 1.0]), np.eye(2), vocab, "bilingual")
-        with pytest.raises(ValueError, match="cannot hold a Vocabulary"):
-            LsiModel(np.eye(2), np.array([2.0, 1.0]), np.eye(2), vocab, "crosslingual")
+    def test_kind_follows_vocabulary(self):
+        mono = Vocabulary(["a", "b"], [1, 1], 2)
+        cross = CrossVocabulary(Vocabulary(["a"], [1], 2), Vocabulary(["b"], [1], 2))
+        factors = (np.eye(2), np.array([2.0, 1.0]), np.eye(2))
+        assert LsiModel(*factors, mono).kind == "monolingual"
+        assert LsiModel(*factors, cross).kind == "crosslingual"

@@ -205,7 +205,9 @@ class TestProviders:
             provider.translate(Document("d2", "en", "x"), "ar")
 
     @pytest.mark.parametrize(
-        "line", ['{"id": "x"}', "[1, 2]", '{"id": "x", "text": 5}', "not json"]
+        "line",
+        ['{"id": "x"}', "[1, 2]", '{"id": "x", "text": 5}', "not json",
+         '{"id": "d1", "text": "again"}'],
     )
     def test_file_cache_malformed_line_names_it(self, tmp_path, line):
         path = tmp_path / "cache.jsonl"

@@ -155,11 +155,11 @@ class TestWeightsOracle:
         rng = np.random.default_rng(seed)
         s = np.array([3.0, 2.0, 0.5])
         u = rng.standard_normal((n_rows, 3))
-        model = LsiModel(u, s, np.zeros((len(src), 3)), cross, "crosslingual")
+        model = LsiModel(u, s, np.zeros((len(src), 3)), cross)
         for side, off in (("source", 0), ("target", offset)):
             got = fold_in(query, model, side)
             assert got.tolist() == brute_fold_in(query, cross.vocab_for(side), off, u, s).tolist()
-        mono_model = LsiModel(u[: len(vocab)], s, np.zeros((len(src), 3)), vocab, "monolingual")
+        mono_model = LsiModel(u[: len(vocab)], s, np.zeros((len(src), 3)), vocab)
         assert fold_in(query, mono_model).tolist() == brute_fold_in(query, vocab, 0, u, s).tolist()
 
 
@@ -204,7 +204,7 @@ class TestWeightRowsOracle:
         rng = np.random.default_rng(seed)
         s = np.array([3.0, 2.0, 0.5])
         u = rng.standard_normal((len(cross), 3))
-        model = LsiModel(u, s, np.zeros((len(src), 3)), cross, "crosslingual")
+        model = LsiModel(u, s, np.zeros((len(src), 3)), cross)
         for side in ("source", "target"):
             block = fold_in_many(iter(queries), model, side)
             assert block.shape == (len(queries), 3)
@@ -212,7 +212,7 @@ class TestWeightRowsOracle:
             for row, query in zip(block, queries):
                 expected = brute_fold_in(query, cross.vocab_for(side), off, u, s)
                 assert row.tolist() == expected.tolist()
-        mono_model = LsiModel(u[: len(vocab)], s, np.zeros((len(src), 3)), vocab, "monolingual")
+        mono_model = LsiModel(u[: len(vocab)], s, np.zeros((len(src), 3)), vocab)
         block = fold_in_many(queries, mono_model)
         assert block.shape == (len(queries), 3)
         for row, query in zip(block, queries):
@@ -222,8 +222,7 @@ class TestWeightRowsOracle:
         vocab = Vocabulary([], [], 3)
         indptr, idx, val = vocab.weight_rows([["a", "a"], []])
         assert indptr.tolist() == [0, 0, 0] and idx.size == 0 and val.size == 0
-        model = LsiModel(np.zeros((0, 2)), np.array([2.0, 1.0]), np.zeros((3, 2)), vocab,
-                         "monolingual")
+        model = LsiModel(np.zeros((0, 2)), np.array([2.0, 1.0]), np.zeros((3, 2)), vocab)
         assert fold_in_many([["a"], []], model).tolist() == [[0.0, 0.0], [0.0, 0.0]]
         assert fold_in_many([], model).shape == (0, 2)
 
@@ -236,7 +235,7 @@ class TestWeightRowsOracle:
 
     def test_wrong_side_rejected(self):
         vocab = build_vocabulary([["a"], ["b"]])
-        mono = LsiModel(np.ones((2, 1)), np.ones(1), np.zeros((2, 1)), vocab, "monolingual")
+        mono = LsiModel(np.ones((2, 1)), np.ones(1), np.zeros((2, 1)), vocab)
         with pytest.raises(ValueError):
             fold_in_many([["a"]], mono, "source")
 
