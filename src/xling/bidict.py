@@ -3,18 +3,19 @@
 Documents are treated as bags of unique reduced terms for the binary
 measure, but raw token counts are the denominators for the OOV and
 matching rates. Callers are responsible for reducing document tokens and
-dictionary entries with the same reducers; ``BilingualDictionary.reduced``
-does the dictionary side, and ``xling score`` applies it with the
-``--reducer-source``/``--reducer-target`` reducers (except ``identity``,
-and ``morphar``, which already maps words onto the dictionary's own terms).
+dictionary entries with the same reducers; ``load_dictionary`` takes one
+reducer per side and reduces each term as it reads it, and ``xling score``
+passes it the ``--reducer-source``/``--reducer-target`` reducers (except
+``identity``, and ``morphar``, which already maps words onto the
+dictionary's own terms).
 
-A dictionary builds its translation-pair index once, on first use: the
-sorted, deduplicated (source, target) pairs plus each term's sorted
-partners on the other side. ``dict_cosine`` walks only the partners of the
-couple's own terms instead of every pair; the binary, OOV and matching
-measures never build it. ``dict_cosines`` scores many couples and weights
-each side's documents in one pass (``Vocabulary.weight_rows``);
-``dict_cosine`` is its one-couple case.
+A dictionary is built in one pass: duplicate synsets are dropped, and each
+side maps every term to its partners on the other side, which membership,
+translations and the measures read. Partners are sorted only on request.
+``dict_cosine`` walks only the partners of the couple's own terms instead
+of every pair. ``dict_cosines`` scores many couples and weights each side's
+documents in one pass (``Vocabulary.weight_rows``); ``dict_cosine`` is its
+one-couple case.
 """
 
 from __future__ import annotations
@@ -42,39 +43,40 @@ __all__ = [
 class BilingualDictionary:
     """Synsets of mutually translatable terms, indexed from both sides."""
 
-    __slots__ = ("synsets", "_source_index", "_target_index", "_pairs")
+    __slots__ = ("synsets", "_targets_of", "_sources_of", "_sorted", "_pairs")
 
     def __init__(self, synsets: Iterable[tuple[Iterable[str], Iterable[str]]]):
-        canonical = []
-        seen = set()
+        canonical: dict[tuple[frozenset[str], frozenset[str]], None] = {}
+        targets_of: dict[str, frozenset[str]] = {}
+        sources_of: dict[str, frozenset[str]] = {}
         for src_terms, tgt_terms in synsets:
-            synset = (frozenset(src_terms), frozenset(tgt_terms))
-            if not synset[0] or not synset[1]:
+            synset = src, tgt = frozenset(src_terms), frozenset(tgt_terms)
+            if not src or not tgt:
                 raise ValueError("synset sides must be non-empty")
-            if synset in seen:
+            if synset in canonical:
                 continue
-            seen.add(synset)
-            canonical.append(synset)
+            canonical[synset] = None
+            for t in src:
+                known = targets_of.get(t)
+                targets_of[t] = tgt if known is None else known | tgt
+            for t in tgt:
+                known = sources_of.get(t)
+                sources_of[t] = src if known is None else known | src
         self.synsets: tuple[tuple[frozenset[str], frozenset[str]], ...] = tuple(canonical)
-        self._source_index: dict[str, list[int]] = {}
-        self._target_index: dict[str, list[int]] = {}
-        for sid, (src_terms, tgt_terms) in enumerate(self.synsets):
-            for t in src_terms:
-                self._source_index.setdefault(t, []).append(sid)
-            for t in tgt_terms:
-                self._target_index.setdefault(t, []).append(sid)
-        self._pairs: _PairIndex | None = None
+        self._targets_of, self._sources_of = targets_of, sources_of
+        self._sorted: dict[str, dict[str, tuple[str, ...]]] = {"source": {}, "target": {}}
+        self._pairs: tuple[tuple[str, str], ...] | None = None
 
     @classmethod
     def identity(cls, terms: Iterable[str]) -> "BilingualDictionary":
         """Dictionary mapping every term to itself (useful for self-tests)."""
         return cls([((t,), (t,)) for t in sorted(set(terms))])
 
-    def _index_for(self, side: str) -> dict[str, list[int]]:
+    def _index_for(self, side: str) -> dict[str, frozenset[str]]:
         if side == "source":
-            return self._source_index
+            return self._targets_of
         if side == "target":
-            return self._target_index
+            return self._sources_of
         raise ValueError(f"side must be 'source' or 'target', got {side!r}")
 
     def contains(self, term: str, side: str = "source") -> bool:
@@ -82,70 +84,40 @@ class BilingualDictionary:
 
     def translations(self, term: str, side: str = "source") -> frozenset[str]:
         """All terms on the opposite side of any synset containing ``term``."""
-        out: set[str] = set()
-        opposite = 1 if side == "source" else 0
-        for sid in self._index_for(side).get(term, ()):
-            out.update(self.synsets[sid][opposite])
-        return frozenset(out)
+        return self._index_for(side).get(term, _NONE)
 
-    def _pair_index(self) -> "_PairIndex":
-        if self._pairs is None:
-            self._pairs = _PairIndex(self.synsets)
-        return self._pairs
+    def sorted_translations(self, term: str, side: str = "source") -> tuple[str, ...]:
+        """:meth:`translations` in sorted order, sorted on first request."""
+        partners = self.translations(term, side)
+        ordered = self._sorted[side].get(term)
+        if ordered is None:
+            ordered = self._sorted[side][term] = tuple(sorted(partners))
+        return ordered
 
     def translation_pairs(self) -> tuple[tuple[str, str], ...]:
         """Deduplicated (source, target) pairs, sorted; built once per dictionary."""
-        return self._pair_index().pairs
-
-    def reduced(
-        self,
-        source_fn: Callable[[str], str] | None,
-        target_fn: Callable[[str], str] | None,
-    ) -> "BilingualDictionary":
-        """This dictionary with each side's terms mapped through a reducer.
-
-        ``None`` leaves a side as it is. Terms that reduce to the same form
-        merge, and so do synsets that become equal. Returns ``self`` when no
-        term changes.
-        """
-        src_map = {t: source_fn(t) for t in self._source_index} if source_fn is not None else {}
-        tgt_map = {t: target_fn(t) for t in self._target_index} if target_fn is not None else {}
-        if all(k == v for m in (src_map, tgt_map) for k, v in m.items()):
-            return self
-        return BilingualDictionary(
-            ([src_map.get(t, t) for t in src_terms], [tgt_map.get(t, t) for t in tgt_terms])
-            for src_terms, tgt_terms in self.synsets
-        )
+        if self._pairs is None:
+            self._pairs = tuple(sorted((s, t) for s, ts in self._targets_of.items() for t in ts))
+        return self._pairs
 
     def __len__(self) -> int:
         return len(self.synsets)
 
 
-class _PairIndex:
-    """Translation pairs of a synset list, sorted, with per-term partners."""
-
-    __slots__ = ("pairs", "targets_of", "sources_of")
-
-    def __init__(self, synsets: Iterable[tuple[frozenset[str], frozenset[str]]]):
-        unique = {
-            (ws, wt) for src_terms, tgt_terms in synsets for ws in src_terms for wt in tgt_terms
-        }
-        self.pairs: tuple[tuple[str, str], ...] = tuple(sorted(unique))
-        targets_of: dict[str, list[str]] = {}
-        sources_of: dict[str, list[str]] = {}
-        for ws, wt in self.pairs:
-            targets_of.setdefault(ws, []).append(wt)
-            sources_of.setdefault(wt, []).append(ws)
-        # Walking pairs in sorted order appends each term's partners sorted.
-        self.targets_of = {t: tuple(p) for t, p in targets_of.items()}
-        self.sources_of = {t: tuple(p) for t, p in sources_of.items()}
+_NONE: frozenset[str] = frozenset()
 
 
-def load_dictionary(path: str | Path) -> BilingualDictionary:
+def load_dictionary(
+    path: str | Path,
+    source_fn: Callable[[str], str] | None = None,
+    target_fn: Callable[[str], str] | None = None,
+) -> BilingualDictionary:
     """Load a dictionary file: ``src1|src2<TAB>tgt1|tgt2`` per synset.
 
     Blank lines and ``#`` comment lines are ignored; duplicate lines merge
-    into a single synset.
+    into a single synset. Each side's terms are mapped through its reducer
+    as they are read (``None`` keeps them as written), so terms that reduce
+    to the same form merge, and so do synsets that become equal.
     """
     synsets = []
     for line_number, raw in enumerate(
@@ -157,11 +129,14 @@ def load_dictionary(path: str | Path) -> BilingualDictionary:
         parts = line.split("\t")
         if len(parts) != 2:
             raise MalformedLineError(line_number, "expected exactly one tab separator")
-        src_terms = [t.strip() for t in parts[0].split("|") if t.strip()]
-        tgt_terms = [t.strip() for t in parts[1].split("|") if t.strip()]
+        src_terms = list(filter(None, map(str.strip, parts[0].split("|"))))
+        tgt_terms = list(filter(None, map(str.strip, parts[1].split("|"))))
         if not src_terms or not tgt_terms:
             raise MalformedLineError(line_number, "both synset sides must be non-empty")
-        synsets.append((src_terms, tgt_terms))
+        synsets.append((
+            src_terms if source_fn is None else map(source_fn, src_terms),
+            tgt_terms if target_fn is None else map(target_fn, tgt_terms),
+        ))
     return BilingualDictionary(synsets)
 
 
@@ -237,10 +212,12 @@ def _matched_pairs(
     term types that a dictionary translation connects, so at most
     min(|d_s|, |d_t|). Found by augmenting paths (Kuhn's algorithm).
     """
-    target_types = set(d_t)
+    targets_of, target_types = dictionary._targets_of, set(d_t)
+    # A source term with no translation in d_t can never be matched.
     edges = {
-        ws: sorted(dictionary.translations(ws, "source") & target_types)
+        ws: sorted(hits)
         for ws in sorted(set(d_s))
+        if (hits := targets_of.get(ws, _NONE) & target_types)
     }
     match_of_target: dict[str, str] = {}
 
@@ -296,7 +273,7 @@ def dict_cosine(
     (zero when the word is absent from the document or from the stats).
 
     Only pairs with a non-zero attribute add to a sum, so each sum walks the
-    couple's own terms through the dictionary's pair index. It adds the same
+    partners of the couple's own terms instead of every pair. It adds the same
     terms in the same (w_s, w_t) order as a walk over every pair would, so
     the score is bit-identical to that walk. This is :func:`dict_cosines`
     of one couple.
@@ -319,24 +296,30 @@ def dict_cosines(
         raise ValueError(
             f"{len(source_docs)} source documents for {len(target_docs)} target documents"
         )
-    index = dictionary._pair_index()
-    rows_s = _tfidf_rows(source_docs, source_stats, index.targets_of)
-    rows_t = _tfidf_rows(target_docs, target_stats, index.sources_of)
-    return [_paired_cosine(w_s, w_t, index) for w_s, w_t in zip(rows_s, rows_t)]
+    sources_of = dictionary._sources_of
+    rows_s = list(_tfidf_rows(source_docs, source_stats, dictionary._targets_of))
+    rows_t = _tfidf_rows(target_docs, target_stats, sources_of)
+    targets_of = {ws: dictionary.sorted_translations(ws) for ws in set().union(*rows_s)}
+    return [
+        _paired_cosine(w_s, w_t, targets_of, sources_of) for w_s, w_t in zip(rows_s, rows_t)
+    ]
 
 
 def _paired_cosine(
-    weights_s: Mapping[str, float], weights_t: Mapping[str, float], index: _PairIndex
+    weights_s: Mapping[str, float],
+    weights_t: Mapping[str, float],
+    targets_of: Mapping[str, tuple[str, ...]],
+    sources_of: Mapping[str, frozenset[str]],
 ) -> float:
     dot = 0.0
     norm_s = 0.0
     for ws in sorted(weights_s):
         a = weights_s[ws]
-        for wt in index.targets_of[ws]:
+        for wt in targets_of[ws]:
             dot += a * weights_t.get(wt, 0.0)
             norm_s += a * a
     norm_t = 0.0
-    for _, wt in sorted((ws, wt) for wt in weights_t for ws in index.sources_of[wt]):
+    for _, wt in sorted((ws, wt) for wt in weights_t for ws in sources_of[wt]):
         b = weights_t[wt]
         norm_t += b * b
     if norm_s == 0.0 or norm_t == 0.0:
@@ -345,7 +328,7 @@ def _paired_cosine(
 
 
 def _tfidf_rows(
-    docs: Sequence[Sequence[str]], stats: Vocabulary, known: Mapping[str, tuple[str, ...]]
+    docs: Sequence[Sequence[str]], stats: Vocabulary, known: Mapping[str, frozenset[str]]
 ) -> Iterator[dict[str, float]]:
     """Per document, the non-zero tfidf weight of each term in both ``stats`` and ``known``.
 

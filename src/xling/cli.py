@@ -53,6 +53,7 @@ _DATA_ERRORS = (
 _NUMERIC_ERRORS = (ConvergenceError, FloatingPointError, ZeroDivisionError)
 
 _REDUCER_CHOICES = [k.value for k in ReducerKind]
+_SIDES = ("source", "target")
 
 
 def _print_error(exc: Exception) -> None:
@@ -144,15 +145,14 @@ def _resolve_paths(args) -> None:
             setattr(args, option, str(base / value))
 
 
-def _preprocessors(args, dictionary=None) -> tuple[Preprocessor, Preprocessor]:
-    """The source and target preprocessors the pipeline flags describe."""
-    config = PipelineConfig(
+def _pipeline_config(args) -> PipelineConfig:
+    """The preprocessing the pipeline flags describe."""
+    return PipelineConfig(
         stopwords=load_stopwords(args.stopwords) if args.stopwords else frozenset(),
         min_corpus_frequency=args.min_count,
         reducer_source=ReducerKind(args.reducer_source),
         reducer_target=ReducerKind(args.reducer_target),
     )
-    return Preprocessor(config, "source", dictionary), Preprocessor(config, "target", dictionary)
 
 
 def _load_optional_dictionary(args):
@@ -224,7 +224,8 @@ def _cmd_train(args) -> int:
     else:
         train_part, test_part = corpus_io.split_corpus(corpus, args.train_fraction, args.seed)
 
-    source, target = _preprocessors(args, _load_optional_dictionary(args))
+    config, dictionary = _pipeline_config(args), _load_optional_dictionary(args)
+    source, target = (Preprocessor(config, side, dictionary) for side in _SIDES)
     src_tokens, tgt_tokens = _preprocess_corpus(train_part, source, target)
 
     if args.kind == "cross":
@@ -371,24 +372,28 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _dictionary_reducer(preprocessor: Preprocessor):
-    """The reducer that brings dictionary terms to the documents' reduced forms.
+def _dictionary_reducer(preprocessor: Preprocessor | None):
+    """The reducer ``load_dictionary`` applies to one side's terms as it reads them.
 
-    None for ``identity``, and for ``morphar``, which already maps words
-    onto the dictionary's own terms. Otherwise the side's memoized reducer,
-    so words the documents already reduced are not reduced again.
+    None keeps them as written: for ``identity``, and for ``morphar`` (no
+    preprocessor yet), which is built on the loaded dictionary and maps words
+    onto that side's own terms. Otherwise the side's memoized reducer.
     """
-    if preprocessor.kind in (ReducerKind.IDENTITY, ReducerKind.MORPHAR):
+    if preprocessor is None or preprocessor.kind is ReducerKind.IDENTITY:
         return None
     return preprocessor.reduce
 
 
 def _cmd_score(args) -> int:
     corpus = corpus_io.load_aligned_corpus(args.corpus)
-    dictionary = load_dictionary(args.dictionary)
-    source, target = _preprocessors(args, dictionary)
+    config = _pipeline_config(args)
+    plain = {}
+    for side in _SIDES:
+        if config.reducer_for(side) is not ReducerKind.MORPHAR:
+            plain[side] = Preprocessor(config, side)
+    dictionary = load_dictionary(args.dictionary, *map(_dictionary_reducer, map(plain.get, _SIDES)))
+    source, target = (plain.get(s) or Preprocessor(config, s, dictionary) for s in _SIDES)
     src_tokens, tgt_tokens = _preprocess_corpus(corpus, source, target)
-    dictionary = dictionary.reduced(_dictionary_reducer(source), _dictionary_reducer(target))
 
     def score_pair(d_s, d_t) -> float:
         if args.measure == "bin":

@@ -143,8 +143,8 @@ class DictionaryProvider(TranslationProvider):
     def translate(self, document: Document, target_language: str) -> Document:
         words = []
         for word in tokenize(document.text):
-            options = self.dictionary.translations(word, "source")
-            words.append(min(options) if options else word)
+            options = self.dictionary.sorted_translations(word, "source")
+            words.append(options[0] if options else word)
         text = " ".join(words)
         return dataclasses.replace(document, language=target_language, text=text)
 

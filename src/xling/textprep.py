@@ -66,7 +66,7 @@ class ReducerKind(enum.Enum):
 
 # --------------------------------------------------------------------------
 # Affix tables. Ordered by priority: longest entries first so that
-# longest-match wins.
+# longest-match wins. The compiled forms below rely on this order.
 # --------------------------------------------------------------------------
 
 # Definite-article family, future/imperfect markers and conjunctions. Bare
@@ -146,18 +146,20 @@ _LEMMA_TABLE: Mapping[str, str] = {
 
 _MIN_STEM = 3  # affix strips never leave fewer than three letters
 
+# One light-stemming pass as one match: at most one prefix, tried in table
+# order, the stem, then at most one suffix. The lazy stem makes the longest
+# suffix that leaves the floor win, the first in table order. A word below
+# the floor does not match.
+_AR_AFFIX_RE = re.compile(
+    f"(?:{'|'.join(_AR_PREFIXES)})?(.{{{_MIN_STEM},}}?)(?:{'|'.join(_AR_SUFFIXES)})?",
+    re.DOTALL,
+)
 
-def _strip_once(word: str) -> str:
-    """One light-stemming pass: strip at most one prefix and one suffix."""
-    for p in _AR_PREFIXES:
-        if word.startswith(p) and len(word) - len(p) >= _MIN_STEM:
-            word = word[len(p):]
-            break
-    for s in _AR_SUFFIXES:
-        if word.endswith(s) and len(word) - len(s) >= _MIN_STEM:
-            word = word[: len(word) - len(s)]
-            break
-    return word
+# The English rules grouped by the word's last letter, in table order.
+_EN_RULES_BY_LAST: dict[str, tuple[tuple[str, str], ...]] = {
+    last: tuple(rule for rule in _EN_SUFFIX_RULES if rule[0][-1] == last)
+    for last in {suffix[-1] for suffix, _ in _EN_SUFFIX_RULES}
+}
 
 
 def _fixpoint(fn: Callable[[str], str], word: str) -> str:
@@ -170,7 +172,11 @@ def _fixpoint(fn: Callable[[str], str], word: str) -> str:
 
 def light_stem(word: str) -> str:
     """Strip attached prefixes and suffixes, leaving the stem intact."""
-    return _fixpoint(_strip_once, word)
+    m = _AR_AFFIX_RE.fullmatch(word)
+    while m is not None and m.group(1) != word:
+        word = m.group(1)
+        m = _AR_AFFIX_RE.fullmatch(word)
+    return word
 
 
 def _root_pass(word: str) -> str:
@@ -203,7 +209,7 @@ def root_stem(word: str) -> str:
 
 
 def _suffix_pass(word: str) -> str:
-    for suffix, replacement in _EN_SUFFIX_RULES:
+    for suffix, replacement in _EN_RULES_BY_LAST.get(word[-1:], ()):
         if not word.endswith(suffix):
             continue
         if suffix == "s" and (word.endswith("ss") or word.endswith("us")):

@@ -16,6 +16,11 @@ normalizes once per power iteration, must match both.
 ``token_pipeline`` is the preprocessing that carried a ``Token`` (surface and
 reduced form) per word occurrence through reduction and filtering; the
 plain-string ``run_pipeline`` and ``tokenize`` must reproduce it exactly.
+``loop_light_stem``, ``loop_root_stem`` and ``loop_suffix_stem`` walk the
+affix tables one entry at a time, from copies written out here, so that the
+compiled tables in ``textprep`` must agree with them on every word and an
+edit to either side shows up. ``two_step_reduced_dictionary`` loads a dictionary as written and then
+reduces and rebuilds it, as loading with reducers must.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from xling.textprep import ReducerKind, make_reducer
+from xling.bidict import BilingualDictionary, load_dictionary
+from xling.textprep import ReducerKind, _root_pass, make_reducer
 
 
 def tfidf(tf: int, df: int, n_docs: int) -> float:
@@ -308,3 +314,73 @@ def token_pipeline(texts, config, *, side: str = "source", dictionary=None) -> l
     counts = corpus_term_counts(docs)
     filtered = apply_filters(docs, config, counts)
     return [[t.reduced for t in doc] for doc in filtered]
+
+
+# The reducer tables as the loops below walk them: in priority order, the
+# longest entries first.
+LOOP_AR_PREFIXES = ("وال", "بال", "كال", "فال", "لل", "ال", "سي", "و", "ف", "ي")
+LOOP_AR_SUFFIXES = ("ات", "ون", "ين", "ان", "ها", "نا", "ة", "ه", "ي", "ت")
+LOOP_EN_SUFFIX_RULES = (
+    ("sses", "ss"), ("ies", "y"), ("ied", "y"), ("ing", "e"), ("es", "e"), ("ed", "e"), ("s", ""),
+)
+LOOP_MIN_STEM = 3
+
+
+def _fixpoint(fn: Callable[[str], str], word: str) -> str:
+    prev = None
+    while word != prev:
+        prev = word
+        word = fn(word)
+    return word
+
+
+def _strip_once(word: str) -> str:
+    """One light-stemming pass: strip at most one prefix and one suffix."""
+    for p in LOOP_AR_PREFIXES:
+        if word.startswith(p) and len(word) - len(p) >= LOOP_MIN_STEM:
+            word = word[len(p):]
+            break
+    for s in LOOP_AR_SUFFIXES:
+        if word.endswith(s) and len(word) - len(s) >= LOOP_MIN_STEM:
+            word = word[: len(word) - len(s)]
+            break
+    return word
+
+
+def loop_light_stem(word: str) -> str:
+    return _fixpoint(_strip_once, word)
+
+
+def loop_root_stem(word: str) -> str:
+    stem = loop_light_stem(word)
+    root = _fixpoint(lambda w: _root_pass(loop_light_stem(w)), stem)
+    return stem if len(root) < LOOP_MIN_STEM else root
+
+
+def _suffix_pass(word: str) -> str:
+    for suffix, replacement in LOOP_EN_SUFFIX_RULES:
+        if not word.endswith(suffix):
+            continue
+        if suffix == "s" and (word.endswith("ss") or word.endswith("us")):
+            continue
+        candidate = word[: len(word) - len(suffix)] + replacement
+        if len(candidate) >= LOOP_MIN_STEM:
+            return candidate
+    return word
+
+
+def loop_suffix_stem(word: str) -> str:
+    return _fixpoint(_suffix_pass, word)
+
+
+def two_step_reduced_dictionary(
+    path, source_fn: Callable[[str], str] | None, target_fn: Callable[[str], str] | None
+) -> BilingualDictionary:
+    """Load the dictionary as written, then map each synset's terms and rebuild."""
+    return BilingualDictionary(
+        (
+            [source_fn(t) for t in src] if source_fn else src,
+            [target_fn(t) for t in tgt] if target_fn else tgt,
+        )
+        for src, tgt in load_dictionary(path).synsets
+    )

@@ -9,6 +9,7 @@ from measure_oracles import (
     brute_oov,
     pair_loop_dict_cosine,
     random_toy_pair,
+    two_step_reduced_dictionary,
 )
 from xling.bidict import (
     BilingualDictionary,
@@ -30,7 +31,7 @@ from xling.synthetic import (
     make_dictionary,
     source_vocabulary,
 )
-from xling.textprep import ReducerKind, lemmatize, make_reducer, suffix_stem
+from xling.textprep import ReducerKind, lemmatize, light_stem, make_reducer, suffix_stem
 from xling.vsm import build_vocabulary
 
 
@@ -287,29 +288,88 @@ class TestPairIndex:
         assert toy_dictionary.translation_pairs() is toy_dictionary.translation_pairs()
 
     def test_other_measures_never_build_the_index(self, toy_dictionary):
+        # Every measure reads the per-term partner maps; only
+        # translation_pairs sorts the full pair list.
         d_s, d_t = ["olive", "oil", "press", "xx"], ["zayt", "mitbaa", "suq"]
         matching_rate(d_s, d_t, toy_dictionary)
         bin_symmetric(d_s, d_t, toy_dictionary)
         oov_rate(d_s, d_t, toy_dictionary)
+        stats_s, stats_t = build_vocabulary([d_s, ["oil"]]), build_vocabulary([d_t, ["suq"]])
+        dict_cosines([d_s], [d_t], toy_dictionary, stats_s, stats_t)
         assert toy_dictionary._pairs is None
+
+    def test_sorted_translations(self, toy_dictionary):
+        assert toy_dictionary.sorted_translations("market") == ("aswaq", "suq")
+        assert toy_dictionary.sorted_translations("suq", "target") == ("market", "markets")
+        assert toy_dictionary.sorted_translations("unknown") == ()
+        with pytest.raises(ValueError):
+            toy_dictionary.sorted_translations("oil", "middle")
+
+
+def _assert_same_dictionary(got: BilingualDictionary, expected: BilingualDictionary):
+    assert got.synsets == expected.synsets
+    assert got.translation_pairs() == expected.translation_pairs()
+    for side, index in (("source", 0), ("target", 1)):
+        terms = set().union(*(synset[index] for synset in expected.synsets))
+        for term in terms | {"unknown"}:
+            assert got.contains(term, side) == expected.contains(term, side)
+            assert got.translations(term, side) == expected.translations(term, side)
+            assert got.sorted_translations(term, side) == expected.sorted_translations(term, side)
+
+
+def _write(tmp_path, text: str):
+    path = tmp_path / "d.tsv"
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 class TestReduced:
-    def test_unchanged_terms_return_self(self, toy_dictionary):
-        assert toy_dictionary.reduced(str.lower, None) is toy_dictionary
-        assert toy_dictionary.reduced(None, None) is toy_dictionary
+    """Loading with reducers equals loading as written, then reducing each
+    term and rebuilding the dictionary."""
 
-    def test_each_side_reduced_with_its_own_function(self):
-        d = BilingualDictionary([(("houses",), ("houses",)), (("cats", "cat"), ("xcats",))])
-        r = d.reduced(suffix_stem, str.upper)
-        assert r.synsets == (
+    def test_unchanged_terms_load_unchanged(self, tmp_path):
+        path = _write(tmp_path, "olive\tzaytun\ngood|fine\tjayid\nmarket|markets\taswaq|suq\n")
+        plain = load_dictionary(path)
+        _assert_same_dictionary(load_dictionary(path, str.lower, None), plain)
+        _assert_same_dictionary(load_dictionary(path, None, None), plain)
+        _assert_same_dictionary(two_step_reduced_dictionary(path, str.lower, None), plain)
+
+    def test_each_side_reduced_with_its_own_function(self, tmp_path):
+        path = _write(tmp_path, "houses\thouses\ncats|cat\txcats\n")
+        d = load_dictionary(path, suffix_stem, str.upper)
+        assert d.synsets == (
             (frozenset({"house"}), frozenset({"HOUSES"})),
             (frozenset({"cat"}), frozenset({"XCATS"})),
         )
+        _assert_same_dictionary(d, two_step_reduced_dictionary(path, suffix_stem, str.upper))
 
-    def test_synsets_that_become_equal_merge(self):
-        d = BilingualDictionary([(("cats",), ("x",)), (("cat",), ("x",))])
-        assert len(d.reduced(suffix_stem, None)) == 1
+    def test_synsets_that_become_equal_merge(self, tmp_path):
+        path = _write(tmp_path, "cats\tx\ncat\tx\ndogs|dog\ty|Y\n")
+        d = load_dictionary(path, suffix_stem, str.upper)
+        assert len(d) == 2
+        _assert_same_dictionary(d, two_step_reduced_dictionary(path, suffix_stem, str.upper))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["cats", "cat", "bus", "dresses", "taking", "a"]),
+                         min_size=1, max_size=3),
+                st.lists(st.sampled_from(["الكتاب", "كتاب", "كتابات", "والكتب", "x", "ت"]),
+                         min_size=1, max_size=3),
+            ),
+            max_size=8,
+        ),
+        source_fn=st.sampled_from([None, suffix_stem, str.upper]),
+        target_fn=st.sampled_from([None, light_stem, lambda w: w[:1]]),
+    )
+    def test_equals_load_then_reduce(self, tmp_path_factory, lines, source_fn, target_fn):
+        text = "".join(f"{'|'.join(s)}\t{'|'.join(t)}\n" for s, t in lines)
+        path = _write(tmp_path_factory.mktemp("dict"), text)
+        _assert_same_dictionary(
+            load_dictionary(path, source_fn, target_fn),
+            two_step_reduced_dictionary(path, source_fn, target_fn),
+        )
 
 
 class TestOovRate:

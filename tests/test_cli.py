@@ -547,6 +547,42 @@ class TestScore:
         assert rc == 0
         assert out.read_text(encoding="utf-8") == "e1\ta1\t0.500000\n"
 
+    def test_morphar_looks_up_the_unreduced_side(self, tmp_path):
+        # The suffix stemmer reduces the source terms as the dictionary loads;
+        # morphar is built on the loaded dictionary and looks its light stems
+        # up among the target terms as written. Had the target side been
+        # light-stemmed too, "المكتبات" would find "مكتب" and e2 would
+        # read 0.333333.
+        corpus = tmp_path / "c.jsonl"
+        couples = [
+            ("e1", "a1", "The offices and libraries", "المكتبة والمكاتب"),
+            ("e2", "a2", "Travelers travel to the libraries", "المسافرون يسافرون الى المكتبات"),
+            ("e3", "a3", "writers wrote books", "الكتاب كتبوا الكتب"),
+        ]
+        corpus.write_text(
+            "".join(
+                json.dumps({"src_id": s, "tgt_id": t, "src_text": st, "tgt_text": tt}) + "\n"
+                for s, t, st, tt in couples
+            ),
+            encoding="utf-8",
+        )
+        dictionary = tmp_path / "d.tsv"
+        dictionary.write_text(
+            "office|offices\tمكتب\nlibrary|libraries\tمكتبة\ntravel|traveler\tسفر|مسافر\n"
+            "book|books\tكتاب|كتب\nwriter\tكاتب\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "match.tsv"
+        rc = main(
+            [
+                "score", "--corpus", str(corpus), "--dictionary", str(dictionary),
+                "--measure", "match", "--reducer-source", "suffix_stemmer",
+                "--reducer-target", "morphar", "--output", str(out),
+            ]
+        )
+        assert rc == 0
+        assert out.read_bytes() == b"e1\ta1\t0.166667\ne2\ta2\t0.222222\ne3\ta3\t0.166667\n"
+
     def test_capitalized_stopword_entry_matches(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text(

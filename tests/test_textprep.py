@@ -1,7 +1,16 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from measure_oracles import token_pipeline, token_tokenize
+from measure_oracles import (
+    LOOP_AR_PREFIXES,
+    LOOP_AR_SUFFIXES,
+    LOOP_EN_SUFFIX_RULES,
+    loop_light_stem,
+    loop_root_stem,
+    loop_suffix_stem,
+    token_pipeline,
+    token_tokenize,
+)
 from xling import textprep
 from xling.bidict import BilingualDictionary
 from xling.textprep import (
@@ -110,6 +119,66 @@ class TestIdempotency:
     def test_reduce_twice_equals_once(self, kind, word):
         once = make_reducer(kind)(word)
         assert make_reducer(kind)(once) == once
+
+
+_AR_LETTERS = "".join(map(chr, range(0x0621, 0x064B)))
+# Words glued from affix-table entries and short runs of Arabic letters and
+# ASCII: stacked prefixes and suffixes, stems at and below the 3-letter
+# floor, and words of 0-2 letters.
+_AFFIX_PIECES = (
+    LOOP_AR_PREFIXES
+    + LOOP_AR_SUFFIXES
+    + tuple(suffix for suffix, _ in LOOP_EN_SUFFIX_RULES)
+    + ("ss", "us")
+)
+_affixed_words = st.lists(
+    st.one_of(
+        st.sampled_from(_AFFIX_PIECES),
+        st.text(alphabet=_AR_LETTERS + "abdegiosuy", max_size=3),
+    ),
+    max_size=5,
+).map("".join)
+
+
+class TestCompiledAffixTables:
+    """The compiled affix tables strip exactly what a walk over the tables,
+    one entry at a time, strips."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(word=_affixed_words)
+    @example(word="")
+    @example(word="وال")
+    @example(word="والكتب")  # stem at the floor after the longest prefix
+    @example(word="والكتبات")
+    @example(word="كتبات")  # suffix would leave three letters
+    @example(word="كتات")  # suffix would leave two
+    @example(word="سيكتبون")
+    def test_arabic_stemmers_equal_the_table_walk(self, word):
+        assert light_stem(word) == loop_light_stem(word)
+        assert root_stem(word) == loop_root_stem(word)
+
+    @settings(max_examples=400, deadline=None)
+    @given(word=_affixed_words)
+    @example(word="")
+    @example(word="s")
+    @example(word="sses")
+    @example(word="bies")
+    @example(word="dresses")
+    @example(word="bus")
+    @example(word="takings")
+    def test_suffix_stemmer_equals_the_table_walk(self, word):
+        assert suffix_stem(word) == loop_suffix_stem(word)
+
+    def test_tables_list_longer_entries_first(self):
+        # The compiled suffix table takes the longest suffix, which is the
+        # first in table order only while longer entries come first.
+        for table in (
+            textprep._AR_PREFIXES,
+            textprep._AR_SUFFIXES,
+            [suffix for suffix, _ in textprep._EN_SUFFIX_RULES],
+        ):
+            lengths = list(map(len, table))
+            assert lengths == sorted(lengths, reverse=True)
 
 
 class TestMorphar:
