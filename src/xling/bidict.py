@@ -140,6 +140,15 @@ def load_dictionary(
     return BilingualDictionary(synsets)
 
 
+def _lookup_side(direction: str) -> str:
+    """The dictionary side that ``direction`` looks words up on."""
+    if direction == "forward":
+        return "source"
+    if direction == "reverse":
+        return "target"
+    raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
+
+
 def trans(
     word: str,
     target_document: Iterable[str],
@@ -152,7 +161,7 @@ def trans(
     ``direction="reverse"`` looks the word up on the dictionary's target
     side and searches the document for source terms.
     """
-    side = "source" if direction == "forward" else "target"
+    side = _lookup_side(direction)
     bag = target_document if isinstance(target_document, (set, frozenset)) else set(target_document)
     translations = dictionary.translations(word, side)
     return 1 if translations and not translations.isdisjoint(bag) else 0
@@ -170,7 +179,7 @@ def bin_measure(
     The document is a bag of unique terms; the denominator is the number of
     its terms known to the dictionary. Zero when no term is in vocabulary.
     """
-    side = "source" if direction == "forward" else "target"
+    side = _lookup_side(direction)
     in_vocab = [w for w in set(d_s) if dictionary.contains(w, side)]
     if not in_vocab:
         return 0.0

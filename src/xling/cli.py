@@ -2,7 +2,9 @@
 
 Every command is reproducible: identical inputs and seeds give
 byte-identical outputs. Timestamps live only in run manifests. Exit codes:
-0 success, 2 usage/input error, 3 data/model error, 4 numerical failure.
+0 success, 2 usage/input error, 3 data/model error, 4 numerical failure;
+every error, a bad flag included, is one line of JSON on stderr. Flags may
+also come from ``@file`` arguments (see ``_Parser``).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,30 +29,11 @@ from .bidict import (
     matching_rate,
     oov_rate,
 )
-from .errors import (
-    ConvergenceError,
-    CorpusError,
-    DictionaryError,
-    DimensionMismatchError,
-    EmptyCandidatesError,
-    MissingGoldError,
-    ModelError,
-    SelfTestError,
-    UndefinedRateError,
-    XlingError,
-)
+from .errors import ConvergenceError, CorpusError, DictionaryError, XlingError
 from .textprep import PipelineConfig, Preprocessor, ReducerKind, load_stopwords, run_pipeline
 from .vsm import build_vocabulary
 
 _USAGE_ERRORS = (FileNotFoundError, NotADirectoryError, CorpusError, DictionaryError, ValueError)
-_DATA_ERRORS = (
-    ModelError,
-    DimensionMismatchError,
-    EmptyCandidatesError,
-    MissingGoldError,
-    SelfTestError,
-    UndefinedRateError,
-)
 _NUMERIC_ERRORS = (ConvergenceError, FloatingPointError, ZeroDivisionError)
 
 _REDUCER_CHOICES = [k.value for k in ReducerKind]
@@ -82,51 +66,6 @@ def _write_manifest(path: Path, command: str, options: dict, inputs: list[Path])
         json.dumps(manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8",
     )
-
-
-def _read_config_file(path: Path) -> dict[str, str]:
-    """key=value overrides, values kept as the strings a flag would receive."""
-    overrides = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected key=value")
-        key, _, value = line.partition("=")
-        overrides[key.strip().replace("-", "_")] = value.strip()
-    return overrides
-
-
-def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
-    """Every option of the top-level parser and of ``command``'s subparser, by dest."""
-    actions = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            actions.update((a.dest, a) for a in action.choices[command]._actions)
-        else:
-            actions[action.dest] = action
-    actions.pop("help", None)
-    return actions
-
-
-def _config_value(action: argparse.Action, key: str, raw: str):
-    """A config value checked and converted as the flag's own value would be."""
-    if action.nargs == 0:  # store_true / store_false switches
-        if raw.lower() not in ("true", "false"):
-            raise ValueError(f"config {key}: expected true or false, got {raw!r}")
-        return raw.lower() == "true"
-    value = raw
-    if action.type is not None:
-        try:
-            value = action.type(raw)
-        except (TypeError, ValueError):
-            name = getattr(action.type, "__name__", repr(action.type))
-            raise ValueError(f"config {key}: invalid {name} value {raw!r}") from None
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(map(repr, action.choices))
-        raise ValueError(f"config {key}: invalid choice {raw!r} (choose from {choices})")
-    return value
 
 
 _PATH_OPTIONS = (
@@ -282,21 +221,17 @@ def _make_provider(args) -> retrieval.TranslationProvider:
     raise ValueError(f"unknown provider {name!r}")
 
 
-def _run_retrieval(args, model, corpus) -> list[retrieval.RankedList]:
+def _run_retrieval(args, model, corpus, n: int) -> list[retrieval.RankedList]:
     if model.kind == "crosslingual":
-        return retrieval.retrieve_cl_lsi(
-            corpus.source_docs, corpus.target_docs, model, args.n
-        )
+        return retrieval.retrieve_cl_lsi(corpus.source_docs, corpus.target_docs, model, n)
     provider = _make_provider(args)
-    return retrieval.retrieve_ar_lsi(
-        corpus.source_docs, corpus.target_docs, model, provider, args.n
-    )
+    return retrieval.retrieve_ar_lsi(corpus.source_docs, corpus.target_docs, model, provider, n)
 
 
 def _cmd_retrieve(args) -> int:
     model = lsi.load_model(args.model)
     corpus = corpus_io.load_aligned_corpus(args.corpus)
-    ranked = _run_retrieval(args, model, corpus)
+    ranked = _run_retrieval(args, model, corpus, args.n)
     retrieval.write_ranked_lists_json(ranked, args.output)
     if args.tsv:
         with Path(args.tsv).open("w", encoding="utf-8", newline="\n") as fh:
@@ -362,8 +297,8 @@ def _cmd_eval(args) -> int:
         return 0
 
     ks = sorted({int(k) for k in args.ks.split(",")})
-    args.n = max(args.n, max(ks))
-    ranked = _run_retrieval(args, model, corpus)
+    # Depth at least 1, so that evaluate_retrieval is the one to reject a k below 1.
+    ranked = _run_retrieval(args, model, corpus, max(ks[-1], 1))
     report = retrieval.evaluate_retrieval(ranked, retrieval.gold_mapping(corpus), ks)
     for k in ks:
         print(f"R@{k} {report.recall[k]}")
@@ -395,17 +330,6 @@ def _cmd_score(args) -> int:
     source, target = (plain.get(s) or Preprocessor(config, s, dictionary) for s in _SIDES)
     src_tokens, tgt_tokens = _preprocess_corpus(corpus, source, target)
 
-    def score_pair(d_s, d_t) -> float:
-        if args.measure == "bin":
-            if args.bin_variant == "pooled":
-                return bin_pooled(d_s, d_t, dictionary)
-            return bin_symmetric(d_s, d_t, dictionary)
-        if args.measure == "oov":
-            return oov_rate(d_s, d_t, dictionary)
-        if args.measure == "match":
-            return matching_rate(d_s, d_t, dictionary)
-        raise ValueError(f"unknown measure {args.measure!r}")
-
     if args.measure == "bincos":
         # Each side is weighted once for the whole corpus, not per couple.
         scores = dict_cosines(
@@ -416,7 +340,13 @@ def _cmd_score(args) -> int:
             build_vocabulary(tgt_tokens),
         )
     else:
-        scores = map(score_pair, src_tokens, tgt_tokens)
+        # Built per command, not at import: perfbench/tracing.py rebinds matching_rate.
+        measure = {
+            "bin": bin_pooled if args.bin_variant == "pooled" else bin_symmetric,
+            "oov": oov_rate,
+            "match": matching_rate,
+        }[args.measure]
+        scores = (measure(d_s, d_t, dictionary) for d_s, d_t in zip(src_tokens, tgt_tokens))
     with Path(args.output).open("w", encoding="utf-8", newline="\n") as fh:
         for (src, tgt), score in zip(corpus.pairs(), scores):
             fh.write(f"{src.id}\t{tgt.id}\t{score:.6f}\n")
@@ -442,15 +372,31 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that expands ``@file`` arguments and raises on a usage error.
+
+    An ``@file`` holds shell-quoted arguments, any number a line, with ``#``
+    comments; its arguments stand where the ``@file`` stood, so a later flag
+    wins. Subparsers are built from this class too.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(fromfile_prefix_chars="@", **kwargs)
+
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        try:
+            return shlex.split(arg_line, comments=True)
+        except ValueError as exc:  # an unclosed quote
+            self.error(f"{exc} in @file line {arg_line!r}")
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xling",
         description="Cross-lingual document similarity, retrieval and alignment.",
-    )
-    parser.add_argument(
-        "--config",
-        default=None,
-        help="key=value file overriding flag defaults (flags still win)",
     )
     parser.add_argument(
         "--data-dir",
@@ -510,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="recall metrics or the oracle self-test")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--n", type=int, default=5)
     p.add_argument("--ks", default="1,5")
     p.add_argument("--oracle", action="store_true", help="identity-query self-test")
     p.add_argument("--output", default=None)
@@ -535,38 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        overrides = _read_config_file(Path(args.config))
-        actions = _flag_actions(parser, args.command)
-        unknown = [k for k in overrides if k not in actions]
-        if unknown:
-            _print_error(ValueError(f"unknown config keys: {', '.join(sorted(unknown))}"))
-            return 2
-        # Config fills in values the command line did not set explicitly;
-        # flags still win.
-        given = {
-            token[2:].split("=", 1)[0].replace("-", "_")
-            for token in (argv if argv is not None else sys.argv[1:])
-            if token.startswith("--")
-        }
-        try:
-            for key, raw in overrides.items():
-                if key not in given:
-                    setattr(args, key, _config_value(actions[key], key, raw))
-        except ValueError as exc:
-            _print_error(exc)
-            return 2
-    _resolve_paths(args)
     try:
+        args = build_parser().parse_args(argv)
+        _resolve_paths(args)
         return args.func(args)
     except _NUMERIC_ERRORS as exc:
         _print_error(exc)
         return 4
-    except _DATA_ERRORS as exc:
-        _print_error(exc)
-        return 3
     except _USAGE_ERRORS as exc:
         _print_error(exc)
         return 2

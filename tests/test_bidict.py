@@ -81,6 +81,10 @@ class TestTrans:
     def test_translation_absent(self, toy_dictionary):
         assert trans("oil", {"jayid"}, toy_dictionary) == 0
 
+    def test_unknown_direction_raises(self, toy_dictionary):
+        with pytest.raises(ValueError, match="direction"):
+            trans("oil", {"zayt"}, toy_dictionary, direction="backward")
+
 
 class TestBinMeasure:
     def test_full_coverage(self, toy_dictionary):
@@ -96,6 +100,13 @@ class TestBinMeasure:
         )
         score = bin_measure(["w1", "w2", "w3", "w4"], ["v1", "v2", "other"], d)
         assert score == 0.5
+
+    def test_unknown_direction_raises(self):
+        d = BilingualDictionary([(("w1",), ("v1",))])
+        assert bin_measure(["v1", "x"], ["w1"], d, direction="forward") == 0.0
+        assert bin_measure(["v1", "x"], ["w1"], d, direction="reverse") == 1.0
+        with pytest.raises(ValueError, match="direction must be 'forward' or 'reverse'"):
+            bin_measure(["v1", "x"], ["w1"], d, direction="backward")
 
     def test_monotone_in_target_document(self):
         d = BilingualDictionary([(("w1",), ("v1",)), (("w2",), ("v2",))])

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from xling import cli, errors
 from xling.bidict import dict_cosine, load_dictionary
 from xling.cli import main
 from xling.corpus import load_aligned_corpus, save_aligned_corpus, save_documents
@@ -659,16 +660,59 @@ class TestDataDir:
         assert (tmp_path / "model-env.xlsm").exists()
 
 
+def _args_file(path: Path, text: str) -> str:
+    """Write an ``@file`` of arguments and return the argument naming it."""
+    path.write_text(text, encoding="utf-8")
+    return f"@{path}"
+
+
+def _one_json_error(capsys) -> dict:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    return json.loads(captured.err)
+
+
+_ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.XlingError)),
+    key=lambda c: c.__name__,
+)
+_ERROR_ARGS = {
+    errors.MalformedRecordError: (3, "bad record"),
+    errors.MalformedLineError: (3, "bad line"),
+    errors.VersionMismatchError: (9, 1),
+    errors.MissingGoldError: ("q1",),
+    errors.SelfTestError: (["d1"],),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_each_error_class_maps_to_its_exit_code(self, cls, monkeypatch, capsys):
+        def raising(args):
+            raise cls(*_ERROR_ARGS.get(cls, ("boom",)))
+
+        monkeypatch.setattr(cli, "_cmd_eval", raising)
+        rc = main(["eval", "--model", "m.xlsm", "--corpus", "c.jsonl", "--oracle"])
+        if issubclass(cls, (errors.CorpusError, errors.DictionaryError)):
+            assert rc == 2
+        elif issubclass(cls, errors.ConvergenceError):
+            assert rc == 4
+        else:
+            assert rc == 3
+        assert _one_json_error(capsys)["error"] == cls.__name__
+
+
 class TestConfigAndDeterminism:
+    """Config comes from ``@file`` arguments: shell-quoted flags read in place."""
+
     def test_config_file_overrides_defaults(self, tmp_path, corpus_file):
         model_path = _train(tmp_path, corpus_file)
-        config = tmp_path / "run.cfg"
-        config.write_text("n = 2\n", encoding="utf-8")
+        config = _args_file(tmp_path / "run.args", "--n 2\n")
         out = tmp_path / "ranked.json"
         rc = main(
             [
-                "--config", str(config),
-                "retrieve", "--model", str(model_path),
+                "retrieve", config, "--model", str(model_path),
                 "--corpus", str(model_path) + ".test.jsonl", "--output", str(out),
             ]
         )
@@ -677,56 +721,101 @@ class TestConfigAndDeterminism:
         assert all(len(q["entries"]) == 2 for q in payload["queries"])
 
     def test_unknown_config_key_exits_two(self, tmp_path, corpus_file, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text("bogus_knob = 3\n", encoding="utf-8")
-        rc = main(
-            [
-                "--config", str(config),
-                "eval", "--model", "x", "--corpus", str(corpus_file), "--oracle",
-            ]
-        )
+        config = _args_file(tmp_path / "run.args", "--bogus-knob 3\n")
+        rc = main(["eval", config, "--model", "x", "--corpus", str(corpus_file), "--oracle"])
         assert rc == 2
+        message = _one_json_error(capsys)["message"]
+        assert "unrecognized arguments" in message and "--bogus-knob" in message
 
+    # Only stable fragments of argparse's wording, which varies by Python version.
     @pytest.mark.parametrize(
-        "line, message",
+        "line, fragments",
         [
-            ("kind = crosss", "config kind: invalid choice 'crosss'"),
-            ("k = abc", "config k: invalid int value 'abc'"),
-            ("train_fraction = most", "config train_fraction: invalid float value 'most'"),
-            ("no_split = maybe", "config no_split: expected true or false"),
+            ("--kind crosss", ("argument --kind", "invalid choice")),
+            ("--k abc", ("argument --k", "abc")),
+            ("--train-fraction most", ("argument --train-fraction", "most")),
+            ("--no-split maybe", ("unrecognized arguments", "maybe")),
         ],
+        ids=["kind", "k", "train_fraction", "no_split"],
     )
-    def test_bad_config_value_exits_two(self, tmp_path, corpus_file, capsys, line, message):
-        config = tmp_path / "run.cfg"
-        config.write_text(line + "\n", encoding="utf-8")
+    def test_bad_config_value_exits_two(self, tmp_path, corpus_file, capsys, line, fragments):
+        config = _args_file(tmp_path / "run.args", line + "\n")
         model_path = tmp_path / "m.xlsm"
-        rc = main(
-            [
-                "--config", str(config),
-                "train", "--corpus", str(corpus_file), "--output", str(model_path),
-            ]
-        )
+        rc = main(["train", config, "--corpus", str(corpus_file), "--output", str(model_path)])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        payload = json.loads(err)
-        assert payload["error"] == "ValueError" and payload["message"].startswith(message)
+        payload = _one_json_error(capsys)
+        assert payload["error"] == "ValueError"
+        assert all(f in payload["message"] for f in fragments)
         assert not model_path.exists()
 
     def test_config_values_converted_like_flags(self, tmp_path, corpus_file):
-        config = tmp_path / "run.cfg"
-        config.write_text("kind = mono\nk = 5\nno_split = TRUE\n", encoding="utf-8")
+        config = _args_file(tmp_path / "run.args", "--kind mono\n--k 5\n--no-split\n")
         model_path = tmp_path / "m.xlsm"
-        rc = main(
-            [
-                "--config", str(config),
-                "train", "--corpus", str(corpus_file), "--output", str(model_path),
-            ]
-        )
+        rc = main(["train", config, "--corpus", str(corpus_file), "--output", str(model_path)])
         assert rc == 0
         model = load_model(model_path)
         assert model.kind == "monolingual" and model.k == 5 and model.n_docs == 30
         assert not Path(str(model_path) + ".test.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "order, k, n_docs",
+        [
+            ("file_first", 9, 24),
+            ("flags_first", 5, 15),
+        ],
+    )
+    def test_later_of_file_and_flag_wins(self, tmp_path, corpus_file, order, k, n_docs):
+        config = _args_file(tmp_path / "run.args", "--train-fraction 0.5\n--k 5\n")
+        flags = ["--train-frac", "0.8", "--k", "9"]  # --train-frac abbreviates --train-fraction
+        model_path = tmp_path / "m.xlsm"
+        middle = [config, *flags] if order == "file_first" else [*flags, config]
+        rc = main(["train", *middle, "--corpus", str(corpus_file), "--output", str(model_path)])
+        assert rc == 0
+        model = load_model(model_path)
+        assert (model.k, model.n_docs) == (k, n_docs)
+
+    def test_data_dir_applies_to_file_paths(self, tmp_path, corpus_file):
+        config = _args_file(tmp_path / "run.args", f"--corpus {corpus_file.name} --output m.xlsm\n")
+        rc = main(["--data-dir", str(tmp_path), "train", config, "--k", "6"])
+        assert rc == 0
+        assert load_model(tmp_path / "m.xlsm").k == 6
+
+    def test_comments_blank_lines_and_quoted_path(self, tmp_path, corpus_file):
+        spaced = tmp_path / "my data"
+        spaced.mkdir()
+        (spaced / "corpus.jsonl").write_bytes(corpus_file.read_bytes())
+        config = _args_file(
+            tmp_path / "run.args",
+            "# training defaults\n"
+            "\n"
+            f"--corpus '{spaced / 'corpus.jsonl'}'  # quoted: the path has a space\n"
+            f'--k 6 --output "{spaced / "m.xlsm"}"\n',
+        )
+        assert main(["train", config]) == 0
+        assert load_model(spaced / "m.xlsm").k == 6
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["train", "--corpus", "c.jsonl", "--output", "m.xlsm", "--k", "abc"], "argument --k"),
+            (["train", "--corpus", "c.jsonl", "--output", "m.xlsm", "--bogus"], "--bogus"),
+            (["train", "--corpus", "c.jsonl"], "--output"),
+            (["bogus"], "invalid choice"),
+            (["train", "@{dir}/missing.args"], "missing.args"),
+            (["train", "@{dir}/unclosed.args"], "No closing quotation"),
+        ],
+        ids=[
+            "bad_value", "unknown_flag", "missing_required", "unknown_command",
+            "missing_file", "unclosed_quote",
+        ],
+    )
+    def test_usage_error_is_one_json_line(self, tmp_path, capsys, argv, fragment):
+        (tmp_path / "unclosed.args").write_text("--output 'm.xlsm\n", encoding="utf-8")
+        rc = main([a.format(dir=tmp_path) for a in argv])
+        assert rc == 2
+        payload = _one_json_error(capsys)
+        assert payload["error"] == "ValueError" and fragment in payload["message"]
+        assert payload["message"].startswith("xling")
 
     def test_pipeline_outputs_byte_identical_across_reruns(self, tmp_path, corpus_file):
         outputs = []
