@@ -12,8 +12,8 @@ from xling.bidict import bin_symmetric
 from xling.corpus import split_corpus
 from xling.lsi import build_cross_matrix, build_mono_matrix, train
 from xling.retrieval import (
-    DictionaryProvider,
     RankedList,
+    dictionary_translator,
     gold_mapping,
     recall_at_k,
     retrieve_ar_lsi,
@@ -45,7 +45,7 @@ print(f"CL-LSI      : R@1={recall_at_k(cl_ranked, gold, 1):.2f}  "
 dictionary = make_dictionary(spec, coverage=1.0)
 mono_model = train(build_mono_matrix(tokens(train_part.target_docs)), k=30, seed=42)
 ar_ranked = retrieve_ar_lsi(test_part.source_docs, test_part.target_docs, mono_model,
-                            DictionaryProvider(dictionary), 5)
+                            dictionary_translator(dictionary), 5)
 print(f"mono + dict : R@1={recall_at_k(ar_ranked, gold, 1):.2f}  "
       f"R@5={recall_at_k(ar_ranked, gold, 5):.2f}")
 

@@ -41,17 +41,16 @@ from .lsi import (
 )
 from .retrieval import (
     AlignmentPair,
-    DictionaryProvider,
     Embeddings,
     EvalReport,
-    FileCacheProvider,
-    IdentityProvider,
     RankedList,
-    TranslationProvider,
     align_corpora,
     alignment_report,
+    cached_translator,
+    dictionary_translator,
     evaluate_retrieval,
     gold_mapping,
+    identity_translator,
     oracle_experiment,
     recall_at_k,
     retrieve,

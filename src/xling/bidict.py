@@ -4,10 +4,10 @@ Documents are treated as bags of unique reduced terms for the binary
 measure, but raw token counts are the denominators for the OOV and
 matching rates. Callers are responsible for reducing document tokens and
 dictionary entries with the same reducers; ``load_dictionary`` takes one
-reducer per side and reduces each term as it reads it, and ``xling score``
-passes it the ``--reducer-source``/``--reducer-target`` reducers (except
-``identity``, and ``morphar``, which already maps words onto the
-dictionary's own terms).
+reducer per side and reduces each term as it reads it, and ``xling train``
+and ``xling score`` pass it the ``--reducer-source``/``--reducer-target``
+reducers (except ``identity``, and ``morphar``, which already maps words
+onto the dictionary's own terms).
 
 A dictionary is built in one pass: duplicate synsets are dropped, and each
 side maps every term to its partners on the other side, which membership,
@@ -66,11 +66,6 @@ class BilingualDictionary:
         self._targets_of, self._sources_of = targets_of, sources_of
         self._sorted: dict[str, dict[str, tuple[str, ...]]] = {"source": {}, "target": {}}
         self._pairs: tuple[tuple[str, str], ...] | None = None
-
-    @classmethod
-    def identity(cls, terms: Iterable[str]) -> "BilingualDictionary":
-        """Dictionary mapping every term to itself (useful for self-tests)."""
-        return cls([((t,), (t,)) for t in sorted(set(terms))])
 
     def _index_for(self, side: str) -> dict[str, frozenset[str]]:
         if side == "source":

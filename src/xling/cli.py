@@ -21,6 +21,7 @@ from pathlib import Path
 from . import corpus as corpus_io
 from . import lsi, retrieval, wikitext
 from .bidict import (
+    BilingualDictionary,
     bin_pooled,
     bin_symmetric,
     dict_cosine,  # noqa: F401  (the per-couple case, wrapped by name in perfbench/tracing.py)
@@ -94,13 +95,28 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
-def _load_optional_dictionary(args):
-    if getattr(args, "dictionary", None):
-        return load_dictionary(args.dictionary)
-    needs_dict = ReducerKind.MORPHAR.value in (args.reducer_source, args.reducer_target)
-    if needs_dict:
+def _preprocessors(args) -> tuple[Preprocessor, Preprocessor, BilingualDictionary | None]:
+    """Each side's preprocessor, and the ``--dictionary`` they share (None without one).
+
+    The dictionary is loaded once, each side's terms reduced as they are
+    read by that side's memoized reducer, so that they match the side's
+    document terms. An ``identity`` side is loaded as written, and so is a
+    ``morphar`` side: that reducer is built on the loaded dictionary and
+    maps words onto its side's terms as written. It needs ``--dictionary``.
+    """
+    config = _pipeline_config(args)
+    plain = {s: Preprocessor(config, s) for s in _SIDES
+             if config.reducer_for(s) is not ReducerKind.MORPHAR}
+    dictionary = None
+    if args.dictionary:
+        dictionary = load_dictionary(args.dictionary, *(
+            None if p is None or p.kind is ReducerKind.IDENTITY else p.reduce
+            for p in map(plain.get, _SIDES)
+        ))
+    elif len(plain) < len(_SIDES):
         raise ValueError("morphar reducers require --dictionary")
-    return None
+    source, target = (plain.get(s) or Preprocessor(config, s, dictionary) for s in _SIDES)
+    return source, target, dictionary
 
 
 def _preprocess_corpus(corpus, source: Preprocessor, target: Preprocessor):
@@ -163,8 +179,7 @@ def _cmd_train(args) -> int:
     else:
         train_part, test_part = corpus_io.split_corpus(corpus, args.train_fraction, args.seed)
 
-    config, dictionary = _pipeline_config(args), _load_optional_dictionary(args)
-    source, target = (Preprocessor(config, side, dictionary) for side in _SIDES)
+    source, target, _ = _preprocessors(args)
     src_tokens, tgt_tokens = _preprocess_corpus(train_part, source, target)
 
     if args.kind == "cross":
@@ -206,26 +221,24 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _make_provider(args) -> retrieval.TranslationProvider:
-    name = args.provider
-    if name == "identity":
-        return retrieval.IdentityProvider()
-    if name == "dictionary":
+def _translator(args):
+    """The ``--provider`` translation, as a ``Document -> text`` function."""
+    if args.provider == "dictionary":
         if not args.dictionary:
             raise ValueError("--provider dictionary needs --dictionary")
-        return retrieval.DictionaryProvider(load_dictionary(args.dictionary))
-    if name == "cache":
+        return retrieval.dictionary_translator(load_dictionary(args.dictionary))
+    if args.provider == "cache":
         if not args.cache:
             raise ValueError("--provider cache needs --cache")
-        return retrieval.FileCacheProvider(args.cache)
-    raise ValueError(f"unknown provider {name!r}")
+        return retrieval.cached_translator(args.cache)
+    return retrieval.identity_translator
 
 
 def _run_retrieval(args, model, corpus, n: int) -> list[retrieval.RankedList]:
     if model.kind == "crosslingual":
         return retrieval.retrieve_cl_lsi(corpus.source_docs, corpus.target_docs, model, n)
-    provider = _make_provider(args)
-    return retrieval.retrieve_ar_lsi(corpus.source_docs, corpus.target_docs, model, provider, n)
+    translate = _translator(args)
+    return retrieval.retrieve_ar_lsi(corpus.source_docs, corpus.target_docs, model, translate, n)
 
 
 def _cmd_retrieve(args) -> int:
@@ -307,27 +320,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _dictionary_reducer(preprocessor: Preprocessor | None):
-    """The reducer ``load_dictionary`` applies to one side's terms as it reads them.
-
-    None keeps them as written: for ``identity``, and for ``morphar`` (no
-    preprocessor yet), which is built on the loaded dictionary and maps words
-    onto that side's own terms. Otherwise the side's memoized reducer.
-    """
-    if preprocessor is None or preprocessor.kind is ReducerKind.IDENTITY:
-        return None
-    return preprocessor.reduce
-
-
 def _cmd_score(args) -> int:
     corpus = corpus_io.load_aligned_corpus(args.corpus)
-    config = _pipeline_config(args)
-    plain = {}
-    for side in _SIDES:
-        if config.reducer_for(side) is not ReducerKind.MORPHAR:
-            plain[side] = Preprocessor(config, side)
-    dictionary = load_dictionary(args.dictionary, *map(_dictionary_reducer, map(plain.get, _SIDES)))
-    source, target = (plain.get(s) or Preprocessor(config, s, dictionary) for s in _SIDES)
+    source, target, dictionary = _preprocessors(args)
     src_tokens, tgt_tokens = _preprocess_corpus(corpus, source, target)
 
     if args.measure == "bincos":
@@ -370,6 +365,13 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
         "--reducer-target", choices=_REDUCER_CHOICES, default="identity",
         help="word reducer for the target side",
     )
+
+
+def _add_translation_flags(parser: argparse.ArgumentParser) -> None:
+    """How a monolingual model's queries are translated (see ``_translator``)."""
+    parser.add_argument("--provider", choices=["identity", "dictionary", "cache"], default="identity")
+    parser.add_argument("--dictionary", default=None, help="for --provider dictionary")
+    parser.add_argument("--cache", default=None, help="for --provider cache")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -434,9 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--output", required=True, help="ranked lists JSON")
     p.add_argument("--tsv", default=None, help="optional ranked lists TSV")
-    p.add_argument("--provider", choices=["identity", "dictionary", "cache"], default="identity")
-    p.add_argument("--dictionary", default=None)
-    p.add_argument("--cache", default=None)
+    _add_translation_flags(p)
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("align", help="align two unpaired corpora in LSI space")
@@ -459,9 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", default="1,5")
     p.add_argument("--oracle", action="store_true", help="identity-query self-test")
     p.add_argument("--output", default=None)
-    p.add_argument("--provider", choices=["identity", "dictionary", "cache"], default="identity")
-    p.add_argument("--dictionary", default=None)
-    p.add_argument("--cache", default=None)
+    _add_translation_flags(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("score", help="dictionary-based comparability measures")

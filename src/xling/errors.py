@@ -108,4 +108,4 @@ class SelfTestError(XlingError):
 
 
 class TranslationError(XlingError):
-    """A translation provider could not translate a document."""
+    """A translator could not translate a document."""

@@ -3,18 +3,21 @@
 Queries are independent, candidate collections are read-only, and every
 ranking breaks similarity ties by ascending candidate id, so all outputs
 are deterministic for fixed inputs.
+
+The monolingual pipeline translates each query with a translator: a
+function from a ``Document`` to its text in the model's language, which
+raises ``TranslationError`` when it cannot translate.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
-import dataclasses
 import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,10 +40,9 @@ __all__ = [
     "RankedList",
     "AlignmentPair",
     "EvalReport",
-    "TranslationProvider",
-    "IdentityProvider",
-    "DictionaryProvider",
-    "FileCacheProvider",
+    "identity_translator",
+    "dictionary_translator",
+    "cached_translator",
     "Embeddings",
     "retrieve",
     "embed_documents",
@@ -65,7 +67,7 @@ class RankedList:
     """Candidates for one query, descending by similarity.
 
     Ties are broken by ascending candidate id. ``skipped`` marks queries the
-    pipeline could not score (e.g. a translation-provider failure).
+    pipeline could not score (e.g. a failed translation).
     """
 
     query_id: str
@@ -111,55 +113,42 @@ class EvalReport:
 
 
 # --------------------------------------------------------------------------
-# Translation providers (the monolingual pipeline needs one)
+# Translators (the monolingual pipeline needs one): Document -> text
 # --------------------------------------------------------------------------
 
 
-class TranslationProvider:
-    """Interface: deterministic document translation."""
-
-    def translate(self, document: Document, target_language: str) -> Document:
-        raise NotImplementedError
+def identity_translator(document: Document) -> str:
+    """The document's own text: a perfect translator for one shared language."""
+    return document.text
 
 
-class IdentityProvider(TranslationProvider):
-    """Returns the document unchanged (simulates a perfect translator when
-    source and target corpora share a language)."""
-
-    def translate(self, document: Document, target_language: str) -> Document:
-        return dataclasses.replace(document, language=target_language)
-
-
-class DictionaryProvider(TranslationProvider):
+def dictionary_translator(dictionary: BilingualDictionary) -> Callable[[Document], str]:
     """Word-for-word translation through a bilingual dictionary.
 
     Each token maps to the lexicographically smallest translation of its
     synsets; out-of-vocabulary tokens pass through unchanged.
     """
 
-    def __init__(self, dictionary: BilingualDictionary):
-        self.dictionary = dictionary
+    def translate(document: Document) -> str:
+        return " ".join(
+            (dictionary.sorted_translations(word, "source") or (word,))[0]
+            for word in tokenize(document.text)
+        )
 
-    def translate(self, document: Document, target_language: str) -> Document:
-        words = []
-        for word in tokenize(document.text):
-            options = self.dictionary.sorted_translations(word, "source")
-            words.append(options[0] if options else word)
-        text = " ".join(words)
-        return dataclasses.replace(document, language=target_language, text=text)
+    return translate
 
 
-class FileCacheProvider(TranslationProvider):
+def cached_translator(path: str | Path) -> Callable[[Document], str]:
     """Looks translations up by document id in a flat documents file."""
+    cache = {d.id: d.text for d in load_documents(path)}
 
-    def __init__(self, path: str | Path):
-        self._cache = {d.id: d.text for d in load_documents(path)}
-
-    def translate(self, document: Document, target_language: str) -> Document:
-        text = self._cache.get(document.id)
+    def translate(document: Document) -> str:
+        text = cache.get(document.id)
         if text is None:
             raise TranslationError(f"no cached translation for document {document.id!r}")
-        return dataclasses.replace(document, language=target_language, text=text)
+        return text
+
+    return translate
 
 
 # --------------------------------------------------------------------------
@@ -244,32 +233,31 @@ def retrieve_ar_lsi(
     source_docs: Sequence[Document],
     target_docs: Sequence[Document],
     model: LsiModel,
-    provider: TranslationProvider,
+    translate: Callable[[Document], str],
     n: int,
 ) -> list[RankedList]:
     """Monolingual-space retrieval: translate each query, project, rank.
 
     Candidate documents are projected directly (the model lives in their
-    language). A provider failure marks that query skipped instead of
-    aborting the batch.
+    language). A ``TranslationError`` from ``translate`` marks that query
+    skipped instead of aborting the batch.
     """
     if model.kind != "monolingual":
         raise ValueError("retrieve_ar_lsi needs a monolingual model")
     if not source_docs:
         return []
-    target_language = target_docs[0].language if target_docs else "und"
     candidates = embed_documents(target_docs, None, model)
-    translated: list[Document | None] = []
+    texts: list[str | None] = []
     for doc in source_docs:
         try:
-            translated.append(provider.translate(doc, target_language))
+            texts.append(translate(doc))
         except TranslationError as exc:
             warnings.warn(f"query {doc.id} skipped: {exc}", stacklevel=2)
-            translated.append(None)
-    queries = iter(_fold_texts([t for t in translated if t is not None], model, None))
+            texts.append(None)
+    queries = iter(fold_in_many((tokenize(t) for t in texts if t is not None), model))
     results = []
-    for doc, query in zip(source_docs, translated):
-        if query is None:
+    for doc, text in zip(source_docs, texts):
+        if text is None:
             results.append(RankedList(doc.id, (), skipped=True))
         else:
             results.append(retrieve(next(queries), candidates, n, query_id=doc.id))
@@ -313,7 +301,8 @@ def align_corpora(
 
     With ``group_by`` set, documents are bucketed by their ``group_key``
     (e.g. publication month) and aligned within buckets; a bucket empty on
-    either side is skipped with a warning. Each bucket's pairs are sorted
+    either side is skipped with a warning, and so is a source with no
+    in-vocabulary term (a zero vector). Each bucket's pairs are sorted
     descending by similarity and truncated to ``top_n``. Alignment is
     one-directional, so a target may serve several sources; ``mutual_best``
     additionally drops pairs whose target prefers a different source (an
@@ -342,6 +331,13 @@ def align_corpora(
             continue
         tgt_vecs = embed_documents(tgt_bucket, "target", model)
         src_vecs = embed_documents(src_bucket, "source", model)
+        blank = {src_vecs.ids[i] for i in np.flatnonzero(~src_vecs.unit.any(axis=1))}
+        if blank:
+            warnings.warn(f"sources with no in-vocabulary term left out: {sorted(blank)}",
+                          stacklevel=2)
+            src_vecs = embed_documents([d for d in src_bucket if d.id not in blank], "source", model)
+            if not len(src_vecs):
+                continue
         bucket_pairs = []
         for src_id, vec in zip(src_vecs.ids, src_vecs.unit):
             ((tgt_id, sim),) = retrieve(vec, tgt_vecs, 1).entries

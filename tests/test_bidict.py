@@ -125,7 +125,7 @@ class TestBinSymmetric:
         assert score == (forward + backward) / 2
 
     def test_identity_dictionary_identical_documents(self):
-        d = BilingualDictionary.identity(["a", "b", "c"])
+        d = BilingualDictionary([((t,), (t,)) for t in "abc"])
         assert bin_symmetric(["a", "b", "c"], ["a", "b", "c"], d) == 1.0
 
     def test_toy_directions_value(self):
@@ -415,7 +415,7 @@ class TestMatchingRate:
         assert matching_rate(d_s, d_t, d) == pytest.approx(0.3)
 
     def test_identity_identical_documents_halved(self):
-        d = BilingualDictionary.identity(["a", "b", "c", "d"])
+        d = BilingualDictionary([((t,), (t,)) for t in "abcd"])
         tokens = ["a", "b", "c", "d"]
         assert matching_rate(tokens, tokens, d) == 0.5
 

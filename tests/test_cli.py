@@ -7,10 +7,12 @@ import pytest
 from xling import cli, errors
 from xling.bidict import dict_cosine, load_dictionary
 from xling.cli import main
-from xling.corpus import load_aligned_corpus, save_aligned_corpus, save_documents
-from xling.lsi import load_model
+from xling.corpus import Document, load_aligned_corpus, save_aligned_corpus, save_documents
+from xling import lsi
+from xling.lsi import fold_in, load_model
+from xling.retrieval import Embeddings, retrieve, write_ranked_lists_json
 from xling.synthetic import SyntheticSpec, cipher_word, make_parallel_corpus, source_vocabulary
-from xling.textprep import run_pipeline
+from xling.textprep import PipelineConfig, Preprocessor, ReducerKind, run_pipeline, tokenize
 from xling.vsm import build_vocabulary
 
 SPEC = SyntheticSpec(n_topics=4, words_per_topic=20, common_words=5,
@@ -186,6 +188,54 @@ class TestTrain:
         a = _train(tmp_path / "a", corpus_file) if (tmp_path / "a").mkdir() is None else None
         b = _train(tmp_path / "b", corpus_file) if (tmp_path / "b").mkdir() is None else None
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("reducers", [("suffix_stemmer", "morphar"),
+                                          ("morphar", "suffix_stemmer")])
+    def test_morphar_model_equals_library_model(self, tmp_path, reducers):
+        # The suffix stemmer reduces its side of the dictionary as it loads;
+        # morphar reads only its own side's terms, as written, so the model
+        # equals one built from the dictionary loaded as written.
+        couples = [
+            ("e1", "a1", "The offices and libraries", "المكتبة والمكاتب"),
+            ("e2", "a2", "Travelers travel to the libraries", "المسافرون يسافرون الى المكتبات"),
+            ("e3", "a3", "writers wrote books", "الكتاب كتبوا الكتب"),
+            ("e4", "a4", "The writer travels with books", "الكاتب يسافر مع الكتب"),
+            ("e5", "a5", "offices of writers", "مكاتب الكتاب"),
+        ]
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(
+            "".join(
+                json.dumps({"src_id": s, "tgt_id": t, "src_text": st, "tgt_text": tt}) + "\n"
+                for s, t, st, tt in couples
+            ),
+            encoding="utf-8",
+        )
+        dictionary = tmp_path / "d.tsv"
+        dictionary.write_text(
+            "office|offices\tمكتب|مكاتب\nlibrary|libraries\tمكتبة\ntravel|travels\tسفر|مسافر\n"
+            "book|books\tكتاب|كتب\nwriter|writers\tكاتب\n",
+            encoding="utf-8",
+        )
+        reducer_source, reducer_target = reducers
+        model_path = _train(
+            tmp_path, corpus, "--k", "3", "--no-split", "--dictionary", str(dictionary),
+            "--reducer-source", reducer_source, "--reducer-target", reducer_target,
+        )
+
+        config = PipelineConfig(reducer_source=ReducerKind(reducer_source),
+                                reducer_target=ReducerKind(reducer_target))
+        as_written = load_dictionary(dictionary)
+        pairs = load_aligned_corpus(corpus)
+        source, target = (Preprocessor(config, side, as_written) for side in ("source", "target"))
+        matrix = lsi.build_cross_matrix(
+            run_pipeline([d.text for d in pairs.source_docs], source),
+            run_pipeline([d.text for d in pairs.target_docs], target),
+            pairs.source_docs[0].language,
+            pairs.target_docs[0].language,
+        )
+        expected = tmp_path / "library.xlsm"
+        lsi.save_model(lsi.train(matrix, 3, seed=42), expected)
+        assert model_path.read_bytes() == expected.read_bytes()
 
 
 class TestRetrieveEvalAlign:
@@ -478,6 +528,114 @@ class TestRetrieveEvalAlign:
         report = json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))
         assert set(report["sim_ranges"]) == {"2012-01", "2012-02"}
         assert (tmp_path / "hist.csv").read_text(encoding="utf-8").startswith("bin,count")
+
+
+def _train_mono(tmp_path, corpus_file) -> Path:
+    model_path = tmp_path / "mono.xlsm"
+    assert main(
+        ["train", "--corpus", str(corpus_file), "--kind", "mono", "--k", "6",
+         "--no-split", "--output", str(model_path)]
+    ) == 0
+    return model_path
+
+
+def _same_language_copy(tmp_path) -> Path:
+    """The fixture corpus with each source text replaced by its target text."""
+    corpus = make_parallel_corpus(30, SPEC, seed=12)
+    path = tmp_path / "same.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"src_id": s.id, "tgt_id": t.id, "src_text": t.text, "tgt_text": t.text})
+            + "\n"
+            for s, t in corpus.pairs()
+        ),
+        encoding="utf-8",
+    )
+    return path
+
+
+class TestMonolingualRoute:
+    """``--kind mono`` models queried through each ``--provider``."""
+
+    def test_retrieve_identity_provider(self, tmp_path, corpus_file):
+        model_path = _train_mono(tmp_path, corpus_file)
+        same = _same_language_copy(tmp_path)
+        out, tsv = tmp_path / "ranked.json", tmp_path / "ranked.tsv"
+        rc = main(
+            ["retrieve", "--model", str(model_path), "--corpus", str(same), "--n", "3",
+             "--provider", "identity", "--output", str(out), "--tsv", str(tsv)]
+        )
+        assert rc == 0
+
+        # The same ranking composed from the library, one query at a time.
+        model, corpus = load_model(model_path), load_aligned_corpus(same)
+        candidates = Embeddings(
+            [d.id for d in corpus.target_docs],
+            [fold_in(tokenize(d.text), model) for d in corpus.target_docs],
+        )
+        ranked = [
+            retrieve(fold_in(tokenize(s.text), model), candidates, 3, query_id=s.id)
+            for s in corpus.source_docs
+        ]
+        expected = tmp_path / "expected.json"
+        write_ranked_lists_json(ranked, expected)
+        assert out.read_bytes() == expected.read_bytes()
+        assert all(rl.entries[0][0] == t.id for rl, t in zip(ranked, corpus.target_docs))
+        lines = tsv.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 90 and lines[0].startswith("e0000\t1\ta0000\t")
+
+    def test_retrieve_dictionary_provider(self, tmp_path, corpus_file, dictionary_file):
+        # The fixture dictionary translates each source word into its cipher,
+        # so every query becomes its target text word for word.
+        model_path = _train_mono(tmp_path, corpus_file)
+        translated, identity = tmp_path / "dictionary.json", tmp_path / "identity.json"
+        assert main(
+            ["retrieve", "--model", str(model_path), "--corpus", str(corpus_file), "--n", "3",
+             "--provider", "dictionary", "--dictionary", str(dictionary_file),
+             "--output", str(translated)]
+        ) == 0
+        assert main(
+            ["retrieve", "--model", str(model_path), "--corpus",
+             str(_same_language_copy(tmp_path)), "--n", "3", "--output", str(identity)]
+        ) == 0
+        assert translated.read_bytes() == identity.read_bytes()
+
+    def test_eval_cache_provider(self, tmp_path, corpus_file, capsys):
+        model_path = _train_mono(tmp_path, corpus_file)
+        corpus = load_aligned_corpus(corpus_file)
+        cache = tmp_path / "cache.jsonl"
+        save_documents(
+            [Document(s.id, "ar", t.text) for s, t in list(corpus.pairs())[1:]], cache
+        )
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="query e0000 skipped"):
+            rc = main(
+                ["eval", "--model", str(model_path), "--corpus", str(corpus_file),
+                 "--ks", "1,3", "--provider", "cache", "--cache", str(cache),
+                 "--output", str(report)]
+            )
+        assert rc == 0
+        assert capsys.readouterr().out == f"R@1 {29 / 30}\nR@3 {29 / 30}\n"
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        assert payload["hits"]["1"] == [False] + [True] * 29
+
+    @pytest.mark.parametrize("command", ["retrieve", "eval"])
+    @pytest.mark.parametrize("provider, flag", [("dictionary", "--dictionary"),
+                                                ("cache", "--cache")])
+    def test_provider_without_its_file_exits_two(
+        self, tmp_path, corpus_file, capsys, command, provider, flag
+    ):
+        model_path = _train_mono(tmp_path, corpus_file)
+        capsys.readouterr()
+        rc = main(
+            [command, "--model", str(model_path), "--corpus", str(corpus_file),
+             "--provider", provider, "--output", str(tmp_path / "out.json")]
+        )
+        assert rc == 2
+        err = _one_json_error(capsys)
+        assert err == {"error": "ValueError",
+                       "message": f"--provider {provider} needs {flag}"}
 
 
 class TestScore:

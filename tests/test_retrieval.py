@@ -17,17 +17,17 @@ from xling.errors import (
 from xling.lsi import build_cross_matrix, build_mono_matrix, fold_in, train
 from xling.retrieval import (
     AlignmentPair,
-    DictionaryProvider,
     Embeddings,
-    FileCacheProvider,
-    IdentityProvider,
     RankedList,
     align_corpora,
     alignment_report,
+    cached_translator,
+    dictionary_translator,
     embed_crosslingual,
     embed_documents,
     evaluate_retrieval,
     gold_mapping,
+    identity_translator,
     oracle_experiment,
     recall_at_k,
     retrieve,
@@ -185,24 +185,22 @@ class TestRankedList:
 class TestProviders:
     def test_identity_keeps_text(self):
         doc = Document("d", "en", "same text")
-        out = IdentityProvider().translate(doc, "ar")
-        assert out.text == "same text"
-        assert out.language == "ar"
+        assert identity_translator(doc) == "same text"
 
     def test_dictionary_word_for_word_deterministic_choice(self):
         d = BilingualDictionary([(("oil",), ("zayt", "duhn")), (("good",), ("jayid",))])
-        provider = DictionaryProvider(d)
-        out = provider.translate(Document("d", "en", "Good oil, good!"), "ar")
+        translate = dictionary_translator(d)
         # smallest translation lexicographically; OOV words pass through
-        assert out.text == "jayid duhn jayid"
+        assert translate(Document("d", "en", "Good oil, good!")) == "jayid duhn jayid"
+        assert translate(Document("d", "en", "bad oil")) == "bad duhn"
 
     def test_file_cache_lookup_and_miss(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text(json.dumps({"id": "d1", "text": "cached"}) + "\n", encoding="utf-8")
-        provider = FileCacheProvider(path)
-        assert provider.translate(Document("d1", "en", "x"), "ar").text == "cached"
+        translate = cached_translator(path)
+        assert translate(Document("d1", "en", "x")) == "cached"
         with pytest.raises(TranslationError):
-            provider.translate(Document("d2", "en", "x"), "ar")
+            translate(Document("d2", "en", "x"))
 
     @pytest.mark.parametrize(
         "line",
@@ -215,7 +213,7 @@ class TestProviders:
             json.dumps({"id": "d1", "text": "cached"}) + "\n\n" + line + "\n", encoding="utf-8"
         )
         with pytest.raises(MalformedRecordError) as err:
-            FileCacheProvider(path)
+            cached_translator(path)
         assert err.value.line_number == 3
 
 
@@ -243,14 +241,14 @@ class TestArLsiPipeline:
         queries = [
             Document(f"q{i}", "en", d.text) for i, d in enumerate(targets)
         ]
-        ranked = retrieve_ar_lsi(queries, targets, model, IdentityProvider(), 1)
+        ranked = retrieve_ar_lsi(queries, targets, model, identity_translator, 1)
         hits = sum(1 for i, rl in enumerate(ranked) if rl.entries[0][0] == targets[i].id)
         assert hits == len(targets)
 
     def test_empty_queries(self):
         targets = _target_docs()
         model = _mono_model(targets)
-        assert retrieve_ar_lsi([], targets, model, IdentityProvider(), 3) == []
+        assert retrieve_ar_lsi([], targets, model, identity_translator, 3) == []
 
     def test_provider_failure_marks_query_skipped(self, tmp_path):
         targets = _target_docs()
@@ -259,10 +257,10 @@ class TestArLsiPipeline:
         cache.write_text(
             json.dumps({"id": "q0", "text": targets[0].text}) + "\n", encoding="utf-8"
         )
-        provider = FileCacheProvider(cache)
+        translate = cached_translator(cache)
         queries = [Document("q0", "en", "x"), Document("q1", "en", "y")]
         with pytest.warns(UserWarning, match="skipped"):
-            ranked = retrieve_ar_lsi(queries, targets, model, provider, 2)
+            ranked = retrieve_ar_lsi(queries, targets, model, translate, 2)
         assert not ranked[0].skipped
         assert ranked[1].skipped and ranked[1].entries == ()
 
@@ -278,7 +276,7 @@ class TestArLsiPipeline:
         )
         queries = [Document(f"q{i}", "en", "x") for i in range(5)]
         with pytest.warns(UserWarning, match="q1 skipped"):
-            ranked = retrieve_ar_lsi(queries, targets, model, FileCacheProvider(cache), 3)
+            ranked = retrieve_ar_lsi(queries, targets, model, cached_translator(cache), 3)
         candidates = Embeddings(
             [d.id for d in targets], [fold_in(tokenize(d.text), model) for d in targets]
         )
@@ -296,10 +294,10 @@ class TestArLsiPipeline:
         cache.write_text("", encoding="utf-8")
         with pytest.warns(UserWarning, match="skipped"):
             ranked = retrieve_ar_lsi([Document("q0", "en", "x")], [], model,
-                                     FileCacheProvider(cache), 2)
+                                     cached_translator(cache), 2)
         assert ranked == [RankedList("q0", (), skipped=True)]
         with pytest.raises(EmptyCandidatesError):
-            retrieve_ar_lsi([Document("q0", "en", "x")], [], model, IdentityProvider(), 2)
+            retrieve_ar_lsi([Document("q0", "en", "x")], [], model, identity_translator, 2)
 
     def test_wrong_model_kind_rejected(self, tmp_path):
         spec = SyntheticSpec(n_topics=3, words_per_topic=10, common_words=4,
@@ -308,7 +306,7 @@ class TestArLsiPipeline:
         cross = _cross_model(corpus, k=3)
         with pytest.raises(ValueError):
             retrieve_ar_lsi(corpus.source_docs, corpus.target_docs, cross,
-                            IdentityProvider(), 1)
+                            identity_translator, 1)
 
 
 class TestClLsiPipeline:
@@ -435,6 +433,23 @@ class TestAlignment:
         assert {(p.source_id, p.target_id) for p in mutual} <= {
             (p.source_id, p.target_id) for p in plain
         }
+
+    @pytest.mark.parametrize("mutual_best", [False, True])
+    def test_source_without_vocabulary_left_out_with_warning(self, mutual_best):
+        corpus, _, _ = self._grouped_corpus()
+        model = _cross_model(corpus)
+        blank = Document("s0", "en", "one two")  # no term the model knows
+        with pytest.warns(UserWarning) as record:
+            pairs = align_corpora([blank, *corpus.source_docs], corpus.target_docs, model,
+                                  top_n=20, mutual_best=mutual_best)
+        assert [str(w.message) for w in record] == [
+            "sources with no in-vocabulary term left out: ['s0']"
+        ]
+        assert pairs == align_corpora(corpus.source_docs, corpus.target_docs, model,
+                                      top_n=20, mutual_best=mutual_best)
+        with pytest.warns(UserWarning, match=r"\['s0'\]"):
+            assert align_corpora([blank], corpus.target_docs, model,
+                                 mutual_best=mutual_best) == []
 
     def test_gold_pairs_dominate(self):
         corpus, source, target = self._grouped_corpus()
