@@ -30,11 +30,11 @@ from .bidict import (
     matching_rate,
     oov_rate,
 )
-from .errors import ConvergenceError, CorpusError, DictionaryError, XlingError
+from .errors import ConvergenceError, CorpusError, DictionaryError, EmptyCorpusError, XlingError
 from .textprep import PipelineConfig, Preprocessor, ReducerKind, load_stopwords, run_pipeline
 from .vsm import build_vocabulary
 
-_USAGE_ERRORS = (FileNotFoundError, NotADirectoryError, CorpusError, DictionaryError, ValueError)
+_USAGE_ERRORS = (OSError, CorpusError, DictionaryError, ValueError)
 _NUMERIC_ERRORS = (ConvergenceError, FloatingPointError, ZeroDivisionError)
 
 _REDUCER_CHOICES = [k.value for k in ReducerKind]
@@ -183,6 +183,8 @@ def _cmd_train(args) -> int:
     src_tokens, tgt_tokens = _preprocess_corpus(train_part, source, target)
 
     if args.kind == "cross":
+        if not len(train_part):
+            raise EmptyCorpusError("no couples to train on")
         matrix = lsi.build_cross_matrix(
             src_tokens,
             tgt_tokens,
@@ -221,23 +223,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _translator(args):
-    """The ``--provider`` translation, as a ``Document -> text`` function."""
-    if args.provider == "dictionary":
-        if not args.dictionary:
-            raise ValueError("--provider dictionary needs --dictionary")
+def _translator(args, model):
+    """The ``Document -> text`` translation ``--dictionary`` or ``--cache``
+    selects; with neither, queries stay as written. Both flags, or either
+    with a crosslingual model (which translates nothing), are usage errors."""
+    if args.dictionary and args.cache:
+        raise ValueError("--dictionary and --cache each translate queries: give one")
+    if model.kind == "crosslingual" and (args.dictionary or args.cache):
+        raise ValueError("a crosslingual model translates no queries: drop --dictionary/--cache")
+    if args.dictionary:
         return retrieval.dictionary_translator(load_dictionary(args.dictionary))
-    if args.provider == "cache":
-        if not args.cache:
-            raise ValueError("--provider cache needs --cache")
+    if args.cache:
         return retrieval.cached_translator(args.cache)
     return retrieval.identity_translator
 
 
 def _run_retrieval(args, model, corpus, n: int) -> list[retrieval.RankedList]:
+    translate = _translator(args, model)
     if model.kind == "crosslingual":
         return retrieval.retrieve_cl_lsi(corpus.source_docs, corpus.target_docs, model, n)
-    translate = _translator(args)
     return retrieval.retrieve_ar_lsi(corpus.source_docs, corpus.target_docs, model, translate, n)
 
 
@@ -369,9 +373,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_translation_flags(parser: argparse.ArgumentParser) -> None:
     """How a monolingual model's queries are translated (see ``_translator``)."""
-    parser.add_argument("--provider", choices=["identity", "dictionary", "cache"], default="identity")
-    parser.add_argument("--dictionary", default=None, help="for --provider dictionary")
-    parser.add_argument("--cache", default=None, help="for --provider cache")
+    parser.add_argument("--dictionary", default=None, help="translate queries word for word")
+    parser.add_argument("--cache", default=None, help="documents file of translated queries")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -6,7 +6,8 @@ are deterministic for fixed inputs.
 
 The monolingual pipeline translates each query with a translator: a
 function from a ``Document`` to its text in the model's language, which
-raises ``TranslationError`` when it cannot translate.
+raises ``TranslationError`` when it cannot translate. Every text, query or
+candidate, enters a model through one function, ``_fold_texts``.
 """
 
 from __future__ import annotations
@@ -218,15 +219,15 @@ def retrieve(
     return RankedList(query_id, tuple((candidates.ids[i], float(sims[i])) for i in top))
 
 
-def _fold_texts(docs: Iterable[Document], model: LsiModel, side: str | None) -> np.ndarray:
-    """Tokenize and fold documents into the model's space, one row each."""
-    return fold_in_many((tokenize(doc.text) for doc in docs), model, side)
+def _fold_texts(texts: Iterable[str], model: LsiModel, side: str | None) -> np.ndarray:
+    """Tokenize and fold texts into the model's space, one row each."""
+    return fold_in_many((tokenize(text) for text in texts), model, side)
 
 
 def embed_documents(docs: Sequence[Document], side: str | None, model: LsiModel) -> Embeddings:
     """Fold documents into the model's space: ``side`` is None for a
     monolingual model, ``"source"`` or ``"target"`` for a cross-lingual one."""
-    return Embeddings([doc.id for doc in docs], _fold_texts(docs, model, side))
+    return Embeddings([doc.id for doc in docs], _fold_texts((d.text for d in docs), model, side))
 
 
 def retrieve_ar_lsi(
@@ -254,7 +255,7 @@ def retrieve_ar_lsi(
         except TranslationError as exc:
             warnings.warn(f"query {doc.id} skipped: {exc}", stacklevel=2)
             texts.append(None)
-    queries = iter(fold_in_many((tokenize(t) for t in texts if t is not None), model))
+    queries = iter(_fold_texts((t for t in texts if t is not None), model, None))
     results = []
     for doc, text in zip(source_docs, texts):
         if text is None:
@@ -276,7 +277,7 @@ def retrieve_cl_lsi(
     if not source_docs:
         return []
     candidates = embed_documents(target_docs, "target", model)
-    queries = _fold_texts(source_docs, model, "source")
+    queries = _fold_texts((d.text for d in source_docs), model, "source")
     return [
         retrieve(query_vec, candidates, n, query_id=doc.id)
         for doc, query_vec in zip(source_docs, queries)
@@ -286,6 +287,17 @@ def retrieve_cl_lsi(
 # --------------------------------------------------------------------------
 # Alignment
 # --------------------------------------------------------------------------
+
+
+def _embed_known(docs: Sequence[Document], side: str, model: LsiModel) -> Embeddings:
+    """Fold documents once, leaving out with a warning each one with no
+    in-vocabulary term (a zero vector), which would pair at similarity 0."""
+    vectors = _fold_texts((d.text for d in docs), model, side)
+    known = vectors.any(axis=1)
+    if not known.all():
+        blank = sorted(d.id for d, k in zip(docs, known) if not k)
+        warnings.warn(f"{side}s with no in-vocabulary term left out: {blank}", stacklevel=3)
+    return Embeddings([d.id for d, k in zip(docs, known) if k], vectors[known])
 
 
 def align_corpora(
@@ -301,12 +313,12 @@ def align_corpora(
 
     With ``group_by`` set, documents are bucketed by their ``group_key``
     (e.g. publication month) and aligned within buckets; a bucket empty on
-    either side is skipped with a warning, and so is a source with no
-    in-vocabulary term (a zero vector). Each bucket's pairs are sorted
-    descending by similarity and truncated to ``top_n``. Alignment is
-    one-directional, so a target may serve several sources; ``mutual_best``
-    additionally drops pairs whose target prefers a different source (an
-    extension beyond the one-directional procedure).
+    either side is skipped with a warning, and a document on either side
+    with no in-vocabulary term (a zero vector) is left out with one. Each
+    bucket's pairs are sorted descending by similarity and truncated to
+    ``top_n``. Alignment is one-directional, so a target may serve several
+    sources; ``mutual_best`` additionally drops pairs whose target prefers a
+    different source (an extension beyond the one-directional procedure).
     """
     if model.kind != "crosslingual":
         raise ValueError("align_corpora needs a crosslingual model")
@@ -329,15 +341,10 @@ def align_corpora(
         if not src_bucket or not tgt_bucket:
             warnings.warn(f"group {key!r} is empty on one side; skipped", stacklevel=2)
             continue
-        tgt_vecs = embed_documents(tgt_bucket, "target", model)
-        src_vecs = embed_documents(src_bucket, "source", model)
-        blank = {src_vecs.ids[i] for i in np.flatnonzero(~src_vecs.unit.any(axis=1))}
-        if blank:
-            warnings.warn(f"sources with no in-vocabulary term left out: {sorted(blank)}",
-                          stacklevel=2)
-            src_vecs = embed_documents([d for d in src_bucket if d.id not in blank], "source", model)
-            if not len(src_vecs):
-                continue
+        src_vecs = _embed_known(src_bucket, "source", model)
+        tgt_vecs = _embed_known(tgt_bucket, "target", model)
+        if not len(src_vecs) or not len(tgt_vecs):
+            continue
         bucket_pairs = []
         for src_id, vec in zip(src_vecs.ids, src_vecs.unit):
             ((tgt_id, sim),) = retrieve(vec, tgt_vecs, 1).entries

@@ -11,7 +11,6 @@ exercising retrieval and alignment end to end without external resources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .corpus import AlignedCorpus, Document
 __all__ = [
     "SyntheticSpec",
     "cipher_word",
-    "cipher_tokens",
     "source_vocabulary",
     "make_parallel_corpus",
     "make_comparable_corpus",
@@ -50,29 +48,17 @@ class SyntheticSpec:
     target_language: str = "ar"
 
 
-def _topic_words(spec: SyntheticSpec, topic: int) -> list[str]:
-    return [f"s{topic:02d}x{i:03d}" for i in range(spec.words_per_topic)]
-
-
-def _common_words(spec: SyntheticSpec) -> list[str]:
-    return [f"scmn{i:03d}" for i in range(spec.common_words)]
-
-
 def source_vocabulary(spec: SyntheticSpec) -> list[str]:
-    """Every word the generator can emit on the source side."""
-    words = _common_words(spec)
-    for t in range(spec.n_topics):
-        words.extend(_topic_words(spec, t))
-    return words
+    """Every word the generator can emit on the source side: the common
+    words, then each topic's words in topic order."""
+    return [f"scmn{i:03d}" for i in range(spec.common_words)] + [
+        f"s{t:02d}x{i:03d}" for t in range(spec.n_topics) for i in range(spec.words_per_topic)
+    ]
 
 
 def cipher_word(word: str) -> str:
     """Deterministic source-to-target substitution: ``sNN...`` -> ``tNN...``."""
     return "t" + word[1:]
-
-
-def cipher_tokens(tokens: Sequence[str]) -> list[str]:
-    return [cipher_word(w) for w in tokens]
 
 
 def _zipf(n: int) -> np.ndarray:
@@ -81,49 +67,56 @@ def _zipf(n: int) -> np.ndarray:
 
 
 class _Generator:
-    def __init__(self, spec: SyntheticSpec, rng: np.random.Generator):
+    """Documents drawn from the spec's topic mixture by one seeded RNG."""
+
+    def __init__(self, spec: SyntheticSpec, seed: int):
         self.spec = spec
-        self.rng = rng
-        self.topic_vocab = [_topic_words(spec, t) for t in range(spec.n_topics)]
-        self.common_vocab = _common_words(spec)
+        self.rng = np.random.default_rng(seed)
+        words = source_vocabulary(spec)
+        self.words = {"source": words, "target": [cipher_word(w) for w in words]}
+        self.language = {"source": spec.source_language, "target": spec.target_language}
+        self.alpha = spec.topic_alpha * spec.n_topics * _zipf(spec.n_topics)
         self.topic_p = _zipf(spec.words_per_topic)
         self.common_p = _zipf(spec.common_words)
 
     def mixture(self) -> np.ndarray:
-        alpha = self.spec.topic_alpha * self.spec.n_topics * _zipf(self.spec.n_topics)
-        return self.rng.dirichlet(alpha)
+        return self.rng.dirichlet(self.alpha)
 
-    def tokens(self, theta: np.ndarray) -> list[str]:
-        lo, hi = self.spec.doc_length
-        length = int(self.rng.integers(lo, hi + 1))
-        is_common = self.rng.random(length) < self.spec.common_fraction
-        topics = self.rng.choice(self.spec.n_topics, size=length, p=theta)
-        topic_word = self.rng.choice(self.spec.words_per_topic, size=length, p=self.topic_p)
-        common_word = self.rng.choice(self.spec.common_words, size=length, p=self.common_p)
-        out = []
-        for i in range(length):
-            if is_common[i]:
-                out.append(self.common_vocab[common_word[i]])
-            else:
-                out.append(self.topic_vocab[topics[i]][topic_word[i]])
-        return out
+    def documents(
+        self, theta: np.ndarray | None, *sides: tuple[str, str], group_key: str | None = None
+    ) -> list[Document]:
+        """Draw one token sequence from mixture ``theta`` (a fresh mixture
+        when None) and write it as a document for each ``(side, id)``: as
+        drawn on the source side, ciphered on the target side."""
+        spec, rng = self.spec, self.rng
+        if theta is None:
+            theta = self.mixture()
+        lo, hi = spec.doc_length
+        length = int(rng.integers(lo, hi + 1))
+        is_common = rng.random(length) < spec.common_fraction
+        topics = rng.choice(spec.n_topics, size=length, p=theta)
+        topic_word = rng.choice(spec.words_per_topic, size=length, p=self.topic_p)
+        common_word = rng.choice(spec.common_words, size=length, p=self.common_p)
+        index = np.where(
+            is_common, common_word, spec.common_words + topics * spec.words_per_topic + topic_word
+        ).tolist()
+        return [
+            Document(doc_id, self.language[side],
+                     " ".join(map(self.words[side].__getitem__, index)), group_key)
+            for side, doc_id in sides
+        ]
 
 
 def make_parallel_corpus(
     n_pairs: int, spec: SyntheticSpec = SyntheticSpec(), seed: int = 0
 ) -> AlignedCorpus:
     """Aligned pairs where the target is the cipher of the source tokens."""
-    gen = _Generator(spec, np.random.default_rng(seed))
-    source, target = [], []
-    for i in range(n_pairs):
-        tokens = gen.tokens(gen.mixture())
-        source.append(
-            Document(f"e{i:04d}", spec.source_language, " ".join(tokens))
-        )
-        target.append(
-            Document(f"a{i:04d}", spec.target_language, " ".join(cipher_tokens(tokens)))
-        )
-    return AlignedCorpus(tuple(source), tuple(target))
+    gen = _Generator(spec, seed)
+    couples = [
+        gen.documents(None, ("source", f"e{i:04d}"), ("target", f"a{i:04d}"))
+        for i in range(n_pairs)
+    ]
+    return AlignedCorpus(tuple(s for s, _ in couples), tuple(t for _, t in couples))
 
 
 def make_comparable_corpus(
@@ -134,18 +127,12 @@ def make_comparable_corpus(
     The two sides discuss the same topics without being translations,
     which mimics comparable (rather than parallel) documents.
     """
-    gen = _Generator(spec, np.random.default_rng(seed))
+    gen = _Generator(spec, seed)
     source, target = [], []
     for i in range(n_pairs):
         theta = gen.mixture()
-        source.append(
-            Document(f"e{i:04d}", spec.source_language, " ".join(gen.tokens(theta)))
-        )
-        target.append(
-            Document(
-                f"a{i:04d}", spec.target_language, " ".join(cipher_tokens(gen.tokens(theta)))
-            )
-        )
+        source += gen.documents(theta, ("source", f"e{i:04d}"))
+        target += gen.documents(theta, ("target", f"a{i:04d}"))
     return AlignedCorpus(tuple(source), tuple(target))
 
 
@@ -210,7 +197,7 @@ def make_grouped_documents(
     document lists and the gold source-to-target mapping for the planted
     pairs.
     """
-    gen = _Generator(spec, np.random.default_rng(seed))
+    gen = _Generator(spec, seed)
     source_docs: list[Document] = []
     target_docs: list[Document] = []
     gold: dict[str, str] = {}
@@ -219,35 +206,11 @@ def make_grouped_documents(
         group = f"{2012 + year}-{month + 1:02d}"
         for p in range(planted_per_group):
             theta = gen.mixture()
-            sid = f"e{g:02d}p{p:03d}"
-            tid = f"a{g:02d}p{p:03d}"
-            source_docs.append(
-                Document(sid, spec.source_language, " ".join(gen.tokens(theta)), group)
-            )
-            target_docs.append(
-                Document(
-                    tid,
-                    spec.target_language,
-                    " ".join(cipher_tokens(gen.tokens(theta))),
-                    group,
-                )
-            )
+            sid, tid = f"e{g:02d}p{p:03d}", f"a{g:02d}p{p:03d}"
+            source_docs += gen.documents(theta, ("source", sid), group_key=group)
+            target_docs += gen.documents(theta, ("target", tid), group_key=group)
             gold[sid] = tid
         for d in range(distractors_per_side):
-            source_docs.append(
-                Document(
-                    f"e{g:02d}d{d:03d}",
-                    spec.source_language,
-                    " ".join(gen.tokens(gen.mixture())),
-                    group,
-                )
-            )
-            target_docs.append(
-                Document(
-                    f"a{g:02d}d{d:03d}",
-                    spec.target_language,
-                    " ".join(cipher_tokens(gen.tokens(gen.mixture()))),
-                    group,
-                )
-            )
+            source_docs += gen.documents(None, ("source", f"e{g:02d}d{d:03d}"), group_key=group)
+            target_docs += gen.documents(None, ("target", f"a{g:02d}d{d:03d}"), group_key=group)
     return source_docs, target_docs, gold

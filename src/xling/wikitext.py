@@ -11,7 +11,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import TruncatedStreamError
 
@@ -156,10 +156,21 @@ def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _iter_pages(stream: IO[bytes]) -> Iterator[tuple[str, str]]:
-    """Yield (title, wikitext) for each main-namespace, non-redirect page."""
+def _pages(source) -> Iterator[tuple[str, str]]:
+    """Yield (title, wikitext) for each main-namespace, non-redirect page.
+
+    ``source`` is a dump path, opened and closed here, or a seekable binary
+    stream, read from its start; so each call is a fresh pass.
+    """
+    if isinstance(source, (str, Path)):
+        with Path(source).open("rb") as stream:
+            yield from _pages(stream)
+        return
+    if not (hasattr(source, "seek") and hasattr(source, "read")):
+        raise TypeError("dump source must be a path or a seekable binary stream")
+    source.seek(0)
     try:
-        for _, elem in ET.iterparse(stream, events=("end",)):
+        for _, elem in ET.iterparse(source, events=("end",)):
             if _localname(elem.tag) != "page":
                 continue
             title = None
@@ -186,25 +197,6 @@ def _iter_pages(stream: IO[bytes]) -> Iterator[tuple[str, str]]:
         raise TruncatedStreamError(f"malformed or truncated dump: {exc}") from exc
 
 
-def _open_twice(source):
-    """Return a callable producing a fresh binary stream per pass."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-
-        def reopen() -> IO[bytes]:
-            return path.open("rb")
-
-        return reopen, True
-    if hasattr(source, "seek") and hasattr(source, "read"):
-
-        def rewind() -> IO[bytes]:
-            source.seek(0)
-            return source
-
-        return rewind, False
-    raise TypeError("dump source must be a path or a seekable binary stream")
-
-
 def extract_comparable_articles(
     source,
     pivot_language: str,
@@ -226,22 +218,16 @@ def extract_comparable_articles(
         stats = {}
     stats.setdefault("skipped_unresolved", 0)
     stats.setdefault("pivot_candidates", 0)
-    reopen, close_after = _open_twice(source)
 
     # Pass 1: title index + qualifying pivot records (title, links).
     titles: set[str] = set()
     pivots: list[tuple[str, dict[str, str]]] = []
-    stream = reopen()
-    try:
-        for title, text in _iter_pages(stream):
-            titles.add(title)
-            links = WikiArticle.from_wikitext(title, text).link_map()
-            if all(code in links for code in required):
-                stats["pivot_candidates"] += 1
-                pivots.append((title, links))
-    finally:
-        if close_after:
-            stream.close()
+    for title, text in _pages(source):
+        titles.add(title)
+        links = WikiArticle.from_wikitext(title, text).link_map()
+        if all(code in links for code in required):
+            stats["pivot_candidates"] += 1
+            pivots.append((title, links))
 
     resolved: list[tuple[str, dict[str, str]]] = []
     needed: set[str] = set()
@@ -258,14 +244,9 @@ def extract_comparable_articles(
 
     # Pass 2: collect wikitext for the needed titles only.
     pages: dict[str, WikiArticle] = {}
-    stream = reopen()
-    try:
-        for title, text in _iter_pages(stream):
-            if title in needed and title not in pages:
-                pages[title] = WikiArticle.from_wikitext(title, text)
-    finally:
-        if close_after:
-            stream.close()
+    for title, text in _pages(source):
+        if title in needed and title not in pages:
+            pages[title] = WikiArticle.from_wikitext(title, text)
 
     for title, wanted in resolved:
         yield (pages[title],) + tuple(pages[wanted[code]] for code in sorted(wanted))

@@ -21,6 +21,8 @@ affix tables one entry at a time, from copies written out here, so that the
 compiled tables in ``textprep`` must agree with them on every word and an
 edit to either side shows up. ``two_step_reduced_dictionary`` loads a dictionary as written and then
 reduces and rebuilds it, as loading with reducers must.
+``brute_align`` aligns from a dense table of per-document cosines, which
+``align_corpora`` must reproduce.
 """
 
 from __future__ import annotations
@@ -219,6 +221,55 @@ def brute_retrieve(query_vec, candidates: Mapping[str, np.ndarray], n: int):
     scored = [(cid, brute_cosine(query_vec, vec)) for cid, vec in candidates.items()]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:n]
+
+
+def brute_bucket_cosines(source_docs, target_docs, model, group_by=None):
+    """Per alignment bucket (sorted by key), every source-target cosine.
+
+    Each document is folded on its own with ``fold_in``; one with no
+    in-vocabulary term (a zero vector) is dropped, and so is a bucket left
+    empty on either side. Yields ``(key, {(source_id, target_id): cosine})``.
+    """
+    from xling.lsi import fold_in
+    from xling.textprep import tokenize
+
+    buckets: dict = {}
+    for side, docs in enumerate((source_docs, target_docs)):
+        for doc in docs:
+            buckets.setdefault(doc.group_key if group_by else None, ([], []))[side].append(doc)
+    for key in sorted(buckets, key=lambda k: (k is not None, k or "")):
+        folded = []
+        for side, docs in zip(("source", "target"), buckets[key]):
+            vectors = {d.id: fold_in(tokenize(d.text), model, side) for d in docs}
+            folded.append({i: v for i, v in vectors.items() if np.any(v)})
+        sources, targets = folded
+        if sources and targets:
+            yield key, {(s, t): brute_cosine(sources[s], targets[t])
+                        for s in sources for t in targets}
+
+
+def brute_align(source_docs, target_docs, model, top_n, group_by=None, mutual_best=False):
+    """``(source_id, target_id, similarity, group_key)`` per aligned pair.
+
+    Within each bucket of ``brute_bucket_cosines``, each source takes its
+    most similar target (ties to the smaller id); ``mutual_best`` keeps a
+    pair only when the target's own best source is that source. The pairs
+    sort by descending similarity, then ids, and the top ``top_n`` stay.
+    """
+    pairs = []
+    for key, cosines in brute_bucket_cosines(source_docs, target_docs, model, group_by):
+        def best(own: int, doc_id: str) -> str:
+            rivals = [(-c, pair[1 - own]) for pair, c in cosines.items() if pair[own] == doc_id]
+            return min(rivals)[1]
+
+        bucket = []
+        for s in sorted({pair[0] for pair in cosines}):
+            t = best(0, s)
+            if not mutual_best or best(1, t) == s:
+                bucket.append((s, t, cosines[s, t], key))
+        bucket.sort(key=lambda p: (-p[2], p[0], p[1]))
+        pairs.extend(bucket[:top_n])
+    return pairs
 
 
 def qr_power_iteration_svd(a, k: int, oversample: int, power_iterations: int, seed: int):

@@ -115,7 +115,45 @@ class TestIngest:
         assert err["error"] == "FileNotFoundError"
 
 
+class TestPaths:
+    """An OS error on any path, here a directory where a file belongs, exits
+    2 with one JSON line. Directories, not permissions: root reads anything."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--corpus", "{dir}", "--output", "{tmp}/m.xlsm"],
+            ["train", "--corpus", "{corpus}", "--stopwords", "{dir}", "--output", "{tmp}/m.xlsm"],
+            ["score", "--corpus", "{corpus}", "--dictionary", "{dir}", "--measure", "bin",
+             "--output", "{tmp}/s.tsv"],
+            ["retrieve", "--model", "{dir}", "--corpus", "{corpus}", "--output", "{tmp}/r.json"],
+            ["align", "--model", "{model}", "--source-docs", "{dir}", "--target-docs", "{dir}",
+             "--output", "{tmp}/a.tsv"],
+            ["ingest", "--input", "{dir}", "--format", "jsonl", "--output", "{tmp}/i.jsonl"],
+            ["retrieve", "--model", "{model}", "--corpus", "{corpus}", "--output", "{dir}"],
+        ],
+        ids=["train-corpus", "train-stopwords", "score-dictionary", "retrieve-model",
+             "align-source-docs", "ingest-input", "retrieve-output"],
+    )
+    def test_directory_as_file_exits_two(self, tmp_path, corpus_file, capsys, argv):
+        model = _train(tmp_path, corpus_file)
+        (tmp_path / "adir").mkdir()
+        capsys.readouterr()
+        fill = {"dir": tmp_path / "adir", "tmp": tmp_path, "corpus": corpus_file, "model": model}
+        assert main([a.format(**fill) for a in argv]) == 2
+        assert _one_json_error(capsys)["error"] == "IsADirectoryError"
+
+
 class TestTrain:
+    def test_no_split_without_couples_exits_two(self, tmp_path, capsys):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text("", encoding="utf-8")
+        rc = main(["train", "--corpus", str(corpus), "--no-split",
+                   "--output", str(tmp_path / "m.xlsm")])
+        assert rc == 2
+        assert _one_json_error(capsys) == {"error": "EmptyCorpusError",
+                                           "message": "no couples to train on"}
+
     def test_non_string_pair_text_exits_two(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text(
@@ -418,7 +456,7 @@ class TestRetrieveEvalAlign:
         rc = main(
             [
                 "retrieve", "--model", str(model_path), "--corpus", str(corpus_file),
-                "--provider", "cache", "--cache", str(cache),
+                "--cache", str(cache),
                 "--output", str(tmp_path / "ranked.json"),
             ]
         )
@@ -555,7 +593,8 @@ def _same_language_copy(tmp_path) -> Path:
 
 
 class TestMonolingualRoute:
-    """``--kind mono`` models queried through each ``--provider``."""
+    """``--kind mono`` models queried through each translator: none,
+    ``--dictionary`` or ``--cache``."""
 
     def test_retrieve_identity_provider(self, tmp_path, corpus_file):
         model_path = _train_mono(tmp_path, corpus_file)
@@ -563,7 +602,7 @@ class TestMonolingualRoute:
         out, tsv = tmp_path / "ranked.json", tmp_path / "ranked.tsv"
         rc = main(
             ["retrieve", "--model", str(model_path), "--corpus", str(same), "--n", "3",
-             "--provider", "identity", "--output", str(out), "--tsv", str(tsv)]
+             "--output", str(out), "--tsv", str(tsv)]
         )
         assert rc == 0
 
@@ -591,7 +630,7 @@ class TestMonolingualRoute:
         translated, identity = tmp_path / "dictionary.json", tmp_path / "identity.json"
         assert main(
             ["retrieve", "--model", str(model_path), "--corpus", str(corpus_file), "--n", "3",
-             "--provider", "dictionary", "--dictionary", str(dictionary_file),
+             "--dictionary", str(dictionary_file),
              "--output", str(translated)]
         ) == 0
         assert main(
@@ -612,7 +651,7 @@ class TestMonolingualRoute:
         with pytest.warns(UserWarning, match="query e0000 skipped"):
             rc = main(
                 ["eval", "--model", str(model_path), "--corpus", str(corpus_file),
-                 "--ks", "1,3", "--provider", "cache", "--cache", str(cache),
+                 "--ks", "1,3", "--cache", str(cache),
                  "--output", str(report)]
             )
         assert rc == 0
@@ -621,21 +660,52 @@ class TestMonolingualRoute:
         assert payload["hits"]["1"] == [False] + [True] * 29
 
     @pytest.mark.parametrize("command", ["retrieve", "eval"])
-    @pytest.mark.parametrize("provider, flag", [("dictionary", "--dictionary"),
-                                                ("cache", "--cache")])
-    def test_provider_without_its_file_exits_two(
-        self, tmp_path, corpus_file, capsys, command, provider, flag
+    def test_both_translation_files_exit_two(
+        self, tmp_path, corpus_file, dictionary_file, capsys, command
     ):
+        model_path = _train_mono(tmp_path, corpus_file)
+        cache = tmp_path / "cache.jsonl"
+        save_documents([Document("e0000", "ar", "x")], cache)
+        capsys.readouterr()
+        rc = main(
+            [command, "--model", str(model_path), "--corpus", str(corpus_file),
+             "--dictionary", str(dictionary_file), "--cache", str(cache),
+             "--output", str(tmp_path / "out.json")]
+        )
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "ValueError",
+            "message": "--dictionary and --cache each translate queries: give one",
+        }
+
+    @pytest.mark.parametrize("command", ["retrieve", "eval"])
+    @pytest.mark.parametrize("flag", ["--dictionary", "--cache"])
+    def test_translation_file_with_crosslingual_model_exits_two(
+        self, tmp_path, corpus_file, dictionary_file, capsys, command, flag
+    ):
+        model_path = _train(tmp_path, corpus_file)
+        capsys.readouterr()
+        rc = main(
+            [command, "--model", str(model_path), "--corpus", str(corpus_file),
+             flag, str(dictionary_file), "--output", str(tmp_path / "out.json")]
+        )
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "ValueError",
+            "message": "a crosslingual model translates no queries: drop --dictionary/--cache",
+        }
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["retrieve", "eval"])
+    def test_provider_flag_rejected(self, tmp_path, corpus_file, capsys, command):
         model_path = _train_mono(tmp_path, corpus_file)
         capsys.readouterr()
         rc = main(
             [command, "--model", str(model_path), "--corpus", str(corpus_file),
-             "--provider", provider, "--output", str(tmp_path / "out.json")]
+             "--provider", "identity", "--output", str(tmp_path / "out.json")]
         )
         assert rc == 2
-        err = _one_json_error(capsys)
-        assert err == {"error": "ValueError",
-                       "message": f"--provider {provider} needs {flag}"}
+        assert "--provider" in _one_json_error(capsys)["message"]
 
 
 class TestScore:

@@ -1,6 +1,7 @@
 """Each demo script, and README's library example, runs to completion in a
-fresh interpreter."""
+fresh interpreter, and every flag README names is one the CLI takes."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from xling import cli
 from xling.corpus import save_aligned_corpus
 from xling.synthetic import make_parallel_corpus
 
@@ -41,3 +43,25 @@ def test_readme_library_example_runs(tmp_path):
     result = _run(tmp_path / "example.py", tmp_path)
     assert result.returncode == 0, result.stderr
     assert "R@1:" in result.stdout
+
+
+def _cli_options() -> set[str]:
+    parser = cli.build_parser()
+    parsers = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers.extend(action.choices.values())
+    return {option for p in parsers for action in p._actions for option in action.option_strings}
+
+
+def test_readme_flags_are_cli_options():
+    # pip's flags are not xling's; every other --flag is an option of some command.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = {
+        flag
+        for line in readme.splitlines()
+        if not line.lstrip().startswith("pip ")
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)
+    }
+    assert named
+    assert named - _cli_options() == set()

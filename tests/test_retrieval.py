@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from measure_oracles import brute_retrieve
+from hypothesis import assume, given, settings, strategies as st
+from measure_oracles import brute_align, brute_bucket_cosines, brute_retrieve
 
 from xling.bidict import BilingualDictionary
 from xling.corpus import Document
@@ -39,7 +40,7 @@ from xling.retrieval import (
     write_ranges_csv,
     write_report_json,
 )
-from xling.synthetic import SyntheticSpec, make_parallel_corpus
+from xling.synthetic import SyntheticSpec, cipher_word, make_parallel_corpus, source_vocabulary
 from xling.textprep import tokenize
 
 
@@ -451,6 +452,36 @@ class TestAlignment:
             assert align_corpora([blank], corpus.target_docs, model,
                                  mutual_best=mutual_best) == []
 
+    @pytest.mark.parametrize("mutual_best", [False, True])
+    def test_target_without_vocabulary_left_out_with_warning(self, mutual_best):
+        corpus, _, _ = self._grouped_corpus()
+        model = _cross_model(corpus)
+        blank = Document("t0", "ar", "one two")  # no term the model knows
+        with pytest.warns(UserWarning) as record:
+            pairs = align_corpora(corpus.source_docs, [blank, *corpus.target_docs], model,
+                                  top_n=20, mutual_best=mutual_best)
+        assert [str(w.message) for w in record] == [
+            "targets with no in-vocabulary term left out: ['t0']"
+        ]
+        assert pairs == align_corpora(corpus.source_docs, corpus.target_docs, model,
+                                      top_n=20, mutual_best=mutual_best)
+        with pytest.warns(UserWarning, match=r"\['t0'\]"):
+            assert align_corpora(corpus.source_docs, [blank], model,
+                                 mutual_best=mutual_best) == []
+
+    @pytest.mark.parametrize("mutual_best", [False, True])
+    def test_blank_target_does_not_outrank_a_negative_cosine(self, mutual_best):
+        # Every known target scores below 0 here, so a zero-vector target
+        # would win at similarity 0.0 if it were ranked.
+        spec = SyntheticSpec(n_topics=6, words_per_topic=10, common_words=4)
+        model = _cross_model(make_parallel_corpus(80, spec, seed=3), k=20)
+        targets = [Document("t0", "ar", "t05x003"), Document("t1", "ar", "zzz unknown")]
+        with pytest.warns(UserWarning, match=r"targets .* left out: \['t1'\]"):
+            pairs = align_corpora([Document("s0", "en", "s02x003")], targets, model,
+                                  mutual_best=mutual_best)
+        assert [(p.source_id, p.target_id) for p in pairs] == [("s0", "t0")]
+        assert pairs[0].similarity < 0.0
+
     def test_gold_pairs_dominate(self):
         corpus, source, target = self._grouped_corpus()
         model = _cross_model(corpus)
@@ -458,6 +489,59 @@ class TestAlignment:
         gold = gold_mapping(corpus)
         correct = sum(1 for p in pairs if gold[p.source_id] == p.target_id)
         assert correct == len(pairs)
+
+
+_ORACLE_SPEC = SyntheticSpec(n_topics=3, words_per_topic=4, common_words=2,
+                             doc_length=(8, 14), topic_alpha=0.2)
+_ORACLE_MODEL = _cross_model(make_parallel_corpus(30, _ORACLE_SPEC, seed=4), k=6)
+_ORACLE_WORDS = source_vocabulary(_ORACLE_SPEC) + ["zzz", "qqq"]  # two out of vocabulary
+
+
+@st.composite
+def _align_collection(draw, prefix: str, language: str, cipher: bool):
+    """Documents of random known and unknown words (possibly none), in 1-3 groups."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    docs = []
+    for i in range(n):
+        words = draw(st.lists(st.sampled_from(_ORACLE_WORDS), max_size=6))
+        text = " ".join(cipher_word(w) if cipher else w for w in words)
+        group = draw(st.sampled_from(["g0", "g1", "g2"]))
+        docs.append(Document(f"{prefix}{i}", language, text, group_key=group))
+    return docs
+
+
+def _near_tie(values, gap: float = 1e-9) -> bool:
+    ordered = sorted(values)
+    return any(b - a < gap for a, b in zip(ordered, ordered[1:]))
+
+
+class TestAlignmentOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        source=_align_collection("s", "en", False),
+        target=_align_collection("t", "ar", True),
+        top_n=st.integers(min_value=1, max_value=5),
+        group_by=st.sampled_from([None, "month"]),
+        mutual_best=st.booleans(),
+    )
+    def test_matches_brute_force(self, source, target, top_n, group_by, mutual_best):
+        # Leave out near-ties: there the two cosine computations may round
+        # a pair either way, and the id tie-break would then disagree.
+        for _, cosines in brute_bucket_cosines(source, target, _ORACLE_MODEL, group_by):
+            for own in (0, 1):
+                for doc_id in {pair[own] for pair in cosines}:
+                    assume(not _near_tie(c for pair, c in cosines.items() if pair[own] == doc_id))
+            assume(not _near_tie(cosines.values()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = align_corpora(source, target, _ORACLE_MODEL, top_n=top_n, group_by=group_by,
+                                mutual_best=mutual_best)
+        want = brute_align(source, target, _ORACLE_MODEL, top_n, group_by, mutual_best)
+        assert [(p.source_id, p.target_id, p.group_key) for p in got] == [
+            (s, t, g) for s, t, _, g in want
+        ]
+        for pair, (_, _, sim, _) in zip(got, want):
+            assert pair.similarity == pytest.approx(sim, abs=1e-12)
 
 
 def _lists_with_gold_ranks(ranks: list[int]) -> tuple[list[RankedList], dict[str, str]]:
