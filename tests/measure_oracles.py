@@ -36,7 +36,8 @@ import numpy as np
 import scipy.linalg
 
 from xling.bidict import BilingualDictionary, load_dictionary
-from xling.textprep import ReducerKind, _root_pass, make_reducer
+from xling.lsi import fold_in
+from xling.textprep import ReducerKind, _root_pass, make_reducer, tokenize
 
 
 def tfidf(tf: int, df: int, n_docs: int) -> float:
@@ -230,14 +231,11 @@ def brute_bucket_cosines(source_docs, target_docs, model, group_by=None):
     in-vocabulary term (a zero vector) is dropped, and so is a bucket left
     empty on either side. Yields ``(key, {(source_id, target_id): cosine})``.
     """
-    from xling.lsi import fold_in
-    from xling.textprep import tokenize
-
     buckets: dict = {}
     for side, docs in enumerate((source_docs, target_docs)):
         for doc in docs:
             buckets.setdefault(doc.group_key if group_by else None, ([], []))[side].append(doc)
-    for key in sorted(buckets, key=lambda k: (k is not None, k or "")):
+    for key in sorted(buckets):
         folded = []
         for side, docs in zip(("source", "target"), buckets[key]):
             vectors = {d.id: fold_in(tokenize(d.text), model, side) for d in docs}
