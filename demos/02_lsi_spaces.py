@@ -31,7 +31,7 @@ print(f"monolingual model: |V|={len(mono.vocabulary)}, d={mono.n_docs}, k={mono.
 print("singular values:", np.round(mono.s[:6], 3), "...")
 
 # Folding a training document back in reproduces its row of V.
-deviation = np.max(np.abs(fold_in(tgt_tokens[0], mono) - mono.v[0]))
+deviation = np.max(np.abs(fold_in(tgt_tokens[0], mono, "target") - mono.v[0]))
 print(f"fold-in identity on column 0: max deviation {deviation:.2e}")
 
 # --- cross-lingual space ---------------------------------------------------

@@ -135,28 +135,18 @@ def load_dictionary(
     return BilingualDictionary(synsets)
 
 
-def _lookup_side(direction: str) -> str:
-    """The dictionary side that ``direction`` looks words up on."""
-    if direction == "forward":
-        return "source"
-    if direction == "reverse":
-        return "target"
-    raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
-
-
 def trans(
     word: str,
     target_document: Iterable[str],
     dictionary: BilingualDictionary,
     *,
-    direction: str = "forward",
+    side: str = "source",
 ) -> int:
-    """1 if a translation of ``word`` occurs in the target document, else 0.
+    """1 if a translation of ``word`` occurs in the other document, else 0.
 
-    ``direction="reverse"`` looks the word up on the dictionary's target
-    side and searches the document for source terms.
+    ``word`` is looked up on the dictionary's ``side``; with
+    ``side="target"`` the document is searched for source terms.
     """
-    side = _lookup_side(direction)
     bag = target_document if isinstance(target_document, (set, frozenset)) else set(target_document)
     translations = dictionary.translations(word, side)
     return 1 if translations and not translations.isdisjoint(bag) else 0
@@ -167,19 +157,21 @@ def bin_measure(
     d_t: Sequence[str],
     dictionary: BilingualDictionary,
     *,
-    direction: str = "forward",
+    side: str = "source",
 ) -> float:
     """Fraction of in-vocabulary terms of ``d_s`` translated in ``d_t``.
 
-    The document is a bag of unique terms; the denominator is the number of
-    its terms known to the dictionary. Zero when no term is in vocabulary.
+    The terms of ``d_s`` are looked up on the dictionary's ``side``, so
+    ``side="target"`` measures a target document against a source one. The
+    document is a bag of unique terms; the denominator is the number of its
+    terms known to the dictionary. Zero when no term is in vocabulary.
     """
-    side = _lookup_side(direction)
-    in_vocab = [w for w in set(d_s) if dictionary.contains(w, side)]
+    known = dictionary._index_for(side)
+    in_vocab = [w for w in set(d_s) if w in known]
     if not in_vocab:
         return 0.0
     bag = set(d_t)
-    hits = sum(trans(w, bag, dictionary, direction=direction) for w in in_vocab)
+    hits = sum(trans(w, bag, dictionary, side=side) for w in in_vocab)
     return hits / len(in_vocab)
 
 
@@ -187,8 +179,8 @@ def bin_symmetric(
     d_s: Sequence[str], d_t: Sequence[str], dictionary: BilingualDictionary
 ) -> float:
     """Arithmetic mean of the two directed binary measures."""
-    forward = bin_measure(d_s, d_t, dictionary, direction="forward")
-    backward = bin_measure(d_t, d_s, dictionary, direction="reverse")
+    forward = bin_measure(d_s, d_t, dictionary)
+    backward = bin_measure(d_t, d_s, dictionary, side="target")
     return (forward + backward) / 2.0
 
 
@@ -204,8 +196,8 @@ def bin_pooled(
         raise UndefinedRateError("both documents are empty")
     bag_t = set(d_t)
     bag_s = set(d_s)
-    fwd = sum(1 for w in d_s if trans(w, bag_t, dictionary, direction="forward"))
-    bwd = sum(1 for w in d_t if trans(w, bag_s, dictionary, direction="reverse"))
+    fwd = sum(1 for w in d_s if trans(w, bag_t, dictionary))
+    bwd = sum(1 for w in d_t if trans(w, bag_s, dictionary, side="target"))
     return (fwd + bwd) / (len(d_s) + len(d_t))
 
 

@@ -173,11 +173,12 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    corpus = corpus_io.load_aligned_corpus(args.corpus)
-    if args.no_split:
-        train_part, test_part = corpus, None
-    else:
-        train_part, test_part = corpus_io.split_corpus(corpus, args.train_fraction, args.seed)
+    if args.no_split and (args.train_fraction is not None or args.test_output):
+        raise ValueError("--no-split trains on every couple: drop --train-fraction/--test-output")
+    train_part, test_part = corpus_io.load_aligned_corpus(args.corpus), None
+    if not args.no_split:
+        fraction = 0.9 if args.train_fraction is None else args.train_fraction
+        train_part, test_part = corpus_io.split_corpus(train_part, fraction, args.seed)
 
     source, target, _ = _preprocessors(args)
     src_tokens, tgt_tokens = _preprocess_corpus(train_part, source, target)
@@ -260,6 +261,9 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    docs = (args.source_docs, args.target_docs)
+    if any(docs) if args.corpus else not all(docs):
+        raise ValueError("align takes --corpus or both --source-docs/--target-docs, not both")
     model = lsi.load_model(args.model)
     gold = None
     if args.corpus:
@@ -268,8 +272,6 @@ def _cmd_align(args) -> int:
         gold = retrieval.gold_mapping(corpus)
         inputs = [Path(args.corpus)]
     else:
-        if not args.source_docs or not args.target_docs:
-            raise ValueError("align needs --corpus or both --source-docs/--target-docs")
         source_docs = corpus_io.load_documents(args.source_docs)
         target_docs = corpus_io.load_documents(args.target_docs)
         inputs = [Path(args.source_docs), Path(args.target_docs)]
@@ -302,6 +304,8 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.oracle and (args.dictionary or args.cache or args.ks is not None):
+        raise ValueError("--oracle queries documents as written: drop --dictionary/--cache/--ks")
     model = lsi.load_model(args.model)
     corpus = corpus_io.load_aligned_corpus(args.corpus)
     if args.oracle:
@@ -313,7 +317,7 @@ def _cmd_eval(args) -> int:
             )
         return 0
 
-    ks = sorted({int(k) for k in args.ks.split(",")})
+    ks = sorted({int(k) for k in ("1,5" if args.ks is None else args.ks).split(",")})
     # Depth at least 1, so that evaluate_retrieval is the one to reject a k below 1.
     ranked = _run_retrieval(args, model, corpus, max(ks[-1], 1))
     report = retrieval.evaluate_retrieval(ranked, retrieval.gold_mapping(corpus), ks)
@@ -424,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--kind", choices=["mono", "cross"], default="cross")
     p.add_argument("--k", type=int, default=lsi.DEFAULT_RANK)
-    p.add_argument("--train-fraction", type=float, default=0.9)
+    p.add_argument("--train-fraction", type=float, default=None, help="default 0.9")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--no-split", action="store_true", help="train on the whole corpus")
     p.add_argument("--output", required=True)
@@ -459,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="recall metrics or the oracle self-test")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--ks", default="1,5")
+    p.add_argument("--ks", default=None, help="recall depths (default 1,5)")
     p.add_argument("--oracle", action="store_true", help="identity-query self-test")
     p.add_argument("--output", default=None)
     _add_translation_flags(p)

@@ -3,11 +3,13 @@
 Supports a monolingual space (one language's matrix) and a cross-lingual
 space whose rows stack both languages' vocabularies and whose columns are
 concatenated document couples: the two languages' monolingual matrices,
-one above the other. Unseen documents enter a trained space by fold-in,
-``v' = v^t U S^{-1}``: :func:`fold_in_many` weights a whole collection of
-token lists with ``Vocabulary.weight_rows`` (one side's vocabulary, shifted
-to that side's rows in a cross space) and multiplies each row into the
-matching rows of ``U``; :func:`fold_in` is its one-document case.
+one above the other. A cross-lingual space holds both sides, ``"source"``
+and ``"target"``; a monolingual one holds only ``"target"``, the language
+queries are translated into. Unseen documents enter a trained space by
+fold-in, ``v' = v^t U S^{-1}``: :func:`fold_in_many` weights one side's
+token lists with that side's ``Vocabulary.weight_rows`` (shifted to its rows
+in a cross space) and multiplies each row into the matching rows of ``U``;
+:func:`fold_in` is its one-document case.
 
 The factorization is a randomized range-finder (Gaussian sketch, power
 iterations with one LU normalization per ``A^T A`` product, a blocked
@@ -103,6 +105,7 @@ class CrossVocabulary:
         raise ValueError(f"side must be 'source' or 'target', got {side!r}")
 
     def offset_for(self, side: str) -> int:
+        self.vocab_for(side)  # rejects an unknown side
         return 0 if side == "source" else len(self.source)
 
     def to_dict(self) -> dict:
@@ -319,24 +322,19 @@ def project(doc_vector: np.ndarray, model: LsiModel) -> np.ndarray:
     return (arr @ model.u) / model.s
 
 
-def fold_in_many(
-    documents: Iterable[Sequence[str]], model: LsiModel, side: str | None = None
-) -> np.ndarray:
-    """Fold a collection of token lists into the LSI space, one row each.
+def fold_in_many(documents: Iterable[Sequence[str]], model: LsiModel, side: str) -> np.ndarray:
+    """Fold a collection of one side's token lists into the LSI space, one row each.
 
-    Row ``r`` is document ``r``'s tfidf weights times ``U S^{-1}``. A
-    monolingual model takes no ``side``. A crosslingual model needs the
-    documents' ``side`` (``"source"`` or ``"target"``); the other language's
-    coordinates are zero. A document with no weighted term folds to zero.
+    Row ``r`` is document ``r``'s tfidf weights times ``U S^{-1}``. ``side``
+    is ``"source"`` or ``"target"``: a crosslingual model holds both, with the
+    other language's coordinates zero, and a monolingual model holds only
+    ``"target"``. A document with no weighted term folds to zero.
     """
-    if side is None:
-        if model.kind != "monolingual":
-            raise ValueError("a crosslingual model needs side='source' or 'target'")
-        vocab, offset = model.vocabulary, 0
-    else:
-        if model.kind != "crosslingual":
-            raise ValueError(f"side={side!r} needs a crosslingual model")
-        vocab, offset = model.vocabulary.vocab_for(side), model.vocabulary.offset_for(side)
+    vocab, offset = model.vocabulary, 0
+    if model.kind == "crosslingual":
+        vocab, offset = vocab.vocab_for(side), vocab.offset_for(side)
+    elif side != "target":
+        raise ValueError(f"a monolingual model holds only side 'target', got {side!r}")
     indptr, idx, val = vocab.weight_rows(documents)
     idx += offset
     folded = np.empty((len(indptr) - 1, model.k))
@@ -347,7 +345,7 @@ def fold_in_many(
     return folded / model.s
 
 
-def fold_in(tokens: Sequence[str], model: LsiModel, side: str | None = None) -> np.ndarray:
+def fold_in(tokens: Sequence[str], model: LsiModel, side: str) -> np.ndarray:
     """Fold one token list into the LSI space: :func:`fold_in_many` of one row."""
     return fold_in_many([tokens], model, side)[0]
 

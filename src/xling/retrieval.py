@@ -4,10 +4,13 @@ Queries are independent, candidate collections are read-only, and every
 ranking breaks similarity ties by ascending candidate id, so all outputs
 are deterministic for fixed inputs.
 
-The monolingual pipeline translates each query with a translator: a
-function from a ``Document`` to its text in the model's language, which
-raises ``TranslationError`` when it cannot translate. Every text, query or
-candidate, enters a model through one function, ``_fold_texts``.
+Both retrieval pipelines pass each query through a translator: a function
+from a ``Document`` to its text, which raises ``TranslationError`` when it
+cannot translate. A monolingual model holds the target side only, so its
+queries are translated into the target language; a cross-lingual model
+folds them as written (``identity_translator``) on the source side. Every
+text, query or candidate, enters a model through one function,
+``_fold_texts``, on a named side.
 """
 
 from __future__ import annotations
@@ -31,10 +34,8 @@ from .errors import (
     SelfTestError,
     TranslationError,
 )
-# The pipelines fold whole collections with fold_in_many; the per-document
-# embed_crosslingual stays importable from here, where perfbench/tracing.py
-# wraps it.
-from .lsi import LsiModel, embed_crosslingual, fold_in_many  # noqa: F401
+from .lsi import LsiModel, fold_in_many
+from .lsi import embed_crosslingual  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .textprep import tokenize
 
 __all__ = [
@@ -114,7 +115,7 @@ class EvalReport:
 
 
 # --------------------------------------------------------------------------
-# Translators (the monolingual pipeline needs one): Document -> text
+# Translators: Document -> text in the language a query is folded in
 # --------------------------------------------------------------------------
 
 
@@ -219,15 +220,34 @@ def retrieve(
     return RankedList(query_id, tuple((candidates.ids[i], float(sims[i])) for i in top))
 
 
-def _fold_texts(texts: Iterable[str], model: LsiModel, side: str | None) -> np.ndarray:
-    """Tokenize and fold texts into the model's space, one row each."""
+def _fold_texts(texts: Iterable[str], model: LsiModel, side: str) -> np.ndarray:
+    """Tokenize and fold one side's texts into the model's space, one row each."""
     return fold_in_many((tokenize(text) for text in texts), model, side)
 
 
-def embed_documents(docs: Sequence[Document], side: str | None, model: LsiModel) -> Embeddings:
-    """Fold documents into the model's space: ``side`` is None for a
-    monolingual model, ``"source"`` or ``"target"`` for a cross-lingual one."""
+def embed_documents(docs: Sequence[Document], side: str, model: LsiModel) -> Embeddings:
+    """Fold one side's documents in; a monolingual model holds only ``"target"``."""
     return Embeddings([doc.id for doc in docs], _fold_texts((d.text for d in docs), model, side))
+
+
+def _retrieve_translated(
+    source_docs: Sequence[Document], target_docs: Sequence[Document], model: LsiModel,
+    translate: Callable[[Document], str], side: str, n: int,
+) -> list[RankedList]:
+    """Embed the target documents, then translate each query, fold it on
+    ``side`` and rank. A ``TranslationError`` marks that query skipped."""
+    candidates = embed_documents(target_docs, "target", model)
+    texts: list[str | None] = []
+    for doc in source_docs:
+        try:
+            texts.append(translate(doc))
+        except TranslationError as exc:
+            warnings.warn(f"query {doc.id} skipped: {exc}", stacklevel=3)
+            texts.append(None)
+    queries = iter(_fold_texts((t for t in texts if t is not None), model, side))
+    return [RankedList(doc.id, (), skipped=True) if text is None
+            else retrieve(next(queries), candidates, n, query_id=doc.id)
+            for doc, text in zip(source_docs, texts)]
 
 
 def retrieve_ar_lsi(
@@ -237,32 +257,11 @@ def retrieve_ar_lsi(
     translate: Callable[[Document], str],
     n: int,
 ) -> list[RankedList]:
-    """Monolingual-space retrieval: translate each query, project, rank.
-
-    Candidate documents are projected directly (the model lives in their
-    language). A ``TranslationError`` from ``translate`` marks that query
-    skipped instead of aborting the batch.
-    """
+    """Monolingual-space retrieval: translate each query into the target
+    language, fold it in, rank; a ``TranslationError`` skips that query."""
     if model.kind != "monolingual":
         raise ValueError("retrieve_ar_lsi needs a monolingual model")
-    if not source_docs:
-        return []
-    candidates = embed_documents(target_docs, None, model)
-    texts: list[str | None] = []
-    for doc in source_docs:
-        try:
-            texts.append(translate(doc))
-        except TranslationError as exc:
-            warnings.warn(f"query {doc.id} skipped: {exc}", stacklevel=2)
-            texts.append(None)
-    queries = iter(_fold_texts((t for t in texts if t is not None), model, None))
-    results = []
-    for doc, text in zip(source_docs, texts):
-        if text is None:
-            results.append(RankedList(doc.id, (), skipped=True))
-        else:
-            results.append(retrieve(next(queries), candidates, n, query_id=doc.id))
-    return results
+    return _retrieve_translated(source_docs, target_docs, model, translate, "target", n)
 
 
 def retrieve_cl_lsi(
@@ -271,17 +270,10 @@ def retrieve_cl_lsi(
     model: LsiModel,
     n: int,
 ) -> list[RankedList]:
-    """Cross-lingual retrieval: embed both sides directly, no translation."""
+    """Cross-lingual retrieval: fold both sides in directly, no translation."""
     if model.kind != "crosslingual":
         raise ValueError("retrieve_cl_lsi needs a crosslingual model")
-    if not source_docs:
-        return []
-    candidates = embed_documents(target_docs, "target", model)
-    queries = _fold_texts((d.text for d in source_docs), model, "source")
-    return [
-        retrieve(query_vec, candidates, n, query_id=doc.id)
-        for doc, query_vec in zip(source_docs, queries)
-    ]
+    return _retrieve_translated(source_docs, target_docs, model, identity_translator, "source", n)
 
 
 # --------------------------------------------------------------------------
@@ -461,8 +453,7 @@ def oracle_experiment(docs: Sequence[Document], model: LsiModel) -> float:
     """
     if not docs:
         raise ValueError("oracle experiment needs a non-empty corpus")
-    side = "target" if model.kind == "crosslingual" else None
-    vectors = embed_documents(docs, side, model)
+    vectors = embed_documents(docs, "target", model)
 
     degenerate = [vectors.ids[i] for i in np.flatnonzero(~vectors.unit.any(axis=1))]
     if degenerate:

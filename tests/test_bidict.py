@@ -82,8 +82,8 @@ class TestTrans:
         assert trans("oil", {"jayid"}, toy_dictionary) == 0
 
     def test_unknown_direction_raises(self, toy_dictionary):
-        with pytest.raises(ValueError, match="direction"):
-            trans("oil", {"zayt"}, toy_dictionary, direction="backward")
+        with pytest.raises(ValueError, match="side must be"):
+            trans("oil", {"zayt"}, toy_dictionary, side="backward")
 
 
 class TestBinMeasure:
@@ -103,10 +103,10 @@ class TestBinMeasure:
 
     def test_unknown_direction_raises(self):
         d = BilingualDictionary([(("w1",), ("v1",))])
-        assert bin_measure(["v1", "x"], ["w1"], d, direction="forward") == 0.0
-        assert bin_measure(["v1", "x"], ["w1"], d, direction="reverse") == 1.0
-        with pytest.raises(ValueError, match="direction must be 'forward' or 'reverse'"):
-            bin_measure(["v1", "x"], ["w1"], d, direction="backward")
+        assert bin_measure(["v1", "x"], ["w1"], d, side="source") == 0.0
+        assert bin_measure(["v1", "x"], ["w1"], d, side="target") == 1.0
+        with pytest.raises(ValueError, match="side must be 'source' or 'target'"):
+            bin_measure(["v1", "x"], ["w1"], d, side="backward")
 
     def test_monotone_in_target_document(self):
         d = BilingualDictionary([(("w1",), ("v1",)), (("w2",), ("v2",))])
@@ -121,7 +121,7 @@ class TestBinSymmetric:
         d = BilingualDictionary([(("w1",), ("v1",))])
         score = bin_symmetric(["w1"], ["v1", "lonely"], d)
         forward = bin_measure(["w1"], ["v1", "lonely"], d)
-        backward = bin_measure(["v1", "lonely"], ["w1"], d, direction="reverse")
+        backward = bin_measure(["v1", "lonely"], ["w1"], d, side="target")
         assert score == (forward + backward) / 2
 
     def test_identity_dictionary_identical_documents(self):
@@ -149,8 +149,8 @@ class TestBinSymmetric:
         forward = bin_symmetric(d_s, d_t, toy_dictionary)
         # the reverse call swaps roles: compare via the pooled formula sides
         backward_avg = (
-            bin_measure(d_t, d_s, toy_dictionary, direction="reverse")
-            + bin_measure(d_s, d_t, toy_dictionary, direction="forward")
+            bin_measure(d_t, d_s, toy_dictionary, side="target")
+            + bin_measure(d_s, d_t, toy_dictionary, side="source")
         ) / 2
         assert forward == backward_avg
 

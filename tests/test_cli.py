@@ -154,6 +154,22 @@ class TestTrain:
         assert _one_json_error(capsys) == {"error": "EmptyCorpusError",
                                            "message": "no couples to train on"}
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--train-fraction", "5"], ["--train-fraction", "0.9"], ["--test-output", "t.jsonl"]],
+        ids=["bad_fraction", "default_fraction", "test_output"],
+    )
+    def test_no_split_with_a_split_flag_exits_two(self, tmp_path, corpus_file, capsys, flags):
+        model_path = tmp_path / "m.xlsm"
+        rc = main(["--data-dir", str(tmp_path), "train", "--corpus", str(corpus_file),
+                   "--no-split", *flags, "--output", str(model_path)])
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "ValueError",
+            "message": "--no-split trains on every couple: drop --train-fraction/--test-output",
+        }
+        assert not model_path.exists() and not (tmp_path / "t.jsonl").exists()
+
     def test_non_string_pair_text_exits_two(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text(
@@ -342,6 +358,31 @@ class TestRetrieveEvalAlign:
         captured = capsys.readouterr()
         assert "R@" not in captured.out
         assert "no ranked lists" in json.loads(captured.err)["message"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--corpus", "{corpus}", "--source-docs", "missing.jsonl"],
+            ["--corpus", "{corpus}", "--target-docs", "missing.jsonl"],
+            ["--source-docs", "{corpus}"],
+            [],
+        ],
+        ids=["corpus_and_source_docs", "corpus_and_target_docs", "one_docs_file", "no_input"],
+    )
+    def test_align_inputs_one_way_or_exit_two(self, tmp_path, corpus_file, capsys, flags):
+        model_path = _train(tmp_path, corpus_file)
+        out = tmp_path / "pairs.tsv"
+        capsys.readouterr()
+        rc = main(
+            ["--data-dir", str(tmp_path), "align", "--model", str(model_path),
+             *(f.format(corpus=corpus_file) for f in flags), "--output", str(out)]
+        )
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "ValueError",
+            "message": "align takes --corpus or both --source-docs/--target-docs, not both",
+        }
+        assert not out.exists()
 
     def test_align_duplicate_document_id_exits_two(self, tmp_path, corpus_file, capsys):
         model_path = _train(tmp_path, corpus_file)
@@ -610,10 +651,10 @@ class TestMonolingualRoute:
         model, corpus = load_model(model_path), load_aligned_corpus(same)
         candidates = Embeddings(
             [d.id for d in corpus.target_docs],
-            [fold_in(tokenize(d.text), model) for d in corpus.target_docs],
+            [fold_in(tokenize(d.text), model, "target") for d in corpus.target_docs],
         )
         ranked = [
-            retrieve(fold_in(tokenize(s.text), model), candidates, 3, query_id=s.id)
+            retrieve(fold_in(tokenize(s.text), model, "target"), candidates, 3, query_id=s.id)
             for s in corpus.source_docs
         ]
         expected = tmp_path / "expected.json"
@@ -658,6 +699,30 @@ class TestMonolingualRoute:
         assert capsys.readouterr().out == f"R@1 {29 / 30}\nR@3 {29 / 30}\n"
         payload = json.loads(report.read_text(encoding="utf-8"))
         assert payload["hits"]["1"] == [False] + [True] * 29
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--dictionary", "nonexistent.tsv"],
+            ["--cache", "nope.jsonl"],
+            ["--ks", "0"],
+            ["--ks", "1,5"],
+            ["--dictionary", "nonexistent.tsv", "--cache", "nope.jsonl", "--ks", "0"],
+        ],
+        ids=["dictionary", "cache", "ks", "ks_default_value", "all_three"],
+    )
+    def test_oracle_with_a_query_flag_exits_two(self, tmp_path, corpus_file, capsys, flags):
+        model_path = _train_mono(tmp_path, corpus_file)
+        capsys.readouterr()
+        rc = main(
+            ["--data-dir", str(tmp_path), "eval", "--model", str(model_path),
+             "--corpus", str(corpus_file), "--oracle", *flags]
+        )
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "ValueError",
+            "message": "--oracle queries documents as written: drop --dictionary/--cache/--ks",
+        }
 
     @pytest.mark.parametrize("command", ["retrieve", "eval"])
     def test_both_translation_files_exit_two(

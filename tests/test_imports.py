@@ -1,10 +1,12 @@
 """Every name a ``src/xling`` module imports is used there.
 
 ``__init__`` re-exports by design and is skipped; a line that says
-``noqa`` keeps an import on purpose (a re-export another module wraps).
+``noqa`` keeps an import on purpose (a re-export another module wraps), so
+such a line may import one name only: the others would go unchecked.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,23 +15,49 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "xling"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+def _imports(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from node.names
+
+
 def _unused_imports(path: Path) -> list[str]:
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
     tree = ast.parse(source)
     imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                if "noqa" not in lines[alias.lineno - 1]:
-                    name = alias.asname or alias.name.split(".")[0]
-                    imported[name] = alias.lineno
+    for alias in _imports(tree):
+        if "noqa" not in lines[alias.lineno - 1]:
+            name = alias.asname or alias.name.split(".")[0]
+            imported[name] = alias.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def _noqa_lines_with_several_names(source: str) -> list[int]:
+    lines = source.splitlines()
+    names_on = Counter(alias.lineno for alias in _imports(ast.parse(source)))
+    return sorted(n for n, count in names_on.items() if count > 1 and "noqa" in lines[n - 1])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_noqa_import_line_names_one_name(path):
+    assert _noqa_lines_with_several_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_noqa_line_with_several_names_is_caught():
+    source = (
+        "from .lsi import (\n"
+        "    LsiModel,\n"
+        "    embed_crosslingual,  # noqa: F401\n"
+        ")\n"
+        "from .lsi import LsiModel, embed_crosslingual, fold_in_many  # noqa: F401\n"
+    )
+    assert _noqa_lines_with_several_names(source) == [5]

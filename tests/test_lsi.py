@@ -273,7 +273,7 @@ class TestProject:
         model = self._model()
         out = project(np.zeros(len(model.vocabulary)), model)
         assert np.array_equal(out, np.zeros(model.k))
-        assert np.array_equal(fold_in([], model), np.zeros(model.k))
+        assert np.array_equal(fold_in([], model, "target"), np.zeros(model.k))
 
     def test_training_columns_reproduce_v_rows(self):
         docs = [["a", "b", "b"], ["b", "c"], ["a", "c", "d"], ["d", "e"]]
@@ -285,7 +285,7 @@ class TestProject:
 
     def test_unseen_terms_only(self):
         model = self._model()
-        assert np.array_equal(fold_in(["zz", "qq"], model), np.zeros(model.k))
+        assert np.array_equal(fold_in(["zz", "qq"], model, "target"), np.zeros(model.k))
 
     def test_dimension_mismatch(self):
         model = self._model()

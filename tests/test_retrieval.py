@@ -279,13 +279,13 @@ class TestArLsiPipeline:
         with pytest.warns(UserWarning, match="q1 skipped"):
             ranked = retrieve_ar_lsi(queries, targets, model, cached_translator(cache), 3)
         candidates = Embeddings(
-            [d.id for d in targets], [fold_in(tokenize(d.text), model) for d in targets]
+            [d.id for d in targets], [fold_in(tokenize(d.text), model, "target") for d in targets]
         )
         assert [rl.skipped for rl in ranked] == [False, True, False, False, False]
         for rl, text in zip(ranked, [targets[0].text, None, targets[2].text,
                                      targets[3].text, ""]):
             if text is not None:
-                expected = retrieve(fold_in(tokenize(text), model), candidates, 3,
+                expected = retrieve(fold_in(tokenize(text), model, "target"), candidates, 3,
                                     query_id=rl.query_id)
                 assert rl == expected
 

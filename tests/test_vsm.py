@@ -160,7 +160,7 @@ class TestWeightsOracle:
             got = fold_in(query, model, side)
             assert got.tolist() == brute_fold_in(query, cross.vocab_for(side), off, u, s).tolist()
         mono_model = LsiModel(u[: len(vocab)], s, np.zeros((len(src), 3)), vocab)
-        assert fold_in(query, mono_model).tolist() == brute_fold_in(query, vocab, 0, u, s).tolist()
+        assert fold_in(query, mono_model, "target").tolist() == brute_fold_in(query, vocab, 0, u, s).tolist()
 
 
 class TestWeightRowsOracle:
@@ -213,7 +213,7 @@ class TestWeightRowsOracle:
                 expected = brute_fold_in(query, cross.vocab_for(side), off, u, s)
                 assert row.tolist() == expected.tolist()
         mono_model = LsiModel(u[: len(vocab)], s, np.zeros((len(src), 3)), vocab)
-        block = fold_in_many(queries, mono_model)
+        block = fold_in_many(queries, mono_model, "target")
         assert block.shape == (len(queries), 3)
         for row, query in zip(block, queries):
             assert row.tolist() == brute_fold_in(query, vocab, 0, u, s).tolist()
@@ -223,8 +223,8 @@ class TestWeightRowsOracle:
         indptr, idx, val = vocab.weight_rows([["a", "a"], []])
         assert indptr.tolist() == [0, 0, 0] and idx.size == 0 and val.size == 0
         model = LsiModel(np.zeros((0, 2)), np.array([2.0, 1.0]), np.zeros((3, 2)), vocab)
-        assert fold_in_many([["a"], []], model).tolist() == [[0.0, 0.0], [0.0, 0.0]]
-        assert fold_in_many([], model).shape == (0, 2)
+        assert fold_in_many([["a"], []], model, "target").tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert fold_in_many([], model, "target").shape == (0, 2)
 
     def test_rows_ascend_and_skip_zero_weights(self):
         vocab = build_vocabulary([["a", "b"], ["b", "c"]])  # "b" has idf 0
