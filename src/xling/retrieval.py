@@ -160,18 +160,7 @@ def cached_translator(path: str | Path) -> Callable[[Document], str]:
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.sqrt((matrix * matrix).sum(axis=1))[:, None]
-    unit = np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0)
-    # Squares of entries below about 1e-154 underflow (a tiny nonzero row
-    # would get norm 0) and above 1e154 overflow; such rows are first
-    # divided by their largest magnitude.
-    if norms.size and not (norms.min() > 1e-150 and norms.max() < 1e150):
-        extreme = ~((norms[:, 0] > 1e-150) & (norms[:, 0] < 1e150))
-        rows = matrix[extreme]
-        peaks = np.abs(rows).max(axis=1, initial=0.0)[:, None]
-        rows = np.divide(rows, peaks, out=np.zeros_like(rows), where=peaks > 0)
-        norms = np.sqrt((rows * rows).sum(axis=1))[:, None]
-        unit[extreme] = np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
-    return unit
+    return np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0)
 
 
 class Embeddings:

@@ -264,13 +264,6 @@ class TestCosine:
         ranked = retrieve(np.zeros(2), Embeddings(["a", "b"], [np.ones(2), -np.ones(2)]), 2)
         assert ranked.entries == (("a", 0.0), ("b", 0.0))
 
-    def test_tiny_and_huge_norms_do_not_underflow_or_overflow(self):
-        # Squaring 1e-162 underflows to 0 and 1e200 overflows to inf; the
-        # cosine of a vector with its own direction is still 1.
-        for magnitude in (1.4684455319300184e-161 * 0.1015625, 5e-324, 1e200):
-            assert _cos(_dense({0: magnitude, 2: magnitude}, 3),
-                        np.array([1.0, 0.0, 1.0])) == pytest.approx(1.0, abs=1e-15)
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             _cos(np.ones(3), np.ones(4))
@@ -292,13 +285,10 @@ class TestCosine:
             expected = 0.0 if nu == 0 or nv == 0 else float(du @ dv) / (nu * nv)
             assert _cos(du, dv) == pytest.approx(expected, abs=1e-12)
 
-    # ``weights`` are normal floats: a subnormal weight times ``scale``
-    # rounds away its own direction (5e-324 * 0.5 == 0.0), so the scaled
-    # vector would not be a scaled copy. Tiny inputs are covered above.
     @given(
         weights=st.dictionaries(
             st.integers(min_value=0, max_value=9),
-            st.floats(min_value=0.0, max_value=10.0, allow_subnormal=False),
+            st.floats(min_value=0.0, max_value=10.0),
             max_size=10,
         ),
         other=st.dictionaries(
