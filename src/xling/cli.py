@@ -263,7 +263,7 @@ def _cmd_retrieve(args) -> int:
 def _cmd_align(args) -> int:
     docs = (args.source_docs, args.target_docs)
     if any(docs) if args.corpus else not all(docs):
-        raise ValueError("align takes --corpus or both --source-docs/--target-docs, not both")
+        raise ValueError("align takes either --corpus or both --source-docs and --target-docs")
     model = lsi.load_model(args.model)
     gold = None
     if args.corpus:

@@ -236,6 +236,8 @@ def _retrieve_translated(
 ) -> list[RankedList]:
     """Embed the target documents, then translate each query, fold it on
     ``side`` and rank. A ``TranslationError`` marks that query skipped."""
+    if not source_docs:
+        return []
     candidates = embed_documents(target_docs, "target", model)
     texts: list[str | None] = []
     for doc in source_docs:

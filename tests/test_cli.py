@@ -380,7 +380,7 @@ class TestRetrieveEvalAlign:
         assert rc == 2
         assert _one_json_error(capsys) == {
             "error": "ValueError",
-            "message": "align takes --corpus or both --source-docs/--target-docs, not both",
+            "message": "align takes either --corpus or both --source-docs and --target-docs",
         }
         assert not out.exists()
 
