@@ -56,6 +56,7 @@ from .retrieval import (
     retrieve,
     retrieve_ar_lsi,
     retrieve_cl_lsi,
+    retrieve_many,
 )
 from .textprep import (
     PipelineConfig,

@@ -4,6 +4,15 @@ Queries are independent, candidate collections are read-only, and every
 ranking breaks similarity ties by ascending candidate id, so all outputs
 are deterministic for fixed inputs.
 
+Every ranking, in the pipelines, in alignment and in the self-test, goes
+through one kernel, ``retrieve_many``. A BLAS product of a block of queries
+with the candidates only screens: it keeps, per query, each candidate that
+scores within a rounding margin of the n-th best. The kept pairs are then
+scored exactly, one elementwise product summed per pair, and ordered by
+that score and id. The screen may round two equal rows differently, or
+differently at another BLAS thread count; the exact score never does, so
+equal rows tie bit for bit and ranked lists do not depend on the BLAS.
+
 Both retrieval pipelines pass each query through a translator: a function
 from a ``Document`` to its text, which raises ``TranslationError`` when it
 cannot translate. A monolingual model holds the target side only, so its
@@ -47,6 +56,7 @@ __all__ = [
     "cached_translator",
     "Embeddings",
     "retrieve",
+    "retrieve_many",
     "embed_documents",
     "retrieve_ar_lsi",
     "retrieve_cl_lsi",
@@ -159,8 +169,21 @@ def cached_translator(path: str | Path) -> Callable[[Document], str]:
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((matrix * matrix).sum(axis=1))[:, None]
-    return np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0)
+    """Each row divided by its Euclidean norm; a zero row stays zero.
+
+    A row whose norm falls outside (1e-150, 1e150), where its squares
+    underflow or overflow, is divided by its largest magnitude first. Every
+    other row keeps the bits of one plain division by its norm.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((matrix * matrix).sum(axis=1))[:, None]
+    unit = np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0)
+    odd = np.flatnonzero((norms[:, 0] <= 1e-150) | (norms[:, 0] >= 1e150))
+    peaks = np.abs(matrix[odd]).max(axis=1, initial=0.0)
+    finite = (peaks > 0) & (peaks < np.inf)
+    scaled = matrix[odd[finite]] / peaks[finite, None]
+    unit[odd[finite]] = scaled / np.sqrt((scaled * scaled).sum(axis=1))[:, None]
+    return unit
 
 
 class Embeddings:
@@ -198,26 +221,95 @@ def retrieve(
     *,
     query_id: str = "",
 ) -> RankedList:
-    """Rank candidates by cosine to the query and keep the top ``n``.
+    """Rank candidates by cosine to the query and keep the top ``n``: the
+    one-query case of ``retrieve_many``, with the same errors and scores."""
+    return retrieve_many([query_vec], candidates, n, (query_id,))[0]
 
-    Exact brute-force search. Scores are elementwise products summed per
-    row, not a BLAS product, because BLAS can round the same row differently
-    at different positions in the matrix; equal rows must score bit-equal
-    so that a stable sort over the id-sorted rows breaks ties by id.
+
+def retrieve_many(
+    queries: np.ndarray | Sequence[np.ndarray],
+    candidates: Embeddings,
+    n: int,
+    query_ids: Sequence[str],
+) -> list[RankedList]:
+    """Rank candidates by cosine to each query row and keep the top ``n``.
+
+    Exact brute-force search; row ``i`` of ``queries`` is ranked as
+    ``query_ids[i]``, and an empty block returns ``[]`` even with no
+    candidates. The queries are cut into blocks, and each block runs:
+
+    1. ``Qu``, the query rows scaled to unit length (already unit rows are
+       scaled again, so that every caller gets the same bits);
+    2. the screen ``S = Qu @ C.T``, one BLAS product with the unit
+       candidate rows ``C``;
+    3. per query, the ``min(n, m)``-th largest screen value ``t``; every
+       candidate with ``S >= t - margin`` is kept, and all of them are kept
+       for a query whose screen row has a non-finite value;
+    4. the exact score of each kept pair, ``(Qu[q] * C[c]).sum(axis=1)``:
+       an elementwise product summed per row, whose bits do not depend on
+       where the row sits, on BLAS or on its thread count;
+    5. the kept pairs ordered by descending exact score, ties by ascending
+       candidate id (the id order of ``C``), and cut at ``n``.
+
+    Why the output equals ranking every candidate by its exact score: for
+    rows of norm at most 1 + O(ku), any summation order of the k products,
+    with or without FMA, lies within gamma_k = ku / (1 - ku) (u the unit
+    roundoff) of the true dot product d (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, section 3.1). So the screen score s and the
+    exact score e of a pair are within 2 gamma_k of each other. At least
+    ``min(n, m)`` candidates have s >= t, so their e >= t - 2 gamma_k, and
+    the ``min(n, m)``-th largest exact score e* is at least t - 2 gamma_k.
+    Each candidate with e >= e*, which holds every exact top-n member and
+    every tie at the cut-off, then has s >= e - 2 gamma_k >= t - 4 gamma_k.
+    The margin, 8 (k + 2) eps = 16 (k + 2) u, is above 4 gamma_k with room
+    for the slack in the unit norms, so no such candidate is screened out.
+
+    A block holds no more than about ``k / 2`` queries, so the screen and
+    its partitioned copy take at most m x k floats, and the kept pairs are
+    scored at most ``m / 2`` at a time: no step holds more than the one
+    m x k temporary that scoring a single query against every candidate
+    would.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if len(query_ids) != len(queries):
+        raise ValueError(f"{len(query_ids)} query ids for {len(queries)} queries")
+    if not len(queries):
+        return []
     if not len(candidates):
         raise EmptyCandidatesError("cannot retrieve from an empty candidate collection")
-    query = np.asarray(query_vec, dtype=np.float64)
-    if query.shape != candidates.unit.shape[1:]:
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.shape[1:] != candidates.unit.shape[1:]:
         raise DimensionMismatchError(
-            f"query shape {query.shape} does not match candidate dimension "
+            f"query shape {queries.shape[1:]} does not match candidate dimension "
             f"{candidates.unit.shape[1]}"
         )
-    sims = (candidates.unit * _unit_rows(query[None, :])[0]).sum(axis=1)
-    top = np.argsort(-sims, kind="stable")[:n]
-    return RankedList(query_id, tuple((candidates.ids[i], float(sims[i])) for i in top))
+    unit = candidates.unit
+    m, k = unit.shape
+    keep = min(n, m)
+    margin = 8 * (k + 2) * np.finfo(np.float64).eps
+    block, chunk = max(1, k // 2), max(1, m // 2)
+    ranked = []
+    for start in range(0, len(queries), block):
+        qu = _unit_rows(queries[start : start + block])
+        screen = qu @ unit.T
+        cutoff = np.partition(screen, m - keep, axis=1)[:, m - keep, None]
+        kept = (screen >= cutoff - margin) | ~np.isfinite(screen).all(axis=1, keepdims=True)
+        qi, ci = np.nonzero(kept)
+        exact = np.empty(len(qi))
+        for lo in range(0, len(qi), chunk):
+            rows = unit[ci[lo : lo + chunk]]
+            rows *= qu[qi[lo : lo + chunk]]
+            exact[lo : lo + chunk] = rows.sum(axis=1)
+        order = np.lexsort((ci, -exact, qi))
+        qi, ci, exact = qi[order], ci[order], exact[order]
+        top = np.arange(len(qi)) - np.searchsorted(qi, qi) < keep
+        top_ids = ci[top].reshape(-1, keep).tolist()
+        top_sims = exact[top].reshape(-1, keep).tolist()
+        for query_id, row_ids, row_sims in zip(query_ids[start : start + block], top_ids, top_sims):
+            entries = zip(map(candidates.ids.__getitem__, row_ids), row_sims)
+            ranked.append(RankedList(query_id, tuple(entries)))
+    return ranked
 
 
 def _fold_texts(texts: Iterable[str], model: LsiModel, side: str) -> np.ndarray:
@@ -246,9 +338,10 @@ def _retrieve_translated(
         except TranslationError as exc:
             warnings.warn(f"query {doc.id} skipped: {exc}", stacklevel=3)
             texts.append(None)
-    queries = iter(_fold_texts((t for t in texts if t is not None), model, side))
-    return [RankedList(doc.id, (), skipped=True) if text is None
-            else retrieve(next(queries), candidates, n, query_id=doc.id)
+    queries = _fold_texts((t for t in texts if t is not None), model, side)
+    ranked = iter(retrieve_many(queries, candidates, n,
+                                [d.id for d, t in zip(source_docs, texts) if t is not None]))
+    return [RankedList(doc.id, (), skipped=True) if text is None else next(ranked)
             for doc, text in zip(source_docs, texts)]
 
 
@@ -339,15 +432,13 @@ def align_corpora(
         tgt_vecs = _embed_known(tgt_bucket, "target", model)
         if not len(src_vecs) or not len(tgt_vecs):
             continue
-        bucket_pairs = []
-        for src_id, vec in zip(src_vecs.ids, src_vecs.unit):
-            ((tgt_id, sim),) = retrieve(vec, tgt_vecs, 1).entries
-            bucket_pairs.append(AlignmentPair(src_id, tgt_id, sim, key))
+        bucket_pairs = [
+            AlignmentPair(rl.query_id, *rl.entries[0], key)
+            for rl in retrieve_many(src_vecs.unit, tgt_vecs, 1, src_vecs.ids)
+        ]
         if mutual_best:
-            back = {
-                tgt_id: retrieve(vec, src_vecs, 1).entries[0][0]
-                for tgt_id, vec in zip(tgt_vecs.ids, tgt_vecs.unit)
-            }
+            back = {rl.query_id: rl.entries[0][0]
+                    for rl in retrieve_many(tgt_vecs.unit, src_vecs, 1, tgt_vecs.ids)}
             bucket_pairs = [p for p in bucket_pairs if back[p.target_id] == p.source_id]
         bucket_pairs.sort(key=lambda p: (-p.similarity, p.source_id, p.target_id))
         pairs.extend(bucket_pairs[:top_n])
@@ -462,9 +553,9 @@ def oracle_experiment(docs: Sequence[Document], model: LsiModel) -> float:
         raise SelfTestError(degenerate)
 
     offenders = [
-        doc_id
-        for doc_id, vec in zip(vectors.ids, vectors.unit)
-        if retrieve(vec, vectors, 1, query_id=doc_id).entries[0][0] != doc_id
+        rl.query_id
+        for rl in retrieve_many(vectors.unit, vectors, 1, vectors.ids)
+        if rl.entries[0][0] != rl.query_id
     ]
     if offenders:
         raise SelfTestError(offenders)

@@ -251,8 +251,11 @@ def make_reducer(
 
     For MORPHAR the reduced form is the light stem when the dictionary knows
     it on the given side, and the root otherwise, so downstream matching can
-    work on plain reduced bags.
+    work on plain reduced bags. Every kind rejects a side other than
+    ``"source"`` or ``"target"``.
     """
+    if side not in ("source", "target"):
+        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
     if kind is not ReducerKind.MORPHAR:
         return _REDUCERS[kind]
     if dictionary is None:

@@ -23,6 +23,8 @@ edit to either side shows up. ``two_step_reduced_dictionary`` loads a dictionary
 reduces and rebuilds it, as loading with reducers must.
 ``brute_align`` aligns from a dense table of per-document cosines, which
 ``align_corpora`` must reproduce.
+``per_query_retrieve`` scores every candidate of one query elementwise, the
+ranking ``retrieve_many`` must reproduce bit for bit after its BLAS screen.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import scipy.linalg
 
 from xling.bidict import BilingualDictionary, load_dictionary
 from xling.lsi import fold_in
+from xling.retrieval import Embeddings, _unit_rows
 from xling.textprep import ReducerKind, _root_pass, make_reducer, tokenize
 
 
@@ -222,6 +225,19 @@ def brute_retrieve(query_vec, candidates: Mapping[str, np.ndarray], n: int):
     scored = [(cid, brute_cosine(query_vec, vec)) for cid, vec in candidates.items()]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:n]
+
+
+def per_query_retrieve(query_vec, candidates: Embeddings, n: int) -> list[tuple[str, float]]:
+    """Top ``n`` (id, similarity) pairs of one query, scoring every candidate.
+
+    The similarity is one elementwise product of the unit rows summed per
+    row, which never goes through BLAS; a stable sort by descending
+    similarity keeps equal scores in the ascending id order of the rows.
+    """
+    query = np.asarray(query_vec, dtype=np.float64)
+    sims = (candidates.unit * _unit_rows(query[None, :])[0]).sum(axis=1)
+    top = np.argsort(-sims, kind="stable")[:n]
+    return [(candidates.ids[i], float(sims[i])) for i in top]
 
 
 def brute_bucket_cosines(source_docs, target_docs, model, group_by=None):

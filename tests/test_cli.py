@@ -1,9 +1,13 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import xling
 from xling import cli, errors
 from xling.bidict import dict_cosine, load_dictionary
 from xling.cli import main
@@ -1140,3 +1144,32 @@ class TestConfigAndDeterminism:
                 )
             )
         assert outputs[0] == outputs[1]
+
+    def test_ranked_lists_equal_at_one_and_two_blas_threads(self, tmp_path, corpus_file):
+        # Each target text stands in the corpus five times, and a BLAS
+        # product can score such copies unequally, or differently at another
+        # thread count; ranking must tie them bit for bit all the same.
+        model_path = _train(tmp_path, corpus_file, "--k", "20")
+        corpus = make_parallel_corpus(30, SPEC, seed=12)
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text("".join(
+            json.dumps({"src_id": s.id, "tgt_id": f"t{i:02d}", "src_text": s.text,
+                        "tgt_text": corpus.target_docs[i % 6].text}) + "\n"
+            for i, s in enumerate(corpus.source_docs)
+        ), encoding="utf-8")
+        src = str(Path(xling.__file__).resolve().parents[1])
+        ranked = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"ranked{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from xling.cli import main; sys.exit(main())",
+                 "retrieve", "--model", str(model_path), "--corpus", str(queries),
+                 "--n", "12", "--output", str(out)],
+                env=env, capture_output=True, check=True,
+            )
+            ranked.append(out.read_bytes())
+        assert ranked[0] == ranked[1]
+        entries = json.loads(ranked[0])["queries"][0]["entries"]
+        assert len({sim for _, sim in entries}) < len(entries)  # copies tie

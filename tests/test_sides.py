@@ -14,7 +14,7 @@ from xling.bidict import BilingualDictionary, bin_measure, trans
 from xling.corpus import Document
 from xling.lsi import CrossVocabulary, LsiModel, fold_in, fold_in_many
 from xling.retrieval import embed_documents
-from xling.textprep import PipelineConfig
+from xling.textprep import PipelineConfig, ReducerKind, make_reducer
 from xling.vsm import build_vocabulary
 
 CROSS_VOCABULARY = CrossVocabulary(build_vocabulary([["a"], ["b"]]),
@@ -37,6 +37,8 @@ TAKES_A_SIDE = {
     "trans": lambda side: trans("a", ["x"], DICTIONARY, side=side),
     "bin_measure": lambda side: bin_measure(["a"], ["x"], DICTIONARY, side=side),
     "reducer_for": lambda side: PipelineConfig().reducer_for(side),
+    **{f"make_reducer_{kind.value}": lambda side, kind=kind: make_reducer(
+        kind, dictionary=DICTIONARY, side=side) for kind in ReducerKind},
 }
 
 

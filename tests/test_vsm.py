@@ -5,7 +5,7 @@ from measure_oracles import brute_fold_in, brute_tfidf
 
 from xling.errors import DimensionMismatchError, EmptyCorpusError
 from xling.lsi import LsiModel, build_cross_matrix, build_mono_matrix, fold_in, fold_in_many
-from xling.retrieval import Embeddings, retrieve
+from xling.retrieval import Embeddings, _unit_rows, retrieve
 from xling.vsm import Vocabulary, build_term_doc_matrix, build_vocabulary
 
 
@@ -285,10 +285,29 @@ class TestCosine:
             expected = 0.0 if nu == 0 or nv == 0 else float(du @ dv) / (nu * nv)
             assert _cos(du, dv) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("tiny", [1.4684e-161, 1.49e-162, 5e-324])
+    def test_tiny_vector_is_not_lost_to_underflow(self, tiny):
+        # Its squares are subnormal or zero, so a plain norm would round
+        # the cosine off 1.0 or call the vector zero.
+        e0 = np.array([1.0, 0.0])
+        assert _cos(tiny * e0, e0) == 1.0
+        assert _cos(tiny * np.array([3.0, 4.0]), np.array([3.0, 4.0])) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("huge", [1e160, 1.7e308])
+    def test_huge_vector_is_not_lost_to_overflow(self, huge):
+        assert _cos(huge * np.array([1.0, 1.0]), np.array([2.0, 2.0])) == pytest.approx(1.0)
+
+    def test_unit_rows_in_range_keep_plain_division_bits(self):
+        rows = np.random.default_rng(5).normal(size=(20, 7)) * np.logspace(-140, 140, 20)[:, None]
+        norms = np.sqrt((rows * rows).sum(axis=1))[:, None]
+        assert np.array_equal(_unit_rows(rows), rows / norms)
+
     @given(
+        # No subnormal weight: 5e-324 * 0.5 == 0.0, so the "scaled" vector
+        # would not be a scaled copy of the drawn one.
         weights=st.dictionaries(
             st.integers(min_value=0, max_value=9),
-            st.floats(min_value=0.0, max_value=10.0),
+            st.floats(min_value=0.0, max_value=10.0, allow_subnormal=False),
             max_size=10,
         ),
         other=st.dictionaries(
