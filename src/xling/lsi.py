@@ -23,6 +23,7 @@ different accuracy profile is ever needed.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -337,12 +338,14 @@ def fold_in_many(documents: Iterable[Sequence[str]], model: LsiModel, side: str)
         raise ValueError(f"a monolingual model holds only side 'target', got {side!r}")
     indptr, idx, val = vocab.weight_rows(documents)
     idx += offset
+    u = model.u
     folded = np.empty((len(indptr) - 1, model.k))
-    # One product per row: a sparse-times-dense product over the whole
-    # block would sum each row in a different order.
+    # One product per row, written in place: a sparse-times-dense product
+    # over the whole block would sum each row in a different order.
     for r, (a, b) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
-        folded[r] = val[a:b] @ model.u[idx[a:b]]
-    return folded / model.s
+        np.matmul(val[a:b], u.take(idx[a:b], axis=0), out=folded[r])
+    folded /= model.s
+    return folded
 
 
 def fold_in(tokens: Sequence[str], model: LsiModel, side: str) -> np.ndarray:
@@ -357,7 +360,9 @@ def embed_crosslingual(tokens: Sequence[str], side: str, model: LsiModel) -> np.
 
 # --------------------------------------------------------------------------
 # Model persistence: magic, version, kind, k, vocabulary block, then U, S, V
-# as little-endian 64-bit floats. Round trips are byte-exact.
+# as little-endian 64-bit floats. Round trips are byte-exact. The loader
+# checks the file's size against its header before reading any factor, then
+# reads each factor straight into its own array: no copy of the whole file.
 # --------------------------------------------------------------------------
 
 _MODEL_MAGIC = b"XLSM"
@@ -386,57 +391,61 @@ def save_model(model: LsiModel, path: str | Path) -> None:
             fh.write(memoryview(np.ascontiguousarray(factor, dtype="<f8")))
 
 
+def _read_factor(fh, shape: tuple[int, ...]) -> np.ndarray:
+    """Read one factor straight into a fresh array; a short read is corrupt."""
+    arr = np.empty(shape, dtype="<f8")
+    got = fh.readinto(arr)
+    if got != arr.nbytes:
+        raise CorruptModelError(f"model file ended inside a factor ({got} of {arr.nbytes} bytes)")
+    return arr.astype(np.float64, copy=False)
+
+
 def load_model(path: str | Path) -> LsiModel:
-    blob = Path(path).read_bytes()
-    if len(blob) < _MODEL_HEADER.size + 8:
-        raise CorruptModelError("model file too short for its header")
-    magic, version, kind_byte, k, n_terms, n_docs = _MODEL_HEADER.unpack_from(blob, 0)
-    if magic != _MODEL_MAGIC:
-        raise CorruptModelError("not a model file (bad magic bytes)")
-    if version != _MODEL_VERSION:
-        raise VersionMismatchError(found=version, supported=_MODEL_VERSION)
-    offset = _MODEL_HEADER.size
-    (vocab_len,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    if len(blob) < offset + vocab_len:
-        raise CorruptModelError("model file truncated inside the vocabulary block")
-    try:
-        vocab_payload = json.loads(blob[offset : offset + vocab_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptModelError(f"unreadable vocabulary block: {exc}") from exc
-    offset += vocab_len
+    with Path(path).open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_MODEL_HEADER.size + 8)
+        if len(head) < _MODEL_HEADER.size + 8:
+            raise CorruptModelError("model file too short for its header")
+        magic, version, kind_byte, k, n_terms, n_docs = _MODEL_HEADER.unpack_from(head, 0)
+        if magic != _MODEL_MAGIC:
+            raise CorruptModelError("not a model file (bad magic bytes)")
+        if version != _MODEL_VERSION:
+            raise VersionMismatchError(found=version, supported=_MODEL_VERSION)
+        (vocab_len,) = struct.unpack_from("<Q", head, _MODEL_HEADER.size)
+        offset = len(head) + vocab_len
+        vocab_blob = fh.read(vocab_len) if size >= offset else b""
+        if len(vocab_blob) != vocab_len:
+            raise CorruptModelError("model file truncated inside the vocabulary block")
+        try:
+            vocab_payload = json.loads(vocab_blob.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptModelError(f"unreadable vocabulary block: {exc}") from exc
 
-    if kind_byte not in (0, 1):
-        raise CorruptModelError(f"unknown model kind byte {kind_byte}")
-    key = "cross" if kind_byte == 1 else "mono"
-    if not isinstance(vocab_payload, dict) or list(vocab_payload) != [key]:
-        raise CorruptModelError(
-            f"kind byte {kind_byte} needs a vocabulary block with one {key!r} entry"
-        )
-    try:
-        vocabulary = (CrossVocabulary if kind_byte == 1 else Vocabulary).from_dict(
-            vocab_payload[key]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptModelError(
-            f"invalid vocabulary block ({type(exc).__name__}: {exc})"
-        ) from exc
-    if len(vocabulary) != n_terms:
-        raise CorruptModelError("vocabulary size does not match the header")
+        if kind_byte not in (0, 1):
+            raise CorruptModelError(f"unknown model kind byte {kind_byte}")
+        key = "cross" if kind_byte == 1 else "mono"
+        if not isinstance(vocab_payload, dict) or list(vocab_payload) != [key]:
+            raise CorruptModelError(
+                f"kind byte {kind_byte} needs a vocabulary block with one {key!r} entry"
+            )
+        try:
+            vocabulary = (CrossVocabulary if kind_byte == 1 else Vocabulary).from_dict(
+                vocab_payload[key]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptModelError(
+                f"invalid vocabulary block ({type(exc).__name__}: {exc})"
+            ) from exc
+        if len(vocabulary) != n_terms:
+            raise CorruptModelError("vocabulary size does not match the header")
 
-    expected = offset + 8 * (n_terms * k + k + n_docs * k)
-    if len(blob) != expected:
-        raise CorruptModelError(f"model file has {len(blob)} bytes, expected {expected}")
-
-    def take(count: int, shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal offset
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += 8 * count
-        return arr.astype(np.float64)
-
-    u = take(n_terms * k, (n_terms, k))
-    s = take(k, (k,))
-    v = take(n_docs * k, (n_docs, k))
+        expected = offset + 8 * (n_terms * k + k + n_docs * k)
+        if size != expected:
+            raise CorruptModelError(f"model file has {size} bytes, expected {expected}")
+        # The size check bounds every allocation by the file's own length.
+        u = _read_factor(fh, (n_terms, k))
+        s = _read_factor(fh, (k,))
+        v = _read_factor(fh, (n_docs, k))
     try:
         return LsiModel(u, s, v, vocabulary)
     except ValueError as exc:

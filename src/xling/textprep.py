@@ -42,6 +42,11 @@ __all__ = [
 # Word = maximal run of Unicode letters/digits. Underscore is excluded so
 # that identifiers split; punctuation never survives.
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# ASCII fast path: each ASCII letter or digit maps to its lowercase form,
+# every other byte to a space.
+_ASCII_WORD_BYTES = bytes(
+    ord(ch.lower()) if ch.isascii() and ch.isalnum() else ord(" ") for ch in map(chr, range(256))
+)
 
 
 def tokenize(text: str) -> list[str]:
@@ -50,8 +55,16 @@ def tokenize(text: str) -> list[str]:
     Digits are kept as tokens; mixed runs such as ``v2`` stay in one piece.
     Each word is lowercased after the split: lowercasing the text first
     could split a word, since ``"İ".lower()`` adds a combining dot, which
-    is not a word character.
+    is not a word character, and a final ``Σ`` lowers by its context.
+
+    ASCII text takes a fast path with the same tokens: there the word
+    characters are exactly ``[A-Za-z0-9]`` and lowercasing maps ``A-Z`` to
+    ``a-z`` one character to one, so a byte table that lowers letters and
+    blanks everything else, followed by a split on the blanks, finds the
+    same words, already lowered.
     """
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_WORD_BYTES).decode("ascii").split()
     return list(map(str.lower, _WORD_RE.findall(text)))
 
 

@@ -12,10 +12,9 @@ place to swap weighting variants.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -71,29 +70,35 @@ class Vocabulary:
         return self._index.get(term)
 
     def weight_rows(
-        self, documents: Iterable[Iterable[str]]
+        self, documents: Iterable[Sequence[str]]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """tfidf rows of a collection of token lists, in CSR layout.
 
         Returns ``(indptr, indices, data)``: row ``r`` holds the ascending
         term indices ``indices[indptr[r]:indptr[r + 1]]`` of document ``r``
         and their non-zero ``tf * idf`` weights. Unseen terms are dropped.
-        One Python pass maps each token to its term index (``-1`` when
-        unseen), one document at a time; the counting and weighting are
-        array operations over the whole collection.
+        ``documents`` is read once, so a generator will do. One stream maps
+        every token of the collection to its term index (``-1`` when
+        unseen) straight into an array, recording each document's length
+        as it passes; the counting and weighting are array operations over
+        the whole collection.
         """
         lookup = self._index.get
-        ids = array("q")
-        ends = [0]
-        for tokens in documents:
-            ids.extend(map(lookup, tokens, repeat(-1)))
-            ends.append(len(ids))
-        term = np.frombuffer(ids, dtype=np.int64) if ids else np.zeros(0, dtype=np.int64)
+        lengths: list[int] = []
+
+        def term_ids():
+            for tokens in documents:
+                lengths.append(len(tokens))
+                yield map(lookup, tokens, repeat(-1))
+
+        term = np.fromiter(chain.from_iterable(term_ids()), dtype=np.int64)
+        n_docs = len(lengths)
         # One key per seen token, row * stride + term: equal keys are one
         # term's occurrences in one document, and sorted keys ascend by row,
         # then by term.
         stride = max(len(self.terms), 1)
-        keys = np.repeat(np.arange(len(ends) - 1, dtype=np.int64) * stride, np.diff(ends))
+        keys = np.repeat(np.arange(n_docs, dtype=np.int64) * stride,
+                         np.array(lengths, dtype=np.int64))
         keys += term
         keys = keys[term >= 0]
         keys, tf = np.unique(keys, return_counts=True)
@@ -101,7 +106,7 @@ class Vocabulary:
         data = tf * self.idf[term]
         nonzero = data != 0.0
         keys, term, data = keys[nonzero], term[nonzero], data[nonzero]
-        indptr = np.searchsorted(keys, np.arange(len(ends), dtype=np.int64) * stride)
+        indptr = np.searchsorted(keys, np.arange(n_docs + 1, dtype=np.int64) * stride)
         return indptr, term, data
 
     def to_dict(self) -> dict:

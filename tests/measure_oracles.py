@@ -16,6 +16,8 @@ normalizes once per power iteration, must match both.
 ``token_pipeline`` is the preprocessing that carried a ``Token`` (surface and
 reduced form) per word occurrence through reduction and filtering; the
 plain-string ``run_pipeline`` and ``tokenize`` must reproduce it exactly.
+``regex_tokenize`` is ``tokenize`` without its ASCII fast path: the word
+regex over the text, then each word lowercased.
 ``loop_light_stem``, ``loop_root_stem`` and ``loop_suffix_stem`` walk the
 affix tables one entry at a time, from copies written out here, so that the
 compiled tables in ``textprep`` must agree with them on every word and an
@@ -327,6 +329,11 @@ class Token(NamedTuple):
 
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+def regex_tokenize(text: str) -> list[str]:
+    """Lowercased word tokens, by the word regex alone, for any text."""
+    return list(map(str.lower, _WORD_RE.findall(text)))
 
 
 def token_tokenize(text: str, lowercase: bool = True) -> list[Token]:

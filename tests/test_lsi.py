@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import subprocess
@@ -22,6 +23,7 @@ from xling.lsi import (
     CrossVocabulary,
     LsiModel,
     _randomized_svd,
+    _read_factor,
     build_cross_matrix,
     build_mono_matrix,
     embed_crosslingual,
@@ -422,6 +424,41 @@ class TestModelPersistence:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(CorruptModelError):
             load_model(path)
+
+    @pytest.mark.parametrize("cut", ["inside-u", "inside-s", "inside-v", "one-byte-appended"])
+    def test_factor_block_size_checked(self, tmp_path, cut):
+        _, cross = self._models()
+        path = tmp_path / "c.xlsm"
+        save_model(cross, path)
+        blob = path.read_bytes()
+        n, k, d = cross.u.shape[0], cross.k, cross.n_docs
+        u_start = len(blob) - 8 * (n * k + k + d * k)
+        s_start = u_start + 8 * n * k
+        v_start = s_start + 8 * k
+        damaged = {
+            "inside-u": blob[: u_start + 8 * n * k // 2 + 3],
+            "inside-s": blob[: s_start + 8 * (k // 2) + 5],
+            "inside-v": blob[: v_start + 8 * d * k // 2],
+            "one-byte-appended": blob + b"\0",
+        }[cut]
+        path.write_bytes(damaged)
+        with pytest.raises(CorruptModelError, match="bytes, expected"):
+            load_model(path)
+
+    def test_short_factor_read_is_corrupt(self):
+        with pytest.raises(CorruptModelError, match="ended inside a factor"):
+            _read_factor(io.BytesIO(b"\0" * 20), (2, 2))
+
+    @pytest.mark.parametrize("which", ["mono", "cross"])
+    def test_loaded_factors_are_plain_float64_arrays(self, tmp_path, which):
+        mono, cross = self._models()
+        path = tmp_path / "m.xlsm"
+        save_model(mono if which == "mono" else cross, path)
+        loaded = load_model(path)
+        for factor in (loaded.u, loaded.s, loaded.v):
+            assert factor.dtype == np.float64 and factor.dtype.isnative
+            assert factor.flags.c_contiguous and factor.flags.aligned
+            assert factor.flags.writeable and factor.flags.owndata
 
     def test_version_mismatch_names_both_versions(self, tmp_path):
         mono, _ = self._models()

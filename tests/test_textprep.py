@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from measure_oracles import (
     loop_light_stem,
     loop_root_stem,
     loop_suffix_stem,
+    regex_tokenize,
     token_pipeline,
     token_tokenize,
 )
@@ -45,6 +48,33 @@ class TestTokenize:
         # "İ".lower() is "i" plus a combining dot, which is not a word
         # character; lowercasing the text first would split the word.
         assert tokenize("İstanbul") == ["i\u0307stanbul"]
+
+
+_ASCII = [chr(c) for c in range(128)]
+
+
+class TestAsciiFastPath:
+    """``tokenize`` equals the plain word-regex oracle on every text."""
+
+    @settings(max_examples=300)
+    @given(text=st.text(st.sampled_from(_ASCII), max_size=80))
+    @example(text="".join(_ASCII))
+    @example(text="A_b-C3PO\tx\x1cY\x7fz")
+    def test_ascii_text_equals_oracle(self, text):
+        assert tokenize(text) == regex_tokenize(text)
+
+    @pytest.mark.parametrize(
+        "text", ["İstanbul", "ΟΔΟΣ'Α", "Straße ist GROSS", "كَتَبَ الوَلَدُ", "ascii then İ"]
+    )
+    def test_non_ascii_text_equals_oracle(self, text):
+        assert tokenize(text) == regex_tokenize(text)
+
+    @pytest.mark.parametrize("text", ["İstanbul", "ΟΔΟΣ'Α"])
+    def test_lowering_the_whole_text_would_differ(self, text):
+        # Why non-ASCII text must stay on the general path: "İ" lowers to
+        # two code points, and "Σ" lowers to a final sigma only by context.
+        whole = re.findall(r"[^\W_]+", text.lower())
+        assert whole != regex_tokenize(text)
 
 
 # Expected stems trace the shipped affix tables on the classic

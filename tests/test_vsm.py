@@ -233,6 +233,29 @@ class TestWeightRowsOracle:
         assert idx.tolist() == [0, 2, 0]
         assert val.tolist() == [vocab.idf[0], 2 * vocab.idf[2], vocab.idf[0]]
 
+    def test_one_shot_generator_equals_list(self):
+        vocab = build_vocabulary([["a", "b"], ["b", "c"], ["c", "d"]])
+        docs = [["d", "a", "zz", "a"], [], ["b", "c", "c"], ["zz"], ["d"]]
+        expected = vocab.weight_rows(docs)
+        got = vocab.weight_rows(list(doc) for doc in docs)
+        for e, g in zip(expected, got):
+            assert g.dtype == e.dtype and g.tolist() == e.tolist()
+
+    def test_zero_documents(self):
+        vocab = build_vocabulary([["a"], ["b"]])
+        for docs in ([], iter([])):
+            indptr, idx, val = vocab.weight_rows(docs)
+            assert indptr.tolist() == [0]
+            assert idx.size == 0 and idx.dtype == np.int64
+            assert val.size == 0 and val.dtype == np.float64
+
+    def test_all_empty_documents(self):
+        vocab = build_vocabulary([["a"], ["b"]])
+        indptr, idx, val = vocab.weight_rows([[], [], []])
+        assert indptr.tolist() == [0, 0, 0, 0] and idx.size == 0 and val.size == 0
+        model = LsiModel(np.ones((2, 1)), np.ones(1), np.zeros((2, 1)), vocab)
+        assert fold_in_many(([] for _ in range(3)), model, "target").tolist() == [[0.0]] * 3
+
     def test_wrong_side_rejected(self):
         vocab = build_vocabulary([["a"], ["b"]])
         mono = LsiModel(np.ones((2, 1)), np.ones(1), np.zeros((2, 1)), vocab)
