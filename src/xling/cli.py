@@ -1,10 +1,10 @@
 """Command-line front end: ingest, train, retrieve, align, eval, score.
 
 Every command is reproducible: identical inputs and seeds give
-byte-identical outputs. Timestamps live only in run manifests. Exit codes:
-0 success, 2 usage/input error, 3 data/model error, 4 numerical failure;
-every error, a bad flag included, is one line of JSON on stderr. Flags may
-also come from ``@file`` arguments (see ``_Parser``).
+byte-identical outputs in one environment. Timestamps live only in run
+manifests. Exit codes: 0 success, 2 usage/input error, 3 data/model error,
+4 numerical failure; every error, a bad flag included, is one line of JSON
+on stderr. Flags may also come from ``@file`` arguments (see ``_Parser``).
 """
 
 from __future__ import annotations
@@ -175,6 +175,10 @@ def _cmd_ingest(args) -> int:
 def _cmd_train(args) -> int:
     if args.no_split and (args.train_fraction is not None or args.test_output):
         raise ValueError("--no-split trains on every couple: drop --train-fraction/--test-output")
+    # Before the corpus is read and the SVD runs, not after.
+    for path in (args.output, args.test_output):
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"output directory does not exist: {Path(path).parent}")
     train_part, test_part = corpus_io.load_aligned_corpus(args.corpus), None
     if not args.no_split:
         fraction = 0.9 if args.train_fraction is None else args.train_fraction

@@ -7,6 +7,9 @@ token lists in one pass and returns CSR arrays: the matrices built here,
 the LSI fold-in (:func:`xling.lsi.fold_in_many`) and
 ``bidict.dict_cosines`` all take their weights from it, so it is the single
 place to swap weighting variants.
+
+Only :func:`build_term_doc_matrix` loads ``scipy.sparse``, inside the
+function: only training builds a matrix (see :mod:`xling.lsi`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EmptyCorpusError
 
@@ -167,6 +169,8 @@ def build_term_doc_matrix(
     """Stack the tfidf rows of the documents as the columns of a sparse matrix."""
     if not documents:
         raise EmptyCorpusError("cannot build a matrix from zero documents")
+    import scipy.sparse as sp
+
     indptr, indices, data = vocabulary.weight_rows(documents)
     matrix = sp.csc_matrix(
         (data, indices, indptr), shape=(len(vocabulary), len(documents))

@@ -13,6 +13,9 @@ matrix and fold-in built on it.
 product, and ``lu_half_step_svd`` the one that LU-normalizes both blocks on
 every half step and takes an economic QR; the range finder in ``lsi``, which
 normalizes once per power iteration, must match both.
+``fancy_index_sign_fix`` is ``lsi.train``'s rank truncation and sign fix as
+first written, negating flipped columns by fancy indexing; the in-place flip
+``train`` makes must give the same bits.
 ``token_pipeline`` is the preprocessing that carried a ``Token`` (surface and
 reduced form) per word occurrence through reduction and filtering; the
 plain-string ``run_pipeline`` and ``tokenize`` must reproduce it exactly.
@@ -40,7 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from xling.bidict import BilingualDictionary, load_dictionary
-from xling.lsi import fold_in
+from xling.lsi import _RANK_TRUNCATION, fold_in
 from xling.retrieval import Embeddings, _unit_rows
 from xling.textprep import ReducerKind, _root_pass, make_reducer, tokenize
 
@@ -319,6 +322,20 @@ def lu_half_step_svd(a, k: int, oversample: int, power_iterations: int, seed: in
     b = (a.T @ q).T
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
     return (q @ ub)[:, :k], s[:k], vt[:k, :]
+
+
+def fancy_index_sign_fix(u, s, vt):
+    """Truncate ``_randomized_svd``'s factors at the rank threshold, then
+    negate each column of U whose largest-magnitude entry (the first, on a
+    tie) is negative, with its row of V^T. Returns ``(u, s, v)``; the inputs
+    are left as they were."""
+    keep = s > _RANK_TRUNCATION * s[0]
+    u, s, vt = u[:, keep].copy(), s[keep], vt[keep, :].copy()
+    pivot = np.argmax(np.abs(u), axis=0)
+    flip = u[pivot, np.arange(u.shape[1])] < 0
+    u[:, flip] = -u[:, flip]
+    vt[flip, :] = -vt[flip, :]
+    return u, s, vt.T
 
 
 class Token(NamedTuple):

@@ -174,6 +174,29 @@ class TestTrain:
         }
         assert not model_path.exists() and not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--output", "{missing}/m.xlsm"],
+         ["--output", "{tmp}/m.xlsm", "--test-output", "{missing}/t.jsonl"]],
+        ids=["output", "test_output"],
+    )
+    def test_missing_output_directory_exits_two_before_reading(
+        self, tmp_path, corpus_file, capsys, monkeypatch, flags
+    ):
+        def unexpected(*_args, **_kwargs):
+            raise AssertionError("train read its corpus before checking its outputs")
+
+        monkeypatch.setattr(cli.corpus_io, "load_aligned_corpus", unexpected)
+        missing = tmp_path / "no" / "such"
+        fill = {"missing": missing, "tmp": tmp_path}
+        rc = main(["train", "--corpus", str(corpus_file), *(f.format(**fill) for f in flags)])
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "FileNotFoundError",
+            "message": f"output directory does not exist: {missing}",
+        }
+        assert not (tmp_path / "m.xlsm").exists()
+
     def test_non_string_pair_text_exits_two(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text(

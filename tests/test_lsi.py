@@ -1,18 +1,22 @@
 import io
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from measure_oracles import lu_half_step_svd, qr_power_iteration_svd
+from measure_oracles import fancy_index_sign_fix, lu_half_step_svd, qr_power_iteration_svd
 from scipy.linalg import subspace_angles
 
 import xling
+from xling import cli
+from xling.corpus import save_aligned_corpus
 from xling.errors import (
     ConvergenceError,
     CorruptModelError,
@@ -20,6 +24,8 @@ from xling.errors import (
     VersionMismatchError,
 )
 from xling.lsi import (
+    _OVERSAMPLE,
+    _POWER_ITERATIONS,
     CrossVocabulary,
     LsiModel,
     _randomized_svd,
@@ -33,7 +39,7 @@ from xling.lsi import (
     save_model,
     train,
 )
-from xling.synthetic import SyntheticSpec, make_parallel_corpus
+from xling.synthetic import SyntheticSpec, cipher_word, make_parallel_corpus, source_vocabulary
 from xling.textprep import tokenize
 from xling.vsm import TermDocMatrix, Vocabulary
 
@@ -213,6 +219,73 @@ def _rank_six() -> sp.spmatrix:
     return sp.csc_matrix(rng.standard_normal((60, 6)) @ rng.standard_normal((6, 40)))
 
 
+def _pivot_entries(u: np.ndarray) -> np.ndarray:
+    """Each column's largest-magnitude entry (the first, on a tie)."""
+    return u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+
+
+class TestSignConvention:
+    """train's in-place sign fix gives the fancy-index flip's bits: the
+    byte-identical model files rest on it."""
+
+    @pytest.mark.parametrize(
+        "make, k, kept",
+        [
+            (_rank_six, 10, 6),  # the rank truncation drops columns
+            (lambda: _random_sparse(40, 30, 1), 29, 29),  # k = k_cap
+            (_parallel_cross_matrix, 100, 100),
+        ],
+        ids=["truncated-rank", "k-cap", "parallel-cross"],
+    )
+    def test_matches_fancy_index_oracle(self, make, k, kept):
+        a = make()
+        factors = _randomized_svd(a, k, _OVERSAMPLE, _POWER_ITERATIONS, seed=42)
+        u, s, v = fancy_index_sign_fix(*factors)
+        vocab = Vocabulary([f"t{i:05d}" for i in range(a.shape[0])], [1] * a.shape[0], a.shape[1])
+        model = train(TermDocMatrix(a, vocab), k, seed=42)
+        assert model.k == kept
+        assert np.array_equal(model.u, u) and np.array_equal(model.s, s)
+        assert np.array_equal(model.v, v)
+        assert np.all(_pivot_entries(model.u) > 0)
+        flipped = _pivot_entries(factors[0][:, :kept]) < 0
+        assert flipped.any() and not flipped.all()  # both branches taken
+
+    def test_first_of_tied_entries_sets_the_sign(self, monkeypatch):
+        # Columns 0 and 2 tie in |u| between a negative entry and a later
+        # positive one, column 1 between a positive and a later negative one.
+        u = np.array([[-0.5, 0.5, 0.25], [0.5, -0.5, -0.75], [0.25, 0.25, 0.75],
+                      [0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
+        s = np.array([3.0, 2.0, 1.0])
+        vt = np.arange(15.0).reshape(3, 5) - 7.0
+        monkeypatch.setattr(
+            "xling.lsi._randomized_svd", lambda *_: (u.copy(), s.copy(), vt.copy())
+        )
+        model = train(_dummy_matrix(np.eye(6, 5)), k=3)
+        u_ref, s_ref, v_ref = fancy_index_sign_fix(u, s, vt)
+        assert np.array_equal(model.u, u_ref) and np.array_equal(model.s, s_ref)
+        assert np.array_equal(model.v, v_ref)
+        assert np.array_equal(model.u[0], [0.5, 0.5, -0.25])
+        assert np.array_equal(model.v[:, 0], 7.0 - np.arange(5.0))
+        assert np.all(_pivot_entries(model.u) > 0)
+
+
+def test_train_peak_memory_stays_near_two_bases():
+    # The range finder's dense m x (k + 10) bases set train's peak memory;
+    # at most two are alive at once.
+    m, n, k = 6000, 400, 100
+    a = sp.random(m, n, density=0.01, random_state=np.random.default_rng(3), format="csc")
+    tdm = TermDocMatrix(a, Vocabulary([f"t{i:05d}" for i in range(m)], [1] * m, n))
+    train(tdm, k)  # imports and first-call set-up are not counted
+    tracemalloc.start()
+    try:
+        train(tdm, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    basis = 8 * m * (k + _OVERSAMPLE)
+    assert peak < 2.5 * basis + a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+
+
 class TestRangeFinderMatchesQrOracle:
     """One LU per power iteration spans what the all-QR loop spans."""
 
@@ -254,16 +327,51 @@ def test_householder_failure_raises_convergence_error(monkeypatch):
         _randomized_svd(_rank_six(), 4, 2, 1, seed=42)
 
 
-def test_importing_the_cli_leaves_scipy_linalg_unloaded():
-    # scipy.linalg costs every process that loads it about 7 MB, so only
-    # training imports it.
+def test_commands_other_than_train_leave_scipy_unloaded(tmp_path):
+    # scipy costs every process that imports it about 18 MB and 0.25 s, and
+    # only train builds a matrix, so only train loads it. A fresh process
+    # runs the other commands in-process on a model trained here.
+    spec = SyntheticSpec(n_topics=3, words_per_topic=10, common_words=3, doc_length=(20, 30))
+    corpus = tmp_path / "c.jsonl"
+    save_aligned_corpus(make_parallel_corpus(20, spec, seed=4), corpus)
+    dictionary = tmp_path / "d.tsv"
+    dictionary.write_text(
+        "".join(f"{w}\t{cipher_word(w)}\n" for w in source_vocabulary(spec)), encoding="utf-8"
+    )
+    model = tmp_path / "m.xlsm"
+    assert cli.main(["train", "--corpus", str(corpus), "--k", "5", "--output", str(model)]) == 0
+    commands = [
+        *(["score", "--corpus", str(corpus), "--dictionary", str(dictionary), "--measure", m,
+           "--output", str(tmp_path / f"{m}.tsv")] for m in ("bin", "bincos", "oov", "match")),
+        ["retrieve", "--model", str(model), "--corpus", str(corpus),
+         "--output", str(tmp_path / "r.json")],
+        ["eval", "--oracle", "--model", str(model), "--corpus", str(corpus)],
+        ["align", "--model", str(model), "--corpus", str(corpus),
+         "--output", str(tmp_path / "a.tsv")],
+    ]
+    train_again = ["train", "--corpus", str(corpus), "--k", "5",
+                   "--output", str(tmp_path / "m2.xlsm")]
+    script = (
+        "import json, sys\n"
+        "import xling, xling.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert xling.cli.main(argv) == 0, argv\n"
+        "before_train = scipy_modules()\n"
+        "assert xling.cli.main(json.loads(sys.argv[2])) == 0\n"
+        "print(json.dumps([before_train, scipy_modules()]))\n"
+    )
     src = str(Path(xling.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", "import xling, xling.cli, sys; print('scipy.linalg' in sys.modules)"],
+        [sys.executable, "-c", script, json.dumps(commands), json.dumps(train_again)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    before_train, after_train = json.loads(out.stdout.splitlines()[-1])
+    assert before_train == []
+    assert {"scipy.sparse", "scipy.linalg"} <= set(after_train)
+    assert (tmp_path / "m2.xlsm").read_bytes() == model.read_bytes()
 
 
 class TestProject:
