@@ -32,7 +32,7 @@ spec = SyntheticSpec(n_topics=10, words_per_topic=12, common_words=8,
 corpus = make_parallel_corpus(200, spec, seed=21)
 train_part, test_part = split_corpus(corpus, 0.9, seed=21)
 gold = gold_mapping(test_part)
-print(f"{train_part.pair_count} training couples, {test_part.pair_count} held-out queries")
+print(f"{len(train_part)} training couples, {len(test_part)} held-out queries")
 
 # Cross-lingual LSI: train on concatenated couples, query directly.
 cl_model = train(build_cross_matrix(tokens(train_part.source_docs),

@@ -4,7 +4,9 @@ Mining aligned articles out of a wiki dump
 
 Walk a page-wise XML dump, find pivot articles whose interlanguage links
 cover the wanted languages, resolve the linked titles against the dump's
-title index and strip the wiki markup down to plain text.
+title index and strip the wiki markup down to plain text. Each article
+comes out as a ``Document``: its title is the id, its language code the
+language and its plain text the text.
 """
 
 import io
@@ -44,6 +46,6 @@ tuples = list(
 print(f"\n{len(tuples)} aligned tuples extracted, "
       f"{stats['skipped_unresolved']} pivot(s) skipped (unresolved links)")
 for pivot, ar_article, fr_article in tuples:
-    print(f"\npivot   : {pivot.title}")
-    print(f"  arabic: {ar_article.title} -> {ar_article.plain_text()}")
-    print(f"  french: {fr_article.title} -> {fr_article.plain_text()}")
+    print(f"\npivot   : {pivot.id}")
+    print(f"  arabic: {ar_article.id} -> {ar_article.text}")
+    print(f"  french: {fr_article.id} -> {fr_article.text}")

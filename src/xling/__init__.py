@@ -72,7 +72,6 @@ from .textprep import (
 )
 from .vsm import TermDocMatrix, Vocabulary, build_vocabulary
 from .wikitext import (
-    WikiArticle,
     extract_comparable_articles,
     parse_interlanguage_links,
     strip_wiki_markup,

@@ -10,12 +10,12 @@ reducers (except ``identity``, and ``morphar``, which already maps words
 onto the dictionary's own terms).
 
 A dictionary is built in one pass: duplicate synsets are dropped, and each
-side maps every term to its partners on the other side, which membership,
-translations and the measures read. Partners are sorted only on request.
-``dict_cosine`` walks only the partners of the couple's own terms instead
-of every pair. ``dict_cosines`` scores many couples and weights each side's
-documents in one pass (``Vocabulary.weight_rows``); ``dict_cosine`` is its
-one-couple case.
+side maps every term to its partners on the other side, as an unordered
+set, which membership, translations and the measures read. ``dict_cosine``
+walks only the partners of the couple's own terms instead of every pair,
+and sorts them itself. ``dict_cosines`` scores many couples and weights
+each side's documents in one pass (``Vocabulary.weight_rows``);
+``dict_cosine`` is its one-couple case.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
 class BilingualDictionary:
     """Synsets of mutually translatable terms, indexed from both sides."""
 
-    __slots__ = ("synsets", "_targets_of", "_sources_of", "_sorted", "_pairs")
+    __slots__ = ("synsets", "_targets_of", "_sources_of", "_pairs")
 
     def __init__(self, synsets: Iterable[tuple[Iterable[str], Iterable[str]]]):
         canonical: dict[tuple[frozenset[str], frozenset[str]], None] = {}
@@ -64,7 +64,6 @@ class BilingualDictionary:
                 sources_of[t] = src if known is None else known | src
         self.synsets: tuple[tuple[frozenset[str], frozenset[str]], ...] = tuple(canonical)
         self._targets_of, self._sources_of = targets_of, sources_of
-        self._sorted: dict[str, dict[str, tuple[str, ...]]] = {"source": {}, "target": {}}
         self._pairs: tuple[tuple[str, str], ...] | None = None
 
     def _index_for(self, side: str) -> dict[str, frozenset[str]]:
@@ -80,14 +79,6 @@ class BilingualDictionary:
     def translations(self, term: str, side: str = "source") -> frozenset[str]:
         """All terms on the opposite side of any synset containing ``term``."""
         return self._index_for(side).get(term, _NONE)
-
-    def sorted_translations(self, term: str, side: str = "source") -> tuple[str, ...]:
-        """:meth:`translations` in sorted order, sorted on first request."""
-        partners = self.translations(term, side)
-        ordered = self._sorted[side].get(term)
-        if ordered is None:
-            ordered = self._sorted[side][term] = tuple(sorted(partners))
-        return ordered
 
     def translation_pairs(self) -> tuple[tuple[str, str], ...]:
         """Deduplicated (source, target) pairs, sorted; built once per dictionary."""
@@ -217,22 +208,34 @@ def _matched_pairs(
     }
     match_of_target: dict[str, str] = {}
 
-    def try_assign(source: str, visited: set[str]) -> bool:
-        for target in edges[source]:
-            if target in visited:
-                continue
-            visited.add(target)
-            holder = match_of_target.get(target)
-            if holder is None or try_assign(holder, visited):
-                match_of_target[target] = source
-                return True
+    def augment(root: str) -> bool:
+        # Depth-first search for a free target, on an explicit stack so that
+        # a path may be longer than Python's recursion limit. path[i] is the
+        # target that stack[i]'s source takes over from stack[i + 1]'s.
+        visited: set[str] = set()
+        stack = [(root, iter(edges[root]))]
+        path: list[str] = []
+        while stack:
+            source, targets = stack[-1]
+            for target in targets:
+                if target in visited:
+                    continue
+                visited.add(target)
+                path.append(target)
+                holder = match_of_target.get(target)
+                if holder is None:
+                    for (s, _), t in zip(stack, path):
+                        match_of_target[t] = s
+                    return True
+                stack.append((holder, iter(edges[holder])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
         return False
 
-    matched = 0
-    for source in edges:
-        if try_assign(source, set()):
-            matched += 1
-    return matched
+    return sum(map(augment, edges))
 
 
 def oov_rate(
@@ -295,7 +298,7 @@ def dict_cosines(
     sources_of = dictionary._sources_of
     rows_s = list(_tfidf_rows(source_docs, source_stats, dictionary._targets_of))
     rows_t = _tfidf_rows(target_docs, target_stats, sources_of)
-    targets_of = {ws: dictionary.sorted_translations(ws) for ws in set().union(*rows_s)}
+    targets_of = {ws: sorted(dictionary._targets_of[ws]) for ws in set().union(*rows_s)}
     return [
         _paired_cosine(w_s, w_t, targets_of, sources_of) for w_s, w_t in zip(rows_s, rows_t)
     ]
@@ -304,7 +307,7 @@ def dict_cosines(
 def _paired_cosine(
     weights_s: Mapping[str, float],
     weights_t: Mapping[str, float],
-    targets_of: Mapping[str, tuple[str, ...]],
+    targets_of: Mapping[str, Sequence[str]],
     sources_of: Mapping[str, frozenset[str]],
 ) -> float:
     dot = 0.0

@@ -136,14 +136,13 @@ def _cmd_ingest(args) -> int:
         if not args.pivot_lang or not args.tgt_lang:
             raise ValueError("wikidump ingestion needs --pivot-lang and --tgt-lang")
         stats: dict = {}
-        source, target = [], []
-        for pivot, linked in wikitext.extract_comparable_articles(
+        couples = list(wikitext.extract_comparable_articles(
             args.input, args.pivot_lang, {args.tgt_lang}, stats=stats
-        ):
-            source.append(corpus_io.Document(pivot.title, args.pivot_lang, pivot.plain_text()))
-            target.append(corpus_io.Document(linked.title, args.tgt_lang, linked.plain_text()))
-        corpus = corpus_io.AlignedCorpus(tuple(source), tuple(target))
-        extra = {"skipped_unresolved": stats["skipped_unresolved"]}
+        ))
+        corpus = corpus_io.AlignedCorpus(
+            tuple(pivot for pivot, _ in couples), tuple(linked for _, linked in couples)
+        )
+        extra = {k: stats[k] for k in ("skipped_unresolved", "skipped_duplicate")}
     else:
         corpus = corpus_io.load_aligned_corpus(
             args.input, args.format, src_lang=args.src_lang, tgt_lang=args.tgt_lang
@@ -152,7 +151,7 @@ def _cmd_ingest(args) -> int:
 
     corpus_io.save_aligned_corpus(corpus, out_path)
     stats_payload = {
-        "pairs": corpus.pair_count,
+        "pairs": len(corpus),
         "source": corpus_io.document_stats(corpus.source_docs) if len(corpus) else {},
         "target": corpus_io.document_stats(corpus.target_docs) if len(corpus) else {},
         **extra,
@@ -168,7 +167,7 @@ def _cmd_ingest(args) -> int:
         {k: v for k, v in vars(args).items() if k != "func"},
         [Path(args.input)],
     )
-    print(f"ingested {corpus.pair_count} pairs -> {out_path}")
+    print(f"ingested {len(corpus)} pairs -> {out_path}")
     return 0
 
 
@@ -357,7 +356,7 @@ def _cmd_score(args) -> int:
     with Path(args.output).open("w", encoding="utf-8", newline="\n") as fh:
         for (src, tgt), score in zip(corpus.pairs(), scores):
             fh.write(f"{src.id}\t{tgt.id}\t{score:.6f}\n")
-    print(f"scored {corpus.pair_count} pairs with {args.measure} -> {args.output}")
+    print(f"scored {len(corpus)} pairs with {args.measure} -> {args.output}")
     return 0
 
 

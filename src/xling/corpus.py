@@ -94,12 +94,8 @@ class AlignedCorpus:
             if len(languages) > 1:
                 raise ValueError(f"mixed languages on {side_name} side: {sorted(languages)}")
 
-    @property
-    def pair_count(self) -> int:
-        return len(self.source_docs)
-
     def __len__(self) -> int:
-        return self.pair_count
+        return len(self.source_docs)
 
     def pairs(self) -> Iterator[tuple[Document, Document]]:
         return zip(self.source_docs, self.target_docs)
@@ -280,7 +276,7 @@ def split_corpus(
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    d = corpus.pair_count
+    d = len(corpus)
     if d < 2:
         raise DegenerateSplitError(f"cannot split a corpus of {d} pair(s)")
     n_train = round(train_fraction * d)

@@ -97,10 +97,6 @@ class CrossVocabulary:
     def __len__(self) -> int:
         return len(self.source) + len(self.target)
 
-    @property
-    def n_docs(self) -> int:
-        return self.source.n_docs
-
     def vocab_for(self, side: str) -> Vocabulary:
         if side == "source":
             return self.source

@@ -143,7 +143,7 @@ def dictionary_translator(dictionary: BilingualDictionary) -> Callable[[Document
 
     def translate(document: Document) -> str:
         return " ".join(
-            (dictionary.sorted_translations(word, "source") or (word,))[0]
+            min(dictionary.translations(word, "source"), default=word)
             for word in tokenize(document.text)
         )
 

@@ -118,14 +118,6 @@ class Vocabulary:
     def from_dict(cls, payload: Mapping) -> "Vocabulary":
         return cls(payload["terms"], payload["df"], payload["n_docs"])
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Vocabulary)
-            and self.terms == other.terms
-            and self.n_docs == other.n_docs
-            and np.array_equal(self.df, other.df)
-        )
-
 
 def build_vocabulary(documents: Sequence[Sequence[str]]) -> Vocabulary:
     """Build a vocabulary over tokenized documents.
@@ -149,10 +141,6 @@ class TermDocMatrix:
 
     matrix: sp.csc_matrix
     vocabulary: object  # Vocabulary or lsi.CrossVocabulary
-
-    @property
-    def n_terms(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def n_docs(self) -> int:

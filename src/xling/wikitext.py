@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from .corpus import Document
 from .errors import TruncatedStreamError
 
 __all__ = [
-    "WikiArticle",
     "parse_interlanguage_links",
     "strip_wiki_markup",
     "extract_comparable_articles",
@@ -35,37 +34,6 @@ def parse_interlanguage_links(wikitext: str) -> list[tuple[str, str]]:
     links ``[[Title]]`` and namespaced links are excluded.
     """
     return [(m.group(1), m.group(2)) for m in _INTERLANGUAGE_RE.finditer(wikitext)]
-
-
-@dataclass(frozen=True)
-class WikiArticle:
-    """A dump page: title, raw wikitext and its interlanguage links.
-
-    Links keep at most one entry per language code; the first occurrence in
-    the wikitext wins.
-    """
-
-    title: str
-    wikitext: str
-    interlanguage_links: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        deduped: dict[str, str] = {}
-        for code, title in self.interlanguage_links:
-            deduped.setdefault(code, title)
-        object.__setattr__(
-            self, "interlanguage_links", tuple(deduped.items())
-        )
-
-    @classmethod
-    def from_wikitext(cls, title: str, wikitext: str) -> "WikiArticle":
-        return cls(title, wikitext, tuple(parse_interlanguage_links(wikitext)))
-
-    def link_map(self) -> dict[str, str]:
-        return dict(self.interlanguage_links)
-
-    def plain_text(self) -> str:
-        return strip_wiki_markup(self.wikitext)
 
 
 # --------------------------------------------------------------------------
@@ -203,50 +171,62 @@ def extract_comparable_articles(
     required_languages: Sequence[str] | set[str],
     *,
     stats: dict | None = None,
-) -> Iterator[tuple[WikiArticle, ...]]:
-    """Stream aligned article tuples out of a page-wise XML dump.
+) -> Iterator[tuple[Document, ...]]:
+    """Stream aligned document tuples out of a page-wise XML dump.
 
     A pivot page qualifies when its interlanguage links cover every code in
-    ``required_languages``; its linked titles are then resolved against the
-    title index built in a first pass over the dump. Tuples are emitted in
-    pivot page order as ``(pivot, linked...)`` with the linked articles in
-    sorted language-code order. Pivots whose linked titles do not resolve
-    are skipped and counted in ``stats["skipped_unresolved"]``.
+    ``required_languages``; the first link of each language wins. Its linked
+    titles are then resolved against the title index built in a first pass
+    over the dump. Tuples are emitted in pivot page order as
+    ``(pivot, linked...)`` with the linked pages in sorted language-code
+    order. Each page is a :class:`~xling.corpus.Document` whose id is its
+    title, whose language is its code (``pivot_language`` for the pivot) and
+    whose text is :func:`strip_wiki_markup` of its wikitext.
+
+    Pivots whose linked titles do not resolve are skipped and counted in
+    ``stats["skipped_unresolved"]``. A linked page serves only the first
+    resolved pivot that links it; later pivots linking it are skipped and
+    counted in ``stats["skipped_duplicate"]``.
     """
     required = sorted(set(required_languages) - {pivot_language})
     if stats is None:
         stats = {}
-    stats.setdefault("skipped_unresolved", 0)
-    stats.setdefault("pivot_candidates", 0)
+    for key in ("skipped_unresolved", "skipped_duplicate", "pivot_candidates"):
+        stats.setdefault(key, 0)
 
-    # Pass 1: title index + qualifying pivot records (title, links).
+    # Pass 1: title index + qualifying pivot records (title, required links).
     titles: set[str] = set()
     pivots: list[tuple[str, dict[str, str]]] = []
     for title, text in _pages(source):
         titles.add(title)
-        links = WikiArticle.from_wikitext(title, text).link_map()
+        links: dict[str, str] = {}
+        for code, linked in parse_interlanguage_links(text):
+            links.setdefault(code, linked)
         if all(code in links for code in required):
             stats["pivot_candidates"] += 1
-            pivots.append((title, links))
+            pivots.append((title, {code: links[code] for code in required}))
 
     resolved: list[tuple[str, dict[str, str]]] = []
-    needed: set[str] = set()
-    for title, links in pivots:
-        wanted = {code: links[code] for code in required}
-        if all(t in titles for t in wanted.values()):
-            resolved.append((title, wanted))
-            needed.add(title)
-            needed.update(wanted.values())
-        else:
+    used: set[str] = set()
+    for title, wanted in pivots:
+        if not all(t in titles for t in wanted.values()):
             stats["skipped_unresolved"] += 1
+        elif not used.isdisjoint(wanted.values()):
+            stats["skipped_duplicate"] += 1
+        else:
+            resolved.append((title, wanted))
+            used.update(wanted.values())
     if not resolved:
         return
 
-    # Pass 2: collect wikitext for the needed titles only.
-    pages: dict[str, WikiArticle] = {}
+    # Pass 2: strip the needed pages only, each once; the first page of a title wins.
+    needed = used.union(title for title, _ in resolved)
+    plain: dict[str, str] = {}
     for title, text in _pages(source):
-        if title in needed and title not in pages:
-            pages[title] = WikiArticle.from_wikitext(title, text)
+        if title in needed and title not in plain:
+            plain[title] = strip_wiki_markup(text)
 
     for title, wanted in resolved:
-        yield (pages[title],) + tuple(pages[wanted[code]] for code in sorted(wanted))
+        yield (Document(title, pivot_language, plain[title]),) + tuple(
+            Document(wanted[code], code, plain[wanted[code]]) for code in required
+        )

@@ -16,6 +16,8 @@ normalizes once per power iteration, must match both.
 ``fancy_index_sign_fix`` is ``lsi.train``'s rank truncation and sign fix as
 first written, negating flipped columns by fancy indexing; the in-place flip
 ``train`` makes must give the same bits.
+``chain_couple`` builds a couple whose maximum matching needs an augmenting
+path of a given length, longer than Python's recursion limit if asked.
 ``token_pipeline`` is the preprocessing that carried a ``Token`` (surface and
 reduced form) per word occurrence through reduction and filtering; the
 plain-string ``run_pipeline`` and ``tokenize`` must reproduce it exactly.
@@ -473,3 +475,17 @@ def two_step_reduced_dictionary(
         )
         for src, tgt in load_dictionary(path).synsets
     )
+
+
+def chain_couple(n: int) -> tuple[list[str], list[str], list[tuple[tuple[str, ...], tuple[str, ...]]]]:
+    """A couple whose last augmenting path has ``n`` steps.
+
+    The synsets are S_0 <-> T_0 and S_i <-> {T_(i-1), T_i}. Sources are named so
+    that S_n sorts first: each S_i (i >= 1) takes T_(i-1), and S_0 then has to
+    move every one of them on to T_i.
+    """
+    sources = [f"s{n - i:05d}" for i in range(n + 1)]
+    targets = [f"t{i:05d}" for i in range(n + 1)]
+    synsets = [((sources[0],), (targets[0],))]
+    synsets += [((sources[i],), (targets[i - 1], targets[i])) for i in range(1, n + 1)]
+    return sources, targets, synsets

@@ -7,6 +7,7 @@ from measure_oracles import (
     brute_dict_cosine,
     brute_matching_rate,
     brute_oov,
+    chain_couple,
     pair_loop_dict_cosine,
     random_toy_pair,
     two_step_reduced_dictionary,
@@ -309,13 +310,6 @@ class TestPairIndex:
         dict_cosines([d_s], [d_t], toy_dictionary, stats_s, stats_t)
         assert toy_dictionary._pairs is None
 
-    def test_sorted_translations(self, toy_dictionary):
-        assert toy_dictionary.sorted_translations("market") == ("aswaq", "suq")
-        assert toy_dictionary.sorted_translations("suq", "target") == ("market", "markets")
-        assert toy_dictionary.sorted_translations("unknown") == ()
-        with pytest.raises(ValueError):
-            toy_dictionary.sorted_translations("oil", "middle")
-
 
 def _assert_same_dictionary(got: BilingualDictionary, expected: BilingualDictionary):
     assert got.synsets == expected.synsets
@@ -325,7 +319,6 @@ def _assert_same_dictionary(got: BilingualDictionary, expected: BilingualDiction
         for term in terms | {"unknown"}:
             assert got.contains(term, side) == expected.contains(term, side)
             assert got.translations(term, side) == expected.translations(term, side)
-            assert got.sorted_translations(term, side) == expected.sorted_translations(term, side)
 
 
 def _write(tmp_path, text: str):
@@ -430,6 +423,10 @@ class TestMatchingRate:
 
     def test_one_empty_side_is_zero(self, toy_dictionary):
         assert matching_rate([], ["zayt"], toy_dictionary) == 0.0
+
+    def test_augmenting_path_longer_than_the_recursion_limit(self):
+        sources, targets, synsets = chain_couple(5000)
+        assert matching_rate(sources, targets, BilingualDictionary(synsets)) == 0.5
 
 
 class TestBinPooled:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from measure_oracles import chain_couple
 import xling
 from xling import cli, errors
 from xling.bidict import dict_cosine, load_dictionary
@@ -74,7 +75,7 @@ class TestIngest:
         stats = json.loads(out.with_suffix(".stats.json").read_text(encoding="utf-8"))
         assert stats["pairs"] == 3
         assert stats["source"]["documents"] == 3
-        assert load_aligned_corpus(out).pair_count == 3
+        assert len(load_aligned_corpus(out)) == 3
 
     def test_wikidump_fixture(self, tmp_path):
         pages = []
@@ -102,10 +103,33 @@ class TestIngest:
         )
         assert rc == 0
         corpus = load_aligned_corpus(out)
-        assert corpus.pair_count == 2
+        assert len(corpus) == 2
         assert [d.id for d in corpus.source_docs] == ["A", "C"]
         stats = json.loads(out.with_suffix(".stats.json").read_text(encoding="utf-8"))
         assert stats["skipped_unresolved"] == 1
+
+    def test_wikidump_linked_page_serves_only_the_first_pivot(self, tmp_path):
+        pages = [("Olive oil", "[[ar:زيت]]"), ("Oil (food)", "[[ar:زيت]]"), ("زيت", "نص")]
+        dump = tmp_path / "dump.xml"
+        dump.write_text(
+            "<mediawiki>" + "".join(
+                f"<page><title>{t}</title><revision><text>{x}</text></revision></page>"
+                for t, x in pages
+            ) + "</mediawiki>",
+            encoding="utf-8",
+        )
+        out = tmp_path / "wiki.jsonl"
+        rc = main(
+            [
+                "ingest", "--input", str(dump), "--format", "wikidump",
+                "--pivot-lang", "en", "--tgt-lang", "ar", "--output", str(out),
+            ]
+        )
+        assert rc == 0
+        corpus = load_aligned_corpus(out)
+        assert [(s.id, t.id) for s, t in corpus.pairs()] == [("Olive oil", "زيت")]
+        stats = json.loads(out.with_suffix(".stats.json").read_text(encoding="utf-8"))
+        assert (stats["skipped_unresolved"], stats["skipped_duplicate"]) == (0, 1)
 
     def test_bad_path_exits_two_with_stderr_message(self, tmp_path, capsys):
         rc = main(
@@ -220,7 +244,7 @@ class TestTrain:
         assert model.kind == "crosslingual"
         assert model.k == 8
         test_corpus = load_aligned_corpus(Path(str(model_path) + ".test.jsonl"))
-        assert test_corpus.pair_count == 3  # 10% of 30
+        assert len(test_corpus) == 3  # 10% of 30
         manifest = json.loads(
             model_path.with_suffix(".xlsm.manifest.json").read_text(encoding="utf-8")
         )
@@ -945,6 +969,28 @@ class TestScore:
             for (s, t), d_s, d_t in zip(corpus.pairs(), src, tgt)
         )
         assert out.read_text(encoding="utf-8") == expected
+
+    def test_match_on_a_long_augmenting_path(self, tmp_path):
+        sources, targets, synsets = chain_couple(5000)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(
+            json.dumps({"src_id": "e1", "tgt_id": "a1", "src_text": " ".join(sources),
+                        "tgt_text": " ".join(targets)}) + "\n",
+            encoding="utf-8",
+        )
+        dictionary = tmp_path / "d.tsv"
+        dictionary.write_text(
+            "".join(f"{'|'.join(s)}\t{'|'.join(t)}\n" for s, t in synsets), encoding="utf-8"
+        )
+        out = tmp_path / "match.tsv"
+        rc = main(
+            [
+                "score", "--corpus", str(corpus), "--dictionary", str(dictionary),
+                "--measure", "match", "--output", str(out),
+            ]
+        )
+        assert rc == 0
+        assert out.read_text(encoding="utf-8") == "e1\ta1\t0.500000\n"
 
     def test_morphar_without_dictionary_exits_two(self, tmp_path, corpus_file, capsys):
         rc = main(

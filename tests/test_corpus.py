@@ -74,7 +74,7 @@ class TestPairdirs:
     def test_single_pair(self, tmp_path):
         _write_pairdirs(tmp_path, [("001", "hello", "marhaba")])
         corpus = load_aligned_corpus(tmp_path, "pairdirs", src_lang="en", tgt_lang="ar")
-        assert corpus.pair_count == 1
+        assert len(corpus) == 1
         assert corpus.source_docs[0].id == "001"
         assert corpus.target_docs[0].text == "marhaba"
 
@@ -105,7 +105,7 @@ class TestJsonl:
         ]
         path.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
         corpus = load_aligned_corpus(path)
-        assert corpus.pair_count == 3
+        assert len(corpus) == 3
         assert [d.id for d in corpus.source_docs] == ["e3", "e1", "e2"]
 
     def test_missing_field_reports_line(self, tmp_path):
@@ -149,7 +149,7 @@ class TestJsonl:
         path = tmp_path / "c.jsonl"
         save_aligned_corpus(tiny_corpus, path)
         loaded = load_aligned_corpus(path, src_lang="en", tgt_lang="ar")
-        assert loaded.pair_count == tiny_corpus.pair_count
+        assert len(loaded) == len(tiny_corpus)
         for before, after in zip(tiny_corpus.source_docs, loaded.source_docs):
             assert after.id == before.id
             assert after.text.encode() == before.text.encode()
@@ -226,11 +226,11 @@ def _corpus_of(n: int) -> AlignedCorpus:
 class TestSplit:
     def test_ninety_ten(self):
         train, test = split_corpus(_corpus_of(10), 0.9, seed=42)
-        assert (train.pair_count, test.pair_count) == (9, 1)
+        assert (len(train), len(test)) == (9, 1)
 
     def test_smallest_legal_split(self):
         train, test = split_corpus(_corpus_of(2), 0.5, seed=0)
-        assert (train.pair_count, test.pair_count) == (1, 1)
+        assert (len(train), len(test)) == (1, 1)
 
     def test_determinism(self):
         a = split_corpus(_corpus_of(20), 0.8, seed=7)
@@ -267,7 +267,7 @@ class TestSplit:
         test_ids = {d.id for d in test.source_docs}
         assert train_ids | test_ids == {d.id for d in corpus.source_docs}
         assert not train_ids & test_ids
-        assert train.pair_count == n_train
+        assert len(train) == n_train
         # couples stay intact: target ids carry matching indices
         for src, tgt in train.pairs():
             assert src.id[1:] == tgt.id[1:]

@@ -33,7 +33,6 @@ TAKES_A_SIDE = {
     "offset_for": lambda side: CROSS_VOCABULARY.offset_for(side),
     "contains": lambda side: DICTIONARY.contains("a", side),
     "translations": lambda side: DICTIONARY.translations("a", side),
-    "sorted_translations": lambda side: DICTIONARY.sorted_translations("a", side),
     "trans": lambda side: trans("a", ["x"], DICTIONARY, side=side),
     "bin_measure": lambda side: bin_measure(["a"], ["x"], DICTIONARY, side=side),
     "reducer_for": lambda side: PipelineConfig().reducer_for(side),

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from xling.corpus import Document
 from xling.errors import TruncatedStreamError
 from xling.wikitext import (
-    WikiArticle,
     extract_comparable_articles,
     parse_interlanguage_links,
     strip_wiki_markup,
@@ -44,10 +44,6 @@ class TestInterlanguageLinks:
         assert after <= before
         assert after == set()
 
-    def test_wikiarticle_dedupes_first_wins(self):
-        article = WikiArticle.from_wikitext("T", "[[ar:First]] x [[ar:Second]] [[fr:F]]")
-        assert article.link_map() == {"ar": "First", "fr": "F"}
-
 
 def _page(title: str, text: str, ns: str | None = None) -> str:
     ns_el = f"<ns>{ns}</ns>" if ns is not None else ""
@@ -68,9 +64,44 @@ class TestDumpExtraction:
         tuples = list(extract_comparable_articles(io.BytesIO(dump), "en", {"fr", "ar"}))
         assert len(tuples) == 1
         pivot, ar_article, fr_article = tuples[0]
-        assert pivot.title == "Olive oil"
-        assert ar_article.title == "زيت زيتون"  # sorted language order: ar, fr
-        assert fr_article.title == "Huile d'olive"
+        assert pivot == Document("Olive oil", "en", "Text")
+        assert ar_article == Document("زيت زيتون", "ar", "نص عربي")  # sorted language order: ar, fr
+        assert fr_article == Document("Huile d'olive", "fr", "Texte français")
+
+    def test_first_link_of_a_language_wins(self):
+        dump = _dump(
+            _page("T", "[[ar:First]] x [[ar:Second]] [[fr:F]]"),
+            _page("First", "one"),
+            _page("Second", "two"),
+            _page("F", "f"),
+        )
+        tuples = list(extract_comparable_articles(io.BytesIO(dump), "en", {"fr", "ar"}))
+        assert [[d.id for d in t] for t in tuples] == [["T", "First", "F"]]
+
+    def test_linked_page_serves_only_the_first_pivot(self):
+        dump = _dump(
+            _page("Olive oil", "[[ar:زيت]]"),
+            _page("Oil (food)", "[[ar:زيت]]"),
+            _page("زيت", "نص"),
+        )
+        stats = {}
+        tuples = list(extract_comparable_articles(io.BytesIO(dump), "en", {"ar"}, stats=stats))
+        assert [[d.id for d in t] for t in tuples] == [["Olive oil", "زيت"]]
+        assert stats == {"pivot_candidates": 2, "skipped_unresolved": 0, "skipped_duplicate": 1}
+
+    def test_unresolved_pivot_claims_no_page(self):
+        dump = _dump(
+            _page("A", "[[fr:X]] [[ar:Missing]]"),
+            _page("B", "[[fr:X]] [[ar:Y]]"),
+            _page("X", "x"),
+            _page("Y", "y"),
+        )
+        stats = {}
+        tuples = list(
+            extract_comparable_articles(io.BytesIO(dump), "en", {"fr", "ar"}, stats=stats)
+        )
+        assert [t[0].id for t in tuples] == ["B"]
+        assert (stats["skipped_unresolved"], stats["skipped_duplicate"]) == (1, 0)
 
     def test_unresolved_title_skipped_and_counted(self):
         dump = _dump(
@@ -96,8 +127,8 @@ class TestDumpExtraction:
             _page("B-fr", "fr text b"),
         )
         tuples = list(extract_comparable_articles(io.BytesIO(dump), "en", {"fr", "ar"}))
-        assert [t[0].title for t in tuples] == ["A", "C"]
-        assert [t[1].title for t in tuples] == ["A-ar", "C-ar"]
+        assert [t[0].id for t in tuples] == ["A", "C"]
+        assert [t[1].id for t in tuples] == ["A-ar", "C-ar"]
 
     def test_output_count_bounded_by_pivot_candidates(self):
         pages = [_page(f"P{i}", f"[[fr:P{i}-fr]]") for i in range(4)]
@@ -116,7 +147,7 @@ class TestDumpExtraction:
             _page("Huile", "texte"),
         )
         tuples = list(extract_comparable_articles(io.BytesIO(dump), "en", {"fr"}))
-        assert [t[0].title for t in tuples] == ["Olive oil"]
+        assert [t[0].id for t in tuples] == ["Olive oil"]
 
     def test_truncated_stream(self):
         blob = b"<mediawiki><page><title>A</title><text>unfinished"
@@ -130,7 +161,7 @@ class TestDumpExtraction:
         )
         tuples = list(extract_comparable_articles(dump_path, "en", {"fr"}))
         assert len(tuples) == 1
-        assert tuples[0][1].plain_text() == "texte"
+        assert tuples[0][1] == Document("A-fr", "fr", "texte")
 
 
 class TestStripMarkup:
