@@ -5,6 +5,9 @@ byte-identical outputs in one environment. Timestamps live only in run
 manifests. Exit codes: 0 success, 2 usage/input error, 3 data/model error,
 4 numerical failure; every error, a bad flag included, is one line of JSON
 on stderr. Flags may also come from ``@file`` arguments (see ``_Parser``).
+A flag that a command, format, measure or model kind would not read is
+refused, never ignored: the run exits 2 with ``<reason>: drop --flag``
+before it reads its inputs where it can (see ``_unread_flags``).
 """
 
 from __future__ import annotations
@@ -54,19 +57,29 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(path: Path, command: str, options: dict, inputs: list[Path]) -> None:
-    canonical = json.dumps({k: v for k, v in sorted(options.items())}, sort_keys=True)
-    manifest = {
-        "command": command,
-        "options": {k: v for k, v in sorted(options.items())},
-        "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-        "inputs": {str(p): _sha256(p) for p in inputs if p is not None and p.is_file()},
+def _write_json(path: Path, payload: dict) -> None:
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def _write_manifest(args, path: Path, inputs: list[str | None]) -> None:
+    """The run's command, options and their hash, and each input file's hash."""
+    options = {k: v for k, v in vars(args).items() if k != "func"}
+    canonical = json.dumps(options, sort_keys=True).encode("utf-8")
+    _write_json(path, {
+        "command": args.command,
+        "options": options,
+        "config_hash": hashlib.sha256(canonical).hexdigest(),
+        "inputs": {str(p): _sha256(p) for p in map(Path, filter(None, inputs)) if p.is_file()},
         "created": datetime.now(timezone.utc).isoformat(),
-    }
-    path.write_text(
-        json.dumps(manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    })
+
+
+def _unread_flags(args, reason: str, *dests: str) -> None:
+    """Refuse the listed flags (given when not None) as ones this run would not read."""
+    if any(getattr(args, d) is not None for d in dests):
+        flags = "/".join("--" + d.replace("_", "-") for d in dests)
+        raise ValueError(f"{reason}: drop {flags}")
 
 
 _PATH_OPTIONS = (
@@ -130,11 +143,23 @@ def _preprocess_corpus(corpus, source: Preprocessor, target: Preprocessor):
 # --------------------------------------------------------------------------
 
 
+# The language flags each ingest format reads, and the ones it leaves unread.
+_INGEST_LANGUAGES = {
+    "jsonl": ("no language", ("src_lang", "tgt_lang", "pivot_lang")),
+    "pairdirs": ("--src-lang and --tgt-lang", ("pivot_lang",)),
+    "wikidump": ("--pivot-lang and --tgt-lang", ("src_lang",)),
+}
+
+
 def _cmd_ingest(args) -> int:
+    reads, unread = _INGEST_LANGUAGES[args.format]
+    _unread_flags(args, f"--format {args.format} reads {reads}", *unread)
     out_path = Path(args.output)
     if args.format == "wikidump":
         if not args.pivot_lang or not args.tgt_lang:
             raise ValueError("wikidump ingestion needs --pivot-lang and --tgt-lang")
+        if args.tgt_lang == args.pivot_lang:
+            raise ValueError("--tgt-lang must differ from --pivot-lang")
         stats: dict = {}
         couples = list(wikitext.extract_comparable_articles(
             args.input, args.pivot_lang, {args.tgt_lang}, stats=stats
@@ -150,30 +175,24 @@ def _cmd_ingest(args) -> int:
         extra = {}
 
     corpus_io.save_aligned_corpus(corpus, out_path)
-    stats_payload = {
+    _write_json(Path(args.stats) if args.stats else out_path.with_suffix(".stats.json"), {
         "pairs": len(corpus),
         "source": corpus_io.document_stats(corpus.source_docs) if len(corpus) else {},
         "target": corpus_io.document_stats(corpus.target_docs) if len(corpus) else {},
         **extra,
-    }
-    stats_path = Path(args.stats) if args.stats else out_path.with_suffix(".stats.json")
-    stats_path.write_text(
-        json.dumps(stats_payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    _write_manifest(
-        out_path.with_suffix(".manifest.json"),
-        "ingest",
-        {k: v for k, v in vars(args).items() if k != "func"},
-        [Path(args.input)],
-    )
+    })
+    _write_manifest(args, out_path.with_suffix(".manifest.json"), [args.input])
     print(f"ingested {len(corpus)} pairs -> {out_path}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    if args.no_split and (args.train_fraction is not None or args.test_output):
-        raise ValueError("--no-split trains on every couple: drop --train-fraction/--test-output")
+    if args.no_split:
+        _unread_flags(args, "--no-split trains on every couple", "train_fraction", "test_output")
+    if args.kind == "mono" and args.reducer_source != "identity":
+        _unread_flags(args, "a mono model is built from the target side alone", "reducer_source")
+    if "morphar" not in (args.reducer_source, args.reducer_target):
+        _unread_flags(args, "train reads --dictionary only for a morphar reducer", "dictionary")
     # Before the corpus is read and the SVD runs, not after.
     for path in (args.output, args.test_output):
         if path and not Path(path).parent.is_dir():
@@ -217,35 +236,27 @@ def _cmd_train(args) -> int:
         )
         corpus_io.save_aligned_corpus(test_part, test_path)
 
-    _write_manifest(
-        out_path.with_suffix(out_path.suffix + ".manifest.json"),
-        "train",
-        {k: v for k, v in vars(args).items() if k != "func"},
-        [Path(args.corpus)],
-    )
+    _write_manifest(args, out_path.with_suffix(out_path.suffix + ".manifest.json"), [args.corpus])
     print(f"trained {model.kind} model: k={model.k}, |V|={len(model.vocabulary)}, d={model.n_docs}")
     return 0
 
 
-def _translator(args, model):
-    """The ``Document -> text`` translation ``--dictionary`` or ``--cache``
-    selects; with neither, queries stay as written. Both flags, or either
-    with a crosslingual model (which translates nothing), are usage errors."""
+def _run_retrieval(args, model, corpus, n: int) -> list[retrieval.RankedList]:
+    """Rank the corpus's targets for each of its sources. A monolingual
+    model's queries are translated as ``--dictionary`` or ``--cache`` selects,
+    and stay as written with neither. Both flags, or either with a
+    crosslingual model (which translates nothing), are usage errors."""
     if args.dictionary and args.cache:
         raise ValueError("--dictionary and --cache each translate queries: give one")
-    if model.kind == "crosslingual" and (args.dictionary or args.cache):
-        raise ValueError("a crosslingual model translates no queries: drop --dictionary/--cache")
-    if args.dictionary:
-        return retrieval.dictionary_translator(load_dictionary(args.dictionary))
-    if args.cache:
-        return retrieval.cached_translator(args.cache)
-    return retrieval.identity_translator
-
-
-def _run_retrieval(args, model, corpus, n: int) -> list[retrieval.RankedList]:
-    translate = _translator(args, model)
     if model.kind == "crosslingual":
+        _unread_flags(args, "a crosslingual model translates no queries", "dictionary", "cache")
         return retrieval.retrieve_cl_lsi(corpus.source_docs, corpus.target_docs, model, n)
+    if args.dictionary:
+        translate = retrieval.dictionary_translator(load_dictionary(args.dictionary))
+    elif args.cache:
+        translate = retrieval.cached_translator(args.cache)
+    else:
+        translate = retrieval.identity_translator
     return retrieval.retrieve_ar_lsi(corpus.source_docs, corpus.target_docs, model, translate, n)
 
 
@@ -273,11 +284,9 @@ def _cmd_align(args) -> int:
         corpus = corpus_io.load_aligned_corpus(args.corpus)
         source_docs, target_docs = corpus.source_docs, corpus.target_docs
         gold = retrieval.gold_mapping(corpus)
-        inputs = [Path(args.corpus)]
     else:
         source_docs = corpus_io.load_documents(args.source_docs)
         target_docs = corpus_io.load_documents(args.target_docs)
-        inputs = [Path(args.source_docs), Path(args.target_docs)]
 
     pairs = retrieval.align_corpora(
         source_docs,
@@ -296,19 +305,15 @@ def _cmd_align(args) -> int:
             retrieval.write_histogram_csv(report, args.histogram_csv)
         if args.ranges_csv:
             retrieval.write_ranges_csv(report, args.ranges_csv)
-    _write_manifest(
-        Path(args.output).with_suffix(".manifest.json"),
-        "align",
-        {k: v for k, v in vars(args).items() if k != "func"},
-        inputs + [Path(args.model)],
-    )
+    _write_manifest(args, Path(args.output).with_suffix(".manifest.json"),
+                    [args.corpus, args.source_docs, args.target_docs, args.model])
     print(f"aligned {len(pairs)} pairs -> {args.output}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    if args.oracle and (args.dictionary or args.cache or args.ks is not None):
-        raise ValueError("--oracle queries documents as written: drop --dictionary/--cache/--ks")
+    if args.oracle:
+        _unread_flags(args, "--oracle queries documents as written", "dictionary", "cache", "ks")
     model = lsi.load_model(args.model)
     corpus = corpus_io.load_aligned_corpus(args.corpus)
     if args.oracle:
@@ -332,6 +337,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    if args.measure != "bin":
+        _unread_flags(args, f"--measure {args.measure} has no variants", "bin_variant")
     corpus = corpus_io.load_aligned_corpus(args.corpus)
     source, target, dictionary = _preprocessors(args)
     src_tokens, tgt_tokens = _preprocess_corpus(corpus, source, target)
@@ -379,7 +386,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_translation_flags(parser: argparse.ArgumentParser) -> None:
-    """How a monolingual model's queries are translated (see ``_translator``)."""
+    """How a monolingual model's queries are translated (see ``_run_retrieval``)."""
     parser.add_argument("--dictionary", default=None, help="translate queries word for word")
     parser.add_argument("--cache", default=None, help="documents file of translated queries")
 
@@ -477,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dictionary", required=True)
     p.add_argument("--measure", choices=["bin", "bincos", "oov", "match"], required=True)
     p.add_argument(
-        "--bin-variant", choices=["symmetric", "pooled"], default="symmetric",
+        "--bin-variant", choices=["symmetric", "pooled"], default=None,
         help="'symmetric' averages both directions; 'pooled' counts both sides over total size",
     )
     p.add_argument("--output", required=True)

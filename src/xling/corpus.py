@@ -156,8 +156,10 @@ def _load_jsonl(path: Path, src_lang: str, tgt_lang: str) -> AlignedCorpus:
 
 
 def _load_pairdirs(path: Path, src_lang: str | None, tgt_lang: str | None) -> AlignedCorpus:
+    if (src_lang is None) != (tgt_lang is None):
+        raise ValueError("give both src_lang and tgt_lang, or neither")
     subdirs = sorted(d.name for d in path.iterdir() if d.is_dir())
-    if src_lang is None or tgt_lang is None:
+    if src_lang is None:
         if len(subdirs) != 2:
             raise ValueError(
                 f"pairdirs root {path} has {len(subdirs)} subdirectories; "

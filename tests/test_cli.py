@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,29 @@ def _train(tmp_path, corpus_file, *extra) -> Path:
     )
     assert rc == 0
     return model_path
+
+
+def _ingest_inputs(tmp_path) -> dict[str, Path]:
+    """One couple in each ingest format; the pairdirs tree holds ar/ and en/."""
+    jsonl = tmp_path / "pairs.jsonl"
+    jsonl.write_text(json.dumps({"src_id": "e1", "tgt_id": "a1", "src_text": "hello world",
+                                 "tgt_text": "marhaba dunya"}) + "\n", encoding="utf-8")
+    root = tmp_path / "raw"
+    for lang, text in (("en", "hello world"), ("ar", "marhaba dunya")):
+        (root / lang).mkdir(parents=True)
+        (root / lang / "001.txt").write_text(text, encoding="utf-8")
+    dump = tmp_path / "dump.xml"
+    dump.write_text(
+        "<mediawiki><page><title>A</title><revision><text>Body of A. [[ar:A-ar]]</text>"
+        "</revision></page><page><title>A-ar</title><revision><text>نص</text>"
+        "</revision></page></mediawiki>",
+        encoding="utf-8",
+    )
+    return {"jsonl": jsonl, "pairdirs": root, "wikidump": dump}
+
+
+def _unexpected_read(*_args, **_kwargs):
+    raise AssertionError("the command read its input before checking its flags")
 
 
 class TestIngest:
@@ -131,6 +156,50 @@ class TestIngest:
         stats = json.loads(out.with_suffix(".stats.json").read_text(encoding="utf-8"))
         assert (stats["skipped_unresolved"], stats["skipped_duplicate"]) == (0, 1)
 
+    @pytest.mark.parametrize(
+        "fmt, flags, message",
+        [
+            ("jsonl", ["--src-lang", "en"],
+             "--format jsonl reads no language: drop --src-lang/--tgt-lang/--pivot-lang"),
+            ("jsonl", ["--tgt-lang", "ar"],
+             "--format jsonl reads no language: drop --src-lang/--tgt-lang/--pivot-lang"),
+            ("jsonl", ["--pivot-lang", "en"],
+             "--format jsonl reads no language: drop --src-lang/--tgt-lang/--pivot-lang"),
+            ("pairdirs", ["--src-lang", "en", "--tgt-lang", "ar", "--pivot-lang", "en"],
+             "--format pairdirs reads --src-lang and --tgt-lang: drop --pivot-lang"),
+            ("wikidump", ["--pivot-lang", "en", "--tgt-lang", "ar", "--src-lang", "en"],
+             "--format wikidump reads --pivot-lang and --tgt-lang: drop --src-lang"),
+            ("wikidump", ["--pivot-lang", "en", "--tgt-lang", "en"],
+             "--tgt-lang must differ from --pivot-lang"),
+        ],
+        ids=["jsonl_src", "jsonl_tgt", "jsonl_pivot", "pairdirs_pivot", "wikidump_src",
+             "wikidump_tgt_is_pivot"],
+    )
+    def test_language_flag_the_format_does_not_read_exits_two(
+        self, tmp_path, capsys, monkeypatch, fmt, flags, message
+    ):
+        inputs = _ingest_inputs(tmp_path)
+        monkeypatch.setattr(cli.corpus_io, "load_aligned_corpus", _unexpected_read)
+        monkeypatch.setattr(cli.wikitext, "extract_comparable_articles", _unexpected_read)
+        rc = main(["ingest", "--input", str(inputs[fmt]), "--format", fmt, *flags,
+                   "--output", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        assert _one_json_error(capsys) == {"error": "ValueError", "message": message}
+        assert not list(tmp_path.glob("out.*"))
+
+    @pytest.mark.parametrize("flag", ["--src-lang", "--tgt-lang"])
+    def test_pairdirs_with_one_language_exits_two(self, tmp_path, capsys, flag):
+        # Filled in from the sorted subdirectories, the missing language
+        # used to put the Arabic pages on the source side.
+        inputs = _ingest_inputs(tmp_path)
+        rc = main(["ingest", "--input", str(inputs["pairdirs"]), "--format", "pairdirs",
+                   flag, "en", "--output", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "ValueError", "message": "give both src_lang and tgt_lang, or neither",
+        }
+        assert not list(tmp_path.glob("out.*"))
+
     def test_bad_path_exits_two_with_stderr_message(self, tmp_path, capsys):
         rc = main(
             [
@@ -197,6 +266,40 @@ class TestTrain:
             "message": "--no-split trains on every couple: drop --train-fraction/--test-output",
         }
         assert not model_path.exists() and not (tmp_path / "t.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dictionary", "{dictionary}"],
+             "train reads --dictionary only for a morphar reducer: drop --dictionary"),
+            (["--dictionary", "{dictionary}", "--reducer-source", "suffix_stemmer",
+              "--reducer-target", "light_stemmer"],
+             "train reads --dictionary only for a morphar reducer: drop --dictionary"),
+            (["--kind", "mono", "--reducer-source", "suffix_stemmer"],
+             "a mono model is built from the target side alone: drop --reducer-source"),
+            (["--kind", "mono", "--reducer-source", "morphar", "--dictionary", "{dictionary}"],
+             "a mono model is built from the target side alone: drop --reducer-source"),
+        ],
+        ids=["dictionary_identity", "dictionary_stemmers", "mono_stemmer", "mono_morphar"],
+    )
+    def test_flag_the_model_does_not_read_exits_two(
+        self, tmp_path, corpus_file, dictionary_file, capsys, monkeypatch, flags, message
+    ):
+        monkeypatch.setattr(cli.corpus_io, "load_aligned_corpus", _unexpected_read)
+        model_path = tmp_path / "m.xlsm"
+        rc = main(["train", "--corpus", str(corpus_file), "--output", str(model_path),
+                   *(f.format(dictionary=dictionary_file) for f in flags)])
+        assert rc == 2
+        assert _one_json_error(capsys) == {"error": "ValueError", "message": message}
+        assert not list(tmp_path.glob("m.xlsm*"))
+
+    def test_mono_model_with_an_identity_source_reducer(self, tmp_path, corpus_file):
+        model_path = tmp_path / "mono.xlsm"
+        rc = main(["train", "--corpus", str(corpus_file), "--kind", "mono", "--k", "6",
+                   "--reducer-source", "identity", "--reducer-target", "light_stemmer",
+                   "--output", str(model_path)])
+        assert rc == 0
+        assert load_model(model_path).kind == "monolingual"
 
     @pytest.mark.parametrize(
         "flags",
@@ -861,6 +964,38 @@ class TestScore:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("variant", ["symmetric", "pooled"])
+    @pytest.mark.parametrize("measure", ["bincos", "oov", "match"])
+    def test_bin_variant_with_another_measure_exits_two(
+        self, tmp_path, corpus_file, dictionary_file, capsys, monkeypatch, measure, variant
+    ):
+        monkeypatch.setattr(cli.corpus_io, "load_aligned_corpus", _unexpected_read)
+        out = tmp_path / "s.tsv"
+        rc = main(["score", "--corpus", str(corpus_file), "--dictionary", str(dictionary_file),
+                   "--measure", measure, "--bin-variant", variant, "--output", str(out)])
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "ValueError",
+            "message": f"--measure {measure} has no variants: drop --bin-variant",
+        }
+        assert not out.exists()
+
+    def test_bin_variant_defaults_to_symmetric(self, tmp_path, corpus_file):
+        # Half the source words have an entry, so the two variants differ.
+        dictionary = tmp_path / "half.tsv"
+        dictionary.write_text(
+            "".join(f"{w}\t{cipher_word(w)}\n" for w in source_vocabulary(SPEC)[::2]),
+            encoding="utf-8",
+        )
+        outputs = {}
+        for name, flags in (("default", []), ("symmetric", ["--bin-variant", "symmetric"]),
+                            ("pooled", ["--bin-variant", "pooled"])):
+            out = tmp_path / f"{name}.tsv"
+            assert main(["score", "--corpus", str(corpus_file), "--dictionary", str(dictionary),
+                         "--measure", "bin", *flags, "--output", str(out)]) == 0
+            outputs[name] = out.read_bytes()
+        assert outputs["default"] == outputs["symmetric"] != outputs["pooled"]
+
     def test_morphar_reducer_through_cli(self, tmp_path, corpus_file, dictionary_file):
         out = tmp_path / "morphar.tsv"
         rc = main(
@@ -1000,6 +1135,73 @@ class TestScore:
             ]
         )
         assert rc == 2
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestManifests:
+    """Each manifest holds the command, the parsed flags with their paths
+    resolved against --data-dir, their hash, each input file's hash and a
+    UTC creation time, and nothing else."""
+
+    def _assert_manifest(self, path: Path, command: str, options: dict, inputs: list[Path]):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert set(manifest) == {"command", "options", "config_hash", "inputs", "created"}
+        assert manifest["command"] == command
+        assert manifest["options"] == options
+        canonical = json.dumps(options, sort_keys=True).encode("utf-8")
+        assert manifest["config_hash"] == hashlib.sha256(canonical).hexdigest()
+        assert manifest["inputs"] == {str(p): _sha256(p) for p in inputs}
+        assert datetime.fromisoformat(manifest["created"]).utcoffset() == timedelta(0)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "wikidump"])
+    def test_ingest(self, tmp_path, fmt):
+        inputs = _ingest_inputs(tmp_path)
+        langs = ["--pivot-lang", "en", "--tgt-lang", "ar"] if fmt == "wikidump" else []
+        assert main(["--data-dir", str(tmp_path), "ingest", "--input", inputs[fmt].name,
+                     "--format", fmt, *langs, "--output", "c.jsonl", "--stats", "c.json"]) == 0
+        self._assert_manifest(tmp_path / "c.manifest.json", "ingest", {
+            "command": "ingest", "data_dir": str(tmp_path), "format": fmt,
+            "input": str(inputs[fmt]), "output": str(tmp_path / "c.jsonl"),
+            "stats": str(tmp_path / "c.json"), "src_lang": None,
+            "tgt_lang": "ar" if langs else None, "pivot_lang": "en" if langs else None,
+        }, [inputs[fmt]])
+
+    def test_train(self, tmp_path, corpus_file):
+        assert main(["--data-dir", str(tmp_path), "train", "--corpus", corpus_file.name,
+                     "--k", "6", "--seed", "7", "--reducer-target", "light_stemmer",
+                     "--output", "m.xlsm"]) == 0
+        self._assert_manifest(tmp_path / "m.xlsm.manifest.json", "train", {
+            "command": "train", "data_dir": str(tmp_path), "corpus": str(corpus_file),
+            "kind": "cross", "k": 6, "train_fraction": None, "seed": 7, "no_split": False,
+            "output": str(tmp_path / "m.xlsm"), "test_output": None, "dictionary": None,
+            "min_count": 1, "stopwords": None, "reducer_source": "identity",
+            "reducer_target": "light_stemmer",
+        }, [corpus_file])
+
+    @pytest.mark.parametrize("route", ["corpus", "documents"])
+    def test_align(self, tmp_path, corpus_file, route):
+        model = _train(tmp_path, corpus_file)
+        corpus = load_aligned_corpus(corpus_file)
+        save_documents(corpus.source_docs, tmp_path / "s.jsonl")
+        save_documents(corpus.target_docs, tmp_path / "t.jsonl")
+        flags = (["--corpus", corpus_file.name] if route == "corpus"
+                 else ["--source-docs", "s.jsonl", "--target-docs", "t.jsonl"])
+        assert main(["--data-dir", str(tmp_path), "align", "--model", model.name, *flags,
+                     "--top-n", "3", "--mutual-best", "--output", "a.tsv",
+                     "--report", "r.json"]) == 0
+        docs = [tmp_path / "s.jsonl", tmp_path / "t.jsonl"]
+        self._assert_manifest(tmp_path / "a.manifest.json", "align", {
+            "command": "align", "data_dir": str(tmp_path), "model": str(model),
+            "corpus": str(corpus_file) if route == "corpus" else None,
+            "source_docs": None if route == "corpus" else str(docs[0]),
+            "target_docs": None if route == "corpus" else str(docs[1]),
+            "top_n": 3, "group_by": None, "mutual_best": True,
+            "output": str(tmp_path / "a.tsv"), "report": str(tmp_path / "r.json"),
+            "histogram_csv": None, "ranges_csv": None,
+        }, [model, *([corpus_file] if route == "corpus" else docs)])
 
 
 class TestDataDir:

@@ -90,6 +90,14 @@ class TestPairdirs:
         assert corpus.source_docs[0].language == "aa"
         assert corpus.target_docs[0].language == "bb"
 
+    @pytest.mark.parametrize("given", [{"src_lang": "en"}, {"tgt_lang": "en"}])
+    def test_one_language_alone_rejected(self, tmp_path, given):
+        # Sorted, the subdirectories read ar, en: filling in the missing
+        # language from them would put Arabic on the source side.
+        _write_pairdirs(tmp_path, [("001", "hello", "marhaba")])
+        with pytest.raises(ValueError, match="give both src_lang and tgt_lang, or neither"):
+            load_aligned_corpus(tmp_path, "pairdirs", **given)
+
     def test_empty_text_loads(self, tmp_path):
         _write_pairdirs(tmp_path, [("001", "", "marhaba")])
         corpus = load_aligned_corpus(tmp_path, "pairdirs", src_lang="en", tgt_lang="ar")
