@@ -11,7 +11,7 @@ from xling.bidict import (
     BilingualDictionary,
     bin_measure,
     bin_symmetric,
-    dict_cosine,
+    dict_cosines,
     matching_rate,
     oov_rate,
 )
@@ -45,7 +45,8 @@ print("word matching rate       :", round(matching_rate(english, arabic, diction
 # statistics are needed: here a tiny two-document corpus per side.
 stats_en = build_vocabulary([english, ["markets", "rise", "on", "news"]])
 stats_ar = build_vocabulary([arabic, ["aswaq", "tartafi", "akhbar"]])
-print("dictionary tfidf cosine  :", round(dict_cosine(english, arabic, dictionary, stats_en, stats_ar), 4))
+(cosine,) = dict_cosines([english], [arabic], dictionary, stats_en, stats_ar)
+print("dictionary tfidf cosine  :", round(cosine, 4))
 
 # Word reduction widens dictionary coverage. The morphAr-style reducer
 # tries the light stem first and falls back to the root, so entries keyed

@@ -13,8 +13,8 @@ languages project into one shared concept space with no translation step.
 
 import numpy as np
 
-from xling.lsi import build_cross_matrix, build_mono_matrix, embed_crosslingual, fold_in, train
-from xling.retrieval import Embeddings, retrieve
+from xling.lsi import build_cross_matrix, build_mono_matrix, fold_in_many, train
+from xling.retrieval import Embeddings, retrieve_many
 from xling.synthetic import SyntheticSpec, make_parallel_corpus
 from xling.textprep import tokenize
 
@@ -31,7 +31,7 @@ print(f"monolingual model: |V|={len(mono.vocabulary)}, d={mono.n_docs}, k={mono.
 print("singular values:", np.round(mono.s[:6], 3), "...")
 
 # Folding a training document back in reproduces its row of V.
-deviation = np.max(np.abs(fold_in(tgt_tokens[0], mono, "target") - mono.v[0]))
+deviation = np.max(np.abs(fold_in_many([tgt_tokens[0]], mono, "target")[0] - mono.v[0]))
 print(f"fold-in identity on column 0: max deviation {deviation:.2e}")
 
 # --- cross-lingual space ---------------------------------------------------
@@ -43,9 +43,11 @@ print(f"\ncross-lingual model: |V|={len(cross.vocabulary)} "
 # Embed each side of a couple separately: the other language's coordinates
 # are zeroed, yet the two embeddings land close together.
 for j in (0, 1, 2):
-    e = embed_crosslingual(src_tokens[j], "source", cross)
-    a = embed_crosslingual(tgt_tokens[j], "target", cross)
-    wrong = embed_crosslingual(tgt_tokens[(j + 7) % len(tgt_tokens)], "target", cross)
-    sims = dict(retrieve(e, Embeddings(["own pair", "unrelated"], [a, wrong]), 2).entries)
+    wrong = (j + 7) % len(tgt_tokens)
+    query = fold_in_many([src_tokens[j]], cross, "source")
+    candidates = Embeddings(["own pair", "unrelated"],
+                            fold_in_many([tgt_tokens[j], tgt_tokens[wrong]], cross, "target"))
+    (ranked,) = retrieve_many(query, candidates, 2, [f"couple {j}"])
+    sims = dict(ranked.entries)
     print(f"couple {j}: cosine(own pair) = {sims['own pair']:.3f}   "
           f"cosine(unrelated) = {sims['unrelated']:.3f}")

@@ -13,7 +13,7 @@ from .bidict import (
     bin_measure,
     bin_pooled,
     bin_symmetric,
-    dict_cosine,
+    dict_cosines,
     load_dictionary,
     matching_rate,
     oov_rate,
@@ -32,10 +32,8 @@ from .lsi import (
     LsiModel,
     build_cross_matrix,
     build_mono_matrix,
-    embed_crosslingual,
-    fold_in,
+    fold_in_many,
     load_model,
-    project,
     save_model,
     train,
 )
@@ -53,7 +51,6 @@ from .retrieval import (
     identity_translator,
     oracle_experiment,
     recall_at_k,
-    retrieve,
     retrieve_ar_lsi,
     retrieve_cl_lsi,
     retrieve_many,

@@ -203,11 +203,10 @@ def _cmd_train(args) -> int:
         train_part, test_part = corpus_io.split_corpus(train_part, fraction, args.seed)
 
     source, target, _ = _preprocessors(args)
-    src_tokens, tgt_tokens = _preprocess_corpus(train_part, source, target)
-
     if args.kind == "cross":
         if not len(train_part):
             raise EmptyCorpusError("no couples to train on")
+        src_tokens, tgt_tokens = _preprocess_corpus(train_part, source, target)
         matrix = lsi.build_cross_matrix(
             src_tokens,
             tgt_tokens,
@@ -217,6 +216,7 @@ def _cmd_train(args) -> int:
     else:
         # Monolingual space lives in the target language: queries are
         # translated into it before projection.
+        tgt_tokens = run_pipeline([d.text for d in train_part.target_docs], target)
         matrix = lsi.build_mono_matrix(tgt_tokens)
 
     model = lsi.train(matrix, args.k, seed=args.seed)
@@ -462,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-docs", default=None, help="flat jsonl documents")
     p.add_argument("--target-docs", default=None, help="flat jsonl documents")
     p.add_argument("--top-n", type=int, default=15)
-    p.add_argument("--group-by", default=None, help="set to group on group_key (e.g. month)")
+    p.add_argument("--group-by", default=None, help="align within groups of documents by their "
+                   "own group_key; any value (e.g. month) turns this on and is not read")
     p.add_argument("--mutual-best", action="store_true")
     p.add_argument("--output", required=True, help="aligned pairs TSV")
     p.add_argument("--report", default=None, help="report JSON")

@@ -8,8 +8,7 @@ and ``"target"``; a monolingual one holds only ``"target"``, the language
 queries are translated into. Unseen documents enter a trained space by
 fold-in, ``v' = v^t U S^{-1}``: :func:`fold_in_many` weights one side's
 token lists with that side's ``Vocabulary.weight_rows`` (shifted to its rows
-in a cross space) and multiplies each row into the matching rows of ``U``;
-:func:`fold_in` is its one-document case.
+in a cross space) and multiplies each row into the matching rows of ``U``.
 
 The factorization is a randomized range-finder (Gaussian sketch, power
 iterations with one LU normalization per ``A^T A`` product, a blocked
@@ -52,9 +51,7 @@ __all__ = [
     "build_cross_matrix",
     "train",
     "project",
-    "fold_in",
     "fold_in_many",
-    "embed_crosslingual",
     "save_model",
     "load_model",
     "DEFAULT_RANK",
@@ -352,16 +349,6 @@ def fold_in_many(documents: Iterable[Sequence[str]], model: LsiModel, side: str)
         np.matmul(val[a:b], u.take(idx[a:b], axis=0), out=folded[r])
     folded /= model.s
     return folded
-
-
-def fold_in(tokens: Sequence[str], model: LsiModel, side: str) -> np.ndarray:
-    """Fold one token list into the LSI space: :func:`fold_in_many` of one row."""
-    return fold_in_many([tokens], model, side)[0]
-
-
-def embed_crosslingual(tokens: Sequence[str], side: str, model: LsiModel) -> np.ndarray:
-    """Embed one side's document with the other language's coordinates zero."""
-    return fold_in(tokens, model, side)
 
 
 # --------------------------------------------------------------------------

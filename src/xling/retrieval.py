@@ -44,7 +44,6 @@ from .errors import (
     TranslationError,
 )
 from .lsi import LsiModel, fold_in_many
-from .lsi import embed_crosslingual  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .textprep import tokenize
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "dictionary_translator",
     "cached_translator",
     "Embeddings",
-    "retrieve",
     "retrieve_many",
     "embed_documents",
     "retrieve_ar_lsi",
@@ -214,18 +212,6 @@ class Embeddings:
         return len(self.ids)
 
 
-def retrieve(
-    query_vec: np.ndarray,
-    candidates: Embeddings,
-    n: int,
-    *,
-    query_id: str = "",
-) -> RankedList:
-    """Rank candidates by cosine to the query and keep the top ``n``: the
-    one-query case of ``retrieve_many``, with the same errors and scores."""
-    return retrieve_many([query_vec], candidates, n, (query_id,))[0]
-
-
 def retrieve_many(
     queries: np.ndarray | Sequence[np.ndarray],
     candidates: Embeddings,
@@ -310,6 +296,22 @@ def retrieve_many(
             entries = zip(map(candidates.ids.__getitem__, row_ids), row_sims)
             ranked.append(RankedList(query_id, tuple(entries)))
     return ranked
+
+
+def retrieve(
+    query_vec: np.ndarray,
+    candidates: Embeddings,
+    n: int,
+    *,
+    query_id: str = "",
+) -> RankedList:
+    """``retrieve_many`` of one query; kept only for ``perfbench/tracing.py`` to wrap."""
+    return retrieve_many([query_vec], candidates, n, (query_id,))[0]
+
+
+def embed_crosslingual(tokens: Sequence[str], side: str, model: LsiModel) -> np.ndarray:
+    """``fold_in_many`` of one document; kept only for ``perfbench/tracing.py`` to wrap."""
+    return fold_in_many([tokens], model, side)[0]
 
 
 def _fold_texts(texts: Iterable[str], model: LsiModel, side: str) -> np.ndarray:

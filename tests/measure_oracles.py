@@ -5,7 +5,7 @@ The dictionary measures work directly off the synset list by exhaustive
 enumeration (no indexes, no shortcuts) so the package implementations have
 a fully independent oracle to agree with. Only suitable for toy documents.
 ``pair_loop_dict_cosine`` is the exception: it walks every translation
-pair in order, so the indexed ``dict_cosine`` must match it bit for bit.
+pair in order, so the indexed ``dict_cosines`` must match it bit for bit.
 ``brute_tfidf`` is the per-term loop that each row of
 ``Vocabulary.weight_rows`` must reproduce bit for bit, and with it every
 matrix and fold-in built on it.
@@ -45,7 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from xling.bidict import BilingualDictionary, load_dictionary
-from xling.lsi import _RANK_TRUNCATION, fold_in
+from xling.lsi import _RANK_TRUNCATION, fold_in_many
 from xling.retrieval import Embeddings, _unit_rows
 from xling.textprep import ReducerKind, _root_pass, make_reducer, tokenize
 
@@ -173,7 +173,8 @@ def brute_dict_cosine(d_s, d_t, synsets, source_stats, target_stats) -> float:
 
 
 def pair_loop_dict_cosine(d_s, d_t, dictionary, source_stats, target_stats) -> float:
-    """``dict_cosine`` as one loop over all of the dictionary's translation pairs."""
+    """One couple's ``dict_cosines`` as one loop over all of the dictionary's
+    translation pairs, deduplicated and sorted, read off its synsets."""
     counts_s = Counter(d_s)
     counts_t = Counter(d_t)
 
@@ -189,7 +190,8 @@ def pair_loop_dict_cosine(d_s, d_t, dictionary, source_stats, target_stats) -> f
     dot = 0.0
     norm_s = 0.0
     norm_t = 0.0
-    for ws, wt in dictionary.translation_pairs():
+    pairs = {(ws, wt) for src, tgt in dictionary.synsets for ws in src for wt in tgt}
+    for ws, wt in sorted(pairs):
         a = weight(ws, counts_s, source_stats)
         b = weight(wt, counts_t, target_stats)
         dot += a * b
@@ -250,7 +252,7 @@ def per_query_retrieve(query_vec, candidates: Embeddings, n: int) -> list[tuple[
 def brute_bucket_cosines(source_docs, target_docs, model, group_by=None):
     """Per alignment bucket (sorted by key), every source-target cosine.
 
-    Each document is folded on its own with ``fold_in``; one with no
+    Each document is folded on its own, a collection of one; one with no
     in-vocabulary term (a zero vector) is dropped, and so is a bucket left
     empty on either side. Yields ``(key, {(source_id, target_id): cosine})``.
     """
@@ -261,7 +263,7 @@ def brute_bucket_cosines(source_docs, target_docs, model, group_by=None):
     for key in sorted(buckets):
         folded = []
         for side, docs in zip(("source", "target"), buckets[key]):
-            vectors = {d.id: fold_in(tokenize(d.text), model, side) for d in docs}
+            vectors = {d.id: fold_in_many([tokenize(d.text)], model, side)[0] for d in docs}
             folded.append({i: v for i, v in vectors.items() if np.any(v)})
         sources, targets = folded
         if sources and targets:

@@ -286,34 +286,8 @@ class TestBatchedDictCosine:
             dict_cosines([["a"]], [], d, stats, stats)
 
 
-class TestPairIndex:
-    def test_translation_pairs_sorted_and_deduplicated(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            _, _, synsets = random_toy_pair(rng)
-            pairs = BilingualDictionary(synsets + synsets[:2]).translation_pairs()
-            expected = sorted({(ws, wt) for s, t in synsets for ws in s for wt in t})
-            assert list(pairs) == expected
-            assert all(a < b for a, b in zip(pairs, pairs[1:]))
-
-    def test_repeated_calls_return_the_same_object(self, toy_dictionary):
-        assert toy_dictionary.translation_pairs() is toy_dictionary.translation_pairs()
-
-    def test_other_measures_never_build_the_index(self, toy_dictionary):
-        # Every measure reads the per-term partner maps; only
-        # translation_pairs sorts the full pair list.
-        d_s, d_t = ["olive", "oil", "press", "xx"], ["zayt", "mitbaa", "suq"]
-        matching_rate(d_s, d_t, toy_dictionary)
-        bin_symmetric(d_s, d_t, toy_dictionary)
-        oov_rate(d_s, d_t, toy_dictionary)
-        stats_s, stats_t = build_vocabulary([d_s, ["oil"]]), build_vocabulary([d_t, ["suq"]])
-        dict_cosines([d_s], [d_t], toy_dictionary, stats_s, stats_t)
-        assert toy_dictionary._pairs is None
-
-
 def _assert_same_dictionary(got: BilingualDictionary, expected: BilingualDictionary):
     assert got.synsets == expected.synsets
-    assert got.translation_pairs() == expected.translation_pairs()
     for side, index in (("source", 0), ("target", 1)):
         terms = set().union(*(synset[index] for synset in expected.synsets))
         for term in terms | {"unknown"}:

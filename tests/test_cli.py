@@ -12,12 +12,18 @@ import pytest
 from measure_oracles import chain_couple
 import xling
 from xling import cli, errors
-from xling.bidict import dict_cosine, load_dictionary
+from xling.bidict import dict_cosine, load_dictionary, matching_rate
 from xling.cli import main
-from xling.corpus import Document, load_aligned_corpus, save_aligned_corpus, save_documents
+from xling.corpus import (
+    Document,
+    load_aligned_corpus,
+    save_aligned_corpus,
+    save_documents,
+    split_corpus,
+)
 from xling import lsi
-from xling.lsi import fold_in, load_model
-from xling.retrieval import Embeddings, retrieve, write_ranked_lists_json
+from xling.lsi import fold_in_many, load_model
+from xling.retrieval import Embeddings, retrieve_many, write_ranked_lists_json
 from xling.synthetic import SyntheticSpec, cipher_word, make_parallel_corpus, source_vocabulary
 from xling.textprep import PipelineConfig, Preprocessor, ReducerKind, run_pipeline, tokenize
 from xling.vsm import build_vocabulary
@@ -380,6 +386,54 @@ class TestTrain:
         assert rc == 0
         assert load_model(model_path).kind == "monolingual"
 
+    @pytest.mark.parametrize("kind", ["mono", "cross"])
+    def test_pipeline_runs_once_per_side_the_model_reads(
+        self, tmp_path, corpus_file, monkeypatch, kind
+    ):
+        texts_seen = []
+
+        def pipeline(texts, preprocessor=None):
+            texts_seen.append(list(texts))
+            return run_pipeline(texts, preprocessor)
+
+        monkeypatch.setattr(cli, "run_pipeline", pipeline)
+        model_path = tmp_path / "m.xlsm"
+        assert main(["train", "--corpus", str(corpus_file), "--kind", kind, "--k", "6",
+                     "--output", str(model_path)]) == 0
+
+        train_part, _ = split_corpus(load_aligned_corpus(corpus_file), 0.9, 42)
+        src = [d.text for d in train_part.source_docs]
+        tgt = [d.text for d in train_part.target_docs]
+        assert texts_seen == ([tgt] if kind == "mono" else [src, tgt])
+        # The model is the one the library builds from the sides it reads.
+        config = PipelineConfig()
+        tgt_tokens = run_pipeline(tgt, Preprocessor(config, "target"))
+        if kind == "mono":
+            matrix = lsi.build_mono_matrix(tgt_tokens)
+        else:
+            src_tokens = run_pipeline(src, Preprocessor(config, "source"))
+            matrix = lsi.build_cross_matrix(src_tokens, tgt_tokens,
+                                            train_part.source_docs[0].language,
+                                            train_part.target_docs[0].language)
+        expected = tmp_path / "library.xlsm"
+        lsi.save_model(lsi.train(matrix, 6, seed=42), expected)
+        assert model_path.read_bytes() == expected.read_bytes()
+
+    def test_min_count_flag_equals_library_model(self, tmp_path, corpus_file):
+        model_path = _train(tmp_path, corpus_file, "--no-split", "--min-count", "2")
+        config = PipelineConfig(min_corpus_frequency=2)
+        pairs = load_aligned_corpus(corpus_file)
+        src, tgt = ([d.text for d in docs] for docs in (pairs.source_docs, pairs.target_docs))
+        src_tokens = run_pipeline(src, Preprocessor(config, "source"))
+        tgt_tokens = run_pipeline(tgt, Preprocessor(config, "target"))
+        # Words seen once on a side are dropped, so the flag changes the model.
+        assert src_tokens != run_pipeline(src) and tgt_tokens != run_pipeline(tgt)
+        matrix = lsi.build_cross_matrix(src_tokens, tgt_tokens, pairs.source_docs[0].language,
+                                        pairs.target_docs[0].language)
+        expected = tmp_path / "library.xlsm"
+        lsi.save_model(lsi.train(matrix, 8, seed=42), expected)
+        assert model_path.read_bytes() == expected.read_bytes()
+
     def test_oversized_k_clamped_with_warning(self, tmp_path, corpus_file):
         model_path = tmp_path / "model.xlsm"
         with pytest.warns(UserWarning, match="clamped"):
@@ -471,6 +525,15 @@ class TestRetrieveEvalAlign:
         )
         assert rc == 0
         assert "R@1 1.0" in capsys.readouterr().out
+
+    def test_eval_oracle_output_file(self, tmp_path, corpus_file, capsys):
+        model_path = _train(tmp_path, corpus_file)
+        capsys.readouterr()
+        out = tmp_path / "oracle.json"
+        assert main(["eval", "--model", str(model_path), "--corpus", str(corpus_file),
+                     "--oracle", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == "R@1 1.0\n"
+        assert out.read_bytes() == b'{"oracle_r_at_1": 1.0}\n'
 
     def test_eval_recall_lines(self, tmp_path, corpus_file, capsys):
         model_path = _train(tmp_path, corpus_file)
@@ -805,12 +868,12 @@ class TestMonolingualRoute:
         model, corpus = load_model(model_path), load_aligned_corpus(same)
         candidates = Embeddings(
             [d.id for d in corpus.target_docs],
-            [fold_in(tokenize(d.text), model, "target") for d in corpus.target_docs],
+            fold_in_many([tokenize(d.text) for d in corpus.target_docs], model, "target"),
         )
-        ranked = [
-            retrieve(fold_in(tokenize(s.text), model, "target"), candidates, 3, query_id=s.id)
-            for s in corpus.source_docs
-        ]
+        ranked = []
+        for s in corpus.source_docs:
+            query = fold_in_many([tokenize(s.text)], model, "target")
+            ranked += retrieve_many(query, candidates, 3, [s.id])
         expected = tmp_path / "expected.json"
         write_ranked_lists_json(ranked, expected)
         assert out.read_bytes() == expected.read_bytes()
@@ -1104,6 +1167,23 @@ class TestScore:
             for (s, t), d_s, d_t in zip(corpus.pairs(), src, tgt)
         )
         assert out.read_text(encoding="utf-8") == expected
+
+    def test_min_count_flag_equals_library_scores(self, tmp_path, corpus_file, dictionary_file):
+        out, default = tmp_path / "match.tsv", tmp_path / "default.tsv"
+        for path, extra in ((out, ["--min-count", "2"]), (default, [])):
+            assert main(["score", "--corpus", str(corpus_file), "--dictionary",
+                         str(dictionary_file), "--measure", "match", "--output", str(path),
+                         *extra]) == 0
+        config = PipelineConfig(min_corpus_frequency=2)
+        corpus = load_aligned_corpus(corpus_file)
+        src = run_pipeline([d.text for d in corpus.source_docs], Preprocessor(config, "source"))
+        tgt = run_pipeline([d.text for d in corpus.target_docs], Preprocessor(config, "target"))
+        dictionary = load_dictionary(dictionary_file)
+        expected = "".join(f"{s.id}\t{t.id}\t{matching_rate(d_s, d_t, dictionary):.6f}\n"
+                           for (s, t), d_s, d_t in zip(corpus.pairs(), src, tgt))
+        assert out.read_text(encoding="utf-8") == expected
+        # Words seen once on a side are dropped, so the flag changes the scores.
+        assert default.read_text(encoding="utf-8") != expected
 
     def test_match_on_a_long_augmenting_path(self, tmp_path):
         sources, targets, synsets = chain_couple(5000)

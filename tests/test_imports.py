@@ -1,4 +1,5 @@
-"""Every name a ``src/xling`` module imports is used there.
+"""Every name a ``src/xling`` module imports is used there, and the package
+exports exactly the names listed here.
 
 ``__init__`` re-exports by design and is skipped; a line that says
 ``noqa`` keeps an import on purpose (a re-export another module wraps), so
@@ -6,10 +7,13 @@ such a line may import one name only: the others would go unchecked.
 """
 
 import ast
+import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import xling
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "xling"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -54,10 +58,33 @@ def test_noqa_import_line_names_one_name(path):
 
 def test_noqa_line_with_several_names_is_caught():
     source = (
-        "from .lsi import (\n"
-        "    LsiModel,\n"
-        "    embed_crosslingual,  # noqa: F401\n"
+        "from .bidict import (\n"
+        "    dict_cosines,\n"
+        "    dict_cosine,  # noqa: F401\n"
         ")\n"
-        "from .lsi import LsiModel, embed_crosslingual, fold_in_many  # noqa: F401\n"
+        "from .bidict import dict_cosine, dict_cosines, load_dictionary  # noqa: F401\n"
     )
     assert _noqa_lines_with_several_names(source) == [5]
+
+
+# One public name per operation; a change that adds or drops one edits this list.
+EXPORTS = [
+    "AlignedCorpus", "AlignmentPair", "BilingualDictionary", "CrossVocabulary", "Document",
+    "Embeddings", "EvalReport", "LsiModel", "PipelineConfig", "Preprocessor", "RankedList",
+    "ReducerKind", "TermDocMatrix", "Vocabulary", "align_corpora", "alignment_report",
+    "bin_measure", "bin_pooled", "bin_symmetric", "build_cross_matrix",
+    "build_mono_matrix", "build_vocabulary", "cached_translator", "dict_cosines",
+    "dictionary_translator", "evaluate_retrieval", "extract_comparable_articles",
+    "fold_in_many", "gold_mapping", "identity_translator", "lemmatize", "light_stem",
+    "load_aligned_corpus", "load_dictionary", "load_documents", "load_model",
+    "make_reducer", "matching_rate", "oov_rate", "oracle_experiment",
+    "parse_interlanguage_links", "recall_at_k", "retrieve_ar_lsi", "retrieve_cl_lsi",
+    "retrieve_many", "root_stem", "run_pipeline", "save_aligned_corpus", "save_documents",
+    "save_model", "split_corpus", "strip_wiki_markup", "suffix_stem", "tokenize", "train",
+]
+
+
+def test_package_exports_pinned():
+    exported = [name for name, value in vars(xling).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(exported) == EXPORTS

@@ -32,8 +32,7 @@ from xling.lsi import (
     _read_factor,
     build_cross_matrix,
     build_mono_matrix,
-    embed_crosslingual,
-    fold_in,
+    fold_in_many,
     load_model,
     project,
     save_model,
@@ -383,7 +382,7 @@ class TestProject:
         model = self._model()
         out = project(np.zeros(len(model.vocabulary)), model)
         assert np.array_equal(out, np.zeros(model.k))
-        assert np.array_equal(fold_in([], model, "target"), np.zeros(model.k))
+        assert np.array_equal(fold_in_many([[]], model, "target"), np.zeros((1, model.k)))
 
     def test_training_columns_reproduce_v_rows(self):
         docs = [["a", "b", "b"], ["b", "c"], ["a", "c", "d"], ["d", "e"]]
@@ -395,7 +394,8 @@ class TestProject:
 
     def test_unseen_terms_only(self):
         model = self._model()
-        assert np.array_equal(fold_in(["zz", "qq"], model, "target"), np.zeros(model.k))
+        out = fold_in_many([["zz", "qq"]], model, "target")
+        assert np.array_equal(out, np.zeros((1, model.k)))
 
     def test_dimension_mismatch(self):
         model = self._model()
@@ -426,13 +426,13 @@ class TestEmbedCrosslingual:
     def test_wrong_language_terms_give_zero_embedding(self):
         _, model = self._cross_model()
         target_term = model.vocabulary.target.terms[0]
-        out = embed_crosslingual([target_term], "source", model)
-        assert np.array_equal(out, np.zeros(model.k))
+        out = fold_in_many([[target_term]], model, "source")
+        assert np.array_equal(out, np.zeros((1, model.k)))
 
     def test_monolingual_model_rejected(self):
         model = train(build_mono_matrix([["a", "b"], ["b", "c"], ["a", "c"]]), k=2)
         with pytest.raises(ValueError):
-            embed_crosslingual(["a"], "source", model)
+            fold_in_many([["a"]], model, "source")
 
     def test_concatenated_couple_equals_column_projection(self):
         corpus, model = self._cross_model()
@@ -448,15 +448,9 @@ class TestEmbedCrosslingual:
 
     def test_cipher_couples_nearly_parallel_embeddings(self):
         corpus, model = self._cross_model()
-        src = _tokens(corpus.source_docs)
-        tgt = _tokens(corpus.target_docs)
-        sims = [
-            _cosine(
-                embed_crosslingual(src[j], "source", model),
-                embed_crosslingual(tgt[j], "target", model),
-            )
-            for j in range(len(src))
-        ]
+        src = fold_in_many(_tokens(corpus.source_docs), model, "source")
+        tgt = fold_in_many(_tokens(corpus.target_docs), model, "target")
+        sims = [_cosine(e, a) for e, a in zip(src, tgt)]
         assert min(sims) > 0.99
 
     def test_couple_closer_than_unrelated(self):
@@ -465,20 +459,14 @@ class TestEmbedCrosslingual:
         corpus = make_parallel_corpus(5, spec, seed=3)
         matrix = build_cross_matrix(_tokens(corpus.source_docs), _tokens(corpus.target_docs))
         model = train(matrix, k=4)
-        src, tgt = _tokens(corpus.source_docs), _tokens(corpus.target_docs)
+        src = fold_in_many(_tokens(corpus.source_docs), model, "source")
+        tgt = fold_in_many(_tokens(corpus.target_docs), model, "target")
         for j in range(5):
-            own = _cosine(
-                embed_crosslingual(src[j], "source", model),
-                embed_crosslingual(tgt[j], "target", model),
-            )
+            own = _cosine(src[j], tgt[j])
             for m in range(5):
                 if m == j:
                     continue
-                other = _cosine(
-                    embed_crosslingual(src[j], "source", model),
-                    embed_crosslingual(tgt[m], "target", model),
-                )
-                assert own > other
+                assert own > _cosine(src[j], tgt[m])
 
 
 class TestModelPersistence:

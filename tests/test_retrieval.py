@@ -16,7 +16,7 @@ from xling.errors import (
     SelfTestError,
     TranslationError,
 )
-from xling.lsi import build_cross_matrix, build_mono_matrix, fold_in, train
+from xling.lsi import build_cross_matrix, build_mono_matrix, fold_in_many, train
 from xling.retrieval import (
     AlignmentPair,
     Embeddings,
@@ -25,14 +25,12 @@ from xling.retrieval import (
     alignment_report,
     cached_translator,
     dictionary_translator,
-    embed_crosslingual,
     embed_documents,
     evaluate_retrieval,
     gold_mapping,
     identity_translator,
     oracle_experiment,
     recall_at_k,
-    retrieve,
     retrieve_ar_lsi,
     retrieve_cl_lsi,
     retrieve_many,
@@ -52,6 +50,12 @@ def _tokens(docs):
 
 def _embeddings(candidates: dict) -> Embeddings:
     return Embeddings(list(candidates), list(candidates.values()))
+
+
+def _rank(query, candidates: Embeddings, n: int) -> RankedList:
+    """The ranked list of a block of one query."""
+    (ranked,) = retrieve_many([query], candidates, n, ["q"])
+    return ranked
 
 
 class TestEmbeddings:
@@ -80,7 +84,7 @@ class TestEmbeddings:
             emb = Embeddings([], vectors)
             assert len(emb) == 0 and emb.unit.ndim == 2
             with pytest.raises(EmptyCandidatesError):
-                retrieve(np.ones(3), emb, 1)
+                _rank(np.ones(3), emb, 1)
 
     def test_row_count_must_match_ids(self):
         with pytest.raises(ValueError, match="2 ids for 3 vectors"):
@@ -92,13 +96,13 @@ class TestRetrieve:
         rng = np.random.default_rng(0)
         candidates = {f"c{i}": rng.normal(size=4) for i in range(6)}
         query = candidates["c3"].copy()
-        ranked = retrieve(query, _embeddings(candidates), 3, query_id="q")
+        ranked = _rank(query, _embeddings(candidates), 3)
         assert ranked.entries[0][0] == "c3"
         assert ranked.entries[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_n_larger_than_candidates_returns_full_ranking(self):
         candidates = {"a": np.ones(3), "b": np.arange(3.0)}
-        ranked = retrieve(np.ones(3), _embeddings(candidates), 10)
+        ranked = _rank(np.ones(3), _embeddings(candidates), 10)
         assert len(ranked.entries) == 2
 
     @pytest.mark.parametrize("pool_size", [20, 200])
@@ -108,27 +112,27 @@ class TestRetrieve:
             candidates = {f"c{i:03d}": rng.normal(size=6) for i in range(pool_size)}
             query = rng.normal(size=6)
             expected = brute_retrieve(query, candidates, 5)
-            ranked = retrieve(query, _embeddings(candidates), 5)
+            ranked = _rank(query, _embeddings(candidates), 5)
             assert [cid for cid, _ in ranked.entries] == [cid for cid, _ in expected]
             for (_, got), (_, want) in zip(ranked.entries, expected):
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_empty_candidates(self):
         with pytest.raises(EmptyCandidatesError):
-            retrieve(np.ones(2), Embeddings([], []), 1)
+            _rank(np.ones(2), Embeddings([], []), 1)
 
     def test_tie_break_ascending_id(self):
         vec = np.ones(2)
         candidates = {"b": vec, "a": vec.copy(), "c": vec.copy()}
-        ranked = retrieve(vec, _embeddings(candidates), 3)
+        ranked = _rank(vec, _embeddings(candidates), 3)
         assert [cid for cid, _ in ranked.entries] == ["a", "b", "c"]
 
     def test_order_independence(self):
         rng = np.random.default_rng(1)
         vecs = [(f"c{i}", rng.normal(size=4)) for i in range(10)]
         query = rng.normal(size=4)
-        forward = retrieve(query, _embeddings(dict(vecs)), 4)
-        backward = retrieve(query, _embeddings(dict(reversed(vecs))), 4)
+        forward = _rank(query, _embeddings(dict(vecs)), 4)
+        backward = _rank(query, _embeddings(dict(reversed(vecs))), 4)
         assert forward == backward
 
     @settings(max_examples=40, deadline=None)
@@ -153,7 +157,7 @@ class TestRetrieve:
         candidates = dict(zip(ids, rows))
         query = rng.normal(size=k)
 
-        got = retrieve(query, _embeddings(candidates), n).entries
+        got = _rank(query, _embeddings(candidates), n).entries
         oracle = brute_retrieve(query, candidates, len(candidates))
         assert len(got) == min(n, len(candidates))
         oracle_sims = [sim for _, sim in oracle] + [-np.inf]
@@ -165,7 +169,7 @@ class TestRetrieve:
             if separated:
                 assert got_id == want_id
 
-        full = retrieve(query, _embeddings(candidates), len(candidates)).entries
+        full = _rank(query, _embeddings(candidates), len(candidates)).entries
         sim_of = dict(full)
         rank_of = {cid: r for r, (cid, _) in enumerate(full)}
         groups: dict[bytes, list[str]] = {}
@@ -387,15 +391,14 @@ class TestArLsiPipeline:
         with pytest.warns(UserWarning, match="q1 skipped"):
             ranked = retrieve_ar_lsi(queries, targets, model, cached_translator(cache), 3)
         candidates = Embeddings(
-            [d.id for d in targets], [fold_in(tokenize(d.text), model, "target") for d in targets]
+            [d.id for d in targets], fold_in_many(_tokens(targets), model, "target")
         )
         assert [rl.skipped for rl in ranked] == [False, True, False, False, False]
         for rl, text in zip(ranked, [targets[0].text, None, targets[2].text,
                                      targets[3].text, ""]):
             if text is not None:
-                expected = retrieve(fold_in(tokenize(text), model, "target"), candidates, 3,
-                                    query_id=rl.query_id)
-                assert rl == expected
+                query = fold_in_many([tokenize(text)], model, "target")
+                assert [rl] == retrieve_many(query, candidates, 3, [rl.query_id])
 
     def test_all_skipped_with_no_candidates(self, tmp_path):
         model = _mono_model(_target_docs())
@@ -460,19 +463,11 @@ class TestClLsiPipeline:
         ranked = retrieve_cl_lsi(corpus.source_docs, corpus.target_docs, model, 4)
         candidates = Embeddings(
             [d.id for d in corpus.target_docs],
-            [
-                embed_crosslingual(tokenize(d.text), "target", model)
-                for d in corpus.target_docs
-            ],
+            fold_in_many(_tokens(corpus.target_docs), model, "target"),
         )
         for doc, rl in zip(corpus.source_docs, ranked):
-            direct = retrieve(
-                embed_crosslingual(tokenize(doc.text), "source", model),
-                candidates,
-                4,
-                query_id=doc.id,
-            )
-            assert direct == rl
+            query = fold_in_many([tokenize(doc.text)], model, "source")
+            assert [rl] == retrieve_many(query, candidates, 4, [doc.id])
 
 
 class TestAlignment:

@@ -12,7 +12,7 @@ import pytest
 
 from xling.bidict import BilingualDictionary, bin_measure, trans
 from xling.corpus import Document
-from xling.lsi import CrossVocabulary, LsiModel, fold_in, fold_in_many
+from xling.lsi import CrossVocabulary, LsiModel, fold_in_many
 from xling.retrieval import embed_documents
 from xling.textprep import PipelineConfig, ReducerKind, make_reducer
 from xling.vsm import build_vocabulary
@@ -24,8 +24,9 @@ CROSS = LsiModel(np.ones((4, 1)), np.ones(1), np.zeros((2, 1)), CROSS_VOCABULARY
 DICTIONARY = BilingualDictionary([(("a",), ("x",))])
 
 TAKES_A_SIDE = {
-    "fold_in_mono": lambda side: fold_in(["x"], MONO, side),
-    "fold_in_cross": lambda side: fold_in(["x"], CROSS, side),
+    # An empty collection checks its side too.
+    "fold_in_mono": lambda side: fold_in_many([], MONO, side),
+    "fold_in_cross": lambda side: fold_in_many([], CROSS, side),
     "fold_in_many_mono": lambda side: fold_in_many([["x"]], MONO, side),
     "fold_in_many_cross": lambda side: fold_in_many([["x"]], CROSS, side),
     "embed_documents": lambda side: embed_documents([Document("d", "ar", "x")], side, CROSS),
@@ -53,6 +54,6 @@ def test_offsets_of_the_two_sides():
 
 
 def test_monolingual_model_holds_only_the_target_side():
-    assert fold_in(["x"], MONO, "target").tolist() == [math.log(2)]  # idf of "x"
+    assert fold_in_many([["x"]], MONO, "target").tolist() == [[math.log(2)]]  # idf of "x"
     with pytest.raises(ValueError, match="holds only side 'target', got 'source'"):
-        fold_in(["x"], MONO, "source")
+        fold_in_many([["x"]], MONO, "source")

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from measure_oracles import brute_fold_in, brute_tfidf
 
 from xling.errors import DimensionMismatchError, EmptyCorpusError
-from xling.lsi import LsiModel, build_cross_matrix, build_mono_matrix, fold_in, fold_in_many
-from xling.retrieval import Embeddings, _unit_rows, retrieve
+from xling.lsi import LsiModel, build_cross_matrix, build_mono_matrix, fold_in_many
+from xling.retrieval import Embeddings, _unit_rows, retrieve_many
 from xling.vsm import Vocabulary, build_term_doc_matrix, build_vocabulary
 
 
@@ -157,10 +157,11 @@ class TestWeightsOracle:
         u = rng.standard_normal((n_rows, 3))
         model = LsiModel(u, s, np.zeros((len(src), 3)), cross)
         for side, off in (("source", 0), ("target", offset)):
-            got = fold_in(query, model, side)
+            (got,) = fold_in_many([query], model, side)
             assert got.tolist() == brute_fold_in(query, cross.vocab_for(side), off, u, s).tolist()
         mono_model = LsiModel(u[: len(vocab)], s, np.zeros((len(src), 3)), vocab)
-        assert fold_in(query, mono_model, "target").tolist() == brute_fold_in(query, vocab, 0, u, s).tolist()
+        (got,) = fold_in_many([query], mono_model, "target")
+        assert got.tolist() == brute_fold_in(query, vocab, 0, u, s).tolist()
 
 
 class TestWeightRowsOracle:
@@ -265,7 +266,8 @@ class TestWeightRowsOracle:
 
 def _cos(u, v) -> float:
     """Cosine of two dense vectors as the ranking kernel scores it."""
-    return retrieve(u, Embeddings(["v"], [v]), 1).entries[0][1]
+    (ranked,) = retrieve_many([u], Embeddings(["v"], [v]), 1, ["u"])
+    return ranked.entries[0][1]
 
 
 class TestCosine:
@@ -284,7 +286,8 @@ class TestCosine:
     def test_zero_norm_convention(self):
         assert _cos(np.zeros(3), np.ones(3)) == 0.0
         assert _cos(np.ones(3), np.zeros(3)) == 0.0
-        ranked = retrieve(np.zeros(2), Embeddings(["a", "b"], [np.ones(2), -np.ones(2)]), 2)
+        candidates = Embeddings(["a", "b"], [np.ones(2), -np.ones(2)])
+        (ranked,) = retrieve_many([np.zeros(2)], candidates, 2, ["zero"])
         assert ranked.entries == (("a", 0.0), ("b", 0.0))
 
     def test_dimension_mismatch(self):
