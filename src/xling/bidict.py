@@ -46,23 +46,20 @@ class BilingualDictionary:
     __slots__ = ("synsets", "_targets_of", "_sources_of")
 
     def __init__(self, synsets: Iterable[tuple[Iterable[str], Iterable[str]]]):
-        canonical: dict[tuple[frozenset[str], frozenset[str]], None] = {}
+        self.synsets: tuple[tuple[frozenset[str], frozenset[str]], ...] = tuple(
+            dict.fromkeys((frozenset(src), frozenset(tgt)) for src, tgt in synsets)
+        )
         targets_of: dict[str, frozenset[str]] = {}
         sources_of: dict[str, frozenset[str]] = {}
-        for src_terms, tgt_terms in synsets:
-            synset = src, tgt = frozenset(src_terms), frozenset(tgt_terms)
+        for src, tgt in self.synsets:
             if not src or not tgt:
                 raise ValueError("synset sides must be non-empty")
-            if synset in canonical:
-                continue
-            canonical[synset] = None
             for t in src:
                 known = targets_of.get(t)
                 targets_of[t] = tgt if known is None else known | tgt
             for t in tgt:
                 known = sources_of.get(t)
                 sources_of[t] = src if known is None else known | src
-        self.synsets: tuple[tuple[frozenset[str], frozenset[str]], ...] = tuple(canonical)
         self._targets_of, self._sources_of = targets_of, sources_of
 
     def _index_for(self, side: str) -> dict[str, frozenset[str]]:
@@ -93,14 +90,15 @@ def load_dictionary(
 ) -> BilingualDictionary:
     """Load a dictionary file: ``src1|src2<TAB>tgt1|tgt2`` per synset.
 
-    Blank lines and ``#`` comment lines are ignored; duplicate lines merge
-    into a single synset. Each side's terms are mapped through its reducer
-    as they are read (``None`` keeps them as written), so terms that reduce
-    to the same form merge, and so do synsets that become equal.
+    Blank lines, ``#`` comment lines and a leading byte-order mark are
+    ignored; duplicate lines merge into a single synset. Each side's terms
+    are mapped through its reducer as they are read (``None`` keeps them as
+    written), so terms that reduce to the same form merge, and so do synsets
+    that become equal.
     """
     synsets = []
     for line_number, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
     ):
         line = raw.strip()
         if not line or line.startswith("#"):

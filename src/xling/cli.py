@@ -8,11 +8,19 @@ on stderr. Flags may also come from ``@file`` arguments (see ``_Parser``).
 A flag that a command, format, measure or model kind would not read is
 refused, never ignored: the run exits 2 with ``<reason>: drop --flag``
 before it reads its inputs where it can (see ``_unread_flags``).
+
+``main`` pauses the cyclic garbage collector for the command and turns it
+back on afterwards if it was on. A command builds large acyclic containers
+(dictionary partner maps, memo dicts, token lists) that reference counting
+frees; without the pause, the collector walks them again and again while
+they are built. The few cycles a command leaves, mostly argparse's, wait
+for the next collection.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -496,6 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         _resolve_paths(args)
@@ -509,6 +519,9 @@ def main(argv: list[str] | None = None) -> int:
     except XlingError as exc:
         _print_error(exc)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

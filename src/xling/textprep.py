@@ -12,6 +12,12 @@ and English. Every reducer ``r`` is a pure function and is idempotent on
 its own output: each one re-applies its rule pass until the word stops
 changing, so ``r(r(w)) == r(w)`` holds by construction. Being pure, a
 reducer runs once per distinct word; the preprocessor memoizes the rest.
+
+The two stemmers return a word unchanged, without a rule pass, when no
+table entry can touch it: ``suffix_stem`` when no English rule ends with the
+word's last letter, ``light_stem`` when no Arabic prefix starts with its
+first letter and no suffix ends with its last. Both letter sets are derived
+from the tables, so the early-outs stay exact when a table changes.
 """
 
 from __future__ import annotations
@@ -168,6 +174,11 @@ _AR_AFFIX_RE = re.compile(
     re.DOTALL,
 )
 
+# The letters an affix strip can start from: a word that starts with none of
+# the first and ends with none of the second has nothing to strip.
+_AR_PREFIX_FIRSTS = frozenset(prefix[0] for prefix in _AR_PREFIXES)
+_AR_SUFFIX_LASTS = frozenset(suffix[-1] for suffix in _AR_SUFFIXES)
+
 # The English rules grouped by the word's last letter, in table order.
 _EN_RULES_BY_LAST: dict[str, tuple[tuple[str, str], ...]] = {
     last: tuple(rule for rule in _EN_SUFFIX_RULES if rule[0][-1] == last)
@@ -185,6 +196,8 @@ def _fixpoint(fn: Callable[[str], str], word: str) -> str:
 
 def light_stem(word: str) -> str:
     """Strip attached prefixes and suffixes, leaving the stem intact."""
+    if word[:1] not in _AR_PREFIX_FIRSTS and word[-1:] not in _AR_SUFFIX_LASTS:
+        return word
     m = _AR_AFFIX_RE.fullmatch(word)
     while m is not None and m.group(1) != word:
         word = m.group(1)
@@ -235,6 +248,8 @@ def _suffix_pass(word: str) -> str:
 
 def suffix_stem(word: str) -> str:
     """Strip English inflectional suffixes by ordered rewrite rules."""
+    if word[-1:] not in _EN_RULES_BY_LAST:
+        return word
     return _fixpoint(_suffix_pass, word)
 
 
@@ -373,7 +388,8 @@ def run_pipeline(
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a stopword file: UTF-8, one token per line, ``#`` starts a comment.
 
-    Entries keep their case; :class:`PipelineConfig` lowercases them.
+    A leading byte-order mark is ignored. Entries keep their case;
+    :class:`PipelineConfig` lowercases them.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     return frozenset(filter(None, (raw.split("#", 1)[0].strip() for raw in lines)))

@@ -71,6 +71,13 @@ class TestLoadDictionary:
         with pytest.raises(MalformedLineError):
             load_dictionary(path)
 
+    def test_leading_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("cat|chat\tqitt\n", encoding="utf-8-sig")
+        d = load_dictionary(path)
+        assert d.synsets == ((frozenset({"cat", "chat"}), frozenset({"qitt"})),)
+        assert d.contains("cat", "source")
+
 
 class TestTrans:
     def test_oov_word(self, toy_dictionary):

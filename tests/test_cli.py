@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -1349,6 +1350,51 @@ class TestExitCodes:
         else:
             assert rc == 3
         assert _one_json_error(capsys)["error"] == cls.__name__
+
+
+class TestCollectorPause:
+    """``main`` leaves the cyclic collector as it found it, on every exit path."""
+
+    def _argv(self, case, tmp_path, corpus_file, dictionary_file):
+        if case == "usage error":
+            return ["score", "--no-such-flag"]
+        if case == "data error":
+            model = tmp_path / "junk.xlsm"
+            model.write_bytes(b"junk")
+            return ["eval", "--model", str(model), "--corpus", str(corpus_file), "--oracle"]
+        return [
+            "score", "--corpus", str(corpus_file), "--dictionary", str(dictionary_file),
+            "--measure", "bin", "--output", str(tmp_path / "s.tsv"),
+        ]
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "case, code", [("success", 0), ("usage error", 2), ("data error", 3)]
+    )
+    def test_collector_state_restored(
+        self, case, code, collecting, tmp_path, corpus_file, dictionary_file, capsys
+    ):
+        argv = self._argv(case, tmp_path, corpus_file, dictionary_file)
+        was = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            assert main(argv) == code
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_paused_during_the_command(self, monkeypatch):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("not caught by main")
+
+        monkeypatch.setattr(cli, "_cmd_eval", command)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError):
+            main(["eval", "--model", "m.xlsm", "--corpus", "c.jsonl", "--oracle"])
+        assert seen == [False] and gc.isenabled()
 
 
 class TestConfigAndDeterminism:

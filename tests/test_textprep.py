@@ -183,6 +183,12 @@ class TestCompiledAffixTables:
     @example(word="كتبات")  # suffix would leave three letters
     @example(word="كتات")  # suffix would leave two
     @example(word="سيكتبون")
+    # The early-out: no affix letter at either end, at the start only, at the end only.
+    @example(word="s03x017")
+    @example(word="t03x017")
+    @example(word="درس")
+    @example(word="ودرس")
+    @example(word="درست")
     def test_arabic_stemmers_equal_the_table_walk(self, word):
         assert light_stem(word) == loop_light_stem(word)
         assert root_stem(word) == loop_root_stem(word)
@@ -196,6 +202,11 @@ class TestCompiledAffixTables:
     @example(word="dresses")
     @example(word="bus")
     @example(word="takings")
+    # The early-out: no rule ends with the last letter, though one ends in "s".
+    @example(word="s03x017")
+    @example(word="t03x017")
+    @example(word="sat")
+    @example(word="cats")
     def test_suffix_stemmer_equals_the_table_walk(self, word):
         assert suffix_stem(word) == loop_suffix_stem(word)
 
@@ -395,6 +406,11 @@ class TestListFiles:
     def test_stopwords_with_comments(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("# comment\nthe\nof # trailing\n\n", encoding="utf-8")
+        assert load_stopwords(path) == frozenset({"the", "of"})
+
+    def test_stopwords_leading_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("the\nof\n", encoding="utf-8-sig")
         assert load_stopwords(path) == frozenset({"the", "of"})
 
     def test_stopwords_lowercased_like_tokens(self, tmp_path):
