@@ -58,10 +58,13 @@ def _print_error(exc: Exception) -> None:
 
 
 def _sha256(path: Path) -> str:
+    """The file's SHA-256, read in 1 MiB chunks into one reused buffer."""
     digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = bytearray(1 << 20)
+    view = memoryview(buffer)
+    with path.open("rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -304,15 +307,18 @@ def _cmd_align(args) -> int:
         group_by=args.group_by,
         mutual_best=args.mutual_best,
     )
-    retrieval.write_alignment_tsv(pairs, args.output)
+    # The report is built before any file is written, so that a run it
+    # refuses (no pairs) leaves no output behind.
+    report = None
     if args.report or args.histogram_csv or args.ranges_csv:
         report = retrieval.alignment_report(pairs, gold=gold)
-        if args.report:
-            retrieval.write_report_json(report, args.report)
-        if args.histogram_csv:
-            retrieval.write_histogram_csv(report, args.histogram_csv)
-        if args.ranges_csv:
-            retrieval.write_ranges_csv(report, args.ranges_csv)
+    retrieval.write_alignment_tsv(pairs, args.output)
+    if args.report:
+        retrieval.write_report_json(report, args.report)
+    if args.histogram_csv:
+        retrieval.write_histogram_csv(report, args.histogram_csv)
+    if args.ranges_csv:
+        retrieval.write_ranges_csv(report, args.ranges_csv)
     _write_manifest(args, Path(args.output).with_suffix(".manifest.json"),
                     [args.corpus, args.source_docs, args.target_docs, args.model])
     print(f"aligned {len(pairs)} pairs -> {args.output}")

@@ -297,11 +297,17 @@ def train(
         u, s, vt = u[:, keep], s[keep], vt[keep, :]
 
     # Fix the sign ambiguity so equal inputs give byte-equal factors: the
-    # largest-magnitude entry of each left singular vector is positive. |U|
-    # is laid out by column so argmax copies nothing more, and x * -1.0 is
-    # -x bit for bit, so the flips happen in place.
-    pivot = np.argmax(np.abs(u.T, order="C"), axis=1)
-    sign = np.where(u[pivot, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    # largest-magnitude entry of each left singular vector (the first, on a
+    # tie) is positive. A column whose most negative entry is larger in
+    # magnitude than its largest entry flips; only a column where the two
+    # tie, an all-zero one included, needs the first-occurrence argmax.
+    # x * -1.0 is -x bit for bit, so the flips happen in place.
+    hi, lo = u.max(axis=0), u.min(axis=0)
+    sign = np.where(-lo > hi, -1.0, 1.0)
+    tie = np.flatnonzero(-lo == hi)
+    if len(tie):
+        pivot = np.argmax(np.abs(u[:, tie]), axis=0)
+        sign[tie] = np.where(u[pivot, tie] < 0, -1.0, 1.0)
     u *= sign
     vt *= sign[:, None]
 

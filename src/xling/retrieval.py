@@ -20,6 +20,17 @@ queries are translated into the target language; a cross-lingual model
 folds them as written (``identity_translator``) on the source side. Every
 text, query or candidate, enters a model through one function,
 ``_fold_texts``, on a named side.
+
+``write_ranked_lists_json`` writes the bytes of ``json.dumps(payload,
+sort_keys=True, ensure_ascii=False, indent=2)`` but assembles the text
+itself. On CPython 3.10 to 3.12, ``json.dumps`` with ``indent`` set runs
+the pure-Python encoder, because the C encoder serves only
+``indent=None``; for 320 lists of 5 entries that took about three times as
+long as the assembly here. It encodes each string with the C
+``json.encoder.encode_basestring``, each finite float with
+``float.__repr__`` (as ``json`` does), and sends any other value through
+``json.dumps``. ``tests/measure_oracles.py`` keeps the ``json.dumps`` body
+as the oracle.
 """
 
 from __future__ import annotations
@@ -27,8 +38,10 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -378,10 +391,10 @@ def retrieve_cl_lsi(
 # --------------------------------------------------------------------------
 
 
-def _embed_known(docs: Sequence[Document], side: str, model: LsiModel) -> Embeddings:
-    """Fold documents once, leaving out with a warning each one with no
-    in-vocabulary term (a zero vector), which would pair at similarity 0."""
-    vectors = _fold_texts((d.text for d in docs), model, side)
+def _embed_known(docs: Sequence[Document], vectors: np.ndarray, side: str) -> Embeddings:
+    """The documents' folded rows, leaving out with a warning each document
+    with no in-vocabulary term (a zero vector), which would pair at
+    similarity 0."""
     known = vectors.any(axis=1)
     if not known.all():
         blank = sorted(d.id for d, k in zip(docs, known) if not k)
@@ -424,14 +437,28 @@ def align_corpora(
                     raise ValueError(f"document {doc.id!r} has no group_key to group by")
                 buckets.setdefault(doc.group_key, ([], []))[side].append(doc)
 
+    # Each side is folded once, the documents of the buckets that are not
+    # skipped in key order, and each bucket takes its block of rows: a
+    # folded row does not depend on the documents folded with it.
+    keys = sorted(buckets)
+    live = [key for key in keys if all(buckets[key])]
+    blocks = [
+        np.split(
+            _fold_texts((d.text for key in live for d in buckets[key][i]), model, side),
+            np.cumsum([len(buckets[key][i]) for key in live[:-1]], dtype=np.int64),
+        )
+        for i, side in enumerate(("source", "target"))
+    ]
+    rows = dict(zip(live, zip(*blocks)))
+
     pairs: list[AlignmentPair] = []
-    for key in sorted(buckets):
-        src_bucket, tgt_bucket = buckets[key]
-        if not src_bucket or not tgt_bucket:
+    for key in keys:
+        if key not in rows:
             warnings.warn(f"group {key!r} is empty on one side; skipped", stacklevel=2)
             continue
-        src_vecs = _embed_known(src_bucket, "source", model)
-        tgt_vecs = _embed_known(tgt_bucket, "target", model)
+        (src_bucket, tgt_bucket), (src_rows, tgt_rows) = buckets[key], rows[key]
+        src_vecs = _embed_known(src_bucket, src_rows, "source")
+        tgt_vecs = _embed_known(tgt_bucket, tgt_rows, "target")
         if not len(src_vecs) or not len(tgt_vecs):
             continue
         bucket_pairs = [
@@ -569,21 +596,55 @@ def oracle_experiment(docs: Sequence[Document], model: LsiModel) -> float:
 # --------------------------------------------------------------------------
 
 
+def _json_value(value, pad: str) -> str:
+    """``value`` as ``json.dumps(..., sort_keys=True, ensure_ascii=False,
+    indent=2)`` writes it on a line indented by ``pad``.
+
+    A str goes through the C string encoder, a finite float is its
+    ``float.__repr__`` (``repr`` would print ``np.float64(...)`` on numpy 2)
+    and a bool its constant. Anything else (NaN, infinities, ints, a non-str
+    id) goes through ``json.dumps`` itself, with its inner lines indented by
+    ``pad``: the encoder escapes every newline inside a string, so each
+    newline of its text is a line break.
+    """
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    text = json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)
+    return text.replace("\n", "\n" + pad)
+
+
+def _json_list(items: Sequence[str], pad: str) -> str:
+    """Encoded items as a list that ``json.dumps(..., indent=2)`` writes on a
+    line indented by ``pad``; ``[]`` when there are none."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
 def write_ranked_lists_json(ranked_lists: Sequence[RankedList], path: str | Path) -> None:
-    payload = {
-        "queries": [
-            {
-                "query_id": rl.query_id,
-                "skipped": rl.skipped,
-                "entries": [[cid, sim] for cid, sim in rl.entries],
-            }
-            for rl in ranked_lists
+    """The lists as ``{"queries": [{"entries": [[id, similarity], ...],
+    "query_id": ..., "skipped": ...}, ...]}``, in the bytes of ``json.dumps``
+    with ``sort_keys=True, ensure_ascii=False, indent=2`` and a final newline
+    (the module docstring says why the text is assembled here)."""
+    queries = []
+    for rl in ranked_lists:
+        entries = [
+            f"[\n          {_json_value(cid, ' ' * 10)},"
+            f"\n          {_json_value(sim, ' ' * 10)}\n        ]"
+            for cid, sim in rl.entries
         ]
-    }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+        queries.append(
+            f'{{\n      "entries": {_json_list(entries, " " * 6)},'
+            f'\n      "query_id": {_json_value(rl.query_id, " " * 6)},'
+            f'\n      "skipped": {_json_value(rl.skipped, " " * 6)}\n    }}'
+        )
+    text = f'{{\n  "queries": {_json_list(queries, "  ")}\n}}\n'
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def write_alignment_tsv(pairs: Sequence[AlignmentPair], path: str | Path) -> None:

@@ -8,6 +8,12 @@ the LSI fold-in (:func:`xling.lsi.fold_in_many`) and
 ``bidict.dict_cosines`` all take their weights from it, so it is the single
 place to swap weighting variants.
 
+The idf of a term is ``math.log(n_docs / df)`` in double precision, the
+same bits as one ``math.log`` per term, but evaluated once per distinct df:
+a vocabulary has thousands of terms and few distinct dfs, and a loaded
+model rebuilds its vocabularies on every query command. ``np.log`` is not
+used, because its bits may differ from ``math.log``'s.
+
 Only :func:`build_term_doc_matrix` loads ``scipy.sparse``, inside the
 function: only training builds a matrix (see :mod:`xling.lsi`).
 """
@@ -37,7 +43,8 @@ class Vocabulary:
 
     Indices are dense in ``[0, len(vocab))`` and assigned in lexicographic
     term order, so builds are reproducible byte for byte. ``idf[i]`` is
-    ``ln(n_docs / df[i])``, computed once.
+    ``math.log(n_docs / df[i])``, computed once per distinct df (see the
+    module docstring).
     """
 
     __slots__ = ("terms", "df", "n_docs", "idf", "_index")
@@ -52,12 +59,12 @@ class Vocabulary:
             raise ValueError("n_docs must be >= 1")
         if len(self.df) and (self.df.min() < 1 or self.df.max() > self.n_docs):
             raise ValueError("df values must lie in [1, n_docs]")
-        self._index = {t: i for i, t in enumerate(self.terms)}
+        self._index = dict(zip(self.terms, range(len(self.terms))))
         if len(self._index) != len(self.terms):
             raise ValueError("duplicate terms")
-        self.idf: np.ndarray = np.array(
-            [math.log(self.n_docs / df) for df in self.df.tolist()], dtype=np.float64
-        )
+        dfs = self.df.tolist()
+        log_of = {df: math.log(self.n_docs / df) for df in set(dfs)}
+        self.idf: np.ndarray = np.array([log_of[df] for df in dfs], dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -8,7 +8,8 @@ a fully independent oracle to agree with. Only suitable for toy documents.
 pair in order, so the indexed ``dict_cosines`` must match it bit for bit.
 ``brute_tfidf`` is the per-term loop that each row of
 ``Vocabulary.weight_rows`` must reproduce bit for bit, and with it every
-matrix and fold-in built on it.
+matrix and fold-in built on it. ``loop_idf`` is one ``math.log`` per term,
+which ``Vocabulary.idf`` (one per distinct df) must equal bit for bit.
 ``qr_power_iteration_svd`` is the randomized SVD with a full QR after every
 product, and ``lu_half_step_svd`` the one that LU-normalizes both blocks on
 every half step and takes an economic QR; the range finder in ``lsi``, which
@@ -29,13 +30,17 @@ compiled tables in ``textprep`` must agree with them on every word and an
 edit to either side shows up. ``two_step_reduced_dictionary`` loads a dictionary as written and then
 reduces and rebuilds it, as loading with reducers must.
 ``brute_align`` aligns from a dense table of per-document cosines, which
-``align_corpora`` must reproduce.
+``align_corpora`` must reproduce, and ``brute_align_warnings`` lists the
+warnings it must raise, in order.
 ``per_query_retrieve`` scores every candidate of one query elementwise, the
 ranking ``retrieve_many`` must reproduce bit for bit after its BLAS screen.
+``dumps_ranked_lists`` is the ranked-list JSON as one ``json.dumps`` call
+writes it; ``write_ranked_lists_json`` assembles the same bytes itself.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from collections import Counter
@@ -66,6 +71,11 @@ def brute_tfidf(tokens, vocabulary) -> dict[int, float]:
         if w != 0.0:
             weights[i] = w
     return weights
+
+
+def loop_idf(df: Sequence[int], n_docs: int) -> np.ndarray:
+    """``ln(N/df)`` of each term, one ``math.log`` per term."""
+    return np.array([math.log(n_docs / d) for d in df], dtype=np.float64)
 
 
 def brute_fold_in(tokens, vocabulary, offset: int, u: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -293,6 +303,43 @@ def brute_align(source_docs, target_docs, model, top_n, group_by=None, mutual_be
         bucket.sort(key=lambda p: (-p[2], p[0], p[1]))
         pairs.extend(bucket[:top_n])
     return pairs
+
+
+def brute_align_warnings(source_docs, target_docs, model, group_by=None) -> list[str]:
+    """The warnings ``align_corpora`` raises, in order: per bucket (sorted by
+    key), one for a bucket empty on either side, else one per side for its
+    documents that fold to a zero vector, each folded on its own. Ungrouped,
+    the one bucket exists even with no documents."""
+    buckets: dict = {} if group_by else {None: ([], [])}
+    for side, docs in enumerate((source_docs, target_docs)):
+        for doc in docs:
+            buckets.setdefault(doc.group_key if group_by else None, ([], []))[side].append(doc)
+    messages = []
+    for key in sorted(buckets):
+        if not all(buckets[key]):
+            messages.append(f"group {key!r} is empty on one side; skipped")
+            continue
+        for side, docs in zip(("source", "target"), buckets[key]):
+            blank = sorted(d.id for d in docs
+                           if not np.any(fold_in_many([tokenize(d.text)], model, side)[0]))
+            if blank:
+                messages.append(f"{side}s with no in-vocabulary term left out: {blank}")
+    return messages
+
+
+def dumps_ranked_lists(ranked_lists) -> str:
+    """The ranked lists' JSON text, ``json.dumps`` of the whole payload."""
+    payload = {
+        "queries": [
+            {
+                "query_id": rl.query_id,
+                "skipped": rl.skipped,
+                "entries": [[cid, sim] for cid, sim in rl.entries],
+            }
+            for rl in ranked_lists
+        ]
+    }
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
 def qr_power_iteration_svd(a, k: int, oversample: int, power_iterations: int, seed: int):

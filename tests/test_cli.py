@@ -694,6 +694,24 @@ class TestRetrieveEvalAlign:
         assert payload["error"] == "MalformedRecordError"
         assert payload["message"].startswith("line 2:") and "language" in payload["message"]
 
+    def test_align_with_no_pairs_to_report_writes_no_file(self, tmp_path, corpus_file, capsys):
+        # The one document has no term the model knows, so no pair is left
+        # for the report; the aligned TSV used to be written (empty) first.
+        model_path = _train(tmp_path, corpus_file)
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(json.dumps({"id": "a", "text": "zzzz"}) + "\n", encoding="utf-8")
+        out, report = tmp_path / "pairs.tsv", tmp_path / "report.json"
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="no in-vocabulary term"):
+            rc = main(["align", "--model", str(model_path), "--source-docs", str(docs),
+                       "--target-docs", str(docs), "--output", str(out), "--report", str(report)])
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "ValueError", "message": "no alignment pairs to report on",
+        }
+        assert not out.exists() and not report.exists()
+        assert not out.with_suffix(".manifest.json").exists()
+
     @pytest.mark.parametrize(
         "line, reason",
         [('{"id": "x"}', "needs 'id' and 'text'"), ("[1, 2]", "needs 'id' and 'text'"),

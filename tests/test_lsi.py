@@ -6,9 +6,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.linalg
 import scipy.sparse as sp
 from measure_oracles import fancy_index_sign_fix, lu_half_step_svd, qr_power_iteration_svd
@@ -266,6 +268,26 @@ class TestSignConvention:
         assert np.array_equal(model.u[0], [0.5, 0.5, -0.25])
         assert np.array_equal(model.v[:, 0], 7.0 - np.arange(5.0))
         assert np.all(_pivot_entries(model.u) > 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_ties_and_zero_columns_match_the_oracle(self, data):
+        # Few distinct magnitudes, so that a column's largest and most
+        # negative entries often tie, and some columns are all (signed) zeros.
+        k = data.draw(st.integers(min_value=1, max_value=5))
+        column = st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
+                          min_size=8, max_size=8)
+        u = np.array(data.draw(st.lists(column, min_size=k, max_size=k))).T
+        for j in data.draw(st.sets(st.integers(min_value=0, max_value=k - 1))):
+            u[:, j] = np.copysign(0.0, u[:, j])
+        s = np.arange(k, 0, -1.0)
+        vt = np.arange(7.0 * k).reshape(k, 7) - 10.0
+        fake = lambda *_: (u.copy(), s.copy(), vt.copy())  # noqa: E731
+        with mock.patch("xling.lsi._randomized_svd", fake):
+            model = train(_dummy_matrix(np.eye(8, 7)), k=k)
+        u_ref, s_ref, v_ref = fancy_index_sign_fix(u, s, vt)
+        for got, want in ((model.u, u_ref), (model.s, s_ref), (model.v, v_ref)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_train_peak_memory_stays_near_two_bases():

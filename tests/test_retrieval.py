@@ -1,10 +1,18 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
-from measure_oracles import brute_align, brute_bucket_cosines, brute_retrieve, per_query_retrieve
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from measure_oracles import (
+    brute_align,
+    brute_align_warnings,
+    brute_bucket_cosines,
+    brute_retrieve,
+    dumps_ranked_lists,
+    per_query_retrieve,
+)
 
 from xling.bidict import BilingualDictionary
 from xling.corpus import Document
@@ -635,16 +643,55 @@ class TestAlignmentOracle:
                 for doc_id in {pair[own] for pair in cosines}:
                     assume(not _near_tie(c for pair, c in cosines.items() if pair[own] == doc_id))
             assume(not _near_tie(cosines.values()))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = align_corpora(source, target, _ORACLE_MODEL, top_n=top_n, group_by=group_by,
-                                mutual_best=mutual_best)
-        want = brute_align(source, target, _ORACLE_MODEL, top_n, group_by, mutual_best)
-        assert [(p.source_id, p.target_id, p.group_key) for p in got] == [
-            (s, t, g) for s, t, _, g in want
-        ]
-        for pair, (_, _, sim, _) in zip(got, want):
-            assert pair.similarity == pytest.approx(sim, abs=1e-12)
+        _assert_aligns_like_brute_force(source, target, top_n, group_by, mutual_best)
+
+    @pytest.mark.parametrize("mutual_best", [False, True])
+    @pytest.mark.parametrize(
+        "source_words, target_words, group_by",
+        [
+            # g1 holds a zero-vector document on each side, and nothing else
+            # on the target side.
+            ({"g0": ["s00x000 s00x001", "s01x000 scmn000"], "g1": ["zzz", "s02x001 s02x002"]},
+             {"g0": ["s00x000 s00x001 scmn001", "s01x002"], "g1": ["qqq zzz"]}, "month"),
+            # g1 holds sources only, g2 targets only.
+            ({"g0": ["s00x000 s01x001", "s02x003"], "g1": ["s01x000"]},
+             {"g0": ["s00x000", "s02x003 s02x000"], "g2": ["s01x000"]}, "month"),
+            # One bucket of everything, group keys unread.
+            ({"g0": ["s00x000 s00x001", "zzz"], "g1": ["s02x002 scmn000"]},
+             {"g0": ["s02x002", "qqq"], "g2": ["s00x001 s00x000"]}, None),
+        ],
+        ids=["zero-vector-bucket", "bucket-empty-on-one-side", "ungrouped"],
+    )
+    def test_fold_once_cases(self, source_words, target_words, group_by, mutual_best):
+        def documents(prefix, language, words_by_group, cipher):
+            return [
+                Document(f"{prefix}{group}{i}", language,
+                         " ".join(cipher_word(w) if cipher else w for w in text.split()),
+                         group_key=group)
+                for group, texts in words_by_group.items() for i, text in enumerate(texts)
+            ]
+
+        source = documents("s", "en", source_words, False)
+        target = documents("t", "ar", target_words, True)
+        _assert_aligns_like_brute_force(source, target, 5, group_by, mutual_best)
+
+
+def _assert_aligns_like_brute_force(source, target, top_n, group_by, mutual_best):
+    """``align_corpora`` gives ``brute_align``'s pairs and raises
+    ``brute_align_warnings``' warnings, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = align_corpora(source, target, _ORACLE_MODEL, top_n=top_n, group_by=group_by,
+                            mutual_best=mutual_best)
+    assert [str(w.message) for w in caught] == brute_align_warnings(
+        source, target, _ORACLE_MODEL, group_by
+    )
+    want = brute_align(source, target, _ORACLE_MODEL, top_n, group_by, mutual_best)
+    assert [(p.source_id, p.target_id, p.group_key) for p in got] == [
+        (s, t, g) for s, t, _, g in want
+    ]
+    for pair, (_, _, sim, _) in zip(got, want):
+        assert pair.similarity == pytest.approx(sim, abs=1e-12)
 
 
 def _lists_with_gold_ranks(ranks: list[int]) -> tuple[list[RankedList], dict[str, str]]:
@@ -772,7 +819,66 @@ class TestOracleExperiment:
             oracle_experiment([], model)
 
 
+# Ids with JSON escapes (quote, backslash, control characters), non-ASCII
+# text and the empty string; similarities with both zeros, subnormals, the
+# largest floats, NaN, infinities, numpy floats and ints.
+_JSON_IDS = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028é ب😀aZ0 '), max_size=5)
+_JSON_SIMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(),
+)
+
+
+@st.composite
+def _json_ranked_lists(draw):
+    lists = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        query_id = draw(_JSON_IDS)
+        if draw(st.booleans()):
+            lists.append(RankedList(query_id, (), skipped=True))
+            continue
+        entries = draw(st.lists(st.tuples(_JSON_IDS, _JSON_SIMS), max_size=4,
+                                unique_by=lambda entry: entry[0]))
+        # Descending, ties by id; a NaN is never out of order.
+        entries.sort(key=lambda entry: (-entry[1] if entry[1] == entry[1] else 0.0, entry[0]))
+        lists.append(RankedList(query_id, tuple(entries)))
+    return lists
+
+
 class TestWriters:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lists=_json_ranked_lists())
+    def test_ranked_lists_json_bytes_equal_json_dumps(self, tmp_path, lists):
+        path = tmp_path / "ranked.json"
+        write_ranked_lists_json(lists, path)
+        assert path.read_bytes() == dumps_ranked_lists(lists).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "ranked",
+        [
+            RankedList(7, ((("a", 1), 0.5), (None, 0.25), (2.5, 0)), skipped=None),
+            RankedList({"z": [1, {"é": "\n"}], "a": []}, ((True, math.inf),), skipped=[0, {}]),
+        ],
+        ids=["int-and-tuple-ids", "nested-containers"],
+    )
+    def test_ranked_lists_json_other_types_through_json_dumps(self, tmp_path, ranked):
+        path = tmp_path / "ranked.json"
+        write_ranked_lists_json([ranked], path)
+        assert path.read_bytes() == dumps_ranked_lists([ranked]).encode("utf-8")
+
+    def test_ranked_lists_json_unencodable_value_raises_before_writing(self, tmp_path):
+        ranked = RankedList("q", (("t", np.float64(-0.0)),), skipped=np.bool_(False))
+        with pytest.raises(TypeError):
+            dumps_ranked_lists([ranked])
+        path = tmp_path / "ranked.json"
+        with pytest.raises(TypeError):
+            write_ranked_lists_json([ranked], path)
+        assert not path.exists()
+
     def test_ranked_lists_json_deterministic(self, tmp_path):
         lists, _ = _lists_with_gold_ranks([1, 2])
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from measure_oracles import brute_fold_in, brute_tfidf
+from measure_oracles import brute_fold_in, brute_tfidf, loop_idf
 
 from xling.errors import DimensionMismatchError, EmptyCorpusError
 from xling.lsi import LsiModel, build_cross_matrix, build_mono_matrix, fold_in_many
@@ -46,6 +46,29 @@ class TestVocabulary:
     def test_lexicographic_indexing_deterministic(self):
         vocab = build_vocabulary([["zeta", "alpha", "mid"]])
         assert vocab.terms == ("alpha", "mid", "zeta")
+
+
+class TestIdf:
+    """``Vocabulary.idf``, one log per distinct df, has the bits of one
+    ``math.log`` per term."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_docs=st.integers(min_value=1, max_value=10**9), data=st.data())
+    def test_equals_one_log_per_term(self, n_docs, data):
+        df = data.draw(st.lists(st.integers(min_value=1, max_value=n_docs), max_size=40))
+        vocab = Vocabulary([f"t{i:02d}" for i in range(len(df))], df, n_docs)
+        assert vocab.idf.tobytes() == loop_idf(df, n_docs).tobytes()
+
+    @pytest.mark.parametrize(
+        "df, n_docs",
+        [([], 3), ([4] * 6, 9), ([7, 7, 7], 7), ([1, 7, 3, 7, 1], 7)],
+        ids=["empty", "all-equal-df", "df-is-n-docs", "mixed-with-idf-0"],
+    )
+    def test_edge_cases(self, df, n_docs):
+        vocab = Vocabulary([f"t{i}" for i in range(len(df))], df, n_docs)
+        assert vocab.idf.dtype == np.float64 and vocab.idf.shape == (len(df),)
+        assert vocab.idf.tobytes() == loop_idf(df, n_docs).tobytes()
+        assert [vocab.index(t) for t in vocab.terms] == list(range(len(df)))
 
 
 class TestTfidfWeight:
