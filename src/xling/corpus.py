@@ -166,6 +166,8 @@ def _load_pairdirs(path: Path, src_lang: str | None, tgt_lang: str | None) -> Al
                 "pass src_lang/tgt_lang to disambiguate"
             )
         src_lang, tgt_lang = subdirs
+    if src_lang == tgt_lang:
+        raise ValueError(f"src_lang and tgt_lang must differ, both are {src_lang!r}")
     src_dir, tgt_dir = path / src_lang, path / tgt_lang
     for d in (src_dir, tgt_dir):
         if not d.is_dir():

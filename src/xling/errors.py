@@ -78,11 +78,7 @@ class VersionMismatchError(ModelError):
 
 
 class ConvergenceError(XlingError):
-    """Factorization produced non-finite values; carries diagnostics."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """Factorization failed: a LAPACK QR failed or the factors are not finite."""
 
 
 class EmptyCandidatesError(XlingError):

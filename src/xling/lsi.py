@@ -245,8 +245,7 @@ def _randomized_svd(
     del reflectors, t
     if info != 0:
         raise ConvergenceError(
-            f"Householder QR of the {m}x{sketch} range basis failed (LAPACK info {info})",
-            diagnostics={"shape": (m, n), "k": k, "sketch": sketch, "info": int(info)},
+            f"Householder QR of the {m}x{sketch} range basis failed (LAPACK info {info})"
         )
     b = (a.T @ q).T
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
@@ -281,16 +280,7 @@ def train(
 
     u, s, vt = _randomized_svd(a, k, _OVERSAMPLE, _POWER_ITERATIONS, seed)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(s)) and np.all(np.isfinite(vt))):
-        raise ConvergenceError(
-            "factorization produced non-finite values",
-            diagnostics={
-                "shape": tuple(a.shape),
-                "k": k,
-                "oversample": _OVERSAMPLE,
-                "power_iterations": _POWER_ITERATIONS,
-                "seed": seed,
-            },
-        )
+        raise ConvergenceError("factorization produced non-finite values")
 
     keep = s > _RANK_TRUNCATION * (s[0] if len(s) else 0.0)
     if not keep.all():
@@ -366,7 +356,8 @@ def fold_in_many(documents: Iterable[Sequence[str]], model: LsiModel, side: str)
 
 _MODEL_MAGIC = b"XLSM"
 _MODEL_VERSION = 1
-_MODEL_HEADER = struct.Struct("<4sIBIQQ")  # magic, version, kind, k, |V|, d
+# magic, version, kind, k, |V|, d, vocabulary-block length
+_MODEL_HEADER = struct.Struct("<4sIBIQQQ")
 
 
 def save_model(model: LsiModel, path: str | Path) -> None:
@@ -374,17 +365,8 @@ def save_model(model: LsiModel, path: str | Path) -> None:
     vocab_payload = {"cross" if kind_byte else "mono": model.vocabulary.to_dict()}
     vocab_blob = json.dumps(vocab_payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
     with Path(path).open("wb") as fh:
-        fh.write(
-            _MODEL_HEADER.pack(
-                _MODEL_MAGIC,
-                _MODEL_VERSION,
-                kind_byte,
-                model.k,
-                model.u.shape[0],
-                model.v.shape[0],
-            )
-        )
-        fh.write(struct.pack("<Q", len(vocab_blob)))
+        fh.write(_MODEL_HEADER.pack(_MODEL_MAGIC, _MODEL_VERSION, kind_byte, model.k,
+                                    model.u.shape[0], model.v.shape[0], len(vocab_blob)))
         fh.write(vocab_blob)
         for factor in (model.u, model.s, model.v):
             fh.write(memoryview(np.ascontiguousarray(factor, dtype="<f8")))
@@ -402,15 +384,14 @@ def _read_factor(fh, shape: tuple[int, ...]) -> np.ndarray:
 def load_model(path: str | Path) -> LsiModel:
     with Path(path).open("rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        head = fh.read(_MODEL_HEADER.size + 8)
-        if len(head) < _MODEL_HEADER.size + 8:
+        head = fh.read(_MODEL_HEADER.size)
+        if len(head) < _MODEL_HEADER.size:
             raise CorruptModelError("model file too short for its header")
-        magic, version, kind_byte, k, n_terms, n_docs = _MODEL_HEADER.unpack_from(head, 0)
+        magic, version, kind_byte, k, n_terms, n_docs, vocab_len = _MODEL_HEADER.unpack(head)
         if magic != _MODEL_MAGIC:
             raise CorruptModelError("not a model file (bad magic bytes)")
         if version != _MODEL_VERSION:
             raise VersionMismatchError(found=version, supported=_MODEL_VERSION)
-        (vocab_len,) = struct.unpack_from("<Q", head, _MODEL_HEADER.size)
         offset = len(head) + vocab_len
         vocab_blob = fh.read(vocab_len) if size >= offset else b""
         if len(vocab_blob) != vocab_len:

@@ -19,7 +19,9 @@ cannot translate. A monolingual model holds the target side only, so its
 queries are translated into the target language; a cross-lingual model
 folds them as written (``identity_translator``) on the source side. Every
 text, query or candidate, enters a model through one function,
-``_fold_texts``, on a named side.
+``_fold_texts``, on a named side. Each pipeline folds a side's documents
+once, in input order, and hands each query or alignment bucket its rows by
+index: a folded row does not depend on the documents folded with it.
 
 ``write_ranked_lists_json`` writes the bytes of ``json.dumps(payload,
 sort_keys=True, ensure_ascii=False, indent=2)`` but assembles the text
@@ -346,18 +348,17 @@ def _retrieve_translated(
     if not source_docs:
         return []
     candidates = embed_documents(target_docs, "target", model)
-    texts: list[str | None] = []
-    for doc in source_docs:
+    texts: dict[int, str] = {}
+    for i, doc in enumerate(source_docs):
         try:
-            texts.append(translate(doc))
+            texts[i] = translate(doc)
         except TranslationError as exc:
             warnings.warn(f"query {doc.id} skipped: {exc}", stacklevel=3)
-            texts.append(None)
-    queries = _fold_texts((t for t in texts if t is not None), model, side)
-    ranked = iter(retrieve_many(queries, candidates, n,
-                                [d.id for d, t in zip(source_docs, texts) if t is not None]))
-    return [RankedList(doc.id, (), skipped=True) if text is None else next(ranked)
-            for doc, text in zip(source_docs, texts)]
+    queries = _fold_texts(texts.values(), model, side)
+    ranked = dict(zip(texts, retrieve_many(queries, candidates, n,
+                                           [source_docs[i].id for i in texts])))
+    return [ranked[i] if i in ranked else RankedList(doc.id, (), skipped=True)
+            for i, doc in enumerate(source_docs)]
 
 
 def retrieve_ar_lsi(
@@ -427,38 +428,29 @@ def align_corpora(
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
 
-    buckets: dict[str | None, tuple[list[Document], list[Document]]] = {}
+    buckets: dict[str | None, tuple[Sequence[int], Sequence[int]]] = {}
     if group_by is None:
-        buckets[None] = (list(source_docs), list(target_docs))
+        buckets[None] = (range(len(source_docs)), range(len(target_docs)))
     else:
         for side, docs in enumerate((source_docs, target_docs)):
-            for doc in docs:
+            for i, doc in enumerate(docs):
                 if doc.group_key is None:
                     raise ValueError(f"document {doc.id!r} has no group_key to group by")
-                buckets.setdefault(doc.group_key, ([], []))[side].append(doc)
+                buckets.setdefault(doc.group_key, ([], []))[side].append(i)
 
-    # Each side is folded once, the documents of the buckets that are not
-    # skipped in key order, and each bucket takes its block of rows: a
-    # folded row does not depend on the documents folded with it.
-    keys = sorted(buckets)
-    live = [key for key in keys if all(buckets[key])]
-    blocks = [
-        np.split(
-            _fold_texts((d.text for key in live for d in buckets[key][i]), model, side),
-            np.cumsum([len(buckets[key][i]) for key in live[:-1]], dtype=np.int64),
-        )
-        for i, side in enumerate(("source", "target"))
-    ]
-    rows = dict(zip(live, zip(*blocks)))
-
+    # Each side is folded once, in input order, and each bucket takes its
+    # rows by index: a folded row does not depend on the documents folded
+    # with it.
+    src_rows = _fold_texts((d.text for d in source_docs), model, "source")
+    tgt_rows = _fold_texts((d.text for d in target_docs), model, "target")
     pairs: list[AlignmentPair] = []
-    for key in keys:
-        if key not in rows:
+    for key in sorted(buckets):
+        src_index, tgt_index = buckets[key]
+        if not src_index or not tgt_index:
             warnings.warn(f"group {key!r} is empty on one side; skipped", stacklevel=2)
             continue
-        (src_bucket, tgt_bucket), (src_rows, tgt_rows) = buckets[key], rows[key]
-        src_vecs = _embed_known(src_bucket, src_rows, "source")
-        tgt_vecs = _embed_known(tgt_bucket, tgt_rows, "target")
+        src_vecs = _embed_known([source_docs[i] for i in src_index], src_rows[src_index], "source")
+        tgt_vecs = _embed_known([target_docs[i] for i in tgt_index], tgt_rows[tgt_index], "target")
         if not len(src_vecs) or not len(tgt_vecs):
             continue
         bucket_pairs = [
@@ -521,22 +513,17 @@ def evaluate_retrieval(
 
 
 _HISTOGRAM_EDGES = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
-
-def _histogram_labels() -> list[str]:
-    labels = [f"<{_HISTOGRAM_EDGES[0]}"]
-    labels += [
-        f"[{lo},{hi})" for lo, hi in zip(_HISTOGRAM_EDGES, _HISTOGRAM_EDGES[1:])
-    ]
-    labels.append(f">={_HISTOGRAM_EDGES[-1]}")
-    return labels
+_HISTOGRAM_LABELS = (
+    f"<{_HISTOGRAM_EDGES[0]}",
+    *(f"[{lo},{hi})" for lo, hi in zip(_HISTOGRAM_EDGES, _HISTOGRAM_EDGES[1:])),
+    f">={_HISTOGRAM_EDGES[-1]}",
+)
 
 
 def _histogram(similarities: Iterable[float]) -> dict[str, int]:
-    labels = _histogram_labels()
-    counts = dict.fromkeys(labels, 0)
+    counts = dict.fromkeys(_HISTOGRAM_LABELS, 0)
     for sim in similarities:
-        counts[labels[bisect.bisect_right(_HISTOGRAM_EDGES, sim)]] += 1
+        counts[_HISTOGRAM_LABELS[bisect.bisect_right(_HISTOGRAM_EDGES, sim)]] += 1
     return counts
 
 
@@ -674,7 +661,7 @@ def write_histogram_csv(report: EvalReport, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["bin", "count"])
-        for label in _histogram_labels():
+        for label in _HISTOGRAM_LABELS:
             writer.writerow([label, report.histogram.get(label, 0)])
 
 

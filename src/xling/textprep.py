@@ -224,14 +224,10 @@ def _root_pass(word: str) -> str:
 def root_stem(word: str) -> str:
     """Light-stem, then strip infix patterns down to a 3-4 letter root.
 
-    A simplified stand-in for a real root extractor; falls back to the light
-    stem when stripping would leave fewer than three letters.
+    A simplified stand-in for a real root extractor. No pass leaves fewer
+    than three letters, so a root that short is the light stem itself.
     """
-    stem = light_stem(word)
-    root = _fixpoint(lambda w: _root_pass(light_stem(w)), stem)
-    if len(root) < _MIN_STEM:
-        return stem
-    return root
+    return _fixpoint(lambda w: _root_pass(light_stem(w)), light_stem(word))
 
 
 def _suffix_pass(word: str) -> str:

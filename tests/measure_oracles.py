@@ -269,7 +269,8 @@ def brute_bucket_cosines(source_docs, target_docs, model, group_by=None):
     buckets: dict = {}
     for side, docs in enumerate((source_docs, target_docs)):
         for doc in docs:
-            buckets.setdefault(doc.group_key if group_by else None, ([], []))[side].append(doc)
+            key = doc.group_key if group_by is not None else None
+            buckets.setdefault(key, ([], []))[side].append(doc)
     for key in sorted(buckets):
         folded = []
         for side, docs in zip(("source", "target"), buckets[key]):
@@ -310,10 +311,11 @@ def brute_align_warnings(source_docs, target_docs, model, group_by=None) -> list
     key), one for a bucket empty on either side, else one per side for its
     documents that fold to a zero vector, each folded on its own. Ungrouped,
     the one bucket exists even with no documents."""
-    buckets: dict = {} if group_by else {None: ([], [])}
+    buckets: dict = {} if group_by is not None else {None: ([], [])}
     for side, docs in enumerate((source_docs, target_docs)):
         for doc in docs:
-            buckets.setdefault(doc.group_key if group_by else None, ([], []))[side].append(doc)
+            key = doc.group_key if group_by is not None else None
+            buckets.setdefault(key, ([], []))[side].append(doc)
     messages = []
     for key in sorted(buckets):
         if not all(buckets[key]):

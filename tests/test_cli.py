@@ -207,6 +207,17 @@ class TestIngest:
         }
         assert not list(tmp_path.glob("out.*"))
 
+    def test_pairdirs_with_equal_languages_exits_two(self, tmp_path, capsys):
+        # Both sides used to read en/, so each document was paired with itself.
+        inputs = _ingest_inputs(tmp_path)
+        rc = main(["ingest", "--input", str(inputs["pairdirs"]), "--format", "pairdirs",
+                   "--src-lang", "en", "--tgt-lang", "en", "--output", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "ValueError", "message": "src_lang and tgt_lang must differ, both are 'en'",
+        }
+        assert not list(tmp_path.glob("out.*"))
+
     def test_bad_path_exits_two_with_stderr_message(self, tmp_path, capsys):
         rc = main(
             [
@@ -809,7 +820,9 @@ class TestRetrieveEvalAlign:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "CorruptModelError"
 
-    def test_align_grouped_top_n(self, tmp_path):
+    @staticmethod
+    def _grouped_corpus(tmp_path) -> Path:
+        """The fixture corpus with its couples spread over two months."""
         corpus = make_parallel_corpus(30, SPEC, seed=12)
         records = []
         for i, (s, t) in enumerate(corpus.pairs()):
@@ -822,6 +835,10 @@ class TestRetrieveEvalAlign:
             )
         grouped = tmp_path / "grouped.jsonl"
         grouped.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+        return grouped
+
+    def test_align_grouped_top_n(self, tmp_path):
+        grouped = self._grouped_corpus(tmp_path)
         model_path = _train(tmp_path, grouped)
         out = tmp_path / "pairs.tsv"
         rc = main(
@@ -843,6 +860,22 @@ class TestRetrieveEvalAlign:
         report = json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))
         assert set(report["sim_ranges"]) == {"2012-01", "2012-02"}
         assert (tmp_path / "hist.csv").read_text(encoding="utf-8").startswith("bin,count")
+
+    def test_align_group_by_empty_string_groups(self, tmp_path):
+        # Grouping is switched on by giving --group-by at all, whatever its value.
+        grouped = self._grouped_corpus(tmp_path)
+        model_path = _train(tmp_path, grouped)
+        outputs = {}
+        for group_by in ("month", ""):
+            out = tmp_path / f"pairs-{group_by}.tsv"
+            rc = main(["align", "--model", str(model_path), "--corpus", str(grouped),
+                       "--top-n", "5", "--group-by", group_by, "--output", str(out)])
+            assert rc == 0
+            outputs[group_by] = out.read_bytes()
+        assert outputs[""] == outputs["month"]
+        assert {line.split(b"\t")[3] for line in outputs[""].splitlines()} == {
+            b"2012-01", b"2012-02",
+        }
 
 
 def _train_mono(tmp_path, corpus_file) -> Path:

@@ -98,6 +98,13 @@ class TestPairdirs:
         with pytest.raises(ValueError, match="give both src_lang and tgt_lang, or neither"):
             load_aligned_corpus(tmp_path, "pairdirs", **given)
 
+    def test_equal_languages_rejected(self, tmp_path):
+        # Both sides would read the same directory: each document paired
+        # with itself.
+        _write_pairdirs(tmp_path, [("001", "hello", "marhaba")])
+        with pytest.raises(ValueError, match="src_lang and tgt_lang must differ, both are 'en'"):
+            load_aligned_corpus(tmp_path, "pairdirs", src_lang="en", tgt_lang="en")
+
     def test_empty_text_loads(self, tmp_path):
         _write_pairdirs(tmp_path, [("001", "", "marhaba")])
         corpus = load_aligned_corpus(tmp_path, "pairdirs", src_lang="en", tgt_lang="ar")

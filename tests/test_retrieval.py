@@ -14,6 +14,7 @@ from measure_oracles import (
     per_query_retrieve,
 )
 
+from xling import retrieval
 from xling.bidict import BilingualDictionary
 from xling.corpus import Document
 from xling.errors import (
@@ -632,7 +633,7 @@ class TestAlignmentOracle:
         source=_align_collection("s", "en", False),
         target=_align_collection("t", "ar", True),
         top_n=st.integers(min_value=1, max_value=5),
-        group_by=st.sampled_from([None, "month"]),
+        group_by=st.sampled_from([None, "month", ""]),
         mutual_best=st.booleans(),
     )
     def test_matches_brute_force(self, source, target, top_n, group_by, mutual_best):
@@ -663,17 +664,41 @@ class TestAlignmentOracle:
         ids=["zero-vector-bucket", "bucket-empty-on-one-side", "ungrouped"],
     )
     def test_fold_once_cases(self, source_words, target_words, group_by, mutual_best):
-        def documents(prefix, language, words_by_group, cipher):
-            return [
-                Document(f"{prefix}{group}{i}", language,
-                         " ".join(cipher_word(w) if cipher else w for w in text.split()),
-                         group_key=group)
-                for group, texts in words_by_group.items() for i, text in enumerate(texts)
-            ]
-
-        source = documents("s", "en", source_words, False)
-        target = documents("t", "ar", target_words, True)
+        source = _bucket_documents("s", "en", source_words, False)
+        target = _bucket_documents("t", "ar", target_words, True)
         _assert_aligns_like_brute_force(source, target, 5, group_by, mutual_best)
+
+    @pytest.mark.parametrize("group_by", ["month", None])
+    def test_folds_each_side_once(self, monkeypatch, group_by):
+        # g1 holds sources only, so grouped it is skipped; its document is
+        # folded all the same.
+        source = _bucket_documents("s", "en", {"g0": ["s00x000", "s02x003"], "g1": ["s01x000"]},
+                                   False)
+        target = _bucket_documents("t", "ar", {"g0": ["s00x000", "s02x003"]}, True)
+        calls = []
+
+        def spy(documents, model, side):
+            documents = list(documents)
+            calls.append((side, len(documents)))
+            return fold_in_many(documents, model, side)
+
+        monkeypatch.setattr(retrieval, "fold_in_many", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pairs = align_corpora(source, target, _ORACLE_MODEL, group_by=group_by)
+        assert calls == [("source", 3), ("target", 2)]
+        assert len(pairs) == (2 if group_by else 3)
+
+
+def _bucket_documents(prefix, language, words_by_group, cipher):
+    """One document per text, its id the prefix, group and index, ciphered
+    into the target language when ``cipher`` is set."""
+    return [
+        Document(f"{prefix}{group}{i}", language,
+                 " ".join(cipher_word(w) if cipher else w for w in text.split()),
+                 group_key=group)
+        for group, texts in words_by_group.items() for i, text in enumerate(texts)
+    ]
 
 
 def _assert_aligns_like_brute_force(source, target, top_n, group_by, mutual_best):
