@@ -513,7 +513,10 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except RecursionError:  # argparse expands @file arguments recursively
+            raise ValueError("xling: @file arguments nest too deeply") from None
         _resolve_paths(args)
         return args.func(args)
     except _NUMERIC_ERRORS as exc:

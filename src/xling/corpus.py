@@ -121,7 +121,7 @@ def _records(path: Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the limit
                 raise MalformedRecordError(line_number, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict) or any(f not in record for f in required):
                 *rest, last = map(repr, required)

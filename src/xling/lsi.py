@@ -398,7 +398,7 @@ def load_model(path: str | Path) -> LsiModel:
             raise CorruptModelError("model file truncated inside the vocabulary block")
         try:
             vocab_payload = json.loads(vocab_blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CorruptModelError(f"unreadable vocabulary block: {exc}") from exc
 
         if kind_byte not in (0, 1):

@@ -1403,6 +1403,44 @@ class TestExitCodes:
         assert _one_json_error(capsys)["error"] == cls.__name__
 
 
+class TestNestedPastTheRecursionLimit:
+    """Input nested past Python's recursion limit exits with its code, not a traceback."""
+
+    def test_corpus_line_exits_two(self, tmp_path, capsys):
+        corpus = tmp_path / "nested.jsonl"
+        corpus.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        rc = main(["train", "--corpus", str(corpus), "--output", str(tmp_path / "m.xlsm")])
+        assert rc == 2
+        assert _one_json_error(capsys)["error"] == "MalformedRecordError"
+
+    def test_model_vocabulary_block_exits_three(self, tmp_path, corpus_file, capsys):
+        model_path = _train(tmp_path, corpus_file)
+        capsys.readouterr()
+        blob = model_path.read_bytes()
+        header = 29  # magic, version, kind byte, k, |V|, d; then the block's length
+        (size,) = struct.unpack_from("<Q", blob, header)
+        payload = b"[" * 100_000
+        model_path.write_bytes(
+            blob[:header] + struct.pack("<Q", len(payload)) + payload + blob[header + 8 + size :]
+        )
+        rc = main(
+            [
+                "retrieve", "--model", str(model_path), "--corpus", str(corpus_file),
+                "--output", str(tmp_path / "r.json"),
+            ]
+        )
+        assert rc == 3
+        assert _one_json_error(capsys)["error"] == "CorruptModelError"
+
+    def test_self_including_args_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "self.args"
+        rc = main(["train", _args_file(path, f"@{path}\n")])
+        assert rc == 2
+        payload = _one_json_error(capsys)
+        assert payload["error"] == "ValueError"
+        assert "@file arguments nest too deeply" in payload["message"]
+
+
 class TestCollectorPause:
     """``main`` leaves the cyclic collector as it found it, on every exit path."""
 
