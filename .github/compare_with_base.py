@@ -2,7 +2,8 @@
 """Compare this tree's outputs with a base tree's (``--base DIR``), byte for byte.
 
 Each tree runs its own package on the seed-1 benchmark (rewriting ``.perfbench_work/``
-in both), on each demo both have and on the CASES, which reach code no workload runs.
+in both), on each demo both have and on the CASES, which reach code no workload runs;
+each case command's stdout is compared too, its directories written as ``{in}``/``{out}``.
 Prints ``differs: <name>`` per difference and exits 1 on any; a failing command stops it.
 """
 
@@ -44,6 +45,13 @@ WORDS = [  # English and Arabic dictionary entries, each with an inflected form
 # Each case: its input files, its xling commands, one a line ({in} and {out}
 # stand for the case's input and output directories), and the outputs compared.
 CASES = {
+    # A subcommand's flags are built only when it is selected; pin every help text.
+    "help": {
+        "files": {},
+        "commands": "\n".join(f"{name} --help" for name in
+                              ("", "ingest", "train", "retrieve", "align", "eval", "score")),
+        "compare": [],
+    },
     "ingest": {
         "files": {
             "pairs.jsonl": jsonl(PAIR, ("e1", "a1", "Hello world", "مرحبا بالعالم", "2012-01"))
@@ -152,10 +160,13 @@ def outputs(tree: Path, label: str, tmp: Path) -> dict[str, bytes]:
             found[f"demos/{name} stdout"] = run([sys.executable, str(demo)], tree, tmp)
     for case, spec in CASES.items():
         dirs = {"in": tmp / case / "in", "out": tmp / case / label}
-        dirs["out"].mkdir()
-        for command in filter(str.strip, spec["commands"].splitlines()):
+        dirs["out"].mkdir(parents=True)
+        for command in filter(None, map(str.strip, spec["commands"].splitlines())):
             argv = [arg.format_map(dirs) for arg in shlex.split(command)]
-            run([sys.executable, "-m", "xling.cli", *argv], tree, tmp)
+            stdout = run([sys.executable, "-m", "xling.cli", *argv], tree, tmp)
+            for key, path in dirs.items():
+                stdout = stdout.replace(os.fsencode(path), b"{%s}" % key.encode())
+            found[f"{case}/{command} stdout"] = stdout
         for name in spec["compare"]:
             found[f"{case}/{name}"] = (dirs["out"] / name).read_bytes()
     return found

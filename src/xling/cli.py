@@ -5,6 +5,9 @@ byte-identical outputs in one environment. Timestamps live only in run
 manifests. Exit codes: 0 success, 2 usage/input error, 3 data/model error,
 4 numerical failure; every error, a bad flag included, is one line of JSON
 on stderr. Flags may also come from ``@file`` arguments (see ``_Parser``).
+The parser holds the six subcommands and their help lines; a subcommand's
+flags are added only when argparse selects it (see ``_Subcommands``), so a
+run builds the flags of its own command alone.
 A flag that a command, format, measure or model kind would not read is
 refused, never ignored: the run exits 2 with ``<reason>: drop --flag``
 before it reads its inputs where it can (see ``_unread_flags``).
@@ -73,15 +76,22 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_manifest(args, path: Path, inputs: list[str | None]) -> None:
-    """The run's command, options and their hash, and each input file's hash."""
+def _write_manifest(args, path: Path, inputs: list[str | None], read: dict | None = None) -> None:
+    """The run's command, options and their hash, and each input file's hash.
+
+    ``read`` maps an input to the ``hashlib`` object that hashed it as it was
+    loaded; that file is not read again.
+    """
     options = {k: v for k, v in vars(args).items() if k != "func"}
     canonical = json.dumps(options, sort_keys=True).encode("utf-8")
     _write_json(path, {
         "command": args.command,
         "options": options,
         "config_hash": hashlib.sha256(canonical).hexdigest(),
-        "inputs": {str(p): _sha256(p) for p in map(Path, filter(None, inputs)) if p.is_file()},
+        "inputs": {
+            **{str(p): _sha256(p) for p in map(Path, filter(None, inputs)) if p.is_file()},
+            **{str(Path(p)): digest.hexdigest() for p, digest in (read or {}).items()},
+        },
         "created": datetime.now(timezone.utc).isoformat(),
     })
 
@@ -289,7 +299,8 @@ def _cmd_align(args) -> int:
     docs = (args.source_docs, args.target_docs)
     if any(docs) if args.corpus else not all(docs):
         raise ValueError("align takes either --corpus or both --source-docs and --target-docs")
-    model = lsi.load_model(args.model)
+    model_digest = hashlib.sha256()
+    model = lsi.load_model(args.model, model_digest)
     gold = None
     if args.corpus:
         corpus = corpus_io.load_aligned_corpus(args.corpus)
@@ -320,7 +331,7 @@ def _cmd_align(args) -> int:
     if args.ranges_csv:
         retrieval.write_ranges_csv(report, args.ranges_csv)
     _write_manifest(args, Path(args.output).with_suffix(".manifest.json"),
-                    [args.corpus, args.source_docs, args.target_docs, args.model])
+                    [args.corpus, args.source_docs, args.target_docs], {args.model: model_digest})
     print(f"aligned {len(pairs)} pairs -> {args.output}")
     return 0
 
@@ -426,19 +437,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="xling",
-        description="Cross-lingual document similarity, retrieval and alignment.",
-    )
-    parser.add_argument(
-        "--data-dir",
-        default=os.environ.get("XLING_DATA_DIR", "."),
-        help="base directory for relative data paths (env: XLING_DATA_DIR)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="convert raw corpora to jsonl + stats")
+def _ingest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["pairdirs", "jsonl", "wikidump"], required=True)
     p.add_argument("--output", required=True)
@@ -448,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pivot-lang", default=None, help="pivot language for wikidump")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("train", help="split, preprocess and train an LSI model")
+
+def _train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--kind", choices=["mono", "cross"], default="cross")
     p.add_argument("--k", type=int, default=lsi.DEFAULT_RANK)
@@ -461,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("retrieve", help="rank target documents for each source query")
+
+def _retrieve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True, help="jsonl pairs: queries + candidates")
     p.add_argument("--n", type=int, default=5)
@@ -470,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_translation_flags(p)
     p.set_defaults(func=_cmd_retrieve)
 
-    p = sub.add_parser("align", help="align two unpaired corpora in LSI space")
+
+def _align_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", default=None, help="aligned jsonl (sides used, gold kept)")
     p.add_argument("--source-docs", default=None, help="flat jsonl documents")
@@ -485,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranges-csv", default=None)
     p.set_defaults(func=_cmd_align)
 
-    p = sub.add_parser("eval", help="recall metrics or the oracle self-test")
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--ks", default=None, help="recall depths (default 1,5)")
@@ -494,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_translation_flags(p)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("score", help="dictionary-based comparability measures")
+
+def _score_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--dictionary", required=True)
     p.add_argument("--measure", choices=["bin", "bincos", "oov", "match"], required=True)
@@ -506,6 +510,47 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_score)
 
+
+# Each subcommand's help line, and what adds its flags and sets its ``func``.
+_COMMANDS = {
+    "ingest": ("convert raw corpora to jsonl + stats", _ingest_flags),
+    "train": ("split, preprocess and train an LSI model", _train_flags),
+    "retrieve": ("rank target documents for each source query", _retrieve_flags),
+    "align": ("align two unpaired corpora in LSI space", _align_flags),
+    "eval": ("recall metrics or the oracle self-test", _eval_flags),
+    "score": ("dictionary-based comparability measures", _score_flags),
+}
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """The subcommand positional: a subcommand's flags are added when argparse
+    selects it, so a run builds the flags of its own command only."""
+
+    def fill(self, name: str) -> argparse.ArgumentParser:
+        """The subparser of ``name``, its flags added if they were not yet."""
+        subparser = self.choices[name]
+        if subparser.get_default("func") is None:
+            _COMMANDS[name][1](subparser)
+        return subparser
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.fill(values[0])  # argparse has checked that it is a choice
+        super().__call__(parser, namespace, values, option_string)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="xling",
+        description="Cross-lingual document similarity, retrieval and alignment.",
+    )
+    parser.add_argument(
+        "--data-dir",
+        default=os.environ.get("XLING_DATA_DIR", "."),
+        help="base directory for relative data paths (env: XLING_DATA_DIR)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
+    for name, (help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 

@@ -6,7 +6,12 @@ supported: pair directories (``<root>/<lang>/<id>.txt``) and JSONL with one
 pair object per line. Flat document files (one document object per line)
 serve ``align --source-docs/--target-docs`` and the translation cache.
 Every JSONL file is read through one record reader, :func:`_records`, and
-written through one record writer.
+written through one record writer. The reader streams the file a line at a
+time (a leading byte-order mark dropped) and decodes each non-blank line
+with one ``raw_decode`` call; a line that call rejects, or that holds more
+after its value, is decoded again by ``json.loads``, whose error names the
+fault. A ``Document`` checks its fields by exact type first and falls back
+to the checks that word its errors.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ __all__ = [
 ]
 
 
+_OPTIONAL = frozenset((str, type(None)))
+
+
 @dataclass(frozen=True)
 class Document:
     """One document: identifier, language, raw text and optional metadata.
@@ -54,6 +62,11 @@ class Document:
     category: str | None = None
 
     def __post_init__(self):
+        # One exact-type test per field passes the common case; anything
+        # else takes the checks below, which give the messages.
+        if (self.id and type(self.language) is str and type(self.text) is str
+                and type(self.group_key) in _OPTIONAL and type(self.category) in _OPTIONAL):
+            return
         if not self.id:
             raise ValueError("document id must be non-empty")
         for name in ("language", "text"):
@@ -107,23 +120,32 @@ class AlignedCorpus:
         )
 
 
+_decode = json.JSONDecoder().raw_decode
+
+
 def _records(path: Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_number, record)`` for each non-blank line of a JSONL file.
 
-    This is the one reader of every JSONL record file. A line that is not
-    a JSON object holding all ``required`` fields raises
-    :class:`MalformedRecordError` naming the line.
+    This is the one reader of every JSONL record file; a leading byte-order
+    mark is dropped. A line that is not a JSON object holding all
+    ``required`` fields raises :class:`MalformedRecordError` naming the line.
     """
-    with path.open("r", encoding="utf-8") as fh:
+    fields = frozenset(required)
+    with path.open("r", encoding="utf-8-sig") as fh:
         for line_number, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the limit
-                raise MalformedRecordError(line_number, f"invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or any(f not in record for f in required):
+                record, end = _decode(line)
+            except (json.JSONDecodeError, RecursionError):
+                end = -1
+            if end != len(line):  # json.loads raises the error it has always raised
+                try:
+                    record = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the limit
+                    raise MalformedRecordError(line_number, f"invalid JSON: {exc}") from exc
+            if type(record) is not dict or not record.keys() >= fields:
                 *rest, last = map(repr, required)
                 raise MalformedRecordError(
                     line_number, f"record needs {', '.join(rest)} and {last}"

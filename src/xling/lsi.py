@@ -373,15 +373,21 @@ def save_model(model: LsiModel, path: str | Path) -> None:
 
 
 def _read_factor(fh, shape: tuple[int, ...]) -> np.ndarray:
-    """Read one factor straight into a fresh array; a short read is corrupt."""
+    """Read one little-endian factor straight into a fresh array; a short read is corrupt."""
     arr = np.empty(shape, dtype="<f8")
     got = fh.readinto(arr)
     if got != arr.nbytes:
         raise CorruptModelError(f"model file ended inside a factor ({got} of {arr.nbytes} bytes)")
-    return arr.astype(np.float64, copy=False)
+    return arr
 
 
-def load_model(path: str | Path) -> LsiModel:
+def load_model(path: str | Path, digest=None) -> LsiModel:
+    """Load a model file; a damaged one raises :class:`CorruptModelError`.
+
+    ``digest``, a ``hashlib`` object, is updated with the header, the
+    vocabulary block and each factor in file order, so that a caller gets
+    the file's hash without reading it twice.
+    """
     with Path(path).open("rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_MODEL_HEADER.size)
@@ -423,9 +429,11 @@ def load_model(path: str | Path) -> LsiModel:
         if size != expected:
             raise CorruptModelError(f"model file has {size} bytes, expected {expected}")
         # The size check bounds every allocation by the file's own length.
-        u = _read_factor(fh, (n_terms, k))
-        s = _read_factor(fh, (k,))
-        v = _read_factor(fh, (n_docs, k))
+        factors = [_read_factor(fh, shape) for shape in ((n_terms, k), (k,), (n_docs, k))]
+    if digest is not None:
+        for block in (head, vocab_blob, *factors):
+            digest.update(block)
+    u, s, v = (f.astype(np.float64, copy=False) for f in factors)
     try:
         return LsiModel(u, s, v, vocabulary)
     except ValueError as exc:

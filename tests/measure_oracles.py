@@ -36,6 +36,10 @@ warnings it must raise, in order.
 ranking ``retrieve_many`` must reproduce bit for bit after its BLAS screen.
 ``dumps_ranked_lists`` is the ranked-list JSON as one ``json.dumps`` call
 writes it; ``write_ranked_lists_json`` assembles the same bytes itself.
+``loads_records`` is the JSONL record reader as first written, one
+``json.loads`` and a per-field test a line; ``corpus._records``, which
+decodes each line once with ``raw_decode``, must yield the same records or
+raise the same error with the same message.
 """
 
 from __future__ import annotations
@@ -44,12 +48,14 @@ import json
 import math
 import re
 from collections import Counter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from xling.bidict import BilingualDictionary, load_dictionary
+from xling.errors import MalformedRecordError
 from xling.lsi import _RANK_TRUNCATION, fold_in_many
 from xling.retrieval import Embeddings, _unit_rows
 from xling.textprep import ReducerKind, _root_pass, make_reducer, tokenize
@@ -540,3 +546,26 @@ def chain_couple(n: int) -> tuple[list[str], list[str], list[tuple[tuple[str, ..
     synsets = [((sources[0],), (targets[0],))]
     synsets += [((sources[i],), (targets[i - 1], targets[i])) for i in range(1, n + 1)]
     return sources, targets, synsets
+
+
+def loads_records(path: Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """``(line_number, record)`` for each non-blank line, through ``json.loads``.
+
+    It opens the file with ``utf-8-sig``, as the package's reader does, so a
+    leading byte-order mark is dropped here too.
+    """
+    with path.open("r", encoding="utf-8-sig") as fh:
+        for line_number, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise MalformedRecordError(line_number, f"invalid JSON: {exc}") from exc
+            if not isinstance(record, dict) or any(f not in record for f in required):
+                *rest, last = map(repr, required)
+                raise MalformedRecordError(
+                    line_number, f"record needs {', '.join(rest)} and {last}"
+                )
+            yield line_number, record

@@ -218,6 +218,18 @@ class TestIngest:
         }
         assert not list(tmp_path.glob("out.*"))
 
+    def test_jsonl_with_a_byte_order_mark(self, tmp_path):
+        # It used to exit 2 with "line 1: invalid JSON: Unexpected UTF-8 BOM".
+        plain = _ingest_inputs(tmp_path)["jsonl"]
+        marked = tmp_path / "marked.jsonl"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for name, path in (("plain", plain), ("marked", marked)):
+            assert main(["ingest", "--input", str(path), "--format", "jsonl",
+                         "--output", str(tmp_path / f"out-{name}.jsonl")]) == 0
+        out = (tmp_path / "out-marked.jsonl").read_bytes()
+        assert out == (tmp_path / "out-plain.jsonl").read_bytes()
+        assert json.loads(out)["src_id"] == "e1"
+
     def test_bad_path_exits_two_with_stderr_message(self, tmp_path, capsys):
         rc = main(
             [
@@ -1314,8 +1326,15 @@ class TestManifests:
         }, [corpus_file])
 
     @pytest.mark.parametrize("route", ["corpus", "documents"])
-    def test_align(self, tmp_path, corpus_file, route):
+    def test_align(self, tmp_path, corpus_file, route, monkeypatch):
         model = _train(tmp_path, corpus_file)
+        real, hashed = cli._sha256, []
+
+        def recording(path):
+            hashed.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli, "_sha256", recording)
         corpus = load_aligned_corpus(corpus_file)
         save_documents(corpus.source_docs, tmp_path / "s.jsonl")
         save_documents(corpus.target_docs, tmp_path / "t.jsonl")
@@ -1334,6 +1353,7 @@ class TestManifests:
             "output": str(tmp_path / "a.tsv"), "report": str(tmp_path / "r.json"),
             "histogram_csv": None, "ranges_csv": None,
         }, [model, *([corpus_file] if route == "corpus" else docs)])
+        assert model not in hashed  # load_model hashed it as it read it
 
 
 class TestDataDir:

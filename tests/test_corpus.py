@@ -1,11 +1,14 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
+from measure_oracles import loads_records
 
 from xling.corpus import (
     AlignedCorpus,
     Document,
+    _records,
     document_stats,
     load_aligned_corpus,
     save_aligned_corpus,
@@ -236,6 +239,110 @@ def _corpus_of(n: int) -> AlignedCorpus:
         tuple(Document(f"e{i}", "en", f"src {i}") for i in range(n)),
         tuple(Document(f"a{i}", "ar", f"tgt {i}") for i in range(n)),
     )
+
+
+_TEXTS = ["olive oil press", 'a "quoted" \\ text', "زيت الزيتون", "", "tab\there"]
+_FIELDS = {"pairs": ("src_id", "tgt_id", "src_text", "tgt_text"), "documents": ("id", "text")}
+
+
+def _valid_records(kind: str) -> list[dict]:
+    if kind == "pairs":
+        return [{"src_id": f"e{i}", "tgt_id": f"a{i}", "src_text": _TEXTS[i % 5],
+                 "tgt_text": _TEXTS[(i + 2) % 5], "group_key": f"2012-0{i % 3 + 1}"}
+                for i in range(12)]
+    return [{"id": f"d{i}", "language": "ar", "text": _TEXTS[i % 5],
+             "group_key": f"2012-0{i % 3 + 1}"} for i in range(12)]
+
+
+def _encode(records: list, newline: str = "\n") -> bytes:
+    """One line a record; a ``str`` entry is a line written as it is."""
+    lines = (r if isinstance(r, str) else json.dumps(r, ensure_ascii=False) for r in records)
+    return "".join(line + newline for line in lines).encode("utf-8")
+
+
+def _edit_line(edit, first: int = 0):
+    """A mutation that rewrites one line, at or after ``first``, through ``edit(rng, line)``."""
+    def mutate(rng, records, fields):
+        lines = [json.dumps(r, ensure_ascii=False) for r in records]
+        i = rng.randrange(first, len(lines))
+        lines[i] = edit(rng, lines[i])
+        return _encode(lines)
+    return mutate
+
+
+def _in_strings(char: str):
+    def mutate(rng, records, fields):
+        for record in rng.sample(records, 3):
+            key = rng.choice(sorted(record))
+            at = rng.randint(0, len(record[key]))
+            record[key] = record[key][:at] + char + record[key][at:]
+        return _encode(records)
+    return mutate
+
+
+def _blank_lines(rng, records, fields):
+    for _ in range(4):
+        records.insert(rng.randint(0, len(records)), rng.choice(["", "   ", "\t \t", " \u0085 "]))
+    return _encode(records)
+
+
+def _missing_field(rng, records, fields):
+    del rng.choice(records)[rng.choice(fields)]
+    return _encode(records)
+
+
+def _invalid_utf8(rng, records, fields):
+    blob = _encode(records)
+    at = rng.randrange(len(blob))
+    return blob[:at] + rng.choice([b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82"]) + blob[at:]
+
+
+# name -> (mutation of a valid file, whether the file is still valid after it)
+_MUTATIONS = {
+    "crlf": (lambda rng, records, fields: _encode(records, "\r\n"), True),
+    "lone_cr": (lambda rng, records, fields: _encode(records, "\r"), True),
+    "u2028_in_strings": (_in_strings("\u2028"), True),
+    "u0085_in_strings": (_in_strings("\u0085"), True),
+    "u0085_after_object": (_edit_line(lambda rng, line: line + "\u0085"), True),
+    "blank_lines": (_blank_lines, True),
+    "leading_bom": (lambda rng, records, fields: b"\xef\xbb\xbf" + _encode(records), True),
+    "later_bom": (_edit_line(lambda rng, line: "\ufeff" + line, first=1), False),
+    "trailing_data": (_edit_line(
+        lambda rng, line: line + rng.choice([" x", "{}", "]", " 1", ",", ' "a"', "\u2028{}"])
+    ), False),
+    "non_object": (_edit_line(
+        lambda rng, line: rng.choice(["[1, 2]", '"text"', "42", "null", "true", "[]"])
+    ), False),
+    "missing_field": (_missing_field, False),
+    "deep_nesting": (_edit_line(
+        lambda rng, line: rng.choice(["[" * 100_000, '{"a": ' * 100_000, "[" * 50_000 + "]" * 50_000])
+    ), False),
+    "invalid_utf8": (_invalid_utf8, False),
+}
+
+
+def _read(reader, path, fields):
+    try:
+        return list(reader(path, fields))
+    except Exception as exc:  # the two readers must fail alike
+        return type(exc), str(exc)
+
+
+class TestRecordReader:
+    """``_records`` decodes each line once; on seeded mutations of valid pair
+    and document files it must agree with ``json.loads`` line by line."""
+
+    @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+    @pytest.mark.parametrize("kind", ["pairs", "documents"])
+    def test_same_records_or_same_error_as_the_loads_oracle(self, tmp_path, kind, mutation):
+        mutate, valid = _MUTATIONS[mutation]
+        fields = _FIELDS[kind]
+        for seed in range(6):
+            path = tmp_path / f"{seed}.jsonl"
+            path.write_bytes(mutate(random.Random(seed), _valid_records(kind), fields))
+            ours = _read(_records, path, fields)
+            assert ours == _read(loads_records, path, fields)
+            assert isinstance(ours, list) == valid, ours
 
 
 class TestSplit:

@@ -46,11 +46,13 @@ def test_readme_library_example_runs(tmp_path):
 
 
 def _cli_options() -> set[str]:
+    # A subcommand's flags are added when argparse selects it; fill each
+    # subparser through the same hook, so that every option is collected.
     parser = cli.build_parser()
     parsers = [parser]
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            parsers.extend(action.choices.values())
+            parsers.extend(map(action.fill, action.choices))
     return {option for p in parsers for action in p._actions for option in action.option_strings}
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -508,7 +509,9 @@ class TestModelPersistence:
         model = mono if which == "mono" else cross
         path = tmp_path / "m.xlsm"
         save_model(model, path)
-        loaded = load_model(path)
+        digest = hashlib.sha256()
+        loaded = load_model(path, digest)
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
         assert loaded.kind == model.kind
         assert np.array_equal(loaded.u, model.u)
         assert np.array_equal(loaded.s, model.s)
@@ -540,8 +543,9 @@ class TestModelPersistence:
         path = tmp_path / "m.xlsm"
         save_model(mono, path)
         path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(CorruptModelError):
-            load_model(path)
+        for digest in (None, hashlib.sha256()):
+            with pytest.raises(CorruptModelError):
+                load_model(path, digest)
 
     @pytest.mark.parametrize("cut", ["inside-u", "inside-s", "inside-v", "one-byte-appended"])
     def test_factor_block_size_checked(self, tmp_path, cut):
