@@ -76,7 +76,10 @@ CASES = {
                 ("e2", "a2", "Writing letters, she studied the classes.", "كتبت الرسائل ودرست الصفوف"),
                 ("e3", "a3", "Players played games in the gardens.", "اللاعبون لعبوا الألعاب في الحدائق"),
             ),
-            "dictionary.tsv": "".join(f"{en}\t{ar}\n" for en, ar in WORDS),
+            # The last lines take the loader's split branch: padded and empty pieces,
+            # a comment, a blank line and a duplicate of a line above.
+            "dictionary.tsv": "".join(f"{en}\t{ar}\n" for en, ar in WORDS)
+            + "# split branch\n\n teacher | teachers\t معلم\nbook||books\tكتاب\nstudy|studied\tدرس|درست\n",
         },
         "commands": "\n".join(
             "score --corpus {in}/corpus.jsonl --dictionary {in}/dictionary.tsv --measure %s"

@@ -3,15 +3,17 @@
 Documents are treated as bags of unique reduced terms for the binary
 measure, but raw token counts are the denominators for the OOV and
 matching rates. Callers are responsible for reducing document tokens and
-dictionary entries with the same reducers; ``load_dictionary`` takes one
-reducer per side and reduces each term as it reads it, and ``xling train``
-and ``xling score`` pass it the ``--reducer-source``/``--reducer-target``
-reducers (except ``identity``, and ``morphar``, which already maps words
-onto the dictionary's own terms).
+dictionary entries with the same reducers; ``load_dictionary`` lowercases
+each term, as ``tokenize`` lowercases words, then reduces it with its
+side's reducer as it reads it. ``xling train`` and ``xling score`` pass it
+the ``--reducer-source``/``--reducer-target`` reducers (except ``identity``,
+and ``morphar``, which already maps words onto the dictionary's own terms).
 
-A dictionary is built in one pass: duplicate synsets are dropped, and each
-side maps every term to its partners on the other side, as an unordered
-set, which membership, translations and the measures read. ``dict_cosines``
+A dictionary is built in one pass: each line's sides become frozensets
+directly, a one-term side (most of them) without the split on ``|``;
+duplicate synsets are dropped, and each side maps every term to its
+partners on the other side, as an unordered set, which membership,
+translations and the measures read. ``dict_cosines``
 scores a collection of couples: it weights each side's documents in one
 pass (``Vocabulary.weight_rows``), then walks only the partners of each
 couple's own terms instead of every pair, and sorts them itself.
@@ -91,30 +93,43 @@ def load_dictionary(
     """Load a dictionary file: ``src1|src2<TAB>tgt1|tgt2`` per synset.
 
     Blank lines, ``#`` comment lines and a leading byte-order mark are
-    ignored; duplicate lines merge into a single synset. Each side's terms
-    are mapped through its reducer as they are read (``None`` keeps them as
-    written), so terms that reduce to the same form merge, and so do synsets
-    that become equal.
+    ignored; duplicate lines merge into a single synset. Terms are
+    lowercased, as ``tokenize`` lowercases words, then mapped through their
+    side's reducer (``None`` keeps them lowercased), so terms that reduce to
+    the same form merge, and so do synsets that become equal.
     """
-    synsets = []
-    for line_number, raw in enumerate(
-        Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
-    ):
+    # Lowering the whole text equals lowering each term: no case mapping
+    # makes or removes a tab, "|", "#", whitespace or line break, and the
+    # final-sigma context stops at each of them.
+    text = Path(path).read_text(encoding="utf-8-sig").lower()
+    synsets: dict[tuple[frozenset[str], frozenset[str]], None] = {}
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise MalformedLineError(line_number, "expected exactly one tab separator")
-        src_terms = list(filter(None, map(str.strip, parts[0].split("|"))))
-        tgt_terms = list(filter(None, map(str.strip, parts[1].split("|"))))
-        if not src_terms or not tgt_terms:
+        src = _synset_side(parts[0], source_fn)
+        tgt = _synset_side(parts[1], target_fn)
+        if not src or not tgt:
             raise MalformedLineError(line_number, "both synset sides must be non-empty")
-        synsets.append((
-            src_terms if source_fn is None else map(source_fn, src_terms),
-            tgt_terms if target_fn is None else map(target_fn, tgt_terms),
-        ))
+        synsets[src, tgt] = None
     return BilingualDictionary(synsets)
+
+
+def _synset_side(side: str, fn: Callable[[str], str] | None) -> frozenset[str]:
+    """The terms of one side of a stripped line, each mapped through ``fn``;
+    empty if the side has none.
+
+    Most sides hold one term, which skips the split, strip and filter. A side
+    without ``|`` is never blank: the line was stripped around its one tab.
+    """
+    if "|" not in side:
+        term = side.strip()
+        return frozenset((term if fn is None else fn(term),))
+    terms = filter(None, map(str.strip, side.split("|")))
+    return frozenset(terms if fn is None else map(fn, terms))
 
 
 def trans(

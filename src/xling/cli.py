@@ -134,9 +134,9 @@ def _preprocessors(args) -> tuple[Preprocessor, Preprocessor, BilingualDictionar
 
     The dictionary is loaded once, each side's terms reduced as they are
     read by that side's memoized reducer, so that they match the side's
-    document terms. An ``identity`` side is loaded as written, and so is a
+    document terms. An ``identity`` side is loaded unreduced, and so is a
     ``morphar`` side: that reducer is built on the loaded dictionary and
-    maps words onto its side's terms as written. It needs ``--dictionary``.
+    maps words onto its side's terms as loaded. It needs ``--dictionary``.
     """
     config = _pipeline_config(args)
     plain = {s: Preprocessor(config, s) for s in _SIDES

@@ -29,6 +29,11 @@ affix tables one entry at a time, from copies written out here, so that the
 compiled tables in ``textprep`` must agree with them on every word and an
 edit to either side shows up. ``two_step_reduced_dictionary`` loads a dictionary as written and then
 reduces and rebuilds it, as loading with reducers must.
+``split_every_side_load_dictionary`` is the dictionary loader as first
+written, with each term lowercased after its strip: every side goes through
+split, strip and filter, and the synsets through a list of tuples. The
+loader, which takes a short path for one-term sides and lowercases the whole
+text at once, must build the same dictionary or raise the same error.
 ``brute_align`` aligns from a dense table of per-document cosines, which
 ``align_corpora`` must reproduce, and ``brute_align_warnings`` lists the
 warnings it must raise, in order.
@@ -55,7 +60,7 @@ import numpy as np
 import scipy.linalg
 
 from xling.bidict import BilingualDictionary, load_dictionary
-from xling.errors import MalformedRecordError
+from xling.errors import MalformedLineError, MalformedRecordError
 from xling.lsi import _RANK_TRUNCATION, fold_in_many
 from xling.retrieval import Embeddings, _unit_rows
 from xling.textprep import ReducerKind, _root_pass, make_reducer, tokenize
@@ -532,6 +537,33 @@ def two_step_reduced_dictionary(
         )
         for src, tgt in load_dictionary(path).synsets
     )
+
+
+def split_every_side_load_dictionary(
+    path: str | Path,
+    source_fn: Callable[[str], str] | None = None,
+    target_fn: Callable[[str], str] | None = None,
+) -> BilingualDictionary:
+    """``load_dictionary`` through split, strip, filter and lowercase on every side."""
+    synsets = []
+    for line_number, raw in enumerate(
+        Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
+    ):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise MalformedLineError(line_number, "expected exactly one tab separator")
+        src_terms = [t.lower() for t in filter(None, map(str.strip, parts[0].split("|")))]
+        tgt_terms = [t.lower() for t in filter(None, map(str.strip, parts[1].split("|")))]
+        if not src_terms or not tgt_terms:
+            raise MalformedLineError(line_number, "both synset sides must be non-empty")
+        synsets.append((
+            src_terms if source_fn is None else map(source_fn, src_terms),
+            tgt_terms if target_fn is None else map(target_fn, tgt_terms),
+        ))
+    return BilingualDictionary(synsets)
 
 
 def chain_couple(n: int) -> tuple[list[str], list[str], list[tuple[tuple[str, ...], tuple[str, ...]]]]:

@@ -10,6 +10,7 @@ from measure_oracles import (
     chain_couple,
     pair_loop_dict_cosine,
     random_toy_pair,
+    split_every_side_load_dictionary,
     two_step_reduced_dictionary,
 )
 from xling.bidict import (
@@ -66,9 +67,10 @@ class TestLoadDictionary:
         assert err.value.line_number == 2
 
     def test_empty_side_rejected(self, tmp_path):
+        # "a\t" alone would be stripped to "a" and refused for its missing tab.
         path = tmp_path / "d.tsv"
-        path.write_text("a\t\n", encoding="utf-8")
-        with pytest.raises(MalformedLineError):
+        path.write_text("a\tx\na\t | \n", encoding="utf-8")
+        with pytest.raises(MalformedLineError, match="line 2: both synset sides must be non-empty"):
             load_dictionary(path)
 
     def test_leading_byte_order_mark_ignored(self, tmp_path):
@@ -355,6 +357,79 @@ class TestReduced:
             load_dictionary(path, source_fn, target_fn),
             two_step_reduced_dictionary(path, source_fn, target_fn),
         )
+
+
+# Cased terms, final-sigma contexts (a "Σ" after a letter, then maybe "'", which
+# case mapping skips), "İ" (two characters lowercased), Arabic, "#" and inner space.
+_TERM = st.sampled_from(
+    ["a", "Bb", "ΟΔΟΣ", "ΑΣ'", "Σa", "ς", "İ", "كتاب", "الكتب", "a#", "new York"]
+)
+_PAD = st.sampled_from(["", " ", "  ", "\u00a0"])
+
+
+@st.composite
+def _dictionary_texts(draw) -> str:
+    """Dictionary text whose sides take both parser branches, with comments,
+    blank and malformed lines, CRLF endings, a leading BOM and duplicates.
+
+    Blank sides and malformed lines are drawn rarely, so that most texts load.
+    """
+    def side() -> str:
+        kind = draw(st.sampled_from(["one"] * 12 + ["split"] * 7 + ["blank"]))
+        if kind == "one":  # with or without spaces around the tab
+            return draw(_PAD) + draw(_TERM) + draw(_PAD)
+        if kind == "split":  # padded or empty pieces
+            pieces = draw(st.lists(st.one_of(_TERM, _PAD), min_size=1, max_size=3))
+            return "|".join(draw(st.permutations([draw(_TERM), *pieces])))
+        return draw(st.sampled_from(["", " ", "|", " | ", "||"]))
+
+    def line() -> str:
+        kind = draw(st.sampled_from(
+            ["synset"] * 36 + ["comment"] * 2 + ["blank"] * 2 + ["no tab", "two tabs"]
+        ))
+        if kind == "synset":
+            return f"{side()}\t{side()}"
+        if kind == "comment":
+            return draw(_PAD) + "#" + draw(_TERM)
+        if kind == "blank":
+            return draw(_PAD)
+        return "\t".join(side() for _ in range(1 if kind == "no tab" else 3))
+
+    lines = [line() for _ in range(draw(st.integers(0, 10)))]
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=3))  # duplicates
+    lines = draw(st.permutations(lines))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(line + ending for line in lines)
+
+
+class TestLoaderOracle:
+    """The loader, one-term short path and whole-text lowercasing included,
+    builds what the split-every-side oracle builds, or fails on the same line."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("dict") / "d.tsv"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=_dictionary_texts(),
+        source_fn=st.sampled_from([None, suffix_stem, light_stem, str.upper]),
+        target_fn=st.sampled_from([None, suffix_stem, light_stem, str.upper]),
+    )
+    def test_same_dictionary_or_same_error(self, path, text, source_fn, target_fn):
+        path.write_text(text, encoding="utf-8")
+        try:
+            expected = split_every_side_load_dictionary(path, source_fn, target_fn)
+        except MalformedLineError as err:
+            with pytest.raises(MalformedLineError) as ours:
+                load_dictionary(path, source_fn, target_fn)
+            assert (ours.value.line_number, str(ours.value)) == (err.line_number, str(err))
+            return
+        got = load_dictionary(path, source_fn, target_fn)
+        assert got.synsets == expected.synsets
+        assert got._targets_of == expected._targets_of
+        assert got._sources_of == expected._sources_of
 
 
 class TestOovRate:

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from measure_oracles import chain_couple
 import xling
@@ -1212,6 +1214,26 @@ class TestScore:
         # 2 matched pairs over 2 + 2 terms; a kept "the" would make it 2 / 6
         assert out.read_text(encoding="utf-8") == "e1\ta1\t0.500000\n"
 
+    def test_capitalized_dictionary_entry_matches(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(
+            json.dumps({"src_id": "e1", "tgt_id": "a1", "src_text": "Paris",
+                        "tgt_text": "باريس"}, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+        dictionary = tmp_path / "d.tsv"
+        dictionary.write_text("Paris\tباريس\n", encoding="utf-8")
+        out = tmp_path / "match.tsv"
+        rc = main(
+            [
+                "score", "--corpus", str(corpus), "--dictionary", str(dictionary),
+                "--measure", "match", "--output", str(out),
+            ]
+        )
+        assert rc == 0
+        # tokenize lowercases "Paris"; an entry kept as written would give 0.000000
+        assert out.read_text(encoding="utf-8") == "e1\ta1\t0.500000\n"
+
     def test_bincos_equals_per_couple_dict_cosine(self, tmp_path, corpus_file, dictionary_file):
         out = tmp_path / "bincos.tsv"
         rc = main(
@@ -1459,6 +1481,77 @@ class TestNestedPastTheRecursionLimit:
         payload = _one_json_error(capsys)
         assert payload["error"] == "ValueError"
         assert "@file arguments nest too deeply" in payload["message"]
+
+
+def _splice(rng: random.Random, blob: bytes) -> bytes:
+    lines = blob.split(b"\n")
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    head, tail = lines[i], lines[j]
+    lines[i] = head[: rng.randrange(len(head) + 1)] + tail[rng.randrange(len(tail) + 1) :]
+    return b"\n".join(lines)
+
+
+def _insert(rng: random.Random, blob: bytes, chunk: bytes) -> bytes:
+    at = rng.randrange(len(blob) + 1)
+    return blob[:at] + chunk + blob[at:]
+
+
+def _flip(rng: random.Random, blob: bytes) -> bytes:
+    data = bytearray(blob)
+    for _ in range(rng.randint(1, 8)):
+        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    return bytes(data)
+
+
+def _wide_side(rng: random.Random, blob: bytes) -> bytes:
+    """A line whose source side holds 10,000 "|", some pieces empty, among the others."""
+    lines = blob.split(b"\n")
+    pieces = (rng.choice([b"", b"w", b"W "]) for _ in range(10_001))
+    lines.insert(rng.randrange(len(lines) + 1), b"|".join(pieces) + b"\tx")
+    return b"\n".join(lines)
+
+
+_DICTIONARY_MUTATIONS = {
+    "truncate": lambda rng, blob: blob[: rng.randrange(len(blob) + 1)],
+    "flip bytes": _flip,
+    "splice lines": _splice,
+    "invalid UTF-8": lambda rng, blob: _insert(
+        rng, blob, rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80"])
+    ),
+    "NUL": lambda rng, blob: _insert(rng, blob, b"\x00"),
+    "10,000 |": _wide_side,
+}
+
+
+class TestDictionaryReaderContract:
+    """A mutated dictionary through ``score`` ends in exit 0, 2, 3 or 4, with
+    stderr empty or one line of JSON; no exception escapes ``main``."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("contract")
+        save_aligned_corpus(make_parallel_corpus(10, SPEC, seed=12), tmp / "corpus.jsonl")
+        # Every fourth synset has two target terms, so both parser branches run.
+        valid = "".join(f"{w}\t{cipher_word(w)}{'|' + w if i % 4 == 0 else ''}\n"
+                        for i, w in enumerate(source_vocabulary(SPEC)))
+        return tmp, ("# a comment\n\n" + valid).encode("utf-8")
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutation=st.sampled_from(sorted(_DICTIONARY_MUTATIONS)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_exit_code_and_one_json_line(self, inputs, capsys, mutation, seed):
+        tmp, valid = inputs
+        (tmp / "d.tsv").write_bytes(_DICTIONARY_MUTATIONS[mutation](random.Random(seed), valid))
+        rc = main(["score", "--corpus", str(tmp / "corpus.jsonl"), "--dictionary",
+                   str(tmp / "d.tsv"), "--measure", "match", "--output", str(tmp / "m.tsv")])
+        assert rc in (0, 2, 3, 4)
+        err = capsys.readouterr().err
+        if rc:
+            assert len(err.splitlines()) == 1
+            assert set(json.loads(err)) == {"error", "message"}
+        else:
+            assert err == ""
 
 
 class TestCollectorPause:
