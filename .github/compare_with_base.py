@@ -77,15 +77,21 @@ CASES = {
                 ("e3", "a3", "Players played games in the gardens.", "اللاعبون لعبوا الألعاب في الحدائق"),
             ),
             # The last lines take the loader's split branch: padded and empty pieces,
-            # a comment, a blank line and a duplicate of a line above.
+            # a comment, a blank line and a duplicate of a line above. Then two
+            # one-term lines whose source terms both reduce to "letter".
             "dictionary.tsv": "".join(f"{en}\t{ar}\n" for en, ar in WORDS)
-            + "# split branch\n\n teacher | teachers\t معلم\nbook||books\tكتاب\nstudy|studied\tدرس|درست\n",
+            + "# split branch\n\n teacher | teachers\t معلم\nbook||books\tكتاب\nstudy|studied\tدرس|درست\n"
+            + "letter\tرسالة\nletters\tخطاب\n",
+            # One term a side: the partner maps try one dict(zip(...)) each, and
+            # the source side, where "letter" repeats once reduced, falls back.
+            "one_term.tsv": "letter\tرسالة\nletters\tخطاب\nteachers\tمعلم\nbook\tالكتب\ngames\tلعبة\n",
         },
         "commands": "\n".join(
-            "score --corpus {in}/corpus.jsonl --dictionary {in}/dictionary.tsv --measure %s"
+            "score --corpus {in}/corpus.jsonl --dictionary {in}/%s.tsv --measure %s"
             " --reducer-source suffix_stemmer --reducer-target light_stemmer --output {out}/%s.tsv"
-            % (m, m) for m in ("bin", "bincos", "match")),
-        "compare": ["bin.tsv", "bincos.tsv", "match.tsv"],
+            % (d, m, o) for d, m, o in (("dictionary", "bin", "bin"), ("dictionary", "bincos", "bincos"),
+                                        ("dictionary", "match", "match"), ("one_term", "match", "one_term"))),
+        "compare": ["bin.tsv", "bincos.tsv", "match.tsv", "one_term.tsv"],
     },
     # Ids with quote, backslash and non-ASCII characters; the cache lacks q4, whose list is skipped.
     "retrieve": {

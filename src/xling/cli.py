@@ -45,7 +45,14 @@ from .bidict import (
     oov_rate,
 )
 from .errors import ConvergenceError, CorpusError, DictionaryError, EmptyCorpusError, XlingError
-from .textprep import PipelineConfig, Preprocessor, ReducerKind, load_stopwords, run_pipeline
+from .textprep import (
+    PipelineConfig,
+    Preprocessor,
+    ReducerKind,
+    load_stopwords,
+    make_reducer,
+    run_pipeline,
+)
 from .vsm import build_vocabulary
 
 _USAGE_ERRORS = (OSError, CorpusError, DictionaryError, ValueError)
@@ -133,23 +140,24 @@ def _preprocessors(args) -> tuple[Preprocessor, Preprocessor, BilingualDictionar
     """Each side's preprocessor, and the ``--dictionary`` they share (None without one).
 
     The dictionary is loaded once, each side's terms reduced as they are
-    read by that side's memoized reducer, so that they match the side's
-    document terms. An ``identity`` side is loaded unreduced, and so is a
+    read by that side's reducer, so that they match the side's document
+    terms. The loader calls the pure reducer itself, not the preprocessor's
+    memo: dictionary terms rarely repeat, and the corpus pipeline fills its
+    own memo. An ``identity`` side is loaded unreduced, and so is a
     ``morphar`` side: that reducer is built on the loaded dictionary and
     maps words onto its side's terms as loaded. It needs ``--dictionary``.
     """
     config = _pipeline_config(args)
-    plain = {s: Preprocessor(config, s) for s in _SIDES
-             if config.reducer_for(s) is not ReducerKind.MORPHAR}
+    kinds = [config.reducer_for(s) for s in _SIDES]
     dictionary = None
     if args.dictionary:
         dictionary = load_dictionary(args.dictionary, *(
-            None if p is None or p.kind is ReducerKind.IDENTITY else p.reduce
-            for p in map(plain.get, _SIDES)
+            None if kind in (ReducerKind.IDENTITY, ReducerKind.MORPHAR) else make_reducer(kind)
+            for kind in kinds
         ))
-    elif len(plain) < len(_SIDES):
+    elif ReducerKind.MORPHAR in kinds:
         raise ValueError("morphar reducers require --dictionary")
-    source, target = (plain.get(s) or Preprocessor(config, s, dictionary) for s in _SIDES)
+    source, target = (Preprocessor(config, s, dictionary) for s in _SIDES)
     return source, target, dictionary
 
 
@@ -384,7 +392,9 @@ def _cmd_score(args) -> int:
             "oov": oov_rate,
             "match": matching_rate,
         }[args.measure]
-        scores = (measure(d_s, d_t, dictionary) for d_s, d_t in zip(src_tokens, tgt_tokens))
+        # Every couple is scored before the output is opened, so that a run
+        # a measure refuses (an undefined rate) leaves no file behind.
+        scores = [measure(d_s, d_t, dictionary) for d_s, d_t in zip(src_tokens, tgt_tokens)]
     with Path(args.output).open("w", encoding="utf-8", newline="\n") as fh:
         for (src, tgt), score in zip(corpus.pairs(), scores):
             fh.write(f"{src.id}\t{tgt.id}\t{score:.6f}\n")

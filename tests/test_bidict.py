@@ -9,6 +9,7 @@ from measure_oracles import (
     brute_oov,
     chain_couple,
     pair_loop_dict_cosine,
+    per_line_load_dictionary,
     random_toy_pair,
     split_every_side_load_dictionary,
     two_step_reduced_dictionary,
@@ -430,6 +431,81 @@ class TestLoaderOracle:
         assert got.synsets == expected.synsets
         assert got._targets_of == expected._targets_of
         assert got._sources_of == expected._sources_of
+
+
+# Terms that suffix_stem or str.upper merge ("Letters", "letter"), so that a
+# reduced term repeats across lines, on one-term and "|" sides alike.
+_MERGING_TERM = st.sampled_from(["letter", "Letters", "cat", "CATS", "رسالة", "خطاب", "ΟΔΟΣ", "x"])
+
+
+@st.composite
+def _per_line_texts(draw, malformed: bool) -> str:
+    """Dictionary text of one-term and ``|`` sides (padded and empty pieces),
+    comments, blank and duplicate lines, upper case and maybe a BOM. With
+    ``malformed``, two malformed lines of different kinds are put in it."""
+    def side() -> str:
+        if draw(st.booleans()):
+            return draw(_PAD) + draw(_MERGING_TERM) + draw(_PAD)
+        pieces = draw(st.lists(st.one_of(_MERGING_TERM, _PAD), min_size=1, max_size=3))
+        return "|".join(draw(st.permutations([draw(_MERGING_TERM), *pieces])))
+
+    def line() -> str:
+        if draw(st.integers(0, 4)):
+            return f"{side()}\t{side()}"
+        return draw(st.sampled_from(["", "  ", "# note", " #\tx"]))  # blank or comment
+
+    lines = [line() for _ in range(draw(st.integers(0, 10)))]
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=3))  # duplicates
+    lines = draw(st.permutations(lines))
+    if malformed:
+        for bad in draw(st.permutations(["x\t | ", "no tab"])):
+            lines.insert(draw(st.integers(0, len(lines))), bad)
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(line + "\n" for line in lines)
+
+
+class TestPerLineOracle:
+    """The whole-file passes of ``load_dictionary`` build what the per-line
+    loader builds: the same synsets in order and partner maps, or the same
+    error on the same, first, malformed line."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("dict") / "d.tsv"
+
+    _REDUCERS = st.sampled_from([None, suffix_stem, str.upper])
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_per_line_texts(malformed=False), source_fn=_REDUCERS, target_fn=_REDUCERS)
+    def test_same_dictionary(self, path, text, source_fn, target_fn):
+        path.write_text(text, encoding="utf-8")
+        expected = per_line_load_dictionary(path, source_fn, target_fn)
+        got = load_dictionary(path, source_fn, target_fn)
+        assert got.synsets == expected.synsets
+        assert got._targets_of == expected._targets_of
+        assert got._sources_of == expected._sources_of
+
+    @settings(max_examples=50, deadline=None)
+    @given(text=_per_line_texts(malformed=True), source_fn=_REDUCERS, target_fn=_REDUCERS)
+    def test_first_malformed_line_wins(self, path, text, source_fn, target_fn):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedLineError) as expected:
+            per_line_load_dictionary(path, source_fn, target_fn)
+        with pytest.raises(MalformedLineError) as got:
+            load_dictionary(path, source_fn, target_fn)
+        assert type(got.value) is type(expected.value)
+        assert (got.value.line_number, str(got.value)) == (
+            expected.value.line_number, str(expected.value)
+        )
+        lines = text.removeprefix("\ufeff").splitlines()
+        assert got.value.line_number == 1 + min(lines.index("x\t | "), lines.index("no tab"))
+
+    def test_repeated_one_term_keys_merge(self, tmp_path):
+        # Both source terms reduce to "letter": the union path, not dict(zip(...)).
+        path = _write(tmp_path, "letter\tرسالة\nletters\tخطاب\n")
+        d = load_dictionary(path, suffix_stem, None)
+        assert d.translations("letter", "source") == frozenset({"رسالة", "خطاب"})
+        assert d.translations("خطاب", "target") == frozenset({"letter"})
 
 
 class TestOovRate:

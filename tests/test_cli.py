@@ -1192,6 +1192,24 @@ class TestScore:
         assert rc == 0
         assert out.read_bytes() == b"e1\ta1\t0.166667\ne2\ta2\t0.222222\ne3\ta3\t0.166667\n"
 
+    @pytest.mark.parametrize("measure", ["match", "oov"])
+    def test_refused_couple_writes_no_file(self, tmp_path, capsys, measure):
+        # The second couple has no words, so both rates are undefined there;
+        # the first couple's row used to be written before the refusal.
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"src_id": s, "tgt_id": t, "src_text": st, "tgt_text": tt}) + "\n"
+            for s, t, st, tt in (("e1", "a1", "book", "kitab"), ("e2", "a2", "!!", "..."))
+        ), encoding="utf-8")
+        dictionary = tmp_path / "d.tsv"
+        dictionary.write_text("book\tkitab\n", encoding="utf-8")
+        out = tmp_path / "s.tsv"
+        rc = main(["score", "--corpus", str(corpus), "--dictionary", str(dictionary),
+                   "--measure", measure, "--output", str(out)])
+        assert rc == 3
+        assert _one_json_error(capsys)["error"] == "UndefinedRateError"
+        assert not out.exists()
+
     def test_capitalized_stopword_entry_matches(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text(
@@ -1545,6 +1563,41 @@ class TestDictionaryReaderContract:
         (tmp / "d.tsv").write_bytes(_DICTIONARY_MUTATIONS[mutation](random.Random(seed), valid))
         rc = main(["score", "--corpus", str(tmp / "corpus.jsonl"), "--dictionary",
                    str(tmp / "d.tsv"), "--measure", "match", "--output", str(tmp / "m.tsv")])
+        assert rc in (0, 2, 3, 4)
+        err = capsys.readouterr().err
+        if rc:
+            assert len(err.splitlines()) == 1
+            assert set(json.loads(err)) == {"error", "message"}
+        else:
+            assert err == ""
+
+
+class TestStopwordReaderContract:
+    """A mutated stopword file through ``score --stopwords`` ends in exit 0,
+    2, 3 or 4, with stderr empty or one line of JSON; no exception escapes
+    ``main``. The mutations are the dictionary contract's."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("stopwords")
+        save_aligned_corpus(make_parallel_corpus(10, SPEC, seed=12), tmp / "corpus.jsonl")
+        words = source_vocabulary(SPEC)
+        (tmp / "d.tsv").write_text(
+            "".join(f"{w}\t{cipher_word(w)}\n" for w in words), encoding="utf-8"
+        )
+        valid = "# a comment\n\n" + "".join(f"{w}  # inline\n" for w in words[::3])
+        return tmp, valid.encode("utf-8")
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutation=st.sampled_from(sorted(_DICTIONARY_MUTATIONS)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_exit_code_and_one_json_line(self, inputs, capsys, mutation, seed):
+        tmp, valid = inputs
+        (tmp / "stop.txt").write_bytes(_DICTIONARY_MUTATIONS[mutation](random.Random(seed), valid))
+        rc = main(["score", "--corpus", str(tmp / "corpus.jsonl"), "--dictionary",
+                   str(tmp / "d.tsv"), "--measure", "match", "--stopwords",
+                   str(tmp / "stop.txt"), "--output", str(tmp / "m.tsv")])
         assert rc in (0, 2, 3, 4)
         err = capsys.readouterr().err
         if rc:
