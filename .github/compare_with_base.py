@@ -82,8 +82,8 @@ CASES = {
             "dictionary.tsv": "".join(f"{en}\t{ar}\n" for en, ar in WORDS)
             + "# split branch\n\n teacher | teachers\t معلم\nbook||books\tكتاب\nstudy|studied\tدرس|درست\n"
             + "letter\tرسالة\nletters\tخطاب\n",
-            # One term a side: the partner maps try one dict(zip(...)) each, and
-            # the source side, where "letter" repeats once reduced, falls back.
+            # One term a side, with "letter" repeated on the source side once
+            # reduced: its two partners merge.
             "one_term.tsv": "letter\tرسالة\nletters\tخطاب\nteachers\tمعلم\nbook\tالكتب\ngames\tلعبة\n",
         },
         "commands": "\n".join(

@@ -5,18 +5,15 @@ measure, but raw token counts are the denominators for the OOV and
 matching rates. Callers are responsible for reducing document tokens and
 dictionary entries with the same reducers; ``load_dictionary`` lowercases
 each term, as ``tokenize`` lowercases words, then reduces it with its
-side's reducer. ``xling train`` and ``xling score`` pass it
+side's reducer as it reads it. ``xling train`` and ``xling score`` pass it
 the ``--reducer-source``/``--reducer-target`` reducers (except ``identity``,
 and ``morphar``, which already maps words onto the dictionary's own terms).
 
-A dictionary file is read in whole-file passes, not line by line: every
-kept line is split on its tab at once, the lines without ``|`` (most of
-them) are reduced and frozen one column at a time, and only the lines
-holding ``|`` are split into terms one by one. Duplicate synsets are
-dropped, and each side maps every term to its partners on the other side,
-as an unordered set, which membership, translations and the measures read;
-a map whose keys are one term a synset, none repeated, is built in one
-``dict(zip(...))``. ``dict_cosines``
+A dictionary is built in one pass: each line's sides become frozensets
+directly, a one-term side (most of them) without the split on ``|``;
+duplicate synsets are dropped, and each side maps every term to its
+partners on the other side, as an unordered set, which membership,
+translations and the measures read. ``dict_cosines``
 scores a collection of couples: it weights each side's documents in one
 pass (``Vocabulary.weight_rows``), then walks only the partners of each
 couple's own terms instead of every pair, and sorts them itself.
@@ -25,8 +22,6 @@ couple's own terms instead of every pair, and sorts them itself.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, islice
-from operator import not_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -54,16 +49,22 @@ class BilingualDictionary:
 
     def __init__(self, synsets: Iterable[tuple[Iterable[str], Iterable[str]]]):
         """``synsets`` holds (source terms, target terms) pairs; equal pairs
-        merge. A dict is taken to be keyed by distinct pairs of frozensets, as
-        ``load_dictionary`` builds it, and is not frozen or deduped again."""
-        if not isinstance(synsets, dict):
-            synsets = dict.fromkeys((frozenset(src), frozenset(tgt)) for src, tgt in synsets)
-        self.synsets: tuple[tuple[frozenset[str], frozenset[str]], ...] = tuple(synsets)
-        sources, targets = tuple(zip(*self.synsets)) or ((), ())
-        if not (all(sources) and all(targets)):
-            raise ValueError("synset sides must be non-empty")
-        self._targets_of = _partners(sources, targets)
-        self._sources_of = _partners(targets, sources)
+        merge, the first kept. A frozenset side is kept as it is."""
+        self.synsets: tuple[tuple[frozenset[str], frozenset[str]], ...] = tuple(
+            dict.fromkeys((frozenset(src), frozenset(tgt)) for src, tgt in synsets)
+        )
+        targets_of: dict[str, frozenset[str]] = {}
+        sources_of: dict[str, frozenset[str]] = {}
+        for src, tgt in self.synsets:
+            if not src or not tgt:
+                raise ValueError("synset sides must be non-empty")
+            for t in src:
+                known = targets_of.get(t)
+                targets_of[t] = tgt if known is None else known | tgt
+            for t in tgt:
+                known = sources_of.get(t)
+                sources_of[t] = src if known is None else known | src
+        self._targets_of, self._sources_of = targets_of, sources_of
 
     def _index_for(self, side: str) -> dict[str, frozenset[str]]:
         if side == "source":
@@ -86,28 +87,6 @@ class BilingualDictionary:
 _NONE: frozenset[str] = frozenset()
 
 
-def _partners(
-    keys: Sequence[frozenset[str]], partners: Sequence[frozenset[str]]
-) -> dict[str, frozenset[str]]:
-    """Each term of the ``keys`` sides mapped to the union of the ``partners``
-    sides it shares a synset with.
-
-    When every key side holds one term and no term repeats, one
-    ``dict(zip(...))`` builds the map; otherwise partner sides are merged
-    term by term.
-    """
-    if sum(map(len, keys)) == len(keys):
-        index = dict(zip(chain.from_iterable(keys), partners))
-        if len(index) == len(keys):
-            return index
-    index = {}
-    for key, partner in zip(keys, partners):
-        for t in key:
-            known = index.get(t)
-            index[t] = partner if known is None else known | partner
-    return index
-
-
 def load_dictionary(
     path: str | Path,
     source_fn: Callable[[str], str] | None = None,
@@ -121,64 +100,39 @@ def load_dictionary(
     side's reducer (``None`` keeps them lowercased), so terms that reduce to
     the same form merge, and so do synsets that become equal. The first
     malformed line in the file raises :class:`MalformedLineError`.
-
-    The file is read in whole-file passes, not line by line: every kept line
-    is split on its tab, then the lines without ``|`` (most of them) are
-    stripped, reduced and frozen one column at a time; only the lines holding
-    ``|`` are split into terms one by one.
     """
     # Lowering the whole text equals lowering each term: no case mapping
     # makes or removes a tab, "|", "#", whitespace or line break, and the
     # final-sigma context stops at each of them.
     text = Path(path).read_text(encoding="utf-8-sig").lower()
-    lines = list(map(str.strip, text.splitlines()))
-    kept = [line[:1] not in "#" for line in lines]  # not blank, not a comment ("" is in "#")
-    entries = list(compress(lines, kept))
-    parts = [entry.split("\t") for entry in entries]
-    # Synsets are built up to the first line without exactly one tab, so
-    # that an empty side on an earlier line is the error reported.
-    end = len(parts)
-    if not set(map(len, parts)) <= {2}:
-        end = next(compress(count(), map((2).__ne__, map(len, parts))))
-    split = ["|" in entry for entry in entries[:end]]
-    positions = list(compress(count(), split))
-    placed = [
-        (_synset_side(src, source_fn), _synset_side(tgt, target_fn))
-        for src, tgt in compress(parts, split)
-    ]
-    # A side without "|" is one term, never blank: its line was stripped
-    # around its one tab. Only a side split on "|" can be empty.
-    bad = next((i for i, (src, tgt) in zip(positions, placed) if not (src and tgt)), end)
-    if bad < len(parts):
-        line_number = next(islice(compress(count(1), kept), bad, None))
-        raise MalformedLineError(line_number, "both synset sides must be non-empty"
-                                 if bad < end else "expected exactly one tab separator")
-    sources, targets = tuple(zip(*compress(parts, map(not_, split)))) or ((), ())
-    one_term = zip(_one_term_sets(sources, source_fn), _one_term_sets(targets, target_fn))
-    return BilingualDictionary(dict.fromkeys(_merged(one_term, positions, placed)))
-
-
-def _one_term_sets(sides: Iterable[str], fn: Callable[[str], str] | None) -> Iterator[frozenset]:
-    """Each side, stripped and mapped through ``fn``, as a one-term set."""
-    terms = map(str.strip, sides)
-    return map(frozenset, zip(terms if fn is None else map(fn, terms)))
+    synsets: list[tuple[frozenset[str], frozenset[str]]] = []
+    for line_number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise MalformedLineError(line_number, "expected exactly one tab separator")
+        src = _synset_side(parts[0], source_fn)
+        tgt = _synset_side(parts[1], target_fn)
+        if not src or not tgt:
+            raise MalformedLineError(line_number, "both synset sides must be non-empty")
+        synsets.append((src, tgt))
+    return BilingualDictionary(synsets)
 
 
 def _synset_side(side: str, fn: Callable[[str], str] | None) -> frozenset[str]:
-    """The terms of a side holding ``|``, each stripped and mapped through
-    ``fn``; empty if the side has none."""
+    """The terms of one side of a stripped line, each mapped through ``fn``;
+    empty if the side has none.
+
+    Most sides hold one term, which skips the split, strip and filter. A side
+    without ``|`` is never blank: the line was stripped around its one tab.
+    """
+    if "|" not in side:
+        term = side.strip()
+        return frozenset((term if fn is None else fn(term),))
     terms = filter(None, map(str.strip, side.split("|")))
     return frozenset(terms if fn is None else map(fn, terms))
-
-
-def _merged(rest: Iterator, positions: Sequence[int], placed: Sequence) -> list:
-    """``placed[k]`` at index ``positions[k]`` (ascending), and ``rest`` in order between."""
-    out: list = []
-    for i, item in zip(positions, placed):
-        out.extend(islice(rest, i - len(out)))
-        out.append(item)
-    out.extend(rest)
-    return out
 
 
 def trans(

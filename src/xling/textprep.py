@@ -329,7 +329,7 @@ class Preprocessor:
 
     ``dictionary`` is needed by the ``morphar`` reducer only. The memo holds
     the reduced form of every word seen, stopwords included, so that
-    corpus-frequency counts and dictionary terms can use it too.
+    corpus-frequency counts can use it too.
     """
 
     def __init__(
@@ -366,21 +366,10 @@ def run_pipeline(
 
     Stopwords are dropped, and so are terms whose count over the whole side
     (stopword occurrences included) is below ``min_corpus_frequency``. The
-    default preprocessor only tokenizes: with the ``identity`` reducer, no
-    stopwords and a floor of 1, each word is its own term and nothing is
-    dropped, so no term is looked up.
+    default preprocessor only tokenizes.
     """
     prep = preprocessor if preprocessor is not None else Preprocessor()
     docs = [tokenize(text) for text in texts]
-    if prep.kind is ReducerKind.IDENTITY and not prep.stopwords and prep.min_count == 1:
-        # Every word is its own term, so only the string objects change: each
-        # token becomes its word's one shared string, as the terms below do,
-        # instead of holding a copy of its own.
-        words = set().union(*docs)
-        shared = dict(zip(words, words))
-        for doc in docs:
-            doc[:] = map(shared.__getitem__, doc)
-        return docs
     term_of = {word: prep.term(word) for word in set().union(*docs)}
     if prep.min_count > 1:
         counts: Counter = Counter()

@@ -34,9 +34,6 @@ written, with each term lowercased after its strip: every side goes through
 split, strip and filter, and the synsets through a list of tuples. The
 loader, which takes a short path for one-term sides and lowercases the whole
 text at once, must build the same dictionary or raise the same error.
-``per_line_load_dictionary`` is that loader one line at a time, checking
-each line as it reads it; the whole-file passes of ``load_dictionary`` must
-give the same synsets in the same order, or the same first error.
 ``brute_align`` aligns from a dense table of per-document cosines, which
 ``align_corpora`` must reproduce, and ``brute_align_warnings`` lists the
 warnings it must raise, in order.
@@ -567,38 +564,6 @@ def split_every_side_load_dictionary(
             tgt_terms if target_fn is None else map(target_fn, tgt_terms),
         ))
     return BilingualDictionary(synsets)
-
-
-def per_line_load_dictionary(
-    path: str | Path,
-    source_fn: Callable[[str], str] | None = None,
-    target_fn: Callable[[str], str] | None = None,
-) -> BilingualDictionary:
-    """``load_dictionary`` one line at a time: strip, skip, split on the tab,
-    build both sides (a one-term side without the split on ``|``), check."""
-    text = Path(path).read_text(encoding="utf-8-sig").lower()
-    synsets: dict[tuple[frozenset[str], frozenset[str]], None] = {}
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise MalformedLineError(line_number, "expected exactly one tab separator")
-        src = _per_line_side(parts[0], source_fn)
-        tgt = _per_line_side(parts[1], target_fn)
-        if not src or not tgt:
-            raise MalformedLineError(line_number, "both synset sides must be non-empty")
-        synsets[src, tgt] = None
-    return BilingualDictionary(synsets)
-
-
-def _per_line_side(side: str, fn: Callable[[str], str] | None) -> frozenset[str]:
-    if "|" not in side:
-        term = side.strip()
-        return frozenset((term if fn is None else fn(term),))
-    terms = filter(None, map(str.strip, side.split("|")))
-    return frozenset(terms if fn is None else map(fn, terms))
 
 
 def chain_couple(n: int) -> tuple[list[str], list[str], list[tuple[tuple[str, ...], tuple[str, ...]]]]:

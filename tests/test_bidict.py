@@ -9,7 +9,6 @@ from measure_oracles import (
     brute_oov,
     chain_couple,
     pair_loop_dict_cosine,
-    per_line_load_dictionary,
     random_toy_pair,
     split_every_side_load_dictionary,
     two_step_reduced_dictionary,
@@ -80,6 +79,12 @@ class TestLoadDictionary:
         d = load_dictionary(path)
         assert d.synsets == ((frozenset({"cat", "chat"}), frozenset({"qitt"})),)
         assert d.contains("cat", "source")
+
+    def test_any_iterable_of_pairs_is_frozen_and_merged(self):
+        # A dict is iterated like any other pairs: two orderings of one synset merge.
+        d = BilingualDictionary({(("a", "b"), ("x",)): None, (("b", "a"), ("x", "x")): None})
+        assert d.synsets == ((frozenset({"a", "b"}), frozenset({"x"})),)
+        assert d.translations("x", "target") == frozenset({"a", "b"})
 
 
 class TestTrans:
@@ -439,7 +444,7 @@ _MERGING_TERM = st.sampled_from(["letter", "Letters", "cat", "CATS", "رسالة
 
 
 @st.composite
-def _per_line_texts(draw, malformed: bool) -> str:
+def _merging_texts(draw, malformed: bool) -> str:
     """Dictionary text of one-term and ``|`` sides (padded and empty pieces),
     comments, blank and duplicate lines, upper case and maybe a BOM. With
     ``malformed``, two malformed lines of different kinds are put in it."""
@@ -464,10 +469,10 @@ def _per_line_texts(draw, malformed: bool) -> str:
     return draw(st.sampled_from(["", "\ufeff"])) + "".join(line + "\n" for line in lines)
 
 
-class TestPerLineOracle:
-    """The whole-file passes of ``load_dictionary`` build what the per-line
-    loader builds: the same synsets in order and partner maps, or the same
-    error on the same, first, malformed line."""
+class TestMergedTermsOracle:
+    """With terms that merge once reduced, the loader builds what the
+    split-every-side oracle builds: the same synsets in order and partner
+    maps, or the same error on the same, first, malformed line."""
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
@@ -476,21 +481,21 @@ class TestPerLineOracle:
     _REDUCERS = st.sampled_from([None, suffix_stem, str.upper])
 
     @settings(max_examples=100, deadline=None)
-    @given(text=_per_line_texts(malformed=False), source_fn=_REDUCERS, target_fn=_REDUCERS)
+    @given(text=_merging_texts(malformed=False), source_fn=_REDUCERS, target_fn=_REDUCERS)
     def test_same_dictionary(self, path, text, source_fn, target_fn):
         path.write_text(text, encoding="utf-8")
-        expected = per_line_load_dictionary(path, source_fn, target_fn)
+        expected = split_every_side_load_dictionary(path, source_fn, target_fn)
         got = load_dictionary(path, source_fn, target_fn)
         assert got.synsets == expected.synsets
         assert got._targets_of == expected._targets_of
         assert got._sources_of == expected._sources_of
 
     @settings(max_examples=50, deadline=None)
-    @given(text=_per_line_texts(malformed=True), source_fn=_REDUCERS, target_fn=_REDUCERS)
+    @given(text=_merging_texts(malformed=True), source_fn=_REDUCERS, target_fn=_REDUCERS)
     def test_first_malformed_line_wins(self, path, text, source_fn, target_fn):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(MalformedLineError) as expected:
-            per_line_load_dictionary(path, source_fn, target_fn)
+            split_every_side_load_dictionary(path, source_fn, target_fn)
         with pytest.raises(MalformedLineError) as got:
             load_dictionary(path, source_fn, target_fn)
         assert type(got.value) is type(expected.value)
@@ -501,7 +506,7 @@ class TestPerLineOracle:
         assert got.value.line_number == 1 + min(lines.index("x\t | "), lines.index("no tab"))
 
     def test_repeated_one_term_keys_merge(self, tmp_path):
-        # Both source terms reduce to "letter": the union path, not dict(zip(...)).
+        # Both one-term source sides reduce to "letter", so their partners merge.
         path = _write(tmp_path, "letter\tرسالة\nletters\tخطاب\n")
         d = load_dictionary(path, suffix_stem, None)
         assert d.translations("letter", "source") == frozenset({"رسالة", "خطاب"})

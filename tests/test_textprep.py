@@ -402,12 +402,6 @@ class TestMatchesTokenPipeline:
         config = PipelineConfig()
         assert run_pipeline(texts, Preprocessor(config)) == token_pipeline(texts, config)
 
-    def test_identity_pipeline_shares_one_string_per_word(self):
-        # tokenize returns a string object per token; the terms share one per word.
-        docs = run_pipeline(["olive oil and olive", "oil olive"])
-        assert len({id(t) for doc in docs for t in doc if t == "olive"}) == 1
-        assert len({id(t) for doc in docs for t in doc if t == "oil"}) == 1
-
     @given(texts=_TEXTS)
     def test_tokenize_equals_oracle_reduced_forms(self, texts):
         for text in texts:
