@@ -41,6 +41,14 @@ WORDS = [  # English and Arabic dictionary entries, each with an inflected form
     ("player|players", "لاعب|اللاعبون"), ("play|played", "لعب|لعبوا"), ("game|games", "لعبة|الألعاب"),
     ("garden|gardens", "حديقة|الحدائق"), ("walk|walked", "مشى|مشوا"), ("open|opened", "فتح|وفتحوا"),
 ]
+INFLECTED = [  # couples of inflected English and Arabic words
+    ("e1", "a1", "The teachers walked to the schools and opened the books.", "المعلمون مشوا إلى المدارس وفتحوا الكتب"),
+    ("e2", "a2", "Writing letters, she studied the classes.", "كتبت الرسائل ودرست الصفوف"),
+    ("e3", "a3", "Players played games in the gardens.", "اللاعبون لعبوا الألعاب في الحدائق"),
+    ("e4", "a4", "The teacher wrote letters to the players.", "المعلم كتب الرسائل إلى اللاعبين"),
+    ("e5", "a5", "Children went to the garden and played a game.", "الأطفال ذهبوا إلى الحديقة ولعبوا لعبة"),
+    ("e6", "a6", "The school books were written by teachers.", "كتب المدرسة كتبها المعلمون"),
+]
 
 # Each case: its input files, its xling commands, one a line ({in} and {out}
 # stand for the case's input and output directories), and the outputs compared.
@@ -70,12 +78,7 @@ CASES = {
     # Both reducers on inflected words, which the benchmark's codes never are.
     "score": {
         "files": {
-            "corpus.jsonl": jsonl(
-                PAIR,
-                ("e1", "a1", "The teachers walked to the schools and opened the books.", "المعلمون مشوا إلى المدارس وفتحوا الكتب"),
-                ("e2", "a2", "Writing letters, she studied the classes.", "كتبت الرسائل ودرست الصفوف"),
-                ("e3", "a3", "Players played games in the gardens.", "اللاعبون لعبوا الألعاب في الحدائق"),
-            ),
+            "corpus.jsonl": jsonl(PAIR, *INFLECTED[:3]),
             # The last lines take the loader's split branch: padded and empty pieces,
             # a comment, a blank line and a duplicate of a line above. Then two
             # one-term lines whose source terms both reduce to "letter".
@@ -92,6 +95,29 @@ CASES = {
             % (d, m, o) for d, m, o in (("dictionary", "bin", "bin"), ("dictionary", "bincos", "bincos"),
                                         ("dictionary", "match", "match"), ("one_term", "match", "one_term"))),
         "compare": ["bin.tsv", "bincos.tsv", "match.tsv", "one_term.tsv"],
+    },
+    # The preprocessing flags no workload gives: stopwords, a frequency floor,
+    # and the rooter, lemma table and morphar reducers.
+    "pipeline": {
+        "files": {
+            "corpus.jsonl": jsonl(PAIR, *INFLECTED),
+            "dictionary.tsv": "".join(f"{en}\t{ar}\n" for en, ar in WORDS),
+            "stopwords.txt": "# English and Arabic function words\nThe\nand\nto\nin\nإلى\nفي\n",
+        },
+        "commands": "\n".join([
+            "train --corpus {in}/corpus.jsonl --k 2 --no-split --reducer-source suffix_stemmer"
+            " --reducer-target light_stemmer --stopwords {in}/stopwords.txt --min-count 2"
+            " --output {out}/stemmed.xlsm",
+            "train --corpus {in}/corpus.jsonl --k 2 --no-split --reducer-source morphar"
+            " --reducer-target morphar --dictionary {in}/dictionary.tsv --output {out}/morphar.xlsm",
+            "train --corpus {in}/corpus.jsonl --kind mono --k 2 --no-split --reducer-target rooter"
+            " --output {out}/rooted.xlsm",
+            *("score --corpus {in}/corpus.jsonl --dictionary {in}/dictionary.tsv --measure %s"
+              " --reducer-source lemma_table --reducer-target morphar --stopwords {in}/stopwords.txt"
+              " --output {out}/%s.tsv" % (m, m) for m in ("bin", "bincos", "oov", "match")),
+        ]),
+        "compare": ["stemmed.xlsm", "morphar.xlsm", "rooted.xlsm",
+                    "bin.tsv", "bincos.tsv", "oov.tsv", "match.tsv"],
     },
     # Ids with quote, backslash and non-ASCII characters; the cache lacks q4, whose list is skipped.
     "retrieve": {

@@ -57,7 +57,6 @@ from .retrieval import (
 )
 from .textprep import (
     PipelineConfig,
-    Preprocessor,
     ReducerKind,
     light_stem,
     lemmatize,

@@ -6,8 +6,8 @@ matching rates. Callers are responsible for reducing document tokens and
 dictionary entries with the same reducers; ``load_dictionary`` lowercases
 each term, as ``tokenize`` lowercases words, then reduces it with its
 side's reducer as it reads it. ``xling train`` and ``xling score`` pass it
-the ``--reducer-source``/``--reducer-target`` reducers (except ``identity``,
-and ``morphar``, which already maps words onto the dictionary's own terms).
+the ``--reducer-source``/``--reducer-target`` reducers, with ``str`` for
+``morphar``, which maps words onto the dictionary's terms as written.
 
 A dictionary is built in one pass: each line's sides become frozensets
 directly, a one-term side (most of them) without the split on ``|``;
@@ -89,15 +89,15 @@ _NONE: frozenset[str] = frozenset()
 
 def load_dictionary(
     path: str | Path,
-    source_fn: Callable[[str], str] | None = None,
-    target_fn: Callable[[str], str] | None = None,
+    source_fn: Callable[[str], str] = str,
+    target_fn: Callable[[str], str] = str,
 ) -> BilingualDictionary:
     """Load a dictionary file: ``src1|src2<TAB>tgt1|tgt2`` per synset.
 
     Blank lines, ``#`` comment lines and a leading byte-order mark are
     ignored; duplicate lines merge into a single synset. Terms are
     lowercased, as ``tokenize`` lowercases words, then mapped through their
-    side's reducer (``None`` keeps them lowercased), so terms that reduce to
+    side's reducer (``str`` keeps them lowercased), so terms that reduce to
     the same form merge, and so do synsets that become equal. The first
     malformed line in the file raises :class:`MalformedLineError`.
     """
@@ -121,7 +121,7 @@ def load_dictionary(
     return BilingualDictionary(synsets)
 
 
-def _synset_side(side: str, fn: Callable[[str], str] | None) -> frozenset[str]:
+def _synset_side(side: str, fn: Callable[[str], str]) -> frozenset[str]:
     """The terms of one side of a stripped line, each mapped through ``fn``;
     empty if the side has none.
 
@@ -130,9 +130,8 @@ def _synset_side(side: str, fn: Callable[[str], str] | None) -> frozenset[str]:
     """
     if "|" not in side:
         term = side.strip()
-        return frozenset((term if fn is None else fn(term),))
-    terms = filter(None, map(str.strip, side.split("|")))
-    return frozenset(terms if fn is None else map(fn, terms))
+        return frozenset((fn(term),))
+    return frozenset(map(fn, filter(None, map(str.strip, side.split("|")))))
 
 
 def trans(

@@ -11,6 +11,8 @@ run builds the flags of its own command alone.
 A flag that a command, format, measure or model kind would not read is
 refused, never ignored: the run exits 2 with ``<reason>: drop --flag``
 before it reads its inputs where it can (see ``_unread_flags``).
+An output in a directory that does not exist is refused too, before any
+input is read, so that such a run writes no file.
 
 ``main`` pauses the cyclic garbage collector for the command and turns it
 back on afterwards if it was on. A command builds large acyclic containers
@@ -35,7 +37,6 @@ from pathlib import Path
 from . import corpus as corpus_io
 from . import lsi, retrieval, wikitext
 from .bidict import (
-    BilingualDictionary,
     bin_pooled,
     bin_symmetric,
     dict_cosine,  # noqa: F401  (the per-couple case, wrapped by name in perfbench/tracing.py)
@@ -47,7 +48,6 @@ from .bidict import (
 from .errors import ConvergenceError, CorpusError, DictionaryError, EmptyCorpusError, XlingError
 from .textprep import (
     PipelineConfig,
-    Preprocessor,
     ReducerKind,
     load_stopwords,
     make_reducer,
@@ -110,10 +110,12 @@ def _unread_flags(args, reason: str, *dests: str) -> None:
         raise ValueError(f"{reason}: drop {flags}")
 
 
+# The options a run writes to. Before any input is read, the directory of
+# each one given must exist (see ``_check_output_dirs``).
+_OUTPUT_OPTIONS = ("output", "stats", "test_output", "tsv", "report", "histogram_csv", "ranges_csv")
 _PATH_OPTIONS = (
-    "input", "output", "stats", "corpus", "model", "test_output", "dictionary",
-    "cache", "tsv", "source_docs", "target_docs", "report", "histogram_csv",
-    "ranges_csv", "stopwords",
+    "input", "corpus", "model", "dictionary", "cache", "source_docs", "target_docs", "stopwords",
+    *_OUTPUT_OPTIONS,
 )
 
 
@@ -126,45 +128,42 @@ def _resolve_paths(args) -> None:
             setattr(args, option, str(base / value))
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    """The preprocessing the pipeline flags describe."""
-    return PipelineConfig(
+def _check_output_dirs(args) -> None:
+    """Refuse a run whose output would go to a missing directory, so that it
+    leaves no earlier output behind."""
+    for option in _OUTPUT_OPTIONS:
+        path = getattr(args, option, None)
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"output directory does not exist: {Path(path).parent}")
+
+
+def _terms(args, corpus, sides=_SIDES):
+    """The terms of ``corpus``'s ``sides`` as the pipeline flags describe, and
+    the ``--dictionary`` (None without one).
+
+    It reads the stopwords, then the dictionary, once for both sides: each
+    side's dictionary terms are reduced as they are read by that side's
+    reducer, so that they match the side's document terms. A ``morphar`` side
+    is loaded as written, since that reducer is built on the loaded dictionary
+    and maps words onto its side's terms as loaded. It needs ``--dictionary``.
+    """
+    config = PipelineConfig(
         stopwords=load_stopwords(args.stopwords) if args.stopwords else frozenset(),
         min_corpus_frequency=args.min_count,
         reducer_source=ReducerKind(args.reducer_source),
         reducer_target=ReducerKind(args.reducer_target),
     )
-
-
-def _preprocessors(args) -> tuple[Preprocessor, Preprocessor, BilingualDictionary | None]:
-    """Each side's preprocessor, and the ``--dictionary`` they share (None without one).
-
-    The dictionary is loaded once, each side's terms reduced as they are
-    read by that side's reducer, so that they match the side's document
-    terms. The loader calls the pure reducer itself, not the preprocessor's
-    memo: dictionary terms rarely repeat, and the corpus pipeline fills its
-    own memo. An ``identity`` side is loaded unreduced, and so is a
-    ``morphar`` side: that reducer is built on the loaded dictionary and
-    maps words onto its side's terms as loaded. It needs ``--dictionary``.
-    """
-    config = _pipeline_config(args)
-    kinds = [config.reducer_for(s) for s in _SIDES]
+    kinds = (config.reducer_source, config.reducer_target)
     dictionary = None
     if args.dictionary:
         dictionary = load_dictionary(args.dictionary, *(
-            None if kind in (ReducerKind.IDENTITY, ReducerKind.MORPHAR) else make_reducer(kind)
-            for kind in kinds
+            str if kind is ReducerKind.MORPHAR else make_reducer(kind) for kind in kinds
         ))
     elif ReducerKind.MORPHAR in kinds:
         raise ValueError("morphar reducers require --dictionary")
-    source, target = (Preprocessor(config, s, dictionary) for s in _SIDES)
-    return source, target, dictionary
-
-
-def _preprocess_corpus(corpus, source: Preprocessor, target: Preprocessor):
-    src_tokens = run_pipeline([d.text for d in corpus.source_docs], source)
-    tgt_tokens = run_pipeline([d.text for d in corpus.target_docs], target)
-    return src_tokens, tgt_tokens
+    terms = [run_pipeline([d.text for d in getattr(corpus, f"{side}_docs")], config, side,
+                          dictionary) for side in sides]
+    return terms, dictionary
 
 
 # --------------------------------------------------------------------------
@@ -222,20 +221,15 @@ def _cmd_train(args) -> int:
         _unread_flags(args, "a mono model is built from the target side alone", "reducer_source")
     if "morphar" not in (args.reducer_source, args.reducer_target):
         _unread_flags(args, "train reads --dictionary only for a morphar reducer", "dictionary")
-    # Before the corpus is read and the SVD runs, not after.
-    for path in (args.output, args.test_output):
-        if path and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"output directory does not exist: {Path(path).parent}")
     train_part, test_part = corpus_io.load_aligned_corpus(args.corpus), None
     if not args.no_split:
         fraction = 0.9 if args.train_fraction is None else args.train_fraction
         train_part, test_part = corpus_io.split_corpus(train_part, fraction, args.seed)
 
-    source, target, _ = _preprocessors(args)
     if args.kind == "cross":
+        (src_tokens, tgt_tokens), _ = _terms(args, train_part)
         if not len(train_part):
             raise EmptyCorpusError("no couples to train on")
-        src_tokens, tgt_tokens = _preprocess_corpus(train_part, source, target)
         matrix = lsi.build_cross_matrix(
             src_tokens,
             tgt_tokens,
@@ -245,7 +239,7 @@ def _cmd_train(args) -> int:
     else:
         # Monolingual space lives in the target language: queries are
         # translated into it before projection.
-        tgt_tokens = run_pipeline([d.text for d in train_part.target_docs], target)
+        (tgt_tokens,), _ = _terms(args, train_part, ("target",))
         matrix = lsi.build_mono_matrix(tgt_tokens)
 
     model = lsi.train(matrix, args.k, seed=args.seed)
@@ -373,8 +367,7 @@ def _cmd_score(args) -> int:
     if args.measure != "bin":
         _unread_flags(args, f"--measure {args.measure} has no variants", "bin_variant")
     corpus = corpus_io.load_aligned_corpus(args.corpus)
-    source, target, dictionary = _preprocessors(args)
-    src_tokens, tgt_tokens = _preprocess_corpus(corpus, source, target)
+    (src_tokens, tgt_tokens), dictionary = _terms(args, corpus)
 
     if args.measure == "bincos":
         # Each side is weighted once for the whole corpus, not per couple.
@@ -573,6 +566,7 @@ def main(argv: list[str] | None = None) -> int:
         except RecursionError:  # argparse expands @file arguments recursively
             raise ValueError("xling: @file arguments nest too deeply") from None
         _resolve_paths(args)
+        _check_output_dirs(args)
         return args.func(args)
     except _NUMERIC_ERRORS as exc:
         _print_error(exc)

@@ -1,17 +1,17 @@
 """Tokenization, word reduction and per-side filtering.
 
-Text becomes terms in one way: :func:`tokenize` splits it into lowercased
-words, and a :class:`Preprocessor`, built once per corpus side from a
-:class:`PipelineConfig`, maps each word to its reduced term or to None for
-a stopword. :func:`run_pipeline` applies it to a whole side and then drops
-terms below the corpus-frequency floor.
+Text becomes terms in one way, one corpus side at a time:
+:func:`run_pipeline` splits each text into lowercased words with
+:func:`tokenize`, maps each word to its side's reduced term as a
+:class:`PipelineConfig` describes, drops stopwords, and then drops terms
+below the corpus-frequency floor.
 
 The word reducers shipped here are deliberately small, rule-table driven
 stand-ins for the heavyweight morphological tools commonly used for Arabic
 and English. Every reducer ``r`` is a pure function and is idempotent on
 its own output: each one re-applies its rule pass until the word stops
 changing, so ``r(r(w)) == r(w)`` holds by construction. Being pure, a
-reducer runs once per distinct word; the preprocessor memoizes the rest.
+reducer runs once per distinct word of a side; the pipeline looks up the rest.
 
 The two stemmers return a word unchanged, without a rule pass, when no
 table entry can touch it: ``suffix_stem`` when no English rule ends with the
@@ -33,7 +33,6 @@ from typing import Callable, Mapping, Sequence
 __all__ = [
     "ReducerKind",
     "PipelineConfig",
-    "Preprocessor",
     "tokenize",
     "make_reducer",
     "light_stem",
@@ -324,59 +323,34 @@ class PipelineConfig:
         raise ValueError(f"side must be 'source' or 'target', got {side!r}")
 
 
-class Preprocessor:
-    """Word-to-term mapping for one corpus side, reducing each word once.
-
-    ``dictionary`` is needed by the ``morphar`` reducer only. The memo holds
-    the reduced form of every word seen, stopwords included, so that
-    corpus-frequency counts can use it too.
-    """
-
-    def __init__(
-        self, config: PipelineConfig = PipelineConfig(), side: str = "source", dictionary=None
-    ):
-        self.kind = config.reducer_for(side)
-        self.stopwords = config.stopwords
-        self.min_count = config.min_corpus_frequency
-        self._reducer = make_reducer(self.kind, dictionary=dictionary, side=side)
-        self._memo: dict[str, str] = {}
-
-    def reduce(self, word: str) -> str:
-        """The reduced form of ``word``."""
-        reduced = self._memo.get(word)
-        if reduced is None:
-            reduced = self._memo[word] = self._reducer(word)
-        return reduced
-
-    def term(self, word: str) -> str | None:
-        """The term a token contributes: its reduced form, or None for a stopword.
-
-        A token is a stopword when it or its reduced form is in the list.
-        """
-        reduced = self.reduce(word)
-        if word in self.stopwords or reduced in self.stopwords:
-            return None
-        return reduced
-
-
 def run_pipeline(
-    texts: Sequence[str], preprocessor: Preprocessor | None = None
+    texts: Sequence[str],
+    config: PipelineConfig = PipelineConfig(),
+    side: str = "source",
+    dictionary=None,
 ) -> list[list[str]]:
     """Tokenize, reduce and filter one corpus side; returns its terms.
 
-    Stopwords are dropped, and so are terms whose count over the whole side
-    (stopword occurrences included) is below ``min_corpus_frequency``. The
-    default preprocessor only tokenizes.
+    Each distinct word is reduced once, by the reducer ``config`` names for
+    ``side``; ``dictionary`` is read by the ``morphar`` reducer only. A token
+    is dropped when it or its reduced form is a stopword, and so is a term
+    whose count over the whole side (stopword occurrences included) is below
+    ``min_corpus_frequency``. The default config only tokenizes.
     """
-    prep = preprocessor if preprocessor is not None else Preprocessor()
+    reducer = make_reducer(config.reducer_for(side), dictionary=dictionary, side=side)
     docs = [tokenize(text) for text in texts]
-    term_of = {word: prep.term(word) for word in set().union(*docs)}
-    if prep.min_count > 1:
+    reduced = {word: reducer(word) for word in set().union(*docs)}
+    stopwords = config.stopwords
+    term_of = {
+        word: None if word in stopwords or term in stopwords else term
+        for word, term in reduced.items()
+    }
+    if config.min_corpus_frequency > 1:
         counts: Counter = Counter()
         for word, n in Counter(chain.from_iterable(docs)).items():
-            counts[prep.reduce(word)] += n
+            counts[reduced[word]] += n
         for word, term in term_of.items():
-            if term is not None and counts[term] < prep.min_count:
+            if term is not None and counts[term] < config.min_corpus_frequency:
                 term_of[word] = None
     return [[t for t in map(term_of.__getitem__, doc) if t is not None] for doc in docs]
 

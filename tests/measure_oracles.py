@@ -527,22 +527,19 @@ def loop_suffix_stem(word: str) -> str:
 
 
 def two_step_reduced_dictionary(
-    path, source_fn: Callable[[str], str] | None, target_fn: Callable[[str], str] | None
+    path, source_fn: Callable[[str], str], target_fn: Callable[[str], str]
 ) -> BilingualDictionary:
     """Load the dictionary as written, then map each synset's terms and rebuild."""
     return BilingualDictionary(
-        (
-            [source_fn(t) for t in src] if source_fn else src,
-            [target_fn(t) for t in tgt] if target_fn else tgt,
-        )
+        ([source_fn(t) for t in src], [target_fn(t) for t in tgt])
         for src, tgt in load_dictionary(path).synsets
     )
 
 
 def split_every_side_load_dictionary(
     path: str | Path,
-    source_fn: Callable[[str], str] | None = None,
-    target_fn: Callable[[str], str] | None = None,
+    source_fn: Callable[[str], str] = str,
+    target_fn: Callable[[str], str] = str,
 ) -> BilingualDictionary:
     """``load_dictionary`` through split, strip, filter and lowercase on every side."""
     synsets = []
@@ -559,10 +556,7 @@ def split_every_side_load_dictionary(
         tgt_terms = [t.lower() for t in filter(None, map(str.strip, parts[1].split("|")))]
         if not src_terms or not tgt_terms:
             raise MalformedLineError(line_number, "both synset sides must be non-empty")
-        synsets.append((
-            src_terms if source_fn is None else map(source_fn, src_terms),
-            tgt_terms if target_fn is None else map(target_fn, tgt_terms),
-        ))
+        synsets.append((map(source_fn, src_terms), map(target_fn, tgt_terms)))
     return BilingualDictionary(synsets)
 
 

@@ -323,9 +323,9 @@ class TestReduced:
     def test_unchanged_terms_load_unchanged(self, tmp_path):
         path = _write(tmp_path, "olive\tzaytun\ngood|fine\tjayid\nmarket|markets\taswaq|suq\n")
         plain = load_dictionary(path)
-        _assert_same_dictionary(load_dictionary(path, str.lower, None), plain)
-        _assert_same_dictionary(load_dictionary(path, None, None), plain)
-        _assert_same_dictionary(two_step_reduced_dictionary(path, str.lower, None), plain)
+        _assert_same_dictionary(load_dictionary(path, str.lower), plain)
+        _assert_same_dictionary(load_dictionary(path, str, str), plain)
+        _assert_same_dictionary(two_step_reduced_dictionary(path, str.lower, str), plain)
 
     def test_each_side_reduced_with_its_own_function(self, tmp_path):
         path = _write(tmp_path, "houses\thouses\ncats|cat\txcats\n")
@@ -353,8 +353,8 @@ class TestReduced:
             ),
             max_size=8,
         ),
-        source_fn=st.sampled_from([None, suffix_stem, str.upper]),
-        target_fn=st.sampled_from([None, light_stem, lambda w: w[:1]]),
+        source_fn=st.sampled_from([str, suffix_stem, str.upper]),
+        target_fn=st.sampled_from([str, light_stem, lambda w: w[:1]]),
     )
     def test_equals_load_then_reduce(self, tmp_path_factory, lines, source_fn, target_fn):
         text = "".join(f"{'|'.join(s)}\t{'|'.join(t)}\n" for s, t in lines)
@@ -420,8 +420,8 @@ class TestLoaderOracle:
     @settings(max_examples=150, deadline=None)
     @given(
         text=_dictionary_texts(),
-        source_fn=st.sampled_from([None, suffix_stem, light_stem, str.upper]),
-        target_fn=st.sampled_from([None, suffix_stem, light_stem, str.upper]),
+        source_fn=st.sampled_from([str, suffix_stem, light_stem, str.upper]),
+        target_fn=st.sampled_from([str, suffix_stem, light_stem, str.upper]),
     )
     def test_same_dictionary_or_same_error(self, path, text, source_fn, target_fn):
         path.write_text(text, encoding="utf-8")
@@ -478,7 +478,7 @@ class TestMergedTermsOracle:
     def path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("dict") / "d.tsv"
 
-    _REDUCERS = st.sampled_from([None, suffix_stem, str.upper])
+    _REDUCERS = st.sampled_from([str, suffix_stem, str.upper])
 
     @settings(max_examples=100, deadline=None)
     @given(text=_merging_texts(malformed=False), source_fn=_REDUCERS, target_fn=_REDUCERS)
@@ -508,7 +508,7 @@ class TestMergedTermsOracle:
     def test_repeated_one_term_keys_merge(self, tmp_path):
         # Both one-term source sides reduce to "letter", so their partners merge.
         path = _write(tmp_path, "letter\tرسالة\nletters\tخطاب\n")
-        d = load_dictionary(path, suffix_stem, None)
+        d = load_dictionary(path, suffix_stem)
         assert d.translations("letter", "source") == frozenset({"رسالة", "خطاب"})
         assert d.translations("خطاب", "target") == frozenset({"letter"})
 

@@ -10,7 +10,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from measure_oracles import chain_couple
 import xling
@@ -28,7 +28,7 @@ from xling import lsi
 from xling.lsi import fold_in_many, load_model
 from xling.retrieval import Embeddings, retrieve_many, write_ranked_lists_json
 from xling.synthetic import SyntheticSpec, cipher_word, make_parallel_corpus, source_vocabulary
-from xling.textprep import PipelineConfig, Preprocessor, ReducerKind, run_pipeline, tokenize
+from xling.textprep import PipelineConfig, ReducerKind, run_pipeline, tokenize
 from xling.vsm import build_vocabulary
 
 SPEC = SyntheticSpec(n_topics=4, words_per_topic=20, common_words=5,
@@ -272,6 +272,37 @@ class TestPaths:
         assert main([a.format(**fill) for a in argv]) == 2
         assert _one_json_error(capsys)["error"] == "IsADirectoryError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--input", "{corpus}", "--format", "jsonl", "--output", "{tmp}/c.jsonl",
+             "--stats", "{missing}/s.json"],
+            ["retrieve", "--model", "{model}", "--corpus", "{corpus}", "--output", "{tmp}/r.json",
+             "--tsv", "{missing}/r.tsv"],
+            ["align", "--model", "{model}", "--corpus", "{corpus}", "--output", "{tmp}/a.tsv",
+             "--report", "{missing}/r.json"],
+            ["eval", "--model", "{model}", "--corpus", "{corpus}", "--output", "{missing}/e.json"],
+            ["score", "--corpus", "{corpus}", "--dictionary", "{dictionary}", "--measure", "match",
+             "--output", "{missing}/s.tsv"],
+        ],
+        ids=["ingest-stats", "retrieve-tsv", "align-report", "eval-output", "score-output"],
+    )
+    def test_missing_output_directory_exits_two_and_writes_nothing(
+        self, tmp_path, corpus_file, dictionary_file, capsys, argv
+    ):
+        model = _train(tmp_path, corpus_file)
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        missing = tmp_path / "no" / "such"
+        fill = {"missing": missing, "tmp": tmp_path, "corpus": corpus_file, "model": model,
+                "dictionary": dictionary_file}
+        assert main([a.format(**fill) for a in argv]) == 2
+        assert _one_json_error(capsys) == {
+            "error": "FileNotFoundError",
+            "message": f"output directory does not exist: {missing}",
+        }
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestTrain:
     def test_no_split_without_couples_exits_two(self, tmp_path, capsys):
@@ -418,9 +449,9 @@ class TestTrain:
     ):
         texts_seen = []
 
-        def pipeline(texts, preprocessor=None):
+        def pipeline(texts, *args):
             texts_seen.append(list(texts))
-            return run_pipeline(texts, preprocessor)
+            return run_pipeline(texts, *args)
 
         monkeypatch.setattr(cli, "run_pipeline", pipeline)
         model_path = tmp_path / "m.xlsm"
@@ -433,11 +464,11 @@ class TestTrain:
         assert texts_seen == ([tgt] if kind == "mono" else [src, tgt])
         # The model is the one the library builds from the sides it reads.
         config = PipelineConfig()
-        tgt_tokens = run_pipeline(tgt, Preprocessor(config, "target"))
+        tgt_tokens = run_pipeline(tgt, config, "target")
         if kind == "mono":
             matrix = lsi.build_mono_matrix(tgt_tokens)
         else:
-            src_tokens = run_pipeline(src, Preprocessor(config, "source"))
+            src_tokens = run_pipeline(src, config, "source")
             matrix = lsi.build_cross_matrix(src_tokens, tgt_tokens,
                                             train_part.source_docs[0].language,
                                             train_part.target_docs[0].language)
@@ -450,8 +481,8 @@ class TestTrain:
         config = PipelineConfig(min_corpus_frequency=2)
         pairs = load_aligned_corpus(corpus_file)
         src, tgt = ([d.text for d in docs] for docs in (pairs.source_docs, pairs.target_docs))
-        src_tokens = run_pipeline(src, Preprocessor(config, "source"))
-        tgt_tokens = run_pipeline(tgt, Preprocessor(config, "target"))
+        src_tokens = run_pipeline(src, config, "source")
+        tgt_tokens = run_pipeline(tgt, config, "target")
         # Words seen once on a side are dropped, so the flag changes the model.
         assert src_tokens != run_pipeline(src) and tgt_tokens != run_pipeline(tgt)
         matrix = lsi.build_cross_matrix(src_tokens, tgt_tokens, pairs.source_docs[0].language,
@@ -514,10 +545,9 @@ class TestTrain:
                                 reducer_target=ReducerKind(reducer_target))
         as_written = load_dictionary(dictionary)
         pairs = load_aligned_corpus(corpus)
-        source, target = (Preprocessor(config, side, as_written) for side in ("source", "target"))
         matrix = lsi.build_cross_matrix(
-            run_pipeline([d.text for d in pairs.source_docs], source),
-            run_pipeline([d.text for d in pairs.target_docs], target),
+            run_pipeline([d.text for d in pairs.source_docs], config, "source", as_written),
+            run_pipeline([d.text for d in pairs.target_docs], config, "target", as_written),
             pairs.source_docs[0].language,
             pairs.target_docs[0].language,
         )
@@ -1280,8 +1310,8 @@ class TestScore:
                          *extra]) == 0
         config = PipelineConfig(min_corpus_frequency=2)
         corpus = load_aligned_corpus(corpus_file)
-        src = run_pipeline([d.text for d in corpus.source_docs], Preprocessor(config, "source"))
-        tgt = run_pipeline([d.text for d in corpus.target_docs], Preprocessor(config, "target"))
+        src = run_pipeline([d.text for d in corpus.source_docs], config, "source")
+        tgt = run_pipeline([d.text for d in corpus.target_docs], config, "target")
         dictionary = load_dictionary(dictionary_file)
         expected = "".join(f"{s.id}\t{t.id}\t{matching_rate(d_s, d_t, dictionary):.6f}\n"
                            for (s, t), d_s, d_t in zip(corpus.pairs(), src, tgt))
@@ -1529,7 +1559,14 @@ def _wide_side(rng: random.Random, blob: bytes) -> bytes:
     return b"\n".join(lines)
 
 
-_DICTIONARY_MUTATIONS = {
+def _deep_nesting(rng: random.Random, blob: bytes) -> bytes:
+    """A line that opens 100,000 JSON arrays, among the others."""
+    lines = blob.split(b"\n")
+    lines.insert(rng.randrange(len(lines) + 1), b"[" * 100_000)
+    return b"\n".join(lines)
+
+
+_MUTATIONS = {
     "truncate": lambda rng, blob: blob[: rng.randrange(len(blob) + 1)],
     "flip bytes": _flip,
     "splice lines": _splice,
@@ -1540,71 +1577,59 @@ _DICTIONARY_MUTATIONS = {
     "10,000 |": _wide_side,
 }
 
-
-class TestDictionaryReaderContract:
-    """A mutated dictionary through ``score`` ends in exit 0, 2, 3 or 4, with
-    stderr empty or one line of JSON; no exception escapes ``main``."""
-
-    @pytest.fixture(scope="class")
-    def inputs(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("contract")
-        save_aligned_corpus(make_parallel_corpus(10, SPEC, seed=12), tmp / "corpus.jsonl")
-        # Every fourth synset has two target terms, so both parser branches run.
-        valid = "".join(f"{w}\t{cipher_word(w)}{'|' + w if i % 4 == 0 else ''}\n"
-                        for i, w in enumerate(source_vocabulary(SPEC)))
-        return tmp, ("# a comment\n\n" + valid).encode("utf-8")
-
-    @settings(max_examples=100, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(mutation=st.sampled_from(sorted(_DICTIONARY_MUTATIONS)),
-           seed=st.integers(0, 2**32 - 1))
-    def test_exit_code_and_one_json_line(self, inputs, capsys, mutation, seed):
-        tmp, valid = inputs
-        (tmp / "d.tsv").write_bytes(_DICTIONARY_MUTATIONS[mutation](random.Random(seed), valid))
-        rc = main(["score", "--corpus", str(tmp / "corpus.jsonl"), "--dictionary",
-                   str(tmp / "d.tsv"), "--measure", "match", "--output", str(tmp / "m.tsv")])
-        assert rc in (0, 2, 3, 4)
-        err = capsys.readouterr().err
-        if rc:
-            assert len(err.splitlines()) == 1
-            assert set(json.loads(err)) == {"error", "message"}
-        else:
-            assert err == ""
+# Each input file ``score`` reads, by its flag: the mutations it gets and
+# how many are drawn.
+_READERS = {
+    "dictionary": (_MUTATIONS, 100),
+    "stopwords": (_MUTATIONS, 40),
+    "corpus": ({**_MUTATIONS, "deep nesting": _deep_nesting}, 40),
+}
 
 
-class TestStopwordReaderContract:
-    """A mutated stopword file through ``score --stopwords`` ends in exit 0,
+class TestReaderContract:
+    """A mutated input file through ``score --measure match`` ends in exit 0,
     2, 3 or 4, with stderr empty or one line of JSON; no exception escapes
-    ``main``. The mutations are the dictionary contract's."""
+    ``main``."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("stopwords")
-        save_aligned_corpus(make_parallel_corpus(10, SPEC, seed=12), tmp / "corpus.jsonl")
+        """Each reader's valid file, named after it."""
+        tmp = tmp_path_factory.mktemp("contract")
+        save_aligned_corpus(make_parallel_corpus(10, SPEC, seed=12), tmp / "corpus")
         words = source_vocabulary(SPEC)
-        (tmp / "d.tsv").write_text(
-            "".join(f"{w}\t{cipher_word(w)}\n" for w in words), encoding="utf-8"
+        # Every fourth synset has two target terms, so both parser branches run.
+        (tmp / "dictionary").write_text("# a comment\n\n" + "".join(
+            f"{w}\t{cipher_word(w)}{'|' + w if i % 4 == 0 else ''}\n" for i, w in enumerate(words)
+        ), encoding="utf-8")
+        (tmp / "stopwords").write_text(
+            "# a comment\n\n" + "".join(f"{w}  # inline\n" for w in words[::3]), encoding="utf-8"
         )
-        valid = "# a comment\n\n" + "".join(f"{w}  # inline\n" for w in words[::3])
-        return tmp, valid.encode("utf-8")
+        return tmp
 
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(mutation=st.sampled_from(sorted(_DICTIONARY_MUTATIONS)),
-           seed=st.integers(0, 2**32 - 1))
-    def test_exit_code_and_one_json_line(self, inputs, capsys, mutation, seed):
-        tmp, valid = inputs
-        (tmp / "stop.txt").write_bytes(_DICTIONARY_MUTATIONS[mutation](random.Random(seed), valid))
-        rc = main(["score", "--corpus", str(tmp / "corpus.jsonl"), "--dictionary",
-                   str(tmp / "d.tsv"), "--measure", "match", "--stopwords",
-                   str(tmp / "stop.txt"), "--output", str(tmp / "m.tsv")])
-        assert rc in (0, 2, 3, 4)
-        err = capsys.readouterr().err
-        if rc:
-            assert len(err.splitlines()) == 1
-            assert set(json.loads(err)) == {"error", "message"}
-        else:
-            assert err == ""
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_exit_code_and_one_json_line(self, inputs, capsys, reader):
+        mutations, max_examples = _READERS[reader]
+        valid = (inputs / reader).read_bytes()
+        files = {name: inputs / name for name in _READERS}
+        files[reader] = inputs / "mutated"
+        argv = ["score", "--measure", "match", "--output", str(inputs / "m.tsv")]
+        for name, path in files.items():
+            argv += [f"--{name}", str(path)]
+
+        @settings(max_examples=max_examples, deadline=None)
+        @given(mutation=st.sampled_from(sorted(mutations)), seed=st.integers(0, 2**32 - 1))
+        def check(mutation, seed):
+            files[reader].write_bytes(mutations[mutation](random.Random(seed), valid))
+            rc = main(argv)
+            assert rc in (0, 2, 3, 4)
+            err = capsys.readouterr().err
+            if rc:
+                assert len(err.splitlines()) == 1
+                assert set(json.loads(err)) == {"error", "message"}
+            else:
+                assert err == ""
+
+        check()
 
 
 class TestCollectorPause:

@@ -18,7 +18,6 @@ from xling import textprep
 from xling.bidict import BilingualDictionary
 from xling.textprep import (
     PipelineConfig,
-    Preprocessor,
     ReducerKind,
     lemmatize,
     light_stem,
@@ -266,15 +265,15 @@ class TestFilters:
     def test_low_frequency_removed(self):
         # "rare" occurs twice in the corpus, below the threshold of three
         texts = ["rare common", "rare common common"]
-        prep = Preprocessor(PipelineConfig(min_corpus_frequency=3))
-        assert run_pipeline(texts, prep) == [["common"], ["common", "common"]]
+        config = PipelineConfig(min_corpus_frequency=3)
+        assert run_pipeline(texts, config) == [["common"], ["common", "common"]]
 
     def test_identity_config_is_identity(self):
-        assert run_pipeline(["a b", "c"], Preprocessor(PipelineConfig())) == [["a", "b"], ["c"]]
+        assert run_pipeline(["a b", "c"], PipelineConfig()) == [["a", "b"], ["c"]]
 
     def test_stopwords_removed(self):
-        prep = Preprocessor(PipelineConfig(stopwords=frozenset({"the"})))
-        assert run_pipeline(["the oil", "the"], prep) == [["oil"], []]
+        config = PipelineConfig(stopwords=frozenset({"the"}))
+        assert run_pipeline(["the oil", "the"], config) == [["oil"], []]
 
     def test_min_frequency_validation(self):
         with pytest.raises(ValueError):
@@ -287,15 +286,15 @@ class TestFilters:
     )
     def test_filtering_never_increases_token_count(self, texts):
         config = PipelineConfig(stopwords=frozenset({"a"}), min_corpus_frequency=2)
-        filtered = run_pipeline(texts, Preprocessor(config))
+        filtered = run_pipeline(texts, config)
         for text, after in zip(texts, filtered):
             assert len(after) <= len(tokenize(text))
 
 
 class TestRunPipeline:
     def test_capitalized_stopword_built_in_code_matches(self):
-        prep = Preprocessor(PipelineConfig(stopwords=frozenset({"The"})))
-        assert run_pipeline(["The cat"], prep) == [["cat"]]
+        config = PipelineConfig(stopwords=frozenset({"The"}))
+        assert run_pipeline(["The cat"], config) == [["cat"]]
 
     def test_end_to_end(self):
         texts = ["The libraries opened.", "The library closed, closed."]
@@ -303,7 +302,7 @@ class TestRunPipeline:
             stopwords=frozenset({"the"}),
             reducer_source=ReducerKind.SUFFIX_STEMMER,
         )
-        docs = run_pipeline(texts, Preprocessor(config, "source"))
+        docs = run_pipeline(texts, config, "source")
         assert docs == [["library", "opene"], ["library", "close", "close"]]
 
     def test_pipeline_default_is_tokenize(self):
@@ -341,7 +340,7 @@ class TestRunPipeline:
             for text, doc in zip(texts, reduced)
         ]
         assert any(expected)
-        got = run_pipeline(texts, Preprocessor(config, "source", dictionary))
+        got = run_pipeline(texts, config, "source", dictionary)
         assert got == expected
 
     def test_stopword_occurrences_count_towards_min_count(self):
@@ -352,15 +351,23 @@ class TestRunPipeline:
             min_corpus_frequency=2,
             reducer_source=ReducerKind.SUFFIX_STEMMER,
         )
-        assert run_pipeline(["books", "book"], Preprocessor(config)) == [[], ["book"]]
+        assert run_pipeline(["books", "book"], config) == [[], ["book"]]
 
-    def test_preprocessor_reduces_each_word_once(self):
+    def test_preprocessor_reduces_each_word_once(self, monkeypatch):
         calls = []
-        prep = Preprocessor(PipelineConfig(reducer_source=ReducerKind.SUFFIX_STEMMER))
-        prep._reducer = lambda w: calls.append(w) or suffix_stem(w)
-        run_pipeline(["books books", "books writes"], prep)
-        assert prep.reduce("writes") == "write"
+        make_reducer = textprep.make_reducer
+
+        def counted(*args, **kwargs):
+            reducer = make_reducer(*args, **kwargs)
+            return lambda w: calls.append(w) or reducer(w)
+
+        monkeypatch.setattr(textprep, "make_reducer", counted)
+        config = PipelineConfig(reducer_source=ReducerKind.SUFFIX_STEMMER)
+        texts = ["books books", "books writes"]
+        assert run_pipeline(texts, config) == [["book", "book"], ["book", "write"]]
         assert sorted(calls) == ["books", "writes"]
+        run_pipeline(texts, config)  # a second call reduces its words again
+        assert sorted(calls) == ["books", "books", "writes", "writes"]
 
 
 # Fragments a property test joins into text: mixed case, digits, "_",
@@ -393,14 +400,14 @@ class TestMatchesTokenPipeline:
             stopwords=_STOPWORDS, min_corpus_frequency=2, reducer_source=kind
         )
         expected = token_pipeline(texts, config, side="source", dictionary=_MORPHAR_DICTIONARY)
-        got = run_pipeline(texts, Preprocessor(config, "source", _MORPHAR_DICTIONARY))
+        got = run_pipeline(texts, config, "source", _MORPHAR_DICTIONARY)
         assert got == expected
 
     @given(texts=_TEXTS)
     def test_identity_pipeline_equals_oracle(self, texts):
         # The no-op case: no reducer, no stopwords, no frequency floor.
         config = PipelineConfig()
-        assert run_pipeline(texts, Preprocessor(config)) == token_pipeline(texts, config)
+        assert run_pipeline(texts, config) == token_pipeline(texts, config)
 
     @given(texts=_TEXTS)
     def test_tokenize_equals_oracle_reduced_forms(self, texts):
@@ -422,5 +429,5 @@ class TestListFiles:
     def test_stopwords_lowercased_like_tokens(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("The\nof\n", encoding="utf-8")
-        prep = Preprocessor(PipelineConfig(stopwords=load_stopwords(path)))
-        assert run_pipeline(["The cat of THE hat"], prep) == [["cat", "hat"]]
+        config = PipelineConfig(stopwords=load_stopwords(path))
+        assert run_pipeline(["The cat of THE hat"], config) == [["cat", "hat"]]
