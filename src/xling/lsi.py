@@ -11,9 +11,12 @@ token lists with that side's ``Vocabulary.weight_rows`` (shifted to its rows
 in a cross space) and multiplies each row into the matching rows of ``U``.
 
 The factorization is a randomized range-finder (Gaussian sketch, power
-iterations with one LU normalization per ``A^T A`` product, a blocked
-Householder QR for the final basis, small-matrix SVD) so large sparse
-vocabularies stay cheap; a dense SVD oracle and the two range-finders it
+iterations with one LU normalization per ``A^T A`` product, small-matrix
+SVD) so large sparse vocabularies stay cheap. The final basis is
+``Y R^-1``, with ``R`` from a blocked Householder QR of the range sketch
+``Y``, applied by triangular solves; the orthonormal ``Q`` is formed from the
+reflectors only when ``R`` is ill-conditioned, as for a matrix whose rank is
+below the sketch width. A dense SVD oracle and the two range-finders it
 replaced (all-QR, and LU on every half step) pin its correctness in the
 test suite. Swap ``_randomized_svd`` for an iterative solver if a
 different accuracy profile is ever needed.
@@ -63,6 +66,13 @@ DEFAULT_RANK = 300
 _RANK_TRUNCATION = 1e-10  # singular values below this times s[0] are dropped
 _OVERSAMPLE = 10  # sketch columns beyond k
 _POWER_ITERATIONS = 2  # A^T A products before the final basis
+# The final basis is Y R^-1 when R's reciprocal condition number (LAPACK
+# dtrcon's 1-norm estimate) is above this floor, else Q is formed. Y R^-1
+# loses orthogonality like kappa(R) * u (Fukaya et al., CholeskyQR2, 2014),
+# so the floor keeps |U^T U - I| near 1e-10 at worst. Full-rank sketches
+# read above it (about 1.3e-4 on the benchmark's train-cross matrices, 5e-6
+# to 3e-5 on the tests' gapped spectra); one wider than A's rank, ~1e-17.
+_RCOND_FLOOR = 1e-6
 
 
 class CrossVocabulary:
@@ -231,14 +241,30 @@ def _randomized_svd(
     # The power iterations only need a basis of the same span, so one
     # permuted LU factor (no Q to form) of the document-side block
     # normalizes each A^T A product; Y = A (A^T A)^q Omega then spans what
-    # the all-QR loop spans. A blocked (compact-WY) Householder QR makes the
-    # final basis orthonormal (Halko, Martinsson & Tropp 2011, section 4.5).
+    # the all-QR loop spans.
     for _ in range(power_iterations):
         z = scipy.linalg.lu(a.T @ (a @ z), permute_l=True, check_finite=False)[0]
-    # At most two m x sketch bases are alive at once: A Z is C-ordered, so
-    # dgeqrt factors a Fortran copy and the product dies with the call; Q
-    # overwrites the identity, and the reflectors go before the next product.
-    reflectors, t, info = scipy.linalg.lapack.dgeqrt(min(32, sketch), a @ z, overwrite_a=True)
+    y = a @ z
+    del z
+    # A blocked Householder QR gives Y = Q R; only R is needed when it is
+    # well-conditioned: Q^T A = R^-T (A^T Y)^T and Q Ub = Y (R^-1 Ub), so the
+    # m x sketch Q is never formed (Halko, Martinsson & Tropp 2011, Alg. 5.1).
+    # dgeqrt factors a Fortran copy of the C-ordered Y, which stays alive.
+    reflectors, t, info = scipy.linalg.lapack.dgeqrt(min(32, sketch), y)
+    r = np.triu(reflectors[:sketch])
+    if info == 0 and scipy.linalg.lapack.dtrcon(r)[0] > _RCOND_FLOOR:
+        # At most two m x sketch blocks are alive at once: Y with the
+        # reflectors, which go before any product, then Y with U.
+        del reflectors, t
+        b = scipy.linalg.solve_triangular(r, (a.T @ y).T, trans="T", check_finite=False)
+        ub, s, vt = np.linalg.svd(b, full_matrices=False)
+        w = scipy.linalg.solve_triangular(r, ub[:, :k], check_finite=False)
+        return y @ w, s[:k], vt[:k, :]
+    # A singular or ill-conditioned R (an exact-rank A of rank below the
+    # sketch width) would spoil Y R^-1's orthogonality, so Q is formed from
+    # the reflectors. Y goes first, Q overwrites the identity and the
+    # reflectors go before the next product: again at most two blocks.
+    del y
     if info == 0:
         q = np.eye(m, sketch, order="F")
         q, info = scipy.linalg.lapack.dgemqrt(reflectors, t, q, overwrite_c=True)

@@ -1577,25 +1577,35 @@ _MUTATIONS = {
     "10,000 |": _wide_side,
 }
 
-# Each input file ``score`` reads, by its flag: the mutations it gets and
-# how many are drawn.
+_NESTED = {**_MUTATIONS, "deep nesting": _deep_nesting}
+_SCORE = ("score --measure match --corpus {corpus} --dictionary {dictionary}"
+          " --stopwords {stopwords} --output {dir}/m.tsv").split()
+_ALIGN = ("align --model {model} --source-docs {source_docs} --target-docs {target_docs}"
+          " --output {dir}/aligned.tsv").split()
+
+# Each reader's input file, by name: the command that reads it (its other
+# inputs valid), the mutations it gets and how many are drawn.
 _READERS = {
-    "dictionary": (_MUTATIONS, 100),
-    "stopwords": (_MUTATIONS, 40),
-    "corpus": ({**_MUTATIONS, "deep nesting": _deep_nesting}, 40),
+    "dictionary": (_SCORE, _MUTATIONS, 100),
+    "stopwords": (_SCORE, _MUTATIONS, 40),
+    "corpus": (_SCORE, _NESTED, 40),
+    "source_docs": (_ALIGN, _NESTED, 40),
 }
 
 
 class TestReaderContract:
-    """A mutated input file through ``score --measure match`` ends in exit 0,
-    2, 3 or 4, with stderr empty or one line of JSON; no exception escapes
-    ``main``."""
+    """A mutated input file through the command that reads it ends in exit
+    0, 2, 3 or 4, with stderr empty or one line of JSON; no exception
+    escapes ``main``."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
-        """Each reader's valid file, named after it."""
+        """Each command's valid input files, by name, and a model trained on the corpus."""
         tmp = tmp_path_factory.mktemp("contract")
-        save_aligned_corpus(make_parallel_corpus(10, SPEC, seed=12), tmp / "corpus")
+        corpus = make_parallel_corpus(10, SPEC, seed=12)
+        save_aligned_corpus(corpus, tmp / "corpus")
+        save_documents(corpus.source_docs, tmp / "source_docs")
+        save_documents(corpus.target_docs, tmp / "target_docs")
         words = source_vocabulary(SPEC)
         # Every fourth synset has two target terms, so both parser branches run.
         (tmp / "dictionary").write_text("# a comment\n\n" + "".join(
@@ -1604,17 +1614,18 @@ class TestReaderContract:
         (tmp / "stopwords").write_text(
             "# a comment\n\n" + "".join(f"{w}  # inline\n" for w in words[::3]), encoding="utf-8"
         )
+        train = ["train", "--corpus", str(tmp / "corpus"), "--k", "4", "--no-split"]
+        assert main([*train, "--output", str(tmp / "model")]) == 0
         return tmp
 
     @pytest.mark.parametrize("reader", sorted(_READERS))
     def test_exit_code_and_one_json_line(self, inputs, capsys, reader):
-        mutations, max_examples = _READERS[reader]
+        command, mutations, max_examples = _READERS[reader]
         valid = (inputs / reader).read_bytes()
-        files = {name: inputs / name for name in _READERS}
+        files = {name: inputs / name for name in
+                 ("corpus", "dictionary", "stopwords", "source_docs", "target_docs", "model")}
         files[reader] = inputs / "mutated"
-        argv = ["score", "--measure", "match", "--output", str(inputs / "m.tsv")]
-        for name, path in files.items():
-            argv += [f"--{name}", str(path)]
+        argv = [arg.format(dir=inputs, **files) for arg in command]
 
         @settings(max_examples=max_examples, deadline=None)
         @given(mutation=st.sampled_from(sorted(mutations)), seed=st.integers(0, 2**32 - 1))

@@ -340,6 +340,38 @@ class TestRangeFinderMatchesLuHalfStepOracle(TestRangeFinderMatchesQrOracle):
     oracle = staticmethod(lu_half_step_svd)
 
 
+class TestFinalBasisPath:
+    """A well-conditioned R gives the basis as Y R^-1, and Q is never formed;
+    a rank-deficient sketch forms Q from the Householder reflectors."""
+
+    @pytest.fixture
+    def dgemqrt_calls(self, monkeypatch) -> list:
+        """The shape of the identity each ``dgemqrt`` call turns into Q."""
+        calls, dgemqrt = [], scipy.linalg.lapack.dgemqrt
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].shape)
+            return dgemqrt(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgemqrt", counting)
+        return calls
+
+    def test_well_conditioned_sketch_forms_no_q(self, dgemqrt_calls):
+        u, s, _ = _randomized_svd(_parallel_cross_matrix(), 100, _OVERSAMPLE, 2, seed=42)
+        assert dgemqrt_calls == []
+        assert u.shape[1] == 100 and np.all(np.diff(s) <= 0)
+        assert np.max(np.abs(u.T @ u - np.eye(100))) <= 1e-12
+
+    def test_rank_deficient_sketch_forms_q(self, dgemqrt_calls):
+        a = _rank_six()
+        u, s, vt = _randomized_svd(a, 10, 6, 2, seed=42)  # sketch 16 over a rank-6 range
+        assert dgemqrt_calls == [(60, 16)]
+        u_ref, s_ref, vt_ref = np.linalg.svd(a.toarray(), full_matrices=False)
+        assert np.max(np.abs(s[:6] - s_ref[:6]) / s_ref[:6]) < 1e-12
+        assert np.max(subspace_angles(u[:, :6], u_ref[:, :6])) < 1e-10
+        assert np.max(subspace_angles(vt[:6].T, vt_ref[:6].T)) < 1e-10
+
+
 def test_householder_failure_raises_convergence_error(monkeypatch):
     def failing_dgeqrt(nb, a, overwrite_a=0):
         return a, np.zeros((nb, a.shape[1])), -2

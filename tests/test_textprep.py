@@ -55,7 +55,7 @@ _ASCII = [chr(c) for c in range(128)]
 class TestAsciiFastPath:
     """``tokenize`` equals the plain word-regex oracle on every text."""
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     @given(text=st.text(st.sampled_from(_ASCII), max_size=80))
     @example(text="".join(_ASCII))
     @example(text="A_b-C3PO\tx\x1cY\x7fz")
