@@ -66,12 +66,13 @@ DEFAULT_RANK = 300
 _RANK_TRUNCATION = 1e-10  # singular values below this times s[0] are dropped
 _OVERSAMPLE = 10  # sketch columns beyond k
 _POWER_ITERATIONS = 2  # A^T A products before the final basis
-# The final basis is Y R^-1 when R's reciprocal condition number (LAPACK
-# dtrcon's 1-norm estimate) is above this floor, else Q is formed. Y R^-1
-# loses orthogonality like kappa(R) * u (Fukaya et al., CholeskyQR2, 2014),
-# so the floor keeps |U^T U - I| near 1e-10 at worst. Full-rank sketches
-# read above it (about 1.3e-4 on the benchmark's train-cross matrices, 5e-6
-# to 3e-5 on the tests' gapped spectra); one wider than A's rank, ~1e-17.
+# The final basis is Y R^-1 when R's reciprocal 1-norm condition number is
+# above this floor, else Q is formed. Y R^-1 loses orthogonality like
+# kappa(R) * u (Fukaya et al., CholeskyQR2, 2014), so the floor keeps
+# |U^T U - I| near 1e-10 at worst. Full-rank sketches read above it (about
+# 1e-4 on the benchmark's train-cross matrices, 8e-6 to 2e-5 on criterion
+# 3's gapped spectra); one wider than A's rank reads about 1e-17, or 0 when R
+# is exactly singular.
 _RCOND_FLOOR = 1e-6
 
 
@@ -252,7 +253,9 @@ def _randomized_svd(
     # dgeqrt factors a Fortran copy of the C-ordered Y, which stays alive.
     reflectors, t, info = scipy.linalg.lapack.dgeqrt(min(32, sketch), y)
     r = np.triu(reflectors[:sketch])
-    if info == 0 and scipy.linalg.lapack.dtrcon(r)[0] > _RCOND_FLOOR:
+    # numpy's cond inverts R (about 8 ms at sketch 310) and reads a singular
+    # R as inf, so 1 / cond is 0 there.
+    if info == 0 and 1 / np.linalg.cond(r, 1) > _RCOND_FLOOR:
         # At most two m x sketch blocks are alive at once: Y with the
         # reflectors, which go before any product, then Y with U.
         del reflectors, t
