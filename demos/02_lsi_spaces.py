@@ -35,7 +35,7 @@ deviation = np.max(np.abs(fold_in_many([tgt_tokens[0]], mono, "target")[0] - mon
 print(f"fold-in identity on column 0: max deviation {deviation:.2e}")
 
 # --- cross-lingual space ---------------------------------------------------
-cross_matrix = build_cross_matrix(src_tokens, tgt_tokens, "en", "ar")
+cross_matrix = build_cross_matrix(src_tokens, tgt_tokens)
 cross = train(cross_matrix, k=12, seed=42)
 print(f"\ncross-lingual model: |V|={len(cross.vocabulary)} "
       f"(={len(cross.vocabulary.source)} source + {len(cross.vocabulary.target)} target), k={cross.k}")

@@ -13,11 +13,18 @@ A dictionary is built in one pass: each line's sides become frozensets
 directly, a one-term side (most of them) without the split on ``|``;
 duplicate synsets are dropped, and each side maps every term to its
 partners on the other side, as an unordered set, which membership,
-translations and the measures read. ``dict_cosines``
-scores a collection of couples: it weights each side's documents in one
-pass (``Vocabulary.weight_rows``), then walks only the partners of each
-couple's own terms instead of every pair, and sorts them itself.
-``dict_cosine`` is its one-couple case.
+translations and the measures read.
+
+The binary measures and the matching rate read one translation map per
+couple: each type of one document that has a translation among the types of
+the other, mapped to those translations. ``bin_measure`` counts its keys,
+``bin_pooled`` the tokens whose type is a key, and ``matching_rate`` takes
+its edges from it.
+
+``dict_cosines`` scores a collection of couples: it weights each side's
+documents in one pass (``Vocabulary.weight_rows``), then walks only the
+partners of each couple's own terms instead of every pair, and sorts them
+itself. ``dict_cosine`` is its one-couple case.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .vsm import Vocabulary
 __all__ = [
     "BilingualDictionary",
     "load_dictionary",
-    "trans",
     "bin_measure",
     "bin_symmetric",
     "bin_pooled",
@@ -134,21 +140,14 @@ def _synset_side(side: str, fn: Callable[[str], str]) -> frozenset[str]:
     return frozenset(map(fn, filter(None, map(str.strip, side.split("|")))))
 
 
-def trans(
-    word: str,
-    target_document: Iterable[str],
-    dictionary: BilingualDictionary,
-    *,
-    side: str = "source",
-) -> int:
-    """1 if a translation of ``word`` occurs in the other document, else 0.
-
-    ``word`` is looked up on the dictionary's ``side``; with
-    ``side="target"`` the document is searched for source terms.
-    """
-    bag = target_document if isinstance(target_document, (set, frozenset)) else set(target_document)
-    translations = dictionary.translations(word, side)
-    return 1 if translations and not translations.isdisjoint(bag) else 0
+def _translated(
+    d_s: Iterable[str], d_t: Iterable[str], dictionary: BilingualDictionary, side: str = "source"
+) -> dict[str, frozenset[str]]:
+    """Each type of ``d_s`` with a translation among the types of ``d_t``,
+    mapped to those translations; ``d_s`` is looked up on the dictionary's
+    ``side``, so with ``side="target"`` it is the target document."""
+    index, types_t = dictionary._index_for(side), set(d_t)
+    return {w: hits for w in set(d_s) if (hits := index.get(w, _NONE) & types_t)}
 
 
 def bin_measure(
@@ -166,12 +165,10 @@ def bin_measure(
     terms known to the dictionary. Zero when no term is in vocabulary.
     """
     known = dictionary._index_for(side)
-    in_vocab = [w for w in set(d_s) if w in known]
+    in_vocab = sum(w in known for w in set(d_s))
     if not in_vocab:
         return 0.0
-    bag = set(d_t)
-    hits = sum(trans(w, bag, dictionary, side=side) for w in in_vocab)
-    return hits / len(in_vocab)
+    return len(_translated(d_s, d_t, dictionary, side)) / in_vocab
 
 
 def bin_symmetric(
@@ -193,11 +190,10 @@ def bin_pooled(
     """
     if not d_s and not d_t:
         raise UndefinedRateError("both documents are empty")
-    bag_t = set(d_t)
-    bag_s = set(d_s)
-    fwd = sum(1 for w in d_s if trans(w, bag_t, dictionary))
-    bwd = sum(1 for w in d_t if trans(w, bag_s, dictionary, side="target"))
-    return (fwd + bwd) / (len(d_s) + len(d_t))
+    fwd = _translated(d_s, d_t, dictionary)
+    bwd = _translated(d_t, d_s, dictionary, "target")
+    hits = sum(map(fwd.__contains__, d_s)) + sum(map(bwd.__contains__, d_t))
+    return hits / (len(d_s) + len(d_t))
 
 
 def _matched_pairs(
@@ -207,13 +203,9 @@ def _matched_pairs(
     term types that a dictionary translation connects, so at most
     min(|d_s|, |d_t|). Found by augmenting paths (Kuhn's algorithm).
     """
-    targets_of, target_types = dictionary._targets_of, set(d_t)
     # A source term with no translation in d_t can never be matched.
-    edges = {
-        ws: sorted(hits)
-        for ws in sorted(set(d_s))
-        if (hits := targets_of.get(ws, _NONE) & target_types)
-    }
+    translated = _translated(d_s, d_t, dictionary)
+    edges = {ws: sorted(translated[ws]) for ws in sorted(translated)}
     match_of_target: dict[str, str] = {}
 
     def augment(root: str) -> bool:

@@ -230,12 +230,7 @@ def _cmd_train(args) -> int:
         (src_tokens, tgt_tokens), _ = _terms(args, train_part)
         if not len(train_part):
             raise EmptyCorpusError("no couples to train on")
-        matrix = lsi.build_cross_matrix(
-            src_tokens,
-            tgt_tokens,
-            train_part.source_docs[0].language,
-            train_part.target_docs[0].language,
-        )
+        matrix = lsi.build_cross_matrix(src_tokens, tgt_tokens)
     else:
         # Monolingual space lives in the target language: queries are
         # translated into it before projection.

@@ -77,30 +77,22 @@ _RCOND_FLOOR = 1e-6
 
 
 class CrossVocabulary:
-    """Combined index over two vocabularies with per-term language tags.
+    """Combined index over the source and the target vocabulary.
 
     Source terms occupy rows ``[0, len(source))``; target terms follow at
     an offset, so the two languages can never collide even when they share
     surface strings.
     """
 
-    __slots__ = ("source", "target", "source_language", "target_language")
+    __slots__ = ("source", "target")
 
-    def __init__(
-        self,
-        source: Vocabulary,
-        target: Vocabulary,
-        source_language: str = "src",
-        target_language: str = "tgt",
-    ):
+    def __init__(self, source: Vocabulary, target: Vocabulary):
         if source.n_docs != target.n_docs:
             raise ValueError(
                 "per-side document counts differ: %d vs %d" % (source.n_docs, target.n_docs)
             )
         self.source = source
         self.target = target
-        self.source_language = source_language
-        self.target_language = target_language
 
     def __len__(self) -> int:
         return len(self.source) + len(self.target)
@@ -117,21 +109,20 @@ class CrossVocabulary:
         return 0 if side == "source" else len(self.source)
 
     def to_dict(self) -> dict:
+        # Format v1 keeps its two language keys, which the loaders of earlier
+        # releases read, so that they still load these files. No reader uses
+        # their values; these are the ones every ``xling train`` model holds.
+        # A format version 2 may drop the keys.
         return {
             "source": self.source.to_dict(),
             "target": self.target.to_dict(),
-            "source_language": self.source_language,
-            "target_language": self.target_language,
+            "source_language": "src",
+            "target_language": "tgt",
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "CrossVocabulary":
-        return cls(
-            Vocabulary.from_dict(payload["source"]),
-            Vocabulary.from_dict(payload["target"]),
-            payload["source_language"],
-            payload["target_language"],
-        )
+        return cls(Vocabulary.from_dict(payload["source"]), Vocabulary.from_dict(payload["target"]))
 
 
 def build_mono_matrix(documents: Sequence[Sequence[str]]) -> TermDocMatrix:
@@ -151,8 +142,6 @@ def build_mono_matrix(documents: Sequence[Sequence[str]]) -> TermDocMatrix:
 def build_cross_matrix(
     source_documents: Sequence[Sequence[str]],
     target_documents: Sequence[Sequence[str]],
-    source_language: str = "src",
-    target_language: str = "tgt",
 ) -> TermDocMatrix:
     """Stacked-vocabulary matrix whose columns are concatenated couples.
 
@@ -170,10 +159,7 @@ def build_cross_matrix(
     if len(source_documents) == 1:
         warnings.warn("single-couple corpus: every tfidf weight is zero", stacklevel=2)
     vocabulary = CrossVocabulary(
-        build_vocabulary(source_documents),
-        build_vocabulary(target_documents),
-        source_language,
-        target_language,
+        build_vocabulary(source_documents), build_vocabulary(target_documents)
     )
     import scipy.sparse as sp
 

@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from xling.bidict import BilingualDictionary
 from xling.corpus import AlignedCorpus, Document
+
+# One Hypothesis profile for every run, local or CI. No deadline: a loaded
+# machine can stretch any example past one. A failure prints the blob that
+# replays it. Each test draws from a seed fixed by its own code, so that
+# every run tries the same examples.
+settings.register_profile("xling", deadline=None, print_blob=True, derandomize=True)
+settings.load_profile("xling")
 
 
 @pytest.fixture

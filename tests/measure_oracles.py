@@ -124,6 +124,16 @@ def brute_bin_symmetric(d_s, d_t, synsets) -> float:
     return (brute_bin(d_s, d_t, synsets, side=0) + brute_bin(d_t, d_s, synsets, side=1)) / 2.0
 
 
+def brute_bin_pooled(d_s, d_t, synsets) -> float:
+    """Pooled binary measure: each token of either side whose type has a
+    translation among the other side's types, over both sides' token counts."""
+    types_s = set(d_s)
+    types_t = set(d_t)
+    hits = sum(1 for w in d_s if _has_translation(w, types_t, synsets, 0))
+    hits += sum(1 for w in d_t if _has_translation(w, types_s, synsets, 1))
+    return hits / (len(d_s) + len(d_t))
+
+
 def brute_oov(d_s, d_t, synsets) -> float:
     oov_s = sum(1 for w in d_s if not _in_vocab(w, synsets, 0))
     oov_t = sum(1 for w in d_t if not _in_vocab(w, synsets, 1))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from measure_oracles import (
+    brute_bin_pooled,
     brute_bin_symmetric,
     brute_dict_cosine,
     brute_matching_rate,
@@ -23,7 +24,6 @@ from xling.bidict import (
     load_dictionary,
     matching_rate,
     oov_rate,
-    trans,
 )
 from xling.errors import MalformedLineError, UndefinedRateError
 from xling.synthetic import (
@@ -85,21 +85,6 @@ class TestLoadDictionary:
         d = BilingualDictionary({(("a", "b"), ("x",)): None, (("b", "a"), ("x", "x")): None})
         assert d.synsets == ((frozenset({"a", "b"}), frozenset({"x"})),)
         assert d.translations("x", "target") == frozenset({"a", "b"})
-
-
-class TestTrans:
-    def test_oov_word(self, toy_dictionary):
-        assert trans("unknown", {"zayt"}, toy_dictionary) == 0
-
-    def test_translation_present(self, toy_dictionary):
-        assert trans("oil", {"zayt", "x"}, toy_dictionary) == 1
-
-    def test_translation_absent(self, toy_dictionary):
-        assert trans("oil", {"jayid"}, toy_dictionary) == 0
-
-    def test_unknown_direction_raises(self, toy_dictionary):
-        with pytest.raises(ValueError, match="side must be"):
-            trans("oil", {"zayt"}, toy_dictionary, side="backward")
 
 
 class TestBinMeasure:
@@ -266,7 +251,7 @@ class TestBatchedDictCosine:
     """``dict_cosines`` weights each side once and scores every couple exactly
     as the per-couple ``dict_cosine`` and the all-pairs loop do."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         docs_s=_docs(_SRC_POOL),
         docs_t=_docs(_TGT_POOL),
@@ -342,7 +327,7 @@ class TestReduced:
         assert len(d) == 2
         _assert_same_dictionary(d, two_step_reduced_dictionary(path, suffix_stem, str.upper))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         lines=st.lists(
             st.tuples(
@@ -417,7 +402,7 @@ class TestLoaderOracle:
     def path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("dict") / "d.tsv"
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         text=_dictionary_texts(),
         source_fn=st.sampled_from([str, suffix_stem, light_stem, str.upper]),
@@ -480,7 +465,7 @@ class TestMergedTermsOracle:
 
     _REDUCERS = st.sampled_from([str, suffix_stem, str.upper])
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(text=_merging_texts(malformed=False), source_fn=_REDUCERS, target_fn=_REDUCERS)
     def test_same_dictionary(self, path, text, source_fn, target_fn):
         path.write_text(text, encoding="utf-8")
@@ -490,7 +475,7 @@ class TestMergedTermsOracle:
         assert got._targets_of == expected._targets_of
         assert got._sources_of == expected._sources_of
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(text=_merging_texts(malformed=True), source_fn=_REDUCERS, target_fn=_REDUCERS)
     def test_first_malformed_line_wins(self, path, text, source_fn, target_fn):
         path.write_text(text, encoding="utf-8")
@@ -580,6 +565,7 @@ class TestOracleAgreement:
             d_s, d_t, synsets = random_toy_pair(rng)
             d = BilingualDictionary(synsets) if synsets else BilingualDictionary([])
             assert bin_symmetric(d_s, d_t, d) == brute_bin_symmetric(d_s, d_t, d.synsets)
+            assert bin_pooled(d_s, d_t, d) == brute_bin_pooled(d_s, d_t, d.synsets)
             assert oov_rate(d_s, d_t, d) == brute_oov(d_s, d_t, d.synsets)
             assert matching_rate(d_s, d_t, d) == brute_matching_rate(d_s, d_t, d.synsets)
 

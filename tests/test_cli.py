@@ -469,9 +469,7 @@ class TestTrain:
             matrix = lsi.build_mono_matrix(tgt_tokens)
         else:
             src_tokens = run_pipeline(src, config, "source")
-            matrix = lsi.build_cross_matrix(src_tokens, tgt_tokens,
-                                            train_part.source_docs[0].language,
-                                            train_part.target_docs[0].language)
+            matrix = lsi.build_cross_matrix(src_tokens, tgt_tokens)
         expected = tmp_path / "library.xlsm"
         lsi.save_model(lsi.train(matrix, 6, seed=42), expected)
         assert model_path.read_bytes() == expected.read_bytes()
@@ -485,8 +483,7 @@ class TestTrain:
         tgt_tokens = run_pipeline(tgt, config, "target")
         # Words seen once on a side are dropped, so the flag changes the model.
         assert src_tokens != run_pipeline(src) and tgt_tokens != run_pipeline(tgt)
-        matrix = lsi.build_cross_matrix(src_tokens, tgt_tokens, pairs.source_docs[0].language,
-                                        pairs.target_docs[0].language)
+        matrix = lsi.build_cross_matrix(src_tokens, tgt_tokens)
         expected = tmp_path / "library.xlsm"
         lsi.save_model(lsi.train(matrix, 8, seed=42), expected)
         assert model_path.read_bytes() == expected.read_bytes()
@@ -548,12 +545,40 @@ class TestTrain:
         matrix = lsi.build_cross_matrix(
             run_pipeline([d.text for d in pairs.source_docs], config, "source", as_written),
             run_pipeline([d.text for d in pairs.target_docs], config, "target", as_written),
-            pairs.source_docs[0].language,
-            pairs.target_docs[0].language,
         )
         expected = tmp_path / "library.xlsm"
         lsi.save_model(lsi.train(matrix, 3, seed=42), expected)
         assert model_path.read_bytes() == expected.read_bytes()
+
+
+class TestModelFormatV1:
+    """A cross model's vocabulary block keeps format v1's two language keys,
+    and their values change nothing that is loaded."""
+
+    def test_trained_model_block_carries_the_v1_language_keys(self, tmp_path, corpus_file):
+        blob = _train(tmp_path, corpus_file).read_bytes()
+        *_, size = lsi._MODEL_HEADER.unpack_from(blob)
+        block = json.loads(blob[lsi._MODEL_HEADER.size:lsi._MODEL_HEADER.size + size])
+        assert block["cross"]["source_language"] == "src"
+        assert block["cross"]["target_language"] == "tgt"
+
+    def test_other_language_values_load_the_same_model(self, tmp_path, corpus_file):
+        path = _train(tmp_path, corpus_file)
+        blob = path.read_bytes()
+        *fields, size = lsi._MODEL_HEADER.unpack_from(blob)
+        start = lsi._MODEL_HEADER.size
+        block = json.loads(blob[start:start + size])
+        block["cross"].update(source_language="en", target_language="ar")
+        edited = json.dumps(block, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        other = tmp_path / "en-ar.xlsm"
+        other.write_bytes(
+            lsi._MODEL_HEADER.pack(*fields, len(edited)) + edited + blob[start + size:]
+        )
+        a, b = load_model(path), load_model(other)
+        for name in ("u", "s", "v"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for side in ("source", "target"):
+            assert a.vocabulary.vocab_for(side).to_dict() == b.vocabulary.vocab_for(side).to_dict()
 
 
 class TestRetrieveEvalAlign:
@@ -1577,11 +1602,36 @@ _MUTATIONS = {
     "10,000 |": _wide_side,
 }
 
+
+def _entity_amplification(levels: int, blob: bytes) -> bytes:
+    """A DTD of ``levels`` nested entities, each ten of the one before, that a
+    page's text references: 10**levels characters."""
+    entities = [b'<!ENTITY e0 "0123456789">'] + [
+        b'<!ENTITY e%d "%s">' % (i, b"&e%d;" % (i - 1) * 10) for i in range(1, levels)
+    ]
+    dtd = b"<!DOCTYPE mediawiki [" + b"".join(entities) + b"]>"
+    return dtd + blob.replace(b"</text>", b"&e%d;</text>" % (levels - 1), 1)
+
+
+def _external_entity(blob: bytes) -> bytes:
+    """A page's text references an external entity, which is never read."""
+    dtd = b'<!DOCTYPE mediawiki [<!ENTITY ext SYSTEM "secret.txt">]>'
+    return dtd + blob.replace(b"</text>", b"&ext;</text>", 1)
+
+
+_XML_ATTACKS = {
+    "entity amplification": lambda rng, blob: _entity_amplification(rng.randint(1, 9), blob),
+    "external entity": lambda rng, blob: _external_entity(blob),
+}
 _NESTED = {**_MUTATIONS, "deep nesting": _deep_nesting}
 _SCORE = ("score --measure match --corpus {corpus} --dictionary {dictionary}"
           " --stopwords {stopwords} --output {dir}/m.tsv").split()
 _ALIGN = ("align --model {model} --source-docs {source_docs} --target-docs {target_docs}"
           " --output {dir}/aligned.tsv").split()
+_RETRIEVE = ("retrieve --model {mono} --corpus {corpus} --cache {cache}"
+             " --output {dir}/ranked.json").split()
+_INGEST = ("ingest --input {wikidump} --format wikidump --pivot-lang en --tgt-lang ar"
+           " --output {dir}/ingested.jsonl").split()
 
 # Each reader's input file, by name: the command that reads it (its other
 # inputs valid), the mutations it gets and how many are drawn.
@@ -1590,7 +1640,11 @@ _READERS = {
     "stopwords": (_SCORE, _MUTATIONS, 40),
     "corpus": (_SCORE, _NESTED, 40),
     "source_docs": (_ALIGN, _NESTED, 40),
+    "cache": (_RETRIEVE, _NESTED, 30),
+    "wikidump": (_INGEST, {**_MUTATIONS, **_XML_ATTACKS}, 40),
 }
+_INPUTS = ("corpus", "dictionary", "stopwords", "source_docs", "target_docs", "cache",
+           "wikidump", "model", "mono")
 
 
 class TestReaderContract:
@@ -1600,12 +1654,25 @@ class TestReaderContract:
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
-        """Each command's valid input files, by name, and a model trained on the corpus."""
+        """Each command's valid input files, by name, and a cross and a mono
+        model trained on the corpus."""
         tmp = tmp_path_factory.mktemp("contract")
         corpus = make_parallel_corpus(10, SPEC, seed=12)
         save_aligned_corpus(corpus, tmp / "corpus")
         save_documents(corpus.source_docs, tmp / "source_docs")
         save_documents(corpus.target_docs, tmp / "target_docs")
+        # Each source's cached translation is its target's text.
+        save_documents([Document(s.id, "ar", t.text) for s, t in corpus.pairs()], tmp / "cache")
+        # Each source is an English pivot page linked to its target; a
+        # redirect and a talk page are read and skipped.
+        pages = [("Redirect", "0", "<redirect />", "#REDIRECT [[s0]]"), ("Talk:s0", "1", "", "")]
+        for s, t in corpus.pairs():
+            pages += [(s.id, "0", "", f"'''{s.text}''' [[ar:{t.id}]]"), (t.id, "0", "", t.text)]
+        (tmp / "wikidump").write_text("<mediawiki>\n" + "".join(
+            f"<page><title>{title}</title><ns>{ns}</ns>{extra}"
+            f"<revision><text>{text}</text></revision></page>\n"
+            for title, ns, extra, text in pages
+        ) + "</mediawiki>\n", encoding="utf-8")
         words = source_vocabulary(SPEC)
         # Every fourth synset has two target terms, so both parser branches run.
         (tmp / "dictionary").write_text("# a comment\n\n" + "".join(
@@ -1616,18 +1683,18 @@ class TestReaderContract:
         )
         train = ["train", "--corpus", str(tmp / "corpus"), "--k", "4", "--no-split"]
         assert main([*train, "--output", str(tmp / "model")]) == 0
+        assert main([*train, "--kind", "mono", "--output", str(tmp / "mono")]) == 0
         return tmp
 
     @pytest.mark.parametrize("reader", sorted(_READERS))
     def test_exit_code_and_one_json_line(self, inputs, capsys, reader):
         command, mutations, max_examples = _READERS[reader]
         valid = (inputs / reader).read_bytes()
-        files = {name: inputs / name for name in
-                 ("corpus", "dictionary", "stopwords", "source_docs", "target_docs", "model")}
+        files = {name: inputs / name for name in _INPUTS}
         files[reader] = inputs / "mutated"
         argv = [arg.format(dir=inputs, **files) for arg in command]
 
-        @settings(max_examples=max_examples, deadline=None)
+        @settings(max_examples=max_examples)
         @given(mutation=st.sampled_from(sorted(mutations)), seed=st.integers(0, 2**32 - 1))
         def check(mutation, seed):
             files[reader].write_bytes(mutations[mutation](random.Random(seed), valid))
@@ -1641,6 +1708,16 @@ class TestReaderContract:
                 assert err == ""
 
         check()
+
+    # Nine levels (10**9 characters) exceed expat's amplification limit.
+    @pytest.mark.parametrize("attack", [lambda blob: _entity_amplification(9, blob),
+                                        _external_entity],
+                             ids=["entity amplification", "external entity"])
+    def test_xml_entity_attack_exits_two(self, inputs, capsys, attack):
+        mutated = inputs / "mutated"
+        mutated.write_bytes(attack((inputs / "wikidump").read_bytes()))
+        assert main([arg.format(dir=inputs, wikidump=mutated) for arg in _INGEST]) == 2
+        assert _one_json_error(capsys)["error"] == "TruncatedStreamError"
 
 
 class TestCollectorPause:

@@ -121,12 +121,11 @@ class TestBuildCrossMatrix:
         assert np.allclose(tdm.matrix.toarray(), dense, atol=0)
 
     def test_row_layout_source_block_first(self):
-        tdm = build_cross_matrix([["a"], ["b"]], [["x"], ["y"]], "en", "ar")
+        tdm = build_cross_matrix([["a"], ["b"]], [["x"], ["y"]])
         vocab = tdm.vocabulary
         assert vocab.source.terms[0] == "a" and vocab.offset_for("source") == 0
         assert vocab.target.terms[0] == "x" and vocab.offset_for("target") == len(vocab.source)
         assert tdm.matrix[0, 0] > 0 and tdm.matrix[len(vocab.source), 0] > 0
-        assert vocab.source_language == "en"
 
     def test_couple_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -270,7 +269,7 @@ class TestSignConvention:
         assert np.array_equal(model.v[:, 0], 7.0 - np.arange(5.0))
         assert np.all(_pivot_entries(model.u) > 0)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_ties_and_zero_columns_match_the_oracle(self, data):
         # Few distinct magnitudes, so that a column's largest and most

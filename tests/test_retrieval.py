@@ -144,7 +144,7 @@ class TestRetrieve:
         backward = _rank(query, _embeddings(dict(reversed(vecs))), 4)
         assert forward == backward
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         k=st.integers(min_value=1, max_value=300),
         n_rows=st.integers(min_value=1, max_value=700),
@@ -235,7 +235,7 @@ _NON_FINITE = pytest.mark.filterwarnings("ignore:invalid value encountered:Runti
 
 class TestRetrieveMany:
     @_NON_FINITE
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=_ranking_blocks())
     def test_bit_identical_to_per_query_oracle(self, case):
         queries, candidates, n = case
@@ -628,7 +628,7 @@ def _near_tie(values, gap: float = 1e-9) -> bool:
 
 
 class TestAlignmentOracle:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         source=_align_collection("s", "en", False),
         target=_align_collection("t", "ar", True),
@@ -874,8 +874,7 @@ def _json_ranked_lists(draw):
 
 
 class TestWriters:
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lists=_json_ranked_lists())
     def test_ranked_lists_json_bytes_equal_json_dumps(self, tmp_path, lists):
         path = tmp_path / "ranked.json"

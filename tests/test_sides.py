@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from xling.bidict import BilingualDictionary, bin_measure, trans
+from xling.bidict import BilingualDictionary, bin_measure
 from xling.corpus import Document
 from xling.lsi import CrossVocabulary, LsiModel, fold_in_many
 from xling.retrieval import embed_documents
@@ -34,7 +34,6 @@ TAKES_A_SIDE = {
     "offset_for": lambda side: CROSS_VOCABULARY.offset_for(side),
     "contains": lambda side: DICTIONARY.contains("a", side),
     "translations": lambda side: DICTIONARY.translations("a", side),
-    "trans": lambda side: trans("a", ["x"], DICTIONARY, side=side),
     "bin_measure": lambda side: bin_measure(["a"], ["x"], DICTIONARY, side=side),
     "reducer_for": lambda side: PipelineConfig().reducer_for(side),
     **{f"make_reducer_{kind.value}": lambda side, kind=kind: make_reducer(

@@ -55,7 +55,7 @@ _ASCII = [chr(c) for c in range(128)]
 class TestAsciiFastPath:
     """``tokenize`` equals the plain word-regex oracle on every text."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(text=st.text(st.sampled_from(_ASCII), max_size=80))
     @example(text="".join(_ASCII))
     @example(text="A_b-C3PO\tx\x1cY\x7fz")
@@ -173,7 +173,7 @@ class TestCompiledAffixTables:
     """The compiled affix tables strip exactly what a walk over the tables,
     one entry at a time, strips."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(word=_affixed_words)
     @example(word="")
     @example(word="وال")
@@ -192,7 +192,7 @@ class TestCompiledAffixTables:
         assert light_stem(word) == loop_light_stem(word)
         assert root_stem(word) == loop_root_stem(word)
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(word=_affixed_words)
     @example(word="")
     @example(word="s")

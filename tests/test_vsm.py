@@ -52,7 +52,7 @@ class TestIdf:
     """``Vocabulary.idf``, one log per distinct df, has the bits of one
     ``math.log`` per term."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(n_docs=st.integers(min_value=1, max_value=10**9), data=st.data())
     def test_equals_one_log_per_term(self, n_docs, data):
         df = data.draw(st.lists(st.integers(min_value=1, max_value=n_docs), max_size=40))
@@ -137,7 +137,7 @@ def _oracle_matrix(documents, vocabulary, offset=0, n_rows=None):
 class TestWeightsOracle:
     """``Vocabulary.weight_rows`` and everything built on it equal the per-term loop bit for bit."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         couples=st.lists(
             st.tuples(
@@ -190,7 +190,7 @@ class TestWeightsOracle:
 class TestWeightRowsOracle:
     """One pass over a collection equals the per-document loops bit for bit."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         couples=st.lists(
             st.tuples(
