@@ -21,14 +21,14 @@ the other, mapped to those translations. ``bin_measure`` counts its keys,
 ``bin_pooled`` the tokens whose type is a key, and ``matching_rate`` takes
 its edges from it.
 
-``dict_cosines`` scores a collection of couples: it weights each side's
-documents in one pass (``Vocabulary.weight_rows``), then walks only the
-partners of each couple's own terms instead of every pair, and sorts them
-itself. ``dict_cosine`` is its one-couple case.
+``dict_cosines`` weights each side's documents in one pass
+(``Vocabulary.weight_rows``) and sums exactly (``math.fsum``) over the
+partners of each couple's own terms; ``dict_cosine`` is its one-couple case.
 """
 
 from __future__ import annotations
 
+from math import fsum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -100,11 +100,12 @@ def load_dictionary(
 ) -> BilingualDictionary:
     """Load a dictionary file: ``src1|src2<TAB>tgt1|tgt2`` per synset.
 
-    Blank lines, ``#`` comment lines and a leading byte-order mark are
-    ignored; duplicate lines merge into a single synset. Terms are
-    lowercased, as ``tokenize`` lowercases words, then mapped through their
-    side's reducer (``str`` keeps them lowercased), so terms that reduce to
-    the same form merge, and so do synsets that become equal. The first
+    Lines end at LF, CR LF or CR, as JSONL lines do, not at the other breaks
+    of ``str.splitlines``. Blank lines, ``#`` comment lines and a leading
+    byte-order mark are ignored; duplicate lines merge into one synset. Terms
+    are lowercased, as ``tokenize`` lowercases words, then mapped through
+    their side's reducer (``str`` keeps them lowercased), so terms that reduce
+    to the same form merge, and so do synsets that become equal. The first
     malformed line in the file raises :class:`MalformedLineError`.
     """
     # Lowering the whole text equals lowering each term: no case mapping
@@ -112,7 +113,7 @@ def load_dictionary(
     # final-sigma context stops at each of them.
     text = Path(path).read_text(encoding="utf-8-sig").lower()
     synsets: list[tuple[frozenset[str], frozenset[str]]] = []
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -286,44 +287,23 @@ def dict_cosines(
     in the target document (zero when the word is absent from the document
     or from the stats).
 
-    Only pairs with a non-zero attribute add to a sum, so each sum walks the
-    partners of the couple's own terms instead of every pair. It adds the same
-    terms in the same (w_s, w_t) order as a walk over every pair would, so
-    each score is bit-identical to that walk.
+    Only pairs with non-zero attributes add to a sum, which walks the partners
+    of the couple's own terms; it is exact, so no hash seed changes a score.
     """
     if len(source_docs) != len(target_docs):
         raise ValueError(
             f"{len(source_docs)} source documents for {len(target_docs)} target documents"
         )
-    sources_of = dictionary._sources_of
-    rows_s = list(_tfidf_rows(source_docs, source_stats, dictionary._targets_of))
+    targets_of, sources_of = dictionary._targets_of, dictionary._sources_of
+    rows_s = _tfidf_rows(source_docs, source_stats, targets_of)
     rows_t = _tfidf_rows(target_docs, target_stats, sources_of)
-    targets_of = {ws: sorted(dictionary._targets_of[ws]) for ws in set().union(*rows_s)}
-    return [
-        _paired_cosine(w_s, w_t, targets_of, sources_of) for w_s, w_t in zip(rows_s, rows_t)
-    ]
-
-
-def _paired_cosine(
-    weights_s: Mapping[str, float],
-    weights_t: Mapping[str, float],
-    targets_of: Mapping[str, Sequence[str]],
-    sources_of: Mapping[str, frozenset[str]],
-) -> float:
-    dot = 0.0
-    norm_s = 0.0
-    for ws in sorted(weights_s):
-        a = weights_s[ws]
-        for wt in targets_of[ws]:
-            dot += a * weights_t.get(wt, 0.0)
-            norm_s += a * a
-    norm_t = 0.0
-    for _, wt in sorted((ws, wt) for wt in weights_t for ws in sources_of[wt]):
-        b = weights_t[wt]
-        norm_t += b * b
-    if norm_s == 0.0 or norm_t == 0.0:
-        return 0.0
-    return dot / (norm_s**0.5 * norm_t**0.5)
+    scores = []
+    for w_s, w_t in zip(rows_s, rows_t):
+        dot = fsum(a * w_t[wt] for ws, a in w_s.items() for wt in targets_of[ws] if wt in w_t)
+        norm_s = fsum(a * a for ws, a in w_s.items() for _ in targets_of[ws])
+        norm_t = fsum(b * b for wt, b in w_t.items() for _ in sources_of[wt])
+        scores.append(dot / (norm_s**0.5 * norm_t**0.5) if norm_s and norm_t else 0.0)
+    return scores
 
 
 def _tfidf_rows(

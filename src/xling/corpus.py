@@ -156,10 +156,20 @@ def _records(path: Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
 def _document(
     line_number: int, record: dict, language: str, id_field: str = "id", text_field: str = "text"
 ) -> Document:
-    """Build one ``Document`` from a record; a bad value names the line."""
+    """Build one ``Document`` from a record; a bad value names the line.
+
+    An id is a string, or an integer, which becomes its decimal string.
+    """
+    doc_id = record[id_field]
+    if type(doc_id) is int:
+        doc_id = str(doc_id)
+    elif type(doc_id) is not str:
+        raise MalformedRecordError(
+            line_number, f"{id_field} must be a string or an integer, not {type(doc_id).__name__}"
+        )
     try:
         return Document(
-            str(record[id_field]),
+            doc_id,
             language,
             record[text_field],
             record.get("group_key"),

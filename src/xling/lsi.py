@@ -60,7 +60,9 @@ __all__ = [
     "DEFAULT_RANK",
 ]
 
-# Default latent dimension; retrieval quality plateaus in the low hundreds.
+# Default latent dimension. It is not a good one for comparable corpora: on
+# tests/test_paper_claims.py's set-up (500 couples, 20 topics), held-out R@1
+# read 0.78-0.84 at k 20, 0.16 at k 50 and 0.00 at k 300.
 DEFAULT_RANK = 300
 
 _RANK_TRUNCATION = 1e-10  # singular values below this times s[0] are dropped
@@ -433,7 +435,7 @@ def load_model(path: str | Path, digest=None) -> LsiModel:
             vocabulary = (CrossVocabulary if kind_byte == 1 else Vocabulary).from_dict(
                 vocab_payload[key]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a df past int64
             raise CorruptModelError(
                 f"invalid vocabulary block ({type(exc).__name__}: {exc})"
             ) from exc

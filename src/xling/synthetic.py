@@ -44,8 +44,6 @@ class SyntheticSpec:
     doc_length: tuple[int, int] = (60, 100)
     topic_alpha: float = 0.4
     common_fraction: float = 0.4
-    source_language: str = "en"
-    target_language: str = "ar"
 
 
 def source_vocabulary(spec: SyntheticSpec) -> list[str]:
@@ -74,7 +72,7 @@ class _Generator:
         self.rng = np.random.default_rng(seed)
         words = source_vocabulary(spec)
         self.words = {"source": words, "target": [cipher_word(w) for w in words]}
-        self.language = {"source": spec.source_language, "target": spec.target_language}
+        self.language = {"source": "en", "target": "ar"}
         self.alpha = spec.topic_alpha * spec.n_topics * _zipf(spec.n_topics)
         self.topic_p = _zipf(spec.words_per_topic)
         self.common_p = _zipf(spec.common_words)

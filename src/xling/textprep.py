@@ -361,5 +361,6 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     A leading byte-order mark is ignored. Entries keep their case;
     :class:`PipelineConfig` lowercases them.
     """
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    # read_text folds "\r\n" and "\r" into "\n"; no other character breaks a line.
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     return frozenset(filter(None, (raw.split("#", 1)[0].strip() for raw in lines)))

@@ -123,7 +123,16 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Vocabulary":
-        return cls(payload["terms"], payload["df"], payload["n_docs"])
+        """The inverse of :meth:`to_dict`. ``terms`` must be a list of str,
+        ``df`` a list of int and ``n_docs`` an int, as written; another type
+        raises TypeError instead of being converted. The element tests map
+        ``type`` over each list, with no per-term Python loop."""
+        terms, df, n_docs = payload["terms"], payload["df"], payload["n_docs"]
+        if not (type(terms) is list and set(map(type, terms)) <= {str}
+                and type(df) is list and set(map(type, df)) <= {int} and type(n_docs) is int):
+            raise TypeError("terms must be a list of strings, df a list of integers"
+                            " and n_docs an integer")
+        return cls(terms, df, n_docs)
 
 
 def build_vocabulary(documents: Sequence[Sequence[str]]) -> Vocabulary:

@@ -5,7 +5,8 @@ The dictionary measures work directly off the synset list by exhaustive
 enumeration (no indexes, no shortcuts) so the package implementations have
 a fully independent oracle to agree with. Only suitable for toy documents.
 ``pair_loop_dict_cosine`` is the exception: it walks every translation
-pair in order, so the indexed ``dict_cosines`` must match it bit for bit.
+pair and sums exactly, so the indexed ``dict_cosines`` must match it bit for
+bit.
 ``brute_tfidf`` is the per-term loop that each row of
 ``Vocabulary.weight_rows`` must reproduce bit for bit, and with it every
 matrix and fold-in built on it. ``loop_idf`` is one ``math.log`` per term,
@@ -205,7 +206,8 @@ def brute_dict_cosine(d_s, d_t, synsets, source_stats, target_stats) -> float:
 
 def pair_loop_dict_cosine(d_s, d_t, dictionary, source_stats, target_stats) -> float:
     """One couple's ``dict_cosines`` as one loop over all of the dictionary's
-    translation pairs, deduplicated and sorted, read off its synsets."""
+    translation pairs, deduplicated, read off its synsets; each sum is exact
+    (``math.fsum``), so the loop's order does not matter."""
     counts_s = Counter(d_s)
     counts_t = Counter(d_t)
 
@@ -218,16 +220,15 @@ def pair_loop_dict_cosine(d_s, d_t, dictionary, source_stats, target_stats) -> f
             return 0.0
         return tfidf(tf, int(stats.df[i]), stats.n_docs)
 
-    dot = 0.0
-    norm_s = 0.0
-    norm_t = 0.0
+    dot, norm_s, norm_t = [], [], []
     pairs = {(ws, wt) for src, tgt in dictionary.synsets for ws in src for wt in tgt}
-    for ws, wt in sorted(pairs):
+    for ws, wt in pairs:
         a = weight(ws, counts_s, source_stats)
         b = weight(wt, counts_t, target_stats)
-        dot += a * b
-        norm_s += a * a
-        norm_t += b * b
+        dot.append(a * b)
+        norm_s.append(a * a)
+        norm_t.append(b * b)
+    dot, norm_s, norm_t = math.fsum(dot), math.fsum(norm_s), math.fsum(norm_t)
     if norm_s == 0.0 or norm_t == 0.0:
         return 0.0
     return dot / (norm_s**0.5 * norm_t**0.5)

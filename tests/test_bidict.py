@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +19,7 @@ from measure_oracles import (
     split_every_side_load_dictionary,
     two_step_reduced_dictionary,
 )
+import xling
 from xling.bidict import (
     BilingualDictionary,
     bin_measure,
@@ -65,6 +71,17 @@ class TestLoadDictionary:
         with pytest.raises(MalformedLineError) as err:
             load_dictionary(path)
         assert err.value.line_number == 2
+
+    # Characters that str.splitlines breaks at and a file's lines do not.
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_only_line_feed_and_carriage_return_break_lines(self, tmp_path, brk):
+        path = tmp_path / "d.tsv"
+        path.write_text(f"olive\tzaytun\r\nriver{brk}bank\tnahr\r", encoding="utf-8")
+        assert load_dictionary(path).translations(f"river{brk}bank") == {"nahr"}
+        path.write_text(f"olive\tzaytun\r\nriver{brk}bank\tnahr\rbad line\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError, match="line 3: expected exactly one tab"):
+            load_dictionary(path)
 
     def test_empty_side_rejected(self, tmp_path):
         # "a\t" alone would be stripped to "a" and refused for its missing tab.
@@ -277,6 +294,37 @@ class TestBatchedDictCosine:
         for score, d_s, d_t in zip(got, docs_s, docs_t):
             assert score == dict_cosine(d_s, d_t, d, stats_s, stats_t)
             assert score == pair_loop_dict_cosine(d_s, d_t, d, stats_s, stats_t)
+
+    def test_same_bits_under_any_hash_seed(self):
+        # Three synsets merge into one, so each term has three partners, and
+        # the sets and maps walked yield them in an order the hash seed sets.
+        script = (
+            "from xling.bidict import BilingualDictionary, dict_cosines\n"
+            "from xling.synthetic import SyntheticSpec, make_comparable_corpus, make_dictionary\n"
+            "from xling.vsm import build_vocabulary\n"
+            "spec = SyntheticSpec(n_topics=30, words_per_topic=20)\n"
+            "corpus = make_comparable_corpus(60, spec, seed=5)\n"
+            "docs_s = [d.text.split() for d in corpus.source_docs]\n"
+            "docs_t = [d.text.split() for d in corpus.target_docs]\n"
+            "synsets = iter(make_dictionary(spec, coverage=0.8, seed=7).synsets)\n"
+            "d = BilingualDictionary((s1 | s2 | s3, t1 | t2 | t3)\n"
+            "                        for (s1, t1), (s2, t2), (s3, t3) in zip(*[synsets] * 3))\n"
+            "scores = dict_cosines(docs_s, docs_t, d, build_vocabulary(docs_s),\n"
+            "                      build_vocabulary(docs_t))\n"
+            "print(' '.join(map(float.hex, scores)))\n"
+        )
+        src = str(Path(xling.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, check=True,
+            ).stdout.split()
+            for seed in ("0", "12345")
+        ]
+        assert len(runs[0]) == 60 and runs[0] == runs[1]
+        assert len(set(runs[0])) > 50
 
     def test_empty_collection_and_length_mismatch(self):
         d = BilingualDictionary([(("a",), ("x",))])

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import struct
 import subprocess
 import sys
@@ -855,7 +856,8 @@ class TestRetrieveEvalAlign:
         assert json.loads(capsys.readouterr().err)["error"] == "CorruptModelError"
 
     @pytest.mark.parametrize(
-        "damage", ["kind byte 0", "kind byte 7", "empty cross", "df > n", "negative sigma"]
+        "damage", ["kind byte 0", "kind byte 7", "empty cross", "df > n", "negative sigma",
+                   "df float", "df string", "n_docs float", "terms string", "terms object"]
     )
     def test_damaged_model_exits_three(self, tmp_path, corpus_file, capsys, damage):
         model_path = _train(tmp_path, corpus_file)
@@ -870,10 +872,23 @@ class TestRetrieveEvalAlign:
             blob[at : at + 8] = struct.pack("<d", -1.0)
         else:
             vocab = json.loads(blob[header + 8 : header + 8 + size])
+            side = vocab["cross"]["source"]
+            # Until the block's JSON types were checked, each of the last five
+            # loaded, converted, as a model of the same size.
             if damage == "empty cross":
                 vocab = {"cross": {}}
+            elif damage == "df > n":
+                side["df"][0] = side["n_docs"] + 1
+            elif damage == "df float":
+                side["df"][0] += 0.9
+            elif damage == "df string":
+                side["df"][0] = str(side["df"][0])
+            elif damage == "n_docs float":
+                side["n_docs"] += 0.5
+            elif damage == "terms string":
+                side["terms"] = "".join(chr(0x4E00 + i) for i in range(len(side["terms"])))
             else:
-                vocab["cross"]["source"]["df"][0] = vocab["cross"]["source"]["n_docs"] + 1
+                side["terms"] = dict.fromkeys(side["terms"], 0)
             payload = json.dumps(vocab).encode("utf-8")
             blob[header : header + 8 + size] = struct.pack("<Q", len(payload)) + payload
         model_path.write_bytes(bytes(blob))
@@ -1624,6 +1639,33 @@ _XML_ATTACKS = {
     "external entity": lambda rng, blob: _external_entity(blob),
 }
 _NESTED = {**_MUTATIONS, "deep nesting": _deep_nesting}
+
+
+def _in_one_file(mutate):
+    """``mutate`` applied to one file of a directory tree ({path: bytes})."""
+    def apply(rng: random.Random, tree: dict) -> dict:
+        path = rng.choice(sorted(tree))
+        return {**tree, path: mutate(rng, tree[path])}
+    return apply
+
+
+def _drop_one_file(rng: random.Random, tree: dict) -> dict:
+    """One document loses its counterpart."""
+    gone = rng.choice(sorted(tree))
+    return {path: blob for path, blob in tree.items() if path != gone}
+
+
+def _third_language(rng: random.Random, tree: dict) -> dict:
+    """A third language directory holding a copy of one document."""
+    path = rng.choice(sorted(tree))
+    return {**tree, f"fr/{Path(path).name}": tree[path]}
+
+
+_PAIRDIRS = {
+    **{name: _in_one_file(mutate) for name, mutate in _MUTATIONS.items()},
+    "no counterpart": _drop_one_file,
+    "third language": _third_language,
+}
 _SCORE = ("score --measure match --corpus {corpus} --dictionary {dictionary}"
           " --stopwords {stopwords} --output {dir}/m.tsv").split()
 _ALIGN = ("align --model {model} --source-docs {source_docs} --target-docs {target_docs}"
@@ -1632,9 +1674,10 @@ _RETRIEVE = ("retrieve --model {mono} --corpus {corpus} --cache {cache}"
              " --output {dir}/ranked.json").split()
 _INGEST = ("ingest --input {wikidump} --format wikidump --pivot-lang en --tgt-lang ar"
            " --output {dir}/ingested.jsonl").split()
+_INGEST_PAIRDIRS = "ingest --input {pairdirs} --format pairdirs --output {dir}/pairs.jsonl".split()
 
-# Each reader's input file, by name: the command that reads it (its other
-# inputs valid), the mutations it gets and how many are drawn.
+# Each reader's input file or directory, by name: the command that reads it
+# (its other inputs valid), the mutations it gets and how many are drawn.
 _READERS = {
     "dictionary": (_SCORE, _MUTATIONS, 100),
     "stopwords": (_SCORE, _MUTATIONS, 40),
@@ -1642,20 +1685,40 @@ _READERS = {
     "source_docs": (_ALIGN, _NESTED, 40),
     "cache": (_RETRIEVE, _NESTED, 30),
     "wikidump": (_INGEST, {**_MUTATIONS, **_XML_ATTACKS}, 40),
+    "pairdirs": (_INGEST_PAIRDIRS, _PAIRDIRS, 40),
 }
 _INPUTS = ("corpus", "dictionary", "stopwords", "source_docs", "target_docs", "cache",
-           "wikidump", "model", "mono")
+           "wikidump", "pairdirs", "model", "mono")
+
+
+def _read_input(path: Path):
+    """A file's bytes, or a directory's files as {relative path: bytes}."""
+    if path.is_file():
+        return path.read_bytes()
+    return {p.relative_to(path).as_posix(): p.read_bytes()
+            for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+def _write_input(path: Path, data) -> None:
+    """Write what :func:`_read_input` returns, replacing a directory whole."""
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+        return
+    shutil.rmtree(path, ignore_errors=True)
+    for name, blob in data.items():
+        (path / name).parent.mkdir(parents=True, exist_ok=True)
+        (path / name).write_bytes(blob)
 
 
 class TestReaderContract:
-    """A mutated input file through the command that reads it ends in exit
-    0, 2, 3 or 4, with stderr empty or one line of JSON; no exception
-    escapes ``main``."""
+    """A mutated input file or directory through the command that reads it
+    ends in exit 0, 2, 3 or 4, with stderr empty or one line of JSON; no
+    exception escapes ``main``."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
-        """Each command's valid input files, by name, and a cross and a mono
-        model trained on the corpus."""
+        """Each command's valid input files, by name, the corpus as a pair
+        directory, and a cross and a mono model trained on the corpus."""
         tmp = tmp_path_factory.mktemp("contract")
         corpus = make_parallel_corpus(10, SPEC, seed=12)
         save_aligned_corpus(corpus, tmp / "corpus")
@@ -1681,6 +1744,12 @@ class TestReaderContract:
         (tmp / "stopwords").write_text(
             "# a comment\n\n" + "".join(f"{w}  # inline\n" for w in words[::3]), encoding="utf-8"
         )
+        # A couple's ids differ only in their first letter, which each file name drops.
+        for doc in (*corpus.source_docs, *corpus.target_docs):
+            (tmp / "pairdirs" / doc.language).mkdir(parents=True, exist_ok=True)
+            (tmp / "pairdirs" / doc.language / f"{doc.id[1:]}.txt").write_text(
+                doc.text, encoding="utf-8"
+            )
         train = ["train", "--corpus", str(tmp / "corpus"), "--k", "4", "--no-split"]
         assert main([*train, "--output", str(tmp / "model")]) == 0
         assert main([*train, "--kind", "mono", "--output", str(tmp / "mono")]) == 0
@@ -1689,15 +1758,15 @@ class TestReaderContract:
     @pytest.mark.parametrize("reader", sorted(_READERS))
     def test_exit_code_and_one_json_line(self, inputs, capsys, reader):
         command, mutations, max_examples = _READERS[reader]
-        valid = (inputs / reader).read_bytes()
+        valid = _read_input(inputs / reader)
         files = {name: inputs / name for name in _INPUTS}
-        files[reader] = inputs / "mutated"
+        files[reader] = inputs / f"mutated-{reader}"
         argv = [arg.format(dir=inputs, **files) for arg in command]
 
         @settings(max_examples=max_examples)
         @given(mutation=st.sampled_from(sorted(mutations)), seed=st.integers(0, 2**32 - 1))
         def check(mutation, seed):
-            files[reader].write_bytes(mutations[mutation](random.Random(seed), valid))
+            _write_input(files[reader], mutations[mutation](random.Random(seed), valid))
             rc = main(argv)
             assert rc in (0, 2, 3, 4)
             err = capsys.readouterr().err

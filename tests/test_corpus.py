@@ -157,6 +157,22 @@ class TestJsonl:
             load_aligned_corpus(path)
         assert err.value.line_number == 2 and "string" in str(err.value)
 
+    @pytest.mark.parametrize("value", [None, True, {"k": 1}, 1.5],
+                             ids=["null", "true", "object", "float"])
+    @pytest.mark.parametrize("field", ["src_id", "tgt_id"])
+    def test_id_neither_string_nor_integer_reports_line(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        good = {"src_id": 7, "tgt_id": "a1", "src_text": "x", "tgt_text": "y"}
+        path.write_text(json.dumps(good) + "\n", encoding="utf-8")
+        assert load_aligned_corpus(path).source_docs[0].id == "7"
+        bad = {"src_id": "e2", "tgt_id": "a2", "src_text": "x", "tgt_text": "y", field: value}
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        with pytest.raises(MalformedRecordError) as err:
+            load_aligned_corpus(path)
+        assert err.value.line_number == 2
+        assert f"{field} must be a string or an integer" in str(err.value)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"src_id": "e1"\nnot json', encoding="utf-8")
@@ -222,6 +238,19 @@ class TestDocumentsFile:
         with pytest.raises(MalformedRecordError) as err:
             load_documents(path)
         assert err.value.line_number == 2 and "string" in str(err.value)
+
+    @pytest.mark.parametrize("value", [None, True, {"k": 1}, 1.5],
+                             ids=["null", "true", "object", "float"])
+    def test_id_neither_string_nor_integer_reports_line(self, tmp_path, value):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps({"id": 7, "text": "one"}) + "\n", encoding="utf-8")
+        assert load_documents(path)[0].id == "7"
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": value, "text": "two"}) + "\n")
+        with pytest.raises(MalformedRecordError) as err:
+            load_documents(path)
+        assert err.value.line_number == 2
+        assert "id must be a string or an integer" in str(err.value)
 
     def test_duplicate_id_reports_line(self, tmp_path):
         path = tmp_path / "docs.jsonl"

@@ -27,6 +27,7 @@ from xling.errors import (
     VersionMismatchError,
 )
 from xling.lsi import (
+    _MODEL_HEADER,
     _OVERSAMPLE,
     _POWER_ITERATIONS,
     CrossVocabulary,
@@ -628,6 +629,28 @@ class TestModelPersistence:
         path = tmp_path / "m.xlsm"
         path.write_bytes(b"WHAT" + b"\0" * 100)
         with pytest.raises(CorruptModelError):
+            load_model(path)
+
+    # Each of these values once loaded, converted, as another.
+    @pytest.mark.parametrize("key, value", [
+        ("df", [2, 2, 1.9, 1]), ("df", ["2", 2, 1, 1]), ("df", [2, 2, True, 1]),
+        ("n_docs", 3.5), ("terms", "abcd"), ("terms", {"a": 0, "b": 0, "c": 0, "d": 0}),
+        ("df", [2**70, 2, 1, 1]),
+    ], ids=["df float", "df string", "df bool", "n_docs float", "terms string",
+            "terms object", "df past int64"])
+    def test_vocabulary_block_types(self, tmp_path, key, value):
+        mono, _ = self._models()
+        path = tmp_path / "m.xlsm"
+        save_model(mono, path)
+        blob = path.read_bytes()
+        *fields, size = _MODEL_HEADER.unpack_from(blob)
+        start = _MODEL_HEADER.size
+        block = json.loads(blob[start:start + size])
+        assert block == {"mono": {"terms": ["a", "b", "c", "d"], "df": [2, 2, 1, 1], "n_docs": 3}}
+        block["mono"][key] = value
+        edited = json.dumps(block).encode("utf-8")
+        path.write_bytes(_MODEL_HEADER.pack(*fields, len(edited)) + edited + blob[start + size:])
+        with pytest.raises(CorruptModelError, match="invalid vocabulary block"):
             load_model(path)
 
 

@@ -426,6 +426,14 @@ class TestListFiles:
         path.write_text("the\nof\n", encoding="utf-8-sig")
         assert load_stopwords(path) == frozenset({"the", "of"})
 
+    # Characters that str.splitlines breaks at and a file's lines do not.
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_stopwords_break_only_at_line_feed_and_carriage_return(self, tmp_path, brk):
+        path = tmp_path / "stop.txt"
+        path.write_text(f"the\r\nriver{brk}bank # one entry\rof\n", encoding="utf-8")
+        assert load_stopwords(path) == frozenset({"the", f"river{brk}bank", "of"})
+
     def test_stopwords_lowercased_like_tokens(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("The\nof\n", encoding="utf-8")
