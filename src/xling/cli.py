@@ -183,6 +183,7 @@ def _cmd_ingest(args) -> int:
     reads, unread = _INGEST_LANGUAGES[args.format]
     _unread_flags(args, f"--format {args.format} reads {reads}", *unread)
     out_path = Path(args.output)
+    extra, read = {}, None
     if args.format == "wikidump":
         if not args.pivot_lang or not args.tgt_lang:
             raise ValueError("wikidump ingestion needs --pivot-lang and --tgt-lang")
@@ -196,11 +197,14 @@ def _cmd_ingest(args) -> int:
             tuple(pivot for pivot, _ in couples), tuple(linked for _, linked in couples)
         )
         extra = {k: stats[k] for k in ("skipped_unresolved", "skipped_duplicate")}
-    else:
+    elif args.format == "pairdirs":
+        digest = hashlib.sha256()
         corpus = corpus_io.load_aligned_corpus(
-            args.input, args.format, src_lang=args.src_lang, tgt_lang=args.tgt_lang
+            args.input, "pairdirs", src_lang=args.src_lang, tgt_lang=args.tgt_lang, digest=digest
         )
-        extra = {}
+        read = {args.input: digest}
+    else:
+        corpus = corpus_io.load_aligned_corpus(args.input)
 
     corpus_io.save_aligned_corpus(corpus, out_path)
     _write_json(Path(args.stats) if args.stats else out_path.with_suffix(".stats.json"), {
@@ -209,7 +213,7 @@ def _cmd_ingest(args) -> int:
         "target": corpus_io.document_stats(corpus.target_docs) if len(corpus) else {},
         **extra,
     })
-    _write_manifest(args, out_path.with_suffix(".manifest.json"), [args.input])
+    _write_manifest(args, out_path.with_suffix(".manifest.json"), [args.input], read)
     print(f"ingested {len(corpus)} pairs -> {out_path}")
     return 0
 

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    CorpusError,
     DegenerateSplitError,
     EmptyCorpusError,
     MalformedRecordError,
@@ -138,12 +139,12 @@ def _records(path: Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 record, end = _decode(line)
-            except (json.JSONDecodeError, RecursionError):
+            except (ValueError, RecursionError):  # a JSONDecodeError, or an int past 4,300 digits
                 end = -1
             if end != len(line):  # json.loads raises the error it has always raised
                 try:
                     record = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the limit
+                except (ValueError, RecursionError) as exc:  # or nested past the limit
                     raise MalformedRecordError(line_number, f"invalid JSON: {exc}") from exc
             if type(record) is not dict or not record.keys() >= fields:
                 *rest, last = map(repr, required)
@@ -187,7 +188,24 @@ def _load_jsonl(path: Path, src_lang: str, tgt_lang: str) -> AlignedCorpus:
     return AlignedCorpus(tuple(source), tuple(target))
 
 
-def _load_pairdirs(path: Path, src_lang: str | None, tgt_lang: str | None) -> AlignedCorpus:
+def _read_document(root: Path, name: str, digest) -> str:
+    """The text of ``root/name``, with line ends read as ``read_text`` reads them.
+
+    ``digest`` is updated with the name, the byte count and the bytes.
+    """
+    data = (root / name).read_bytes()
+    if digest is not None:
+        digest.update(b"%s\0%d\0" % (name.encode("utf-8"), len(data)))
+        digest.update(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{name}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _load_pairdirs(path: Path, src_lang: str | None, tgt_lang: str | None,
+                   digest) -> AlignedCorpus:
     if (src_lang is None) != (tgt_lang is None):
         raise ValueError("give both src_lang and tgt_lang, or neither")
     subdirs = sorted(d.name for d in path.iterdir() if d.is_dir())
@@ -213,13 +231,14 @@ def _load_pairdirs(path: Path, src_lang: str | None, tgt_lang: str | None) -> Al
             f"unpaired document ids in {path}: {', '.join(missing[:10])}"
         )
 
-    source, target = [], []
-    for doc_id in src_ids:
-        src_text = (src_dir / f"{doc_id}.txt").read_text(encoding="utf-8")
-        tgt_text = (tgt_dir / f"{doc_id}.txt").read_text(encoding="utf-8")
-        source.append(Document(doc_id, src_lang, src_text))
-        target.append(Document(doc_id, tgt_lang, tgt_text))
-    return AlignedCorpus(tuple(source), tuple(target))
+    # Files are read in the order of their sorted relative paths, the order
+    # the digest covers them in.
+    names = sorted(f"{lang}/{doc_id}.txt" for lang in (src_lang, tgt_lang) for doc_id in src_ids)
+    texts = {name: _read_document(path, name, digest) for name in names}
+    return AlignedCorpus(
+        tuple(Document(i, src_lang, texts[f"{src_lang}/{i}.txt"]) for i in src_ids),
+        tuple(Document(i, tgt_lang, texts[f"{tgt_lang}/{i}.txt"]) for i in src_ids),
+    )
 
 
 def load_aligned_corpus(
@@ -228,6 +247,7 @@ def load_aligned_corpus(
     *,
     src_lang: str | None = None,
     tgt_lang: str | None = None,
+    digest=None,
 ) -> AlignedCorpus:
     """Load an aligned corpus from ``path``.
 
@@ -235,7 +255,13 @@ def load_aligned_corpus(
     tgt_id, src_text, tgt_text and optional group_key/category) or
     ``"pairdirs"`` (``<root>/<lang>/<id>.txt`` with matching ids).
     On-disk ordering is preserved: line order for jsonl, sorted id order for
-    pair directories.
+    pair directories. A document file that is not UTF-8 raises
+    :class:`CorpusError` naming it and the byte offset.
+
+    ``digest``, a ``hashlib`` object, is read only with ``"pairdirs"``. It is
+    updated with each document file's relative path (``<lang>/<id>.txt``),
+    byte count and bytes, in sorted path order, so that a caller gets the
+    directory's hash without reading it twice.
     """
     path = Path(path)
     if not path.exists():
@@ -243,7 +269,7 @@ def load_aligned_corpus(
     if format == "jsonl":
         return _load_jsonl(path, src_lang or "src", tgt_lang or "tgt")
     if format == "pairdirs":
-        return _load_pairdirs(path, src_lang, tgt_lang)
+        return _load_pairdirs(path, src_lang, tgt_lang, digest)
     raise ValueError(f"unknown corpus format: {format!r}")
 
 

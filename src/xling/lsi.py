@@ -11,15 +11,20 @@ token lists with that side's ``Vocabulary.weight_rows`` (shifted to its rows
 in a cross space) and multiplies each row into the matching rows of ``U``.
 
 The factorization is a randomized range-finder (Gaussian sketch, power
-iterations with one LU normalization per ``A^T A`` product, small-matrix
-SVD) so large sparse vocabularies stay cheap. The final basis is
-``Y R^-1``, with ``R`` from a blocked Householder QR of the range sketch
-``Y``, applied by triangular solves; the orthonormal ``Q`` is formed from the
-reflectors only when ``R`` is ill-conditioned, as for a matrix whose rank is
-below the sketch width. A dense SVD oracle and the two range-finders it
-replaced (all-QR, and LU on every half step) pin its correctness in the
-test suite. Swap ``_randomized_svd`` for an iterative solver if a
-different accuracy profile is ever needed.
+iterations that normalize each ``A^T A`` product with one LU and the last
+with a QR, small-matrix SVD) so large sparse vocabularies stay cheap. That
+QR gives an orthonormal document-side basis ``X``; the range sketch is
+``Y = A X``, and ``R``, the Cholesky factor of the sketch-wide Gram matrix
+``X^T A^T Y = Y^T Y``, makes ``Y R^-1`` orthonormal. ``Y R^-1`` is never
+formed: triangular solves apply ``R``, and ``U`` is one sparse product,
+``A (X W)``. Nothing on the term side is factored, and one dense
+term-side block is alive at a time, ``Y`` and then ``U``. Only when ``R``
+is singular or ill-conditioned, as for a matrix whose rank is below the
+sketch width, is ``Q`` formed from a blocked Householder QR of ``Y``. A
+dense SVD oracle and the two range-finders it replaced (all-QR, and LU on
+every half step) pin its correctness in the test suite. Swap
+``_randomized_svd`` for an iterative solver if a different accuracy
+profile is ever needed.
 
 Only the matrix builders (``scipy.sparse``) and :func:`train`
 (``scipy.linalg``) load scipy, inside the function: it costs a process
@@ -68,13 +73,18 @@ DEFAULT_RANK = 300
 _RANK_TRUNCATION = 1e-10  # singular values below this times s[0] are dropped
 _OVERSAMPLE = 10  # sketch columns beyond k
 _POWER_ITERATIONS = 2  # A^T A products before the final basis
-# The final basis is Y R^-1 when R's reciprocal 1-norm condition number is
-# above this floor, else Q is formed. Y R^-1 loses orthogonality like
-# kappa(R) * u (Fukaya et al., CholeskyQR2, 2014), so the floor keeps
-# |U^T U - I| near 1e-10 at worst. Full-rank sketches read above it (about
-# 1e-4 on the benchmark's train-cross matrices, 8e-6 to 2e-5 on criterion
-# 3's gapped spectra); one wider than A's rank reads about 1e-17, or 0 when R
-# is exactly singular.
+# The final basis is Y R^-1, with R the Cholesky factor of Y^T Y, when R's
+# reciprocal 1-norm condition number is above this floor, else Q is formed.
+# That basis loses orthogonality like kappa(R)^2 * u at worst (Fukaya et
+# al., CholeskyQR2, 2014): about 1e-4 at the floor. After the power
+# iterations X nearly aligns with A's right singular vectors, so Y^T Y is
+# close to diagonal, where Cholesky is far more accurate than that bound;
+# on 40 spectra falling 3 to 7 decades over 30 to 60 columns, |U^T U - I|
+# grew like kappa(R) * u instead, at most 3.2e-11 above the floor. Full-rank
+# sketches read far above it: 0.053 on the benchmark's train-cross matrices
+# (seeds 777, 2718 and 1), 1.1e-4 to 1.7e-4 on criterion 3's gapped spectra.
+# A sketch wider than A's rank gives a singular Y^T Y, and its Cholesky
+# factorization fails, as on criterion 3's exact-rank matrices.
 _RCOND_FLOOR = 1e-6
 
 
@@ -229,32 +239,39 @@ def _randomized_svd(
     z = rng.standard_normal((n, sketch))
     # The power iterations only need a basis of the same span, so one
     # permuted LU factor (no Q to form) of the document-side block
-    # normalizes each A^T A product; Y = A (A^T A)^q Omega then spans what
-    # the all-QR loop spans.
-    for _ in range(power_iterations):
-        z = scipy.linalg.lu(a.T @ (a @ z), permute_l=True, check_finite=False)[0]
-    y = a @ z
+    # normalizes each A^T A product but the last, whose QR gives the
+    # orthonormal X; Y = A X then spans what the all-QR loop's Y spans.
+    for i in range(power_iterations):
+        z = a.T @ (a @ z)
+        if i + 1 < power_iterations:
+            z = scipy.linalg.lu(z, permute_l=True, check_finite=False)[0]
+    x = scipy.linalg.qr(z, mode="economic", check_finite=False)[0]
     del z
-    # A blocked Householder QR gives Y = Q R; only R is needed when it is
-    # well-conditioned: Q^T A = R^-T (A^T Y)^T and Q Ub = Y (R^-1 Ub), so the
-    # m x sketch Q is never formed (Halko, Martinsson & Tropp 2011, Alg. 5.1).
-    # dgeqrt factors a Fortran copy of the C-ordered Y, which stays alive.
-    reflectors, t, info = scipy.linalg.lapack.dgeqrt(min(32, sketch), y)
-    r = np.triu(reflectors[:sketch])
-    # numpy's cond inverts R (about 8 ms at sketch 310) and reads a singular
-    # R as inf, so 1 / cond is 0 there.
-    if info == 0 and 1 / np.linalg.cond(r, 1) > _RCOND_FLOOR:
-        # At most two m x sketch blocks are alive at once: Y with the
-        # reflectors, which go before any product, then Y with U.
-        del reflectors, t
-        b = scipy.linalg.solve_triangular(r, (a.T @ y).T, trans="T", check_finite=False)
+    y = a @ x
+    c = a.T @ y
+    # Any R with Y R^-1 orthonormal will do (Halko, Martinsson & Tropp 2011,
+    # Alg. 5.1): the Cholesky factor of the small Gram matrix
+    # G = X^T A^T A X = Y^T Y. Then Q^T A = R^-T C^T and Q Ub = A X (R^-1 Ub),
+    # so nothing on the term side is factored, and Y goes before U is formed.
+    try:
+        r = np.linalg.cholesky(x.T @ c).T
+    except np.linalg.LinAlgError:  # G is singular: A's rank is below the sketch width
+        r = None
+    # numpy's cond inverts R: about 8 ms at sketch 310.
+    if r is not None and 1 / np.linalg.cond(r, 1) > _RCOND_FLOOR:
+        del y
+        b = scipy.linalg.solve_triangular(r, c.T, trans="T", check_finite=False)
+        del c
         ub, s, vt = np.linalg.svd(b, full_matrices=False)
         w = scipy.linalg.solve_triangular(r, ub[:, :k], check_finite=False)
-        return y @ w, s[:k], vt[:k, :]
-    # A singular or ill-conditioned R (an exact-rank A of rank below the
-    # sketch width) would spoil Y R^-1's orthogonality, so Q is formed from
-    # the reflectors. Y goes first, Q overwrites the identity and the
-    # reflectors go before the next product: again at most two blocks.
+        return a @ (x @ w), s[:k], vt[:k, :]
+    # A singular or ill-conditioned R would spoil the basis's orthogonality,
+    # so a blocked Householder QR of Y forms Q from its reflectors. dgeqrt
+    # factors a Fortran copy of the C-ordered Y; Y goes once it is factored,
+    # Q overwrites the identity and the reflectors go before the next
+    # product: at most two term-side blocks are alive at once.
+    del x, c
+    reflectors, t, info = scipy.linalg.lapack.dgeqrt(min(32, sketch), y)
     del y
     if info == 0:
         q = np.eye(m, sketch, order="F")
@@ -419,9 +436,11 @@ def load_model(path: str | Path, digest=None) -> LsiModel:
         vocab_blob = fh.read(vocab_len) if size >= offset else b""
         if len(vocab_blob) != vocab_len:
             raise CorruptModelError("model file truncated inside the vocabulary block")
+        # ValueError covers UnicodeDecodeError, JSONDecodeError and an integer
+        # past Python's 4,300-digit conversion limit.
         try:
             vocab_payload = json.loads(vocab_blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise CorruptModelError(f"unreadable vocabulary block: {exc}") from exc
 
         if kind_byte not in (0, 1):

@@ -221,6 +221,19 @@ class TestIngest:
         }
         assert not list(tmp_path.glob("out.*"))
 
+    def test_undecodable_pairdirs_document_exits_two(self, tmp_path, capsys):
+        # The message used to be the codec's alone, naming no file.
+        inputs = _ingest_inputs(tmp_path)
+        (inputs["pairdirs"] / "en" / "001.txt").write_bytes(b"\xffhello")
+        rc = main(["ingest", "--input", str(inputs["pairdirs"]), "--format", "pairdirs",
+                   "--src-lang", "en", "--tgt-lang", "ar", "--output", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "CorpusError",
+            "message": "en/001.txt: not UTF-8 at byte 0 (invalid start byte)",
+        }
+        assert not list(tmp_path.glob("out.*"))
+
     def test_jsonl_with_a_byte_order_mark(self, tmp_path):
         # It used to exit 2 with "line 1: invalid JSON: Unexpected UTF-8 BOM".
         plain = _ingest_inputs(tmp_path)["jsonl"]
@@ -855,9 +868,26 @@ class TestRetrieveEvalAlign:
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "CorruptModelError"
 
+    def test_corpus_integer_past_the_digit_limit_exits_two(self, tmp_path, corpus_file, capsys):
+        # json raises a plain ValueError for it, which used to escape the
+        # reader without the line number.
+        model_path = _train(tmp_path, corpus_file)
+        lines = corpus_file.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].replace('"src_id": ', '"src_id": 1%s, "was": ' % ("0" * 5000), 1)
+        corpus_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["retrieve", "--model", str(model_path), "--corpus", str(corpus_file),
+                   "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "MalformedRecordError"
+        assert payload["message"].startswith("line 3: invalid JSON: ")
+
     @pytest.mark.parametrize(
         "damage", ["kind byte 0", "kind byte 7", "empty cross", "df > n", "negative sigma",
-                   "df float", "df string", "n_docs float", "terms string", "terms object"]
+                   "df float", "df string", "n_docs float", "terms string", "terms object",
+                   "n_docs 5001 digits"]
     )
     def test_damaged_model_exits_three(self, tmp_path, corpus_file, capsys, damage):
         model_path = _train(tmp_path, corpus_file)
@@ -887,9 +917,11 @@ class TestRetrieveEvalAlign:
                 side["n_docs"] += 0.5
             elif damage == "terms string":
                 side["terms"] = "".join(chr(0x4E00 + i) for i in range(len(side["terms"])))
-            else:
+            elif damage == "terms object":
                 side["terms"] = dict.fromkeys(side["terms"], 0)
-            payload = json.dumps(vocab).encode("utf-8")
+            else:  # past Python's 4,300-digit limit, which json.dumps also keeps
+                side["n_docs"] = -123456789
+            payload = json.dumps(vocab).replace("-123456789", "1" + "0" * 5000).encode("utf-8")
             blob[header : header + 8 + size] = struct.pack("<Q", len(payload)) + payload
         model_path.write_bytes(bytes(blob))
         rc = main(
@@ -1422,6 +1454,36 @@ class TestManifests:
             "stats": str(tmp_path / "c.json"), "src_lang": None,
             "tgt_lang": "ar" if langs else None, "pivot_lang": "en" if langs else None,
         }, [inputs[fmt]])
+
+    def test_ingest_pairdirs_hashes_the_documents_it_read(self, tmp_path):
+        # The manifest used to record no input for a pair directory.
+        root = _ingest_inputs(tmp_path)["pairdirs"]
+        (root / "en" / "002.txt").write_text("good morning", encoding="utf-8")
+        (root / "ar" / "002.txt").write_text("sabah al-khayr", encoding="utf-8")
+
+        def ingested() -> dict:
+            assert main(["ingest", "--input", str(root), "--format", "pairdirs",
+                         "--src-lang", "en", "--tgt-lang", "ar",
+                         "--output", str(tmp_path / "c.jsonl")]) == 0
+            manifest = json.loads((tmp_path / "c.manifest.json").read_text(encoding="utf-8"))
+            return manifest["inputs"]
+
+        def tree_sha256() -> str:
+            digest = hashlib.sha256()
+            for name in sorted(p.relative_to(root).as_posix() for p in root.glob("*/*.txt")):
+                data = (root / name).read_bytes()
+                digest.update(name.encode("utf-8") + b"\0%d\0" % len(data) + data)
+            return digest.hexdigest()
+
+        first = ingested()
+        assert first == {str(root): tree_sha256()}
+        (root / "ar" / "002.txt").write_text("sabah al-khayr!", encoding="utf-8")
+        changed = ingested()
+        assert changed == {str(root): tree_sha256()} and changed != first
+        for lang in ("en", "ar"):
+            (root / lang / "002.txt").rename(root / lang / "003.txt")
+        renamed = ingested()
+        assert renamed == {str(root): tree_sha256()} and renamed not in (first, changed)
 
     def test_train(self, tmp_path, corpus_file):
         assert main(["--data-dir", str(tmp_path), "train", "--corpus", corpus_file.name,

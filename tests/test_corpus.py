@@ -17,6 +17,7 @@ from xling.corpus import (
     split_corpus,
 )
 from xling.errors import (
+    CorpusError,
     DegenerateSplitError,
     MalformedRecordError,
     MissingCounterpartError,
@@ -112,6 +113,18 @@ class TestPairdirs:
         _write_pairdirs(tmp_path, [("001", "", "marhaba")])
         corpus = load_aligned_corpus(tmp_path, "pairdirs", src_lang="en", tgt_lang="ar")
         assert corpus.source_docs[0].text == ""
+
+    def test_line_ends_read_as_universal_newlines(self, tmp_path):
+        _write_pairdirs(tmp_path, [("001", "", "marhaba")])
+        (tmp_path / "en" / "001.txt").write_bytes(b"one\r\ntwo\rthree\n")
+        corpus = load_aligned_corpus(tmp_path, "pairdirs", src_lang="en", tgt_lang="ar")
+        assert corpus.source_docs[0].text == "one\ntwo\nthree\n"
+
+    def test_undecodable_document_names_file_and_byte(self, tmp_path):
+        _write_pairdirs(tmp_path, [("001", "hello", "marhaba"), ("002", "world", "dunya")])
+        (tmp_path / "ar" / "002.txt").write_bytes(b"ok \xff")
+        with pytest.raises(CorpusError, match=r"^ar/002\.txt: not UTF-8 at byte 3 "):
+            load_aligned_corpus(tmp_path, "pairdirs", src_lang="en", tgt_lang="ar")
 
 
 class TestJsonl:
@@ -251,6 +264,16 @@ class TestDocumentsFile:
             load_documents(path)
         assert err.value.line_number == 2
         assert "id must be a string or an integer" in str(err.value)
+
+    def test_integer_past_the_digit_limit_reports_line(self, tmp_path):
+        # Python refuses to convert an integer string of more than 4,300
+        # digits, so json raises a plain ValueError, not a JSONDecodeError.
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "d1", "text": "one"}\n{"id": 1%s, "text": "two"}\n' % ("0" * 5000),
+                        encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as err:
+            load_documents(path)
+        assert err.value.line_number == 2 and "invalid JSON" in str(err.value)
 
     def test_duplicate_id_reports_line(self, tmp_path):
         path = tmp_path / "docs.jsonl"

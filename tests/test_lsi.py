@@ -291,9 +291,9 @@ class TestSignConvention:
             assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def test_train_peak_memory_stays_near_two_bases():
-    # The range finder's dense m x (k + 10) bases set train's peak memory;
-    # at most two are alive at once.
+def test_train_peak_memory_stays_near_one_basis():
+    # The range finder's dense m x (k + 10) blocks set train's peak memory;
+    # one is alive at once: Y, then U.
     m, n, k = 6000, 400, 100
     a = sp.random(m, n, density=0.01, random_state=np.random.default_rng(3), format="csc")
     tdm = TermDocMatrix(a, Vocabulary([f"t{i:05d}" for i in range(m)], [1] * m, n))
@@ -305,7 +305,7 @@ def test_train_peak_memory_stays_near_two_bases():
     finally:
         tracemalloc.stop()
     basis = 8 * m * (k + _OVERSAMPLE)
-    assert peak < 2.5 * basis + a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    assert peak < 1.5 * basis + a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
 
 
 class TestRangeFinderMatchesQrOracle:
@@ -341,31 +341,53 @@ class TestRangeFinderMatchesLuHalfStepOracle(TestRangeFinderMatchesQrOracle):
 
 
 class TestFinalBasisPath:
-    """A well-conditioned R gives the basis as Y R^-1, and Q is never formed;
-    a rank-deficient sketch forms Q from the Householder reflectors."""
+    """A well-conditioned sketch takes R from the Cholesky factor of the
+    sketch-wide Gram matrix, and nothing on the term side is factored; a
+    rank-deficient one, whose Gram matrix is singular, forms Q from a
+    Householder QR of Y."""
 
     @pytest.fixture
-    def dgemqrt_calls(self, monkeypatch) -> list:
-        """The shape of the identity each ``dgemqrt`` call turns into Q."""
-        calls, dgemqrt = [], scipy.linalg.lapack.dgemqrt
+    def lapack_calls(self, monkeypatch) -> list:
+        """Each ``dgeqrt`` and ``dgemqrt`` call's name, with the shape of the
+        block it factors (Y) or turns into Q (the identity)."""
+        calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[2].shape)
-            return dgemqrt(*args, **kwargs)
+        def counting(name, block):
+            wrapped = getattr(scipy.linalg.lapack, name)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgemqrt", counting)
+            def call(*args, **kwargs):
+                calls.append((name, args[block].shape))
+                return wrapped(*args, **kwargs)
+
+            return call
+
+        for name, block in (("dgeqrt", 1), ("dgemqrt", 2)):
+            monkeypatch.setattr(scipy.linalg.lapack, name, counting(name, block))
         return calls
 
-    def test_well_conditioned_sketch_forms_no_q(self, dgemqrt_calls):
+    def test_well_conditioned_sketch_forms_no_q(self, lapack_calls):
         u, s, _ = _randomized_svd(_parallel_cross_matrix(), 100, _OVERSAMPLE, 2, seed=42)
-        assert dgemqrt_calls == []
+        assert lapack_calls == []
         assert u.shape[1] == 100 and np.all(np.diff(s) <= 0)
         assert np.max(np.abs(u.T @ u - np.eye(100))) <= 1e-12
 
-    def test_rank_deficient_sketch_forms_q(self, dgemqrt_calls):
+    def test_sketch_near_the_floor_stays_orthonormal(self, lapack_calls):
+        # Singular values over five decades put 1 / cond(R, 1) at about 8e-6,
+        # within a decade of the floor, and every sketch column is kept.
+        rng = np.random.default_rng(5)
+        left = np.linalg.qr(rng.standard_normal((80, 40)))[0]
+        right = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        dense = (left * np.logspace(0, -5, 40)) @ right.T
+        u, s, _ = _randomized_svd(sp.csc_matrix(dense), 39, _OVERSAMPLE, 2, seed=1)
+        assert lapack_calls == []
+        assert np.max(np.abs(u.T @ u - np.eye(39))) <= 1e-10
+        s_ref = np.linalg.svd(dense, compute_uv=False)[:39]
+        assert np.max(np.abs(s - s_ref) / s_ref) < 1e-10
+
+    def test_rank_deficient_sketch_forms_q(self, lapack_calls):
         a = _rank_six()
         u, s, vt = _randomized_svd(a, 10, 6, 2, seed=42)  # sketch 16 over a rank-6 range
-        assert dgemqrt_calls == [(60, 16)]
+        assert lapack_calls == [("dgeqrt", (60, 16)), ("dgemqrt", (60, 16))]
         u_ref, s_ref, vt_ref = np.linalg.svd(a.toarray(), full_matrices=False)
         assert np.max(np.abs(s[:6] - s_ref[:6]) / s_ref[:6]) < 1e-12
         assert np.max(subspace_angles(u[:, :6], u_ref[:, :6])) < 1e-10
@@ -378,7 +400,7 @@ def test_householder_failure_raises_convergence_error(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", failing_dgeqrt)
     with pytest.raises(ConvergenceError, match="LAPACK info -2"):
-        _randomized_svd(_rank_six(), 4, 2, 1, seed=42)
+        _randomized_svd(_rank_six(), 10, 6, 1, seed=42)  # sketch 16 over a rank-6 range
 
 
 def test_commands_other_than_train_leave_scipy_unloaded(tmp_path):
