@@ -34,6 +34,7 @@ from xling.lsi import (
     LsiModel,
     _randomized_svd,
     _read_factor,
+    _sparse_product,
     build_cross_matrix,
     build_mono_matrix,
     fold_in_many,
@@ -394,6 +395,72 @@ class TestFinalBasisPath:
         assert np.max(subspace_angles(vt[:6].T, vt_ref[:6].T)) < 1e-10
 
 
+class TestCpuCountKeepsTheBits:
+    """The sparse products cut their output rows into one range per CPU, and
+    each row is summed by one thread: the factors' bits do not depend on the
+    number of CPUs."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_product_equals_scipy_product(self, cpus, monkeypatch):
+        monkeypatch.setattr("xling.lsi._available_cpus", lambda: cpus)
+        kernel = sp._sparsetools.csr_matvecs
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])  # the range's row count
+            return kernel(*args)
+
+        monkeypatch.setattr(sp._sparsetools, "csr_matvecs", counting)
+        rng = np.random.default_rng(8)
+        for a in (_parallel_cross_matrix(), _random_sparse(40, 300, 3)):
+            for rows, by in ((a.tocsr(), a), (a.tocsc().T, a.T)):
+                v = rng.standard_normal((rows.shape[1], 7))
+                want = (by @ v).tobytes()
+                calls.clear()
+                assert _sparse_product(rows, v).tobytes() == want
+                assert len(calls) == cpus and sum(calls) == rows.shape[0]
+
+    @pytest.mark.parametrize(
+        "make, k, oversample",
+        [(_parallel_cross_matrix, 100, 10), (_rank_six, 10, 6)],  # Gram path; Householder Q
+        ids=["gram", "householder"],
+    )
+    def test_factors_equal_at_one_two_and_three_cpus(self, make, k, oversample, monkeypatch):
+        a = make()
+        factors = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr("xling.lsi._available_cpus", lambda: cpus)
+            u, s, vt = _randomized_svd(a, k, oversample, _POWER_ITERATIONS, seed=42)
+            factors.append(u.tobytes() + s.tobytes() + vt.tobytes())
+        assert factors[0] == factors[1] == factors[2]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs an affinity mask of at least two CPUs",
+)
+def test_model_bytes_equal_on_one_cpu_and_on_every_cpu(tmp_path):
+    # One BLAS thread in both processes: the BLAS thread count changes the
+    # bits on its own, and OpenBLAS sizes its pool from the affinity mask.
+    corpus = tmp_path / "c.jsonl"
+    save_aligned_corpus(make_parallel_corpus(200, SyntheticSpec(), seed=7), corpus)
+    script = (
+        "import os, sys\n"
+        "if sys.argv[1] == 'one':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from xling import cli\n"
+        "sys.exit(cli.main(['train', '--corpus', sys.argv[2], '--k', '50',"
+        " '--output', sys.argv[3]]))\n"
+    )
+    src = str(Path(xling.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for cpus in ("one", "every"):
+        subprocess.run([sys.executable, "-c", script, cpus, str(corpus), str(tmp_path / cpus)],
+                       env=env, capture_output=True, check=True)
+    assert (tmp_path / "one").read_bytes() == (tmp_path / "every").read_bytes()
+
+
 def test_householder_failure_raises_convergence_error(monkeypatch):
     def failing_dgeqrt(nb, a, overwrite_a=0):
         return a, np.zeros((nb, a.shape[1])), -2
@@ -405,8 +472,9 @@ def test_householder_failure_raises_convergence_error(monkeypatch):
 
 def test_commands_other_than_train_leave_scipy_unloaded(tmp_path):
     # scipy costs every process that imports it about 18 MB and 0.25 s, and
-    # only train builds a matrix, so only train loads it. A fresh process
-    # runs the other commands in-process on a model trained here.
+    # only train builds a matrix, so only train loads it, and the thread pool
+    # of its sparse products. A fresh process runs the other commands
+    # in-process on a model trained here.
     spec = SyntheticSpec(n_topics=3, words_per_topic=10, common_words=3, doc_length=(20, 30))
     corpus = tmp_path / "c.jsonl"
     save_aligned_corpus(make_parallel_corpus(20, spec, seed=4), corpus)
@@ -430,13 +498,13 @@ def test_commands_other_than_train_leave_scipy_unloaded(tmp_path):
     script = (
         "import json, sys\n"
         "import xling, xling.cli\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "def train_only_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent')))\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert xling.cli.main(argv) == 0, argv\n"
-        "before_train = scipy_modules()\n"
+        "before_train = train_only_modules()\n"
         "assert xling.cli.main(json.loads(sys.argv[2])) == 0\n"
-        "print(json.dumps([before_train, scipy_modules()]))\n"
+        "print(json.dumps([before_train, train_only_modules()]))\n"
     )
     src = str(Path(xling.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
