@@ -293,8 +293,9 @@ class TestSignConvention:
 
 
 def test_train_peak_memory_stays_near_one_basis():
-    # The range finder's dense m x (k + 10) blocks set train's peak memory;
-    # one is alive at once: Y, then U.
+    # The range finder's dense m x (k + 10) block sets train's peak memory.
+    # tracemalloc counts live allocations only: it cannot see whether a
+    # freed block's memory is reused, which the two tests below pin.
     m, n, k = 6000, 400, 100
     a = sp.random(m, n, density=0.01, random_state=np.random.default_rng(3), format="csc")
     tdm = TermDocMatrix(a, Vocabulary([f"t{i:05d}" for i in range(m)], [1] * m, n))
@@ -307,6 +308,67 @@ def test_train_peak_memory_stays_near_one_basis():
         tracemalloc.stop()
     basis = 8 * m * (k + _OVERSAMPLE)
     assert peak < 1.5 * basis + a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+
+
+def test_every_term_side_product_writes_into_one_block(monkeypatch):
+    # The power iterations' A @ V products, then Y, then U share one block,
+    # and the model's U is the block itself, not a copy of it.
+    outputs = []
+
+    def recording(*args):
+        outputs.append(_sparse_product(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr("xling.lsi._sparse_product", recording)
+    a = _parallel_cross_matrix()
+    m = a.shape[0]
+    vocab = Vocabulary([f"t{i:05d}" for i in range(m)], [1] * m, a.shape[1])
+    model = train(TermDocMatrix(a, vocab), 100, seed=42)
+    term_side = [out for out in outputs if out.shape[0] == m]
+    assert len(term_side) == _POWER_ITERATIONS + 2
+    y, u = term_side[-2:]
+    assert y.shape == (m, 100 + _OVERSAMPLE) and u.shape == (m, 100)
+    assert all(np.shares_memory(u, out) for out in term_side[:-1])
+    assert np.shares_memory(model.u, y)
+
+
+def _has_vm_hwm() -> bool:
+    status = Path("/proc/self/status")
+    return status.exists() and "VmHWM:" in status.read_text()
+
+
+@pytest.mark.skipif(not _has_vm_hwm(), reason="needs VmHWM in /proc/self/status")
+def test_train_raises_peak_rss_by_under_2_1_term_side_blocks():
+    # A term-side block freed and allocated again can come from fresh heap,
+    # which tracemalloc cannot see; the process's peak RSS can. Allocated
+    # once for the whole SVD, the 12,000 x 310 block (under glibc's 32 MiB
+    # mmap ceiling) raised VmHWM by 1.86-1.88 blocks; allocated per product,
+    # by 2.40. The small train first loads the libraries.
+    script = (
+        "import numpy as np, scipy.sparse as sp\n"
+        "from xling.lsi import train\n"
+        "from xling.vsm import TermDocMatrix, Vocabulary\n"
+        "def vm_hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "def matrix(m, n):\n"
+        "    a = sp.random(m, n, density=0.01, random_state=np.random.default_rng(3),\n"
+        "                  format='csc')\n"
+        "    return TermDocMatrix(a, Vocabulary([f't{i:05d}' for i in range(m)], [1] * m, n))\n"
+        "big = matrix(12000, 900)\n"
+        "train(matrix(200, 60), 20)\n"
+        "before = vm_hwm()\n"
+        "train(big, 300)\n"
+        "print(vm_hwm() - before)\n"
+    )
+    src = str(Path(xling.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    growth_kib = int(out.stdout.split()[-1])
+    block_kib = 12000 * (300 + _OVERSAMPLE) * 8 / 1024
+    assert growth_kib < 2.1 * block_kib
 
 
 class TestRangeFinderMatchesQrOracle:
@@ -419,6 +481,10 @@ class TestCpuCountKeepsTheBits:
                 calls.clear()
                 assert _sparse_product(rows, v).tobytes() == want
                 assert len(calls) == cpus and sum(calls) == rows.shape[0]
+                # The kernel adds into its output, so a given one is zeroed first.
+                buf = np.full((rows.shape[0], 7), np.nan)
+                assert _sparse_product(rows, v, out=buf) is buf
+                assert buf.tobytes() == want
 
     @pytest.mark.parametrize(
         "make, k, oversample",
@@ -476,8 +542,13 @@ def test_commands_other_than_train_leave_scipy_unloaded(tmp_path):
     # of its sparse products. A fresh process runs the other commands
     # in-process on a model trained here.
     spec = SyntheticSpec(n_topics=3, words_per_topic=10, common_words=3, doc_length=(20, 30))
-    corpus = tmp_path / "c.jsonl"
-    save_aligned_corpus(make_parallel_corpus(20, spec, seed=4), corpus)
+    corpus, couples = tmp_path / "c.jsonl", make_parallel_corpus(20, spec, seed=4)
+    save_aligned_corpus(couples, corpus)
+    pairdirs = tmp_path / "raw"
+    for lang, docs in (("en", couples.source_docs), ("ar", couples.target_docs)):
+        (pairdirs / lang).mkdir(parents=True)
+        for i, doc in enumerate(docs):
+            (pairdirs / lang / f"{i:03d}.txt").write_text(doc.text, encoding="utf-8")
     dictionary = tmp_path / "d.tsv"
     dictionary.write_text(
         "".join(f"{w}\t{cipher_word(w)}\n" for w in source_vocabulary(spec)), encoding="utf-8"
@@ -485,6 +556,9 @@ def test_commands_other_than_train_leave_scipy_unloaded(tmp_path):
     model = tmp_path / "m.xlsm"
     assert cli.main(["train", "--corpus", str(corpus), "--k", "5", "--output", str(model)]) == 0
     commands = [
+        *(["ingest", "--input", str(path), "--format", fmt,
+           "--output", str(tmp_path / f"{fmt}.jsonl")]
+          for path, fmt in ((corpus, "jsonl"), (pairdirs, "pairdirs"))),
         *(["score", "--corpus", str(corpus), "--dictionary", str(dictionary), "--measure", m,
            "--output", str(tmp_path / f"{m}.tsv")] for m in ("bin", "bincos", "oov", "match")),
         ["retrieve", "--model", str(model), "--corpus", str(corpus),
