@@ -119,6 +119,28 @@ CASES = {
         "compare": ["stemmed.xlsm", "morphar.xlsm", "rooted.xlsm",
                     "bin.tsv", "bincos.tsv", "oov.tsv", "match.tsv"],
     },
+    # Degenerate documents, which the benchmark's never are: an empty text, a
+    # stopword-only one, one whose every term is below the floor, repeated
+    # tokens, and mixed-case non-ASCII words.
+    "train-edges": {
+        "files": {
+            "corpus.jsonl": jsonl(
+                PAIR,
+                ("e1", "a1", "", "Ça ÉTÉ été ça"),
+                ("e2", "a2", "The and THE", "في الى"),
+                ("e3", "a3", "Zebras quietly yawned", "زرافة نامت"),
+                ("e4", "a4", "olive olive oil OIL Oil", "زيت زيت زيتون"),
+                ("e5", "a5", "Straße İstanbul STRASSE straße oil", "ÉCOLE école Ça زيتون"),
+                ("e6", "a6", "Olive press İstanbul", "مطبعة زيت École"),
+            ),
+            "stopwords.txt": "The\nand\nفي\nالى\n",
+        },
+        "commands": "\n".join(
+            "train --corpus {in}/corpus.jsonl --kind %s --k 2 --no-split"
+            " --stopwords {in}/stopwords.txt --min-count 2 --output {out}/%s.xlsm" % (kind, kind)
+            for kind in ("cross", "mono")),
+        "compare": ["cross.xlsm", "mono.xlsm"],
+    },
     # Ids with quote, backslash and non-ASCII characters; the cache lacks q4, whose list is skipped.
     "retrieve": {
         "files": {

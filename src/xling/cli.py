@@ -51,6 +51,7 @@ from .textprep import (
     ReducerKind,
     load_stopwords,
     make_reducer,
+    pipeline_ids,
     run_pipeline,
 )
 from .vsm import build_vocabulary
@@ -137,9 +138,10 @@ def _check_output_dirs(args) -> None:
             raise FileNotFoundError(f"output directory does not exist: {Path(path).parent}")
 
 
-def _terms(args, corpus, sides=_SIDES):
+def _terms(args, corpus, sides=_SIDES, *, ids=False):
     """The terms of ``corpus``'s ``sides`` as the pipeline flags describe, and
-    the ``--dictionary`` (None without one).
+    the ``--dictionary`` (None without one). Each side is its token lists, or
+    with ``ids`` its word ids (see ``pipeline_ids``), which train reads.
 
     It reads the stopwords, then the dictionary, once for both sides: each
     side's dictionary terms are reduced as they are read by that side's
@@ -161,8 +163,9 @@ def _terms(args, corpus, sides=_SIDES):
         ))
     elif ReducerKind.MORPHAR in kinds:
         raise ValueError("morphar reducers require --dictionary")
-    terms = [run_pipeline([d.text for d in getattr(corpus, f"{side}_docs")], config, side,
-                          dictionary) for side in sides]
+    pipeline = pipeline_ids if ids else run_pipeline
+    terms = [pipeline([d.text for d in getattr(corpus, f"{side}_docs")], config, side, dictionary)
+             for side in sides]
     return terms, dictionary
 
 
@@ -219,6 +222,10 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     if args.no_split:
         _unread_flags(args, "--no-split trains on every couple", "train_fraction", "test_output")
     if args.kind == "mono" and args.reducer_source != "identity":
@@ -231,15 +238,16 @@ def _cmd_train(args) -> int:
         train_part, test_part = corpus_io.split_corpus(train_part, fraction, args.seed)
 
     if args.kind == "cross":
-        (src_tokens, tgt_tokens), _ = _terms(args, train_part)
+        sides, _ = _terms(args, train_part, ids=True)
         if not len(train_part):
             raise EmptyCorpusError("no couples to train on")
-        matrix = lsi.build_cross_matrix(src_tokens, tgt_tokens)
+        matrix = lsi.build_cross_matrix(*sides)
     else:
         # Monolingual space lives in the target language: queries are
         # translated into it before projection.
-        (tgt_tokens,), _ = _terms(args, train_part, ("target",))
-        matrix = lsi.build_mono_matrix(tgt_tokens)
+        sides, _ = _terms(args, train_part, ("target",), ids=True)
+        matrix = lsi.build_mono_matrix(*sides)
+    del sides  # the word ids; the SVD reads only the matrix
 
     model = lsi.train(matrix, args.k, seed=args.seed)
 

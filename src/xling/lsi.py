@@ -53,7 +53,9 @@ from .errors import (
     EmptyCorpusError,
     VersionMismatchError,
 )
-from .vsm import TermDocMatrix, Vocabulary, build_term_doc_matrix, build_vocabulary
+from .textprep import IndexedDocuments, index_words
+from .vsm import TermDocMatrix, Vocabulary, build_term_doc_matrix
+from .vsm import build_vocabulary  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
 __all__ = [
     "CrossVocabulary",
@@ -143,52 +145,51 @@ class CrossVocabulary:
         return cls(Vocabulary.from_dict(payload["source"]), Vocabulary.from_dict(payload["target"]))
 
 
-def build_mono_matrix(documents: Sequence[Sequence[str]]) -> TermDocMatrix:
-    """Term-document tfidf matrix over one language's token lists.
+def _indexed(documents: Sequence[Sequence[str]] | IndexedDocuments) -> IndexedDocuments:
+    return documents if isinstance(documents, IndexedDocuments) else index_words(documents)
+
+
+def build_mono_matrix(documents: Sequence[Sequence[str]] | IndexedDocuments) -> TermDocMatrix:
+    """Term-document tfidf matrix over one language's token lists, or over
+    the word ids :func:`xling.textprep.pipeline_ids` gives, which build the
+    same matrix without a string per token.
 
     With a single document every df equals N, so the matrix is all zeros;
     that degenerate case is flagged with a warning.
     """
-    if not documents:
+    documents = _indexed(documents)
+    if not documents.ids:
         raise EmptyCorpusError("no documents")
-    if len(documents) == 1:
+    if len(documents.ids) == 1:
         warnings.warn("single-document corpus: every tfidf weight is zero", stacklevel=2)
-    vocabulary = build_vocabulary(documents)
-    return build_term_doc_matrix(documents, vocabulary)
+    return build_term_doc_matrix(documents)
 
 
 def build_cross_matrix(
-    source_documents: Sequence[Sequence[str]],
-    target_documents: Sequence[Sequence[str]],
+    source_documents: Sequence[Sequence[str]] | IndexedDocuments,
+    target_documents: Sequence[Sequence[str]] | IndexedDocuments,
 ) -> TermDocMatrix:
     """Stacked-vocabulary matrix whose columns are concatenated couples.
 
+    Each side is token lists or word ids, as for :func:`build_mono_matrix`.
     Document frequencies are computed over the concatenated pseudo-documents
     (a term's df is the number of couples whose own side contains it), so
     the matrix is the source side's monolingual matrix above the target's.
     """
-    if not source_documents or not target_documents:
+    source, target = _indexed(source_documents), _indexed(target_documents)
+    if not source.ids or not target.ids:
         raise EmptyCorpusError("no documents")
-    if len(source_documents) != len(target_documents):
+    if len(source.ids) != len(target.ids):
         raise ValueError(
-            "couple counts differ: %d source vs %d target"
-            % (len(source_documents), len(target_documents))
+            "couple counts differ: %d source vs %d target" % (len(source.ids), len(target.ids))
         )
-    if len(source_documents) == 1:
+    if len(source.ids) == 1:
         warnings.warn("single-couple corpus: every tfidf weight is zero", stacklevel=2)
-    vocabulary = CrossVocabulary(
-        build_vocabulary(source_documents), build_vocabulary(target_documents)
-    )
+    source, target = build_term_doc_matrix(source), build_term_doc_matrix(target)
     import scipy.sparse as sp
 
-    matrix = sp.vstack(
-        [
-            build_term_doc_matrix(source_documents, vocabulary.source).matrix,
-            build_term_doc_matrix(target_documents, vocabulary.target).matrix,
-        ],
-        format="csc",
-    )
-    return TermDocMatrix(matrix, vocabulary)
+    matrix = sp.vstack([source.matrix, target.matrix], format="csc")
+    return TermDocMatrix(matrix, CrossVocabulary(source.vocabulary, target.vocabulary))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Tokenization, word reduction and per-side filtering.
 
 Text becomes terms in one way, one corpus side at a time:
-:func:`run_pipeline` splits each text into lowercased words with
-:func:`tokenize`, maps each word to its side's reduced term as a
-:class:`PipelineConfig` describes, drops stopwords, and then drops terms
-below the corpus-frequency floor.
+:func:`pipeline_ids` splits each text into lowercased words with
+:func:`tokenize`, numbers the side's distinct words, maps each word to its
+side's reduced term as a :class:`PipelineConfig` describes, drops
+stopwords, and then drops terms below the corpus-frequency floor. Training
+reads its word ids; :func:`run_pipeline` maps them to token lists.
 
 The word reducers shipped here are deliberately small, rule-table driven
 stand-ins for the heavyweight morphological tools commonly used for Arabic
@@ -24,21 +25,25 @@ from __future__ import annotations
 
 import enum
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "ReducerKind",
     "PipelineConfig",
+    "IndexedDocuments",
     "tokenize",
     "make_reducer",
     "light_stem",
     "root_stem",
     "suffix_stem",
     "lemmatize",
+    "word_index",
+    "index_words",
+    "pipeline_ids",
     "run_pipeline",
     "load_stopwords",
 ]
@@ -323,36 +328,77 @@ class PipelineConfig:
         raise ValueError(f"side must be 'source' or 'target', got {side!r}")
 
 
+@dataclass(frozen=True)
+class IndexedDocuments:
+    """One corpus side as word ids.
+
+    ``ids[r]`` holds document ``r``'s tokens as ids of the side's distinct
+    words, numbered from 0 in the order they first occur. ``terms[w]`` is
+    word ``w``'s term, or None when the pipeline drops the word.
+    """
+
+    ids: list[list[int]]
+    terms: list[str | None]
+
+
+def word_index() -> defaultdict:
+    """An empty dict that numbers the words looked up in it: an unseen word
+    gets the count of words before it, so a ``map`` of its ``__getitem__``
+    numbers tokens in C."""
+    index: defaultdict = defaultdict()
+    index.default_factory = index.__len__
+    return index
+
+
+def index_words(documents: Iterable[Iterable[str]]) -> IndexedDocuments:
+    """Token lists as word ids, each word its own term."""
+    index = word_index()
+    ids = [list(map(index.__getitem__, doc)) for doc in documents]
+    return IndexedDocuments(ids, list(index))
+
+
+def pipeline_ids(
+    texts: Iterable[str],
+    config: PipelineConfig = PipelineConfig(),
+    side: str = "source",
+    dictionary=None,
+) -> IndexedDocuments:
+    """Tokenize, reduce and filter one corpus side, as word ids.
+
+    Each distinct word is reduced once, by the reducer ``config`` names for
+    ``side``; ``dictionary`` is read by the ``morphar`` reducer only. A word
+    is dropped when it or its reduced form is a stopword, and so is every
+    word of a term whose count over the whole side (stopword occurrences
+    included) is below ``min_corpus_frequency``. The default config only
+    tokenizes.
+    """
+    reducer = make_reducer(config.reducer_for(side), dictionary=dictionary, side=side)
+    indexed = index_words(map(tokenize, texts))
+    words = indexed.terms
+    reduced = list(map(reducer, words))
+    stopwords = config.stopwords
+    terms = [None if word in stopwords or term in stopwords else term
+             for word, term in zip(words, reduced)]
+    if config.min_corpus_frequency > 1:
+        counts: Counter = Counter()
+        for word, n in Counter(chain.from_iterable(indexed.ids)).items():
+            counts[reduced[word]] += n
+        terms = [None if term is None or counts[term] < config.min_corpus_frequency else term
+                 for term in terms]
+    return IndexedDocuments(indexed.ids, terms)
+
+
 def run_pipeline(
     texts: Sequence[str],
     config: PipelineConfig = PipelineConfig(),
     side: str = "source",
     dictionary=None,
 ) -> list[list[str]]:
-    """Tokenize, reduce and filter one corpus side; returns its terms.
-
-    Each distinct word is reduced once, by the reducer ``config`` names for
-    ``side``; ``dictionary`` is read by the ``morphar`` reducer only. A token
-    is dropped when it or its reduced form is a stopword, and so is a term
-    whose count over the whole side (stopword occurrences included) is below
-    ``min_corpus_frequency``. The default config only tokenizes.
-    """
-    reducer = make_reducer(config.reducer_for(side), dictionary=dictionary, side=side)
-    docs = [tokenize(text) for text in texts]
-    reduced = {word: reducer(word) for word in set().union(*docs)}
-    stopwords = config.stopwords
-    term_of = {
-        word: None if word in stopwords or term in stopwords else term
-        for word, term in reduced.items()
-    }
-    if config.min_corpus_frequency > 1:
-        counts: Counter = Counter()
-        for word, n in Counter(chain.from_iterable(docs)).items():
-            counts[reduced[word]] += n
-        for word, term in term_of.items():
-            if term is not None and counts[term] < config.min_corpus_frequency:
-                term_of[word] = None
-    return [[t for t in map(term_of.__getitem__, doc) if t is not None] for doc in docs]
+    """:func:`pipeline_ids` as each text's list of terms. All occurrences of
+    a term are one string object."""
+    indexed = pipeline_ids(texts, config, side, dictionary)
+    terms = indexed.terms
+    return [[t for t in map(terms.__getitem__, doc) if t is not None] for doc in indexed.ids]
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

@@ -2,11 +2,15 @@
 
 Weighting is ``tf * ln(N/df)`` with raw in-document counts and no
 smoothing, so a term present in every document weighs zero. It lives in
-one place, ``Vocabulary.weight_rows``, which weights a whole collection of
-token lists in one pass and returns CSR arrays: the matrices built here,
-the LSI fold-in (:func:`xling.lsi.fold_in_many`) and
-``bidict.dict_cosines`` all take their weights from it, so it is the single
-place to swap weighting variants.
+one place, ``Vocabulary._weigh``, which turns each document's term counts
+into CSR rows. The counts come from one key ``row * stride + id`` per
+token and ``np.unique`` (:func:`_count_terms`), fed two ways:
+
+- :func:`build_term_doc_matrix` takes a corpus side's word ids, as
+  :func:`xling.textprep.pipeline_ids` gives them, and takes df from the
+  same keys, so training holds no string per token;
+- ``Vocabulary.weight_rows`` looks token lists up in a built vocabulary,
+  for the LSI fold-in and ``bidict.dict_cosines``.
 
 The idf of a term is ``math.log(n_docs / df)`` in double precision, the
 same bits as one ``math.log`` per term, but evaluated once per distinct df:
@@ -21,7 +25,6 @@ function: only training builds a matrix (see :mod:`xling.lsi`).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +32,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyCorpusError
+from .textprep import IndexedDocuments, word_index
 
 __all__ = [
     "Vocabulary",
@@ -101,16 +105,11 @@ class Vocabulary:
                 yield map(lookup, tokens, repeat(-1))
 
         term = np.fromiter(chain.from_iterable(term_ids()), dtype=np.int64)
-        n_docs = len(lengths)
-        # One key per seen token, row * stride + term: equal keys are one
-        # term's occurrences in one document, and sorted keys ascend by row,
-        # then by term.
+        return self._weigh(*_count_terms(term, lengths, len(self.terms)), len(lengths))
+
+    def _weigh(self, keys: np.ndarray, tf: np.ndarray, n_docs: int):
+        """CSR rows of the counts :func:`_count_terms` gives over this vocabulary."""
         stride = max(len(self.terms), 1)
-        keys = np.repeat(np.arange(n_docs, dtype=np.int64) * stride,
-                         np.array(lengths, dtype=np.int64))
-        keys += term
-        keys = keys[term >= 0]
-        keys, tf = np.unique(keys, return_counts=True)
         term = keys % stride
         data = tf * self.idf[term]
         nonzero = data != 0.0
@@ -135,20 +134,36 @@ class Vocabulary:
         return cls(terms, df, n_docs)
 
 
+def _count_terms(term: np.ndarray, lengths: Sequence[int], n_terms: int):
+    """Each document's distinct terms and their tf, from every token's term
+    id (``-1`` is skipped) and every document's token count, as ascending
+    keys ``row * max(n_terms, 1) + term`` and their counts."""
+    stride = max(n_terms, 1)
+    keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * stride,
+                     np.array(lengths, dtype=np.int64))
+    keys += term
+    # With return_counts numpy sorts; numpy 2's plain unique hashes, ten times slower here.
+    return np.unique(keys[term >= 0], return_counts=True)
+
+
 def build_vocabulary(documents: Sequence[Sequence[str]]) -> Vocabulary:
     """Build a vocabulary over tokenized documents.
 
     df counts the number of documents containing a term (duplicates within
     one document count once). An empty document list is an error; documents
-    that are themselves empty are fine.
+    that are themselves empty are fine. Only each document's distinct terms
+    are numbered, and df counts their ids.
     """
     if not documents:
         raise EmptyCorpusError("cannot build a vocabulary from zero documents")
-    df: Counter = Counter()
-    for doc in documents:
-        df.update(set(doc))
-    terms = sorted(df)
-    return Vocabulary(terms, [df[t] for t in terms], len(documents))
+    index = word_index()
+    get = index.__getitem__
+    ids = np.fromiter(chain.from_iterable(map(get, set(doc)) for doc in documents),
+                      dtype=np.int64)
+    terms = sorted(index)
+    df = np.bincount(ids, minlength=len(terms))
+    return Vocabulary(terms, df[np.fromiter(map(get, terms), np.int64, len(terms))],
+                      len(documents))
 
 
 @dataclass(frozen=True)
@@ -167,16 +182,23 @@ class TermDocMatrix:
         return self.matrix[:, [j]].toarray().ravel()
 
 
-def build_term_doc_matrix(
-    documents: Sequence[Sequence[str]], vocabulary: Vocabulary
-) -> TermDocMatrix:
-    """Stack the tfidf rows of the documents as the columns of a sparse matrix."""
-    if not documents:
+def build_term_doc_matrix(documents: IndexedDocuments) -> TermDocMatrix:
+    """The tfidf matrix of one corpus side's word ids, terms by documents,
+    over the vocabulary of the terms the side keeps. A term's df is the
+    number of its keys (see :func:`_count_terms`)."""
+    n_docs = len(documents.ids)
+    if not n_docs:
         raise EmptyCorpusError("cannot build a matrix from zero documents")
     import scipy.sparse as sp
 
-    indptr, indices, data = vocabulary.weight_rows(documents)
-    matrix = sp.csc_matrix(
-        (data, indices, indptr), shape=(len(vocabulary), len(documents))
-    )
+    terms = sorted(set(documents.terms) - {None})
+    index = dict(zip(terms, range(len(terms))))
+    term_of_word = np.fromiter(map(index.get, documents.terms, repeat(-1)), dtype=np.int64,
+                               count=len(documents.terms))
+    words = np.fromiter(chain.from_iterable(documents.ids), dtype=np.int64)
+    keys, tf = _count_terms(term_of_word[words], list(map(len, documents.ids)), len(terms))
+    vocabulary = Vocabulary(terms, np.bincount(keys % max(len(terms), 1), minlength=len(terms)),
+                            n_docs)
+    indptr, indices, data = vocabulary._weigh(keys, tf, n_docs)
+    matrix = sp.csc_matrix((data, indices, indptr), shape=(len(vocabulary), n_docs))
     return TermDocMatrix(matrix, vocabulary)

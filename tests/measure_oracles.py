@@ -11,6 +11,9 @@ bit.
 ``Vocabulary.weight_rows`` must reproduce bit for bit, and with it every
 matrix and fold-in built on it. ``loop_idf`` is one ``math.log`` per term,
 which ``Vocabulary.idf`` (one per distinct df) must equal bit for bit.
+``counter_of_sets_vocabulary`` counts df as ``build_vocabulary`` first did,
+one ``set`` per document added to a ``Counter``; ``build_vocabulary`` and
+the matrices built from the pipeline's word ids must give its terms and df.
 ``qr_power_iteration_svd`` is the randomized SVD with a full QR after every
 product, and ``lu_half_step_svd`` the one that LU-normalizes both blocks on
 every half step and takes an economic QR; the range finder in ``lsi``, which
@@ -65,6 +68,7 @@ from xling.errors import MalformedLineError, MalformedRecordError
 from xling.lsi import _RANK_TRUNCATION, fold_in_many
 from xling.retrieval import Embeddings, _unit_rows
 from xling.textprep import ReducerKind, _root_pass, make_reducer, tokenize
+from xling.vsm import Vocabulary
 
 
 def tfidf(tf: int, df: int, n_docs: int) -> float:
@@ -83,6 +87,15 @@ def brute_tfidf(tokens, vocabulary) -> dict[int, float]:
         if w != 0.0:
             weights[i] = w
     return weights
+
+
+def counter_of_sets_vocabulary(documents: Sequence[Sequence[str]]) -> Vocabulary:
+    """The vocabulary of token lists, df counted by a ``Counter`` of per-document sets."""
+    df: Counter = Counter()
+    for doc in documents:
+        df.update(set(doc))
+    terms = sorted(df)
+    return Vocabulary(terms, [df[t] for t in terms], len(documents))
 
 
 def loop_idf(df: Sequence[int], n_docs: int) -> np.ndarray:

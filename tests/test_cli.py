@@ -29,7 +29,14 @@ from xling import lsi
 from xling.lsi import fold_in_many, load_model
 from xling.retrieval import Embeddings, retrieve_many, write_ranked_lists_json
 from xling.synthetic import SyntheticSpec, cipher_word, make_parallel_corpus, source_vocabulary
-from xling.textprep import PipelineConfig, ReducerKind, run_pipeline, tokenize
+from xling.textprep import (
+    PipelineConfig,
+    ReducerKind,
+    load_stopwords,
+    pipeline_ids,
+    run_pipeline,
+    tokenize,
+)
 from xling.vsm import build_vocabulary
 
 SPEC = SyntheticSpec(n_topics=4, words_per_topic=20, common_words=5,
@@ -465,9 +472,9 @@ class TestTrain:
 
         def pipeline(texts, *args):
             texts_seen.append(list(texts))
-            return run_pipeline(texts, *args)
+            return pipeline_ids(texts, *args)
 
-        monkeypatch.setattr(cli, "run_pipeline", pipeline)
+        monkeypatch.setattr(cli, "pipeline_ids", pipeline)
         model_path = tmp_path / "m.xlsm"
         assert main(["train", "--corpus", str(corpus_file), "--kind", kind, "--k", "6",
                      "--output", str(model_path)]) == 0
@@ -560,6 +567,128 @@ class TestTrain:
             run_pipeline([d.text for d in pairs.source_docs], config, "source", as_written),
             run_pipeline([d.text for d in pairs.target_docs], config, "target", as_written),
         )
+        expected = tmp_path / "library.xlsm"
+        lsi.save_model(lsi.train(matrix, 3, seed=42), expected)
+        assert model_path.read_bytes() == expected.read_bytes()
+
+
+# Inflected English and Arabic couples with degenerate documents: an empty
+# text, a stopword-only one, and one whose every word is seen once a side.
+_EDGE_COUPLES = [
+    ("e1", "a1", "The offices and libraries", "المكتبة والمكاتب"),
+    ("e2", "a2", "Travelers travel to the libraries", "المسافرون يسافرون الى المكتبات"),
+    ("e3", "a3", "", "الكتاب كتبوا الكتب"),
+    ("e4", "a4", "The writer travels with books books", "الكاتب يسافر مع الكتب"),
+    ("e5", "a5", "the THE and", "في"),
+    ("e6", "a6", "Zebras quietly yawned", "زرافة نامت"),
+    ("e7", "a7", "offices of writers", "مكاتب الكتاب"),
+]
+_EDGE_DICTIONARY = (
+    "office|offices\tمكتب|مكاتب\nlibrary|libraries\tمكتبة\ntravel|travels\tسفر|مسافر\n"
+    "book|books\tكتاب|كتب\nwriter|writers\tكاتب\n"
+)
+
+
+def _couples_file(path: Path, couples) -> Path:
+    path.write_text(
+        "".join(json.dumps(dict(zip(("src_id", "tgt_id", "src_text", "tgt_text"), couple)))
+                + "\n" for couple in couples),
+        encoding="utf-8",
+    )
+    return path
+
+
+class TestTrainEdges:
+    """What train did when it built its matrix from token lists, pinned
+    through the CLI: its refusals, and models with the bytes of the
+    library's token-list path."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--seed", "-1"], "--seed must be >= 0, got -1"),
+         (["--k", "0"], "--k must be >= 1, got 0"),
+         (["--k", "-3", "--kind", "mono"], "--k must be >= 1, got -3")],
+        ids=["seed", "k", "negative_k"],
+    )
+    def test_bad_seed_or_k_exits_two_before_reading(self, tmp_path, capsys, flags, message):
+        rc = main(["train", "--corpus", str(tmp_path / "missing.jsonl"), *flags,
+                   "--output", str(tmp_path / "m.xlsm")])
+        assert rc == 2
+        assert _one_json_error(capsys) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("kind, warning", [("cross", "single-couple corpus"),
+                                               ("mono", "single-document corpus")])
+    def test_single_couple_warns_and_exits_two(self, tmp_path, capsys, kind, warning):
+        corpus = _couples_file(tmp_path / "c.jsonl", _EDGE_COUPLES[:1])
+        with pytest.warns(UserWarning, match=warning):
+            rc = main(["train", "--corpus", str(corpus), "--kind", kind, "--no-split",
+                       "--output", str(tmp_path / "m.xlsm")])
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "ValueError", "message": "matrix has no nonzero entries (degenerate corpus?)"}
+        assert not list(tmp_path.glob("m.xlsm*"))
+
+    @pytest.mark.parametrize("kind", ["cross", "mono"])
+    def test_all_zero_matrix_exits_two(self, tmp_path, capsys, kind):
+        # Every term is in every document, so every idf is 0.
+        couples = [(f"e{i}", f"a{i}", "olive oil Olive", "زيت زيتون") for i in range(4)]
+        corpus = _couples_file(tmp_path / "c.jsonl", couples)
+        rc = main(["train", "--corpus", str(corpus), "--kind", kind, "--no-split",
+                   "--output", str(tmp_path / "m.xlsm")])
+        assert rc == 2
+        assert _one_json_error(capsys) == {
+            "error": "ValueError", "message": "matrix has no nonzero entries (degenerate corpus?)"}
+
+    @pytest.mark.parametrize("kind, message", [("cross", "no couples to train on"),
+                                               ("mono", "no documents")])
+    def test_no_couples_exits_two(self, tmp_path, capsys, kind, message):
+        corpus = _couples_file(tmp_path / "c.jsonl", [])
+        rc = main(["train", "--corpus", str(corpus), "--kind", kind, "--no-split",
+                   "--output", str(tmp_path / "m.xlsm")])
+        assert rc == 2
+        assert _one_json_error(capsys) == {"error": "EmptyCorpusError", "message": message}
+
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [
+            ("cross", []),
+            ("mono", []),
+            ("cross", ["--reducer-source", "suffix_stemmer", "--reducer-target", "light_stemmer",
+                       "--stopwords", "{stopwords}", "--min-count", "2"]),
+            ("mono", ["--reducer-target", "rooter", "--stopwords", "{stopwords}"]),
+            ("cross", ["--reducer-source", "lemma_table", "--reducer-target", "morphar",
+                       "--dictionary", "{dictionary}", "--min-count", "2"]),
+            ("mono", ["--reducer-target", "morphar", "--dictionary", "{dictionary}",
+                      "--stopwords", "{stopwords}"]),
+        ],
+        ids=["cross", "mono", "cross_stemmers", "mono_rooter", "cross_morphar", "mono_morphar"],
+    )
+    def test_model_equals_library_token_list_model(self, tmp_path, kind, flags):
+        corpus = _couples_file(tmp_path / "c.jsonl", _EDGE_COUPLES)
+        dictionary = tmp_path / "d.tsv"
+        dictionary.write_text(_EDGE_DICTIONARY, encoding="utf-8")
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("The\nand\nالى\nفي\n", encoding="utf-8")
+        fill = {"dictionary": dictionary, "stopwords": stopwords}
+        model_path = tmp_path / "m.xlsm"
+        assert main(["train", "--corpus", str(corpus), "--kind", kind, "--k", "3", "--no-split",
+                     "--output", str(model_path), *(f.format(**fill) for f in flags)]) == 0
+
+        # The library's route: token lists from run_pipeline, the dictionary as written
+        # (only a morphar side reads it, and reads its own terms as written).
+        options = dict(zip(flags[::2], flags[1::2]))
+        config = PipelineConfig(
+            stopwords=load_stopwords(stopwords) if "--stopwords" in options else frozenset(),
+            min_corpus_frequency=int(options.get("--min-count", 1)),
+            reducer_source=ReducerKind(options.get("--reducer-source", "identity")),
+            reducer_target=ReducerKind(options.get("--reducer-target", "identity")),
+        )
+        as_written = load_dictionary(dictionary) if "--dictionary" in options else None
+        pairs = load_aligned_corpus(corpus)
+        tokens = {side: run_pipeline([d.text for d in getattr(pairs, f"{side}_docs")], config,
+                                     side, as_written) for side in ("source", "target")}
+        matrix = (lsi.build_cross_matrix(tokens["source"], tokens["target"]) if kind == "cross"
+                  else lsi.build_mono_matrix(tokens["target"]))
         expected = tmp_path / "library.xlsm"
         lsi.save_model(lsi.train(matrix, 3, seed=42), expected)
         assert model_path.read_bytes() == expected.read_bytes()

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from measure_oracles import brute_fold_in, brute_tfidf, loop_idf
+from hypothesis import example, given, settings, strategies as st
+from measure_oracles import (
+    brute_fold_in,
+    brute_tfidf,
+    counter_of_sets_vocabulary,
+    loop_idf,
+    token_pipeline,
+)
 
+from xling.bidict import BilingualDictionary
 from xling.errors import DimensionMismatchError, EmptyCorpusError
 from xling.lsi import LsiModel, build_cross_matrix, build_mono_matrix, fold_in_many
 from xling.retrieval import Embeddings, _unit_rows, retrieve_many
+from xling.textprep import IndexedDocuments, PipelineConfig, ReducerKind, index_words, pipeline_ids
 from xling.vsm import Vocabulary, build_term_doc_matrix, build_vocabulary
 
 
@@ -111,8 +119,9 @@ class TestVectorize:
 
     def test_training_document_matches_matrix_column(self):
         docs = [["a", "b", "b"], ["b", "c"], ["a", "d"]]
-        vocab = build_vocabulary(docs)
-        tdm = build_term_doc_matrix(docs, vocab)
+        tdm = build_mono_matrix(docs)
+        vocab = tdm.vocabulary
+        assert vocab.terms == build_vocabulary(docs).terms
         for j, doc in enumerate(docs):
             idx, val = _weights(vocab, doc)
             col = tdm.column(j)
@@ -374,3 +383,67 @@ class TestCosine:
         assert _cos(v, u) == sim
         scaled = _dense({k: w * scale for k, w in weights.items()}, 10)
         assert _cos(scaled, v) == pytest.approx(sim, abs=1e-9)
+
+
+# Words a property test joins into texts: repeats, mixed case, non-ASCII,
+# Arabic with clitics, inflected English, and the stopwords below.
+_PIPELINE_WORDS = [
+    "the", "The", "of", "books", "Books", "book", "writes", "written", "went", "v2", "42",
+    "İstanbul", "straße", "café", "Σ", "الكتاب", "والمكتبة", "مكتب", "المسافرون", "سافرت", "كتب",
+]
+_PIPELINE_STOPWORDS = frozenset({"the", "of", "books", "write", "كتب", "كتاب"})
+_PIPELINE_DICTIONARY = BilingualDictionary(
+    [(("كتاب", "مكتب"), ("book", "office")), (("سفر",), ("travel",)), (("book",), ("كتاب",))]
+)
+_TEXTS = st.lists(st.lists(st.sampled_from(_PIPELINE_WORDS), max_size=10).map(" ".join),
+                  min_size=1, max_size=6)
+
+
+class TestIdPathOracle:
+    """The matrix built from the pipeline's word ids has the terms, df, idf
+    bits and CSR rows of the Counter-of-sets vocabulary over the pipeline's
+    token lists plus ``weight_rows``, byte for byte; ``build_vocabulary``
+    has that vocabulary too."""
+
+    @pytest.mark.parametrize("min_count", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(ReducerKind))
+    @settings(max_examples=40)
+    @given(texts=_TEXTS, stopwords=st.booleans())
+    # An empty text, one of stopwords only, and one whose every word falls under the floor.
+    @example(texts=["", "the of THE books", "books book written Σ", "went went went"],
+             stopwords=True)
+    def test_matrix_from_ids_equals_oracle(self, kind, min_count, texts, stopwords):
+        config = PipelineConfig(stopwords=_PIPELINE_STOPWORDS if stopwords else frozenset(),
+                                min_corpus_frequency=min_count, reducer_source=kind)
+        tokens = token_pipeline(texts, config, dictionary=_PIPELINE_DICTIONARY)
+        expected = counter_of_sets_vocabulary(tokens)
+        indptr, indices, data = expected.weight_rows(tokens)
+
+        tdm = build_term_doc_matrix(pipeline_ids(texts, config, "source", _PIPELINE_DICTIONARY))
+        for vocabulary in (tdm.vocabulary, build_vocabulary(tokens)):
+            assert vocabulary.terms == expected.terms
+            assert vocabulary.n_docs == len(texts)
+            assert vocabulary.df.tobytes() == expected.df.tobytes()
+            assert vocabulary.idf.tobytes() == expected.idf.tobytes()
+        matrix = tdm.matrix
+        assert matrix.shape == (len(expected), len(texts))
+        assert matrix.indptr.astype(np.int64).tobytes() == indptr.tobytes()
+        assert matrix.indices.astype(np.int64).tobytes() == indices.tobytes()
+        assert matrix.data.tobytes() == data.tobytes()
+
+    def test_token_lists_and_word_ids_build_the_same_matrices(self):
+        src = [["a", "b", "b"], [], ["c", "a"]]
+        tgt = [["x"], ["y", "x", "y"], ["z"]]
+        by_ids = build_cross_matrix(index_words(src), index_words(tgt))
+        by_tokens = build_cross_matrix(src, tgt)
+        assert (by_ids.matrix != by_tokens.matrix).nnz == 0
+        assert by_ids.vocabulary.to_dict() == by_tokens.vocabulary.to_dict()
+        mono = build_mono_matrix(index_words(tgt))
+        assert (mono.matrix != build_mono_matrix(tgt).matrix).nnz == 0
+
+    def test_dropped_words_have_no_row(self):
+        indexed = IndexedDocuments([[0, 1, 2, 1], [2, 3]], ["a", None, "c", "a"])
+        tdm = build_term_doc_matrix(indexed)
+        assert tdm.vocabulary.terms == ("a", "c")
+        assert tdm.vocabulary.df.tolist() == [2, 2]
+        assert tdm.matrix.nnz == 0  # both terms are in both documents
