@@ -49,6 +49,14 @@ INFLECTED = [  # couples of inflected English and Arabic words
     ("e5", "a5", "Children went to the garden and played a game.", "الأطفال ذهبوا إلى الحديقة ولعبوا لعبة"),
     ("e6", "a6", "The school books were written by teachers.", "كتب المدرسة كتبها المعلمون"),
 ]
+EDGES = [  # an empty text, stopword-only texts, below-floor words, mixed case, repeats
+    ("e1", "a1", "", "Ça ÉTÉ été ça"),
+    ("e2", "a2", "The and THE", "في الى"),
+    ("e3", "a3", "Zebras quietly yawned", "زرافة نامت"),
+    ("e4", "a4", "olive olive oil OIL Oil", "زيت زيت زيتون"),
+    ("e5", "a5", "Straße İstanbul STRASSE straße oil", "ÉCOLE école Ça زيتون"),
+    ("e6", "a6", "Olive press İstanbul", "مطبعة زيت École"),
+]
 
 # Each case: its input files, its xling commands, one a line ({in} and {out}
 # stand for the case's input and output directories), and the outputs compared.
@@ -121,25 +129,25 @@ CASES = {
     },
     # Degenerate documents, which the benchmark's never are: an empty text, a
     # stopword-only one, one whose every term is below the floor, repeated
-    # tokens, and mixed-case non-ASCII words.
+    # tokens, and mixed-case non-ASCII words; trained on, and scored with a
+    # frequency floor. The matching rate is undefined for a couple with no term
+    # on either side (e2: stopwords; e3: below the floor), so match scores the others.
     "train-edges": {
         "files": {
-            "corpus.jsonl": jsonl(
-                PAIR,
-                ("e1", "a1", "", "Ça ÉTÉ été ça"),
-                ("e2", "a2", "The and THE", "في الى"),
-                ("e3", "a3", "Zebras quietly yawned", "زرافة نامت"),
-                ("e4", "a4", "olive olive oil OIL Oil", "زيت زيت زيتون"),
-                ("e5", "a5", "Straße İstanbul STRASSE straße oil", "ÉCOLE école Ça زيتون"),
-                ("e6", "a6", "Olive press İstanbul", "مطبعة زيت École"),
-            ),
+            "corpus.jsonl": jsonl(PAIR, *EDGES),
+            "scored.jsonl": jsonl(PAIR, EDGES[0], *EDGES[3:]),
             "stopwords.txt": "The\nand\nفي\nالى\n",
+            "dictionary.tsv": "oil\tزيت\nolive\tزيتون\npress\tمطبعة\n",
         },
-        "commands": "\n".join(
-            "train --corpus {in}/corpus.jsonl --kind %s --k 2 --no-split"
-            " --stopwords {in}/stopwords.txt --min-count 2 --output {out}/%s.xlsm" % (kind, kind)
-            for kind in ("cross", "mono")),
-        "compare": ["cross.xlsm", "mono.xlsm"],
+        "commands": "\n".join([
+            *("train --corpus {in}/corpus.jsonl --kind %s --k 2 --no-split"
+              " --stopwords {in}/stopwords.txt --min-count 2 --output {out}/%s.xlsm" % (kind, kind)
+              for kind in ("cross", "mono")),
+            *("score --corpus {in}/%s.jsonl --measure %s --dictionary {in}/dictionary.tsv"
+              " --stopwords {in}/stopwords.txt --min-count 2 --output {out}/%s.tsv" % (c, m, m)
+              for c, m in (("corpus", "bincos"), ("corpus", "bin"), ("scored", "match"))),
+        ]),
+        "compare": ["cross.xlsm", "mono.xlsm", "bincos.tsv", "bin.tsv", "match.tsv"],
     },
     # Ids with quote, backslash and non-ASCII characters; the cache lacks q4, whose list is skipped.
     "retrieve": {

@@ -21,9 +21,9 @@ the other, mapped to those translations. ``bin_measure`` counts its keys,
 ``bin_pooled`` the tokens whose type is a key, and ``matching_rate`` takes
 its edges from it.
 
-``dict_cosines`` weights each side's documents in one pass
-(``Vocabulary.weight_rows``) and sums exactly (``math.fsum``) over the
-partners of each couple's own terms; ``dict_cosine`` is its one-couple case.
+``dict_cosines`` weights each side's documents, token lists or word ids, in
+one pass (``Vocabulary.weight_rows``) and sums exactly (``math.fsum``) over
+the partners of each couple's own terms; ``dict_cosine`` is its one-couple case.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MalformedLineError, UndefinedRateError
+from .textprep import IndexedDocuments, by_side
 from .vsm import Vocabulary
 
 __all__ = [
@@ -73,11 +74,7 @@ class BilingualDictionary:
         self._targets_of, self._sources_of = targets_of, sources_of
 
     def _index_for(self, side: str) -> dict[str, frozenset[str]]:
-        if side == "source":
-            return self._targets_of
-        if side == "target":
-            return self._sources_of
-        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
+        return by_side(side, self._targets_of, self._sources_of)
 
     def contains(self, term: str, side: str = "source") -> bool:
         return term in self._index_for(side)
@@ -273,14 +270,15 @@ def dict_cosine(
 
 
 def dict_cosines(
-    source_docs: Sequence[Sequence[str]],
-    target_docs: Sequence[Sequence[str]],
+    source_docs: Sequence[Sequence[str]] | IndexedDocuments,
+    target_docs: Sequence[Sequence[str]] | IndexedDocuments,
     dictionary: BilingualDictionary,
     source_stats: Vocabulary,
     target_stats: Vocabulary,
 ) -> list[float]:
     """Cosine over paired tfidf vectors, one attribute per translation pair,
-    of every couple ``(source_docs[j], target_docs[j])``.
+    of every couple ``(source_docs[j], target_docs[j])``. Each side is token
+    lists or word ids, as ``Vocabulary.weight_rows`` reads them.
 
     For each dictionary pair (w_s, w_t), the source attribute is the tfidf
     of w_s in the source document and the target attribute the tfidf of w_t
@@ -307,7 +305,8 @@ def dict_cosines(
 
 
 def _tfidf_rows(
-    docs: Sequence[Sequence[str]], stats: Vocabulary, known: Mapping[str, frozenset[str]]
+    docs: Sequence[Sequence[str]] | IndexedDocuments,
+    stats: Vocabulary, known: Mapping[str, frozenset[str]],
 ) -> Iterator[dict[str, float]]:
     """Per document, the non-zero tfidf weight of each term in both ``stats`` and ``known``.
 

@@ -141,7 +141,8 @@ def _check_output_dirs(args) -> None:
 def _terms(args, corpus, sides=_SIDES, *, ids=False):
     """The terms of ``corpus``'s ``sides`` as the pipeline flags describe, and
     the ``--dictionary`` (None without one). Each side is its token lists, or
-    with ``ids`` its word ids (see ``pipeline_ids``), which train reads.
+    with ``ids`` its word ids (see ``pipeline_ids``), which train and the
+    dictionary cosine read.
 
     It reads the stopwords, then the dictionary, once for both sides: each
     side's dictionary terms are reduced as they are read by that side's
@@ -291,6 +292,8 @@ def _run_retrieval(args, model, corpus, n: int) -> list[retrieval.RankedList]:
 
 
 def _cmd_retrieve(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     model = lsi.load_model(args.model)
     corpus = corpus_io.load_aligned_corpus(args.corpus)
     ranked = _run_retrieval(args, model, corpus, args.n)
@@ -305,6 +308,8 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    if args.top_n < 1:
+        raise ValueError(f"--top-n must be >= 1, got {args.top_n}")
     docs = (args.source_docs, args.target_docs)
     if any(docs) if args.corpus else not all(docs):
         raise ValueError("align takes either --corpus or both --source-docs and --target-docs")
@@ -374,17 +379,14 @@ def _cmd_score(args) -> int:
     if args.measure != "bin":
         _unread_flags(args, f"--measure {args.measure} has no variants", "bin_variant")
     corpus = corpus_io.load_aligned_corpus(args.corpus)
-    (src_tokens, tgt_tokens), dictionary = _terms(args, corpus)
+    if not len(corpus):
+        raise EmptyCorpusError("no couples to score")
+    (src_terms, tgt_terms), dictionary = _terms(args, corpus, ids=args.measure == "bincos")
 
     if args.measure == "bincos":
-        # Each side is weighted once for the whole corpus, not per couple.
-        scores = dict_cosines(
-            src_tokens,
-            tgt_tokens,
-            dictionary,
-            build_vocabulary(src_tokens),
-            build_vocabulary(tgt_tokens),
-        )
+        # Each side is weighted once for the whole corpus, from its word ids.
+        scores = dict_cosines(src_terms, tgt_terms, dictionary,
+                              build_vocabulary(src_terms), build_vocabulary(tgt_terms))
     else:
         # Built per command, not at import: perfbench/tracing.py rebinds matching_rate.
         measure = {
@@ -394,7 +396,7 @@ def _cmd_score(args) -> int:
         }[args.measure]
         # Every couple is scored before the output is opened, so that a run
         # a measure refuses (an undefined rate) leaves no file behind.
-        scores = [measure(d_s, d_t, dictionary) for d_s, d_t in zip(src_tokens, tgt_tokens)]
+        scores = [measure(d_s, d_t, dictionary) for d_s, d_t in zip(src_terms, tgt_terms)]
     with Path(args.output).open("w", encoding="utf-8", newline="\n") as fh:
         for (src, tgt), score in zip(corpus.pairs(), scores):
             fh.write(f"{src.id}\t{tgt.id}\t{score:.6f}\n")

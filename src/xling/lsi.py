@@ -3,12 +3,14 @@
 Supports a monolingual space (one language's matrix) and a cross-lingual
 space whose rows stack both languages' vocabularies and whose columns are
 concatenated document couples: the two languages' monolingual matrices,
-one above the other. A cross-lingual space holds both sides, ``"source"``
-and ``"target"``; a monolingual one holds only ``"target"``, the language
-queries are translated into. Unseen documents enter a trained space by
-fold-in, ``v' = v^t U S^{-1}``: :func:`fold_in_many` weights one side's
-token lists with that side's ``Vocabulary.weight_rows`` (shifted to its rows
-in a cross space) and multiplies each row into the matching rows of ``U``.
+one above the other, each built by ``vsm.build_term_doc_matrix`` from a
+side's token lists or word ids as given. A cross-lingual space holds both
+sides, ``"source"`` and ``"target"``; a monolingual one holds only
+``"target"``, the language queries are translated into. Unseen documents
+enter a trained space by fold-in, ``v' = v^t U S^{-1}``:
+:func:`fold_in_many` weights one side's token lists with that side's
+``Vocabulary.weight_rows`` (shifted to its rows in a cross space) and
+multiplies each row into the matching rows of ``U``.
 
 The factorization is a randomized range-finder (Gaussian sketch, power
 iterations that normalize each ``A^T A`` product with one LU and the last
@@ -53,7 +55,7 @@ from .errors import (
     EmptyCorpusError,
     VersionMismatchError,
 )
-from .textprep import IndexedDocuments, index_words
+from .textprep import IndexedDocuments, by_side
 from .vsm import TermDocMatrix, Vocabulary, build_term_doc_matrix
 from .vsm import build_vocabulary  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
@@ -118,15 +120,10 @@ class CrossVocabulary:
         return len(self.source) + len(self.target)
 
     def vocab_for(self, side: str) -> Vocabulary:
-        if side == "source":
-            return self.source
-        if side == "target":
-            return self.target
-        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
+        return by_side(side, self.source, self.target)
 
     def offset_for(self, side: str) -> int:
-        self.vocab_for(side)  # rejects an unknown side
-        return 0 if side == "source" else len(self.source)
+        return by_side(side, 0, len(self.source))
 
     def to_dict(self) -> dict:
         # Format v1 keeps its two language keys, which the loaders of earlier
@@ -145,10 +142,6 @@ class CrossVocabulary:
         return cls(Vocabulary.from_dict(payload["source"]), Vocabulary.from_dict(payload["target"]))
 
 
-def _indexed(documents: Sequence[Sequence[str]] | IndexedDocuments) -> IndexedDocuments:
-    return documents if isinstance(documents, IndexedDocuments) else index_words(documents)
-
-
 def build_mono_matrix(documents: Sequence[Sequence[str]] | IndexedDocuments) -> TermDocMatrix:
     """Term-document tfidf matrix over one language's token lists, or over
     the word ids :func:`xling.textprep.pipeline_ids` gives, which build the
@@ -157,10 +150,9 @@ def build_mono_matrix(documents: Sequence[Sequence[str]] | IndexedDocuments) -> 
     With a single document every df equals N, so the matrix is all zeros;
     that degenerate case is flagged with a warning.
     """
-    documents = _indexed(documents)
-    if not documents.ids:
+    if not documents:
         raise EmptyCorpusError("no documents")
-    if len(documents.ids) == 1:
+    if len(documents) == 1:
         warnings.warn("single-document corpus: every tfidf weight is zero", stacklevel=2)
     return build_term_doc_matrix(documents)
 
@@ -176,16 +168,15 @@ def build_cross_matrix(
     (a term's df is the number of couples whose own side contains it), so
     the matrix is the source side's monolingual matrix above the target's.
     """
-    source, target = _indexed(source_documents), _indexed(target_documents)
-    if not source.ids or not target.ids:
+    n_source, n_target = len(source_documents), len(target_documents)
+    if not n_source or not n_target:
         raise EmptyCorpusError("no documents")
-    if len(source.ids) != len(target.ids):
-        raise ValueError(
-            "couple counts differ: %d source vs %d target" % (len(source.ids), len(target.ids))
-        )
-    if len(source.ids) == 1:
+    if n_source != n_target:
+        raise ValueError("couple counts differ: %d source vs %d target" % (n_source, n_target))
+    if n_source == 1:
         warnings.warn("single-couple corpus: every tfidf weight is zero", stacklevel=2)
-    source, target = build_term_doc_matrix(source), build_term_doc_matrix(target)
+    source = build_term_doc_matrix(source_documents)
+    target = build_term_doc_matrix(target_documents)
     import scipy.sparse as sp
 
     matrix = sp.vstack([source.matrix, target.matrix], format="csc")

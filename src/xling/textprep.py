@@ -5,7 +5,8 @@ Text becomes terms in one way, one corpus side at a time:
 :func:`tokenize`, numbers the side's distinct words, maps each word to its
 side's reduced term as a :class:`PipelineConfig` describes, drops
 stopwords, and then drops terms below the corpus-frequency floor. Training
-reads its word ids; :func:`run_pipeline` maps them to token lists.
+and the dictionary cosine read its word ids; :func:`run_pipeline` maps them
+to token lists. :func:`by_side` is every module's source/target switch.
 
 The word reducers shipped here are deliberately small, rule-table driven
 stand-ins for the heavyweight morphological tools commonly used for Arabic
@@ -41,7 +42,7 @@ __all__ = [
     "root_stem",
     "suffix_stem",
     "lemmatize",
-    "word_index",
+    "by_side",
     "index_words",
     "pipeline_ids",
     "run_pipeline",
@@ -272,6 +273,16 @@ _REDUCERS: dict[ReducerKind, Callable[[str], str]] = {
 }
 
 
+def by_side(side: str, source, target):
+    """``source`` for side ``"source"``, ``target`` for ``"target"``; any
+    other side raises ValueError, so no misspelt side falls through."""
+    if side == "source":
+        return source
+    if side == "target":
+        return target
+    raise ValueError(f"side must be 'source' or 'target', got {side!r}")
+
+
 def make_reducer(
     kind: ReducerKind, *, dictionary=None, side: str = "source"
 ) -> Callable[[str], str]:
@@ -282,8 +293,7 @@ def make_reducer(
     work on plain reduced bags. Every kind rejects a side other than
     ``"source"`` or ``"target"``.
     """
-    if side not in ("source", "target"):
-        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
+    by_side(side, None, None)  # rejects an unknown side
     if kind is not ReducerKind.MORPHAR:
         return _REDUCERS[kind]
     if dictionary is None:
@@ -321,11 +331,7 @@ class PipelineConfig:
         object.__setattr__(self, "stopwords", frozenset(map(str.lower, self.stopwords)))
 
     def reducer_for(self, side: str) -> ReducerKind:
-        if side == "source":
-            return self.reducer_source
-        if side == "target":
-            return self.reducer_target
-        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
+        return by_side(side, self.reducer_source, self.reducer_target)
 
 
 @dataclass(frozen=True)
@@ -340,19 +346,15 @@ class IndexedDocuments:
     ids: list[list[int]]
     terms: list[str | None]
 
-
-def word_index() -> defaultdict:
-    """An empty dict that numbers the words looked up in it: an unseen word
-    gets the count of words before it, so a ``map`` of its ``__getitem__``
-    numbers tokens in C."""
-    index: defaultdict = defaultdict()
-    index.default_factory = index.__len__
-    return index
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def index_words(documents: Iterable[Iterable[str]]) -> IndexedDocuments:
-    """Token lists as word ids, each word its own term."""
-    index = word_index()
+    """Token lists as word ids, each word its own term. An unseen word gets
+    the count of words before it, so a ``map`` numbers tokens in C."""
+    index: defaultdict = defaultdict()
+    index.default_factory = index.__len__
     ids = [list(map(index.__getitem__, doc)) for doc in documents]
     return IndexedDocuments(ids, list(index))
 

@@ -4,13 +4,12 @@ Weighting is ``tf * ln(N/df)`` with raw in-document counts and no
 smoothing, so a term present in every document weighs zero. It lives in
 one place, ``Vocabulary._weigh``, which turns each document's term counts
 into CSR rows. The counts come from one key ``row * stride + id`` per
-token and ``np.unique`` (:func:`_count_terms`), fed two ways:
-
-- :func:`build_term_doc_matrix` takes a corpus side's word ids, as
-  :func:`xling.textprep.pipeline_ids` gives them, and takes df from the
-  same keys, so training holds no string per token;
-- ``Vocabulary.weight_rows`` looks token lists up in a built vocabulary,
-  for the LSI fold-in and ``bidict.dict_cosines``.
+token and ``np.unique`` (:func:`_count_terms`). A corpus side is token
+lists, numbered by :func:`xling.textprep.index_words`, or the word ids of
+:func:`xling.textprep.pipeline_ids`; ``_count_side`` counts it and takes
+df from the same keys, for :func:`build_vocabulary` and
+:func:`build_term_doc_matrix`. ``Vocabulary.weight_rows`` looks word ids up
+once per distinct word, and token lists (the LSI fold-in's) once per token.
 
 The idf of a term is ``math.log(n_docs / df)`` in double precision, the
 same bits as one ``math.log`` per term, but evaluated once per distinct df:
@@ -32,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyCorpusError
-from .textprep import IndexedDocuments, word_index
+from .textprep import IndexedDocuments, index_words
 
 __all__ = [
     "Vocabulary",
@@ -83,28 +82,30 @@ class Vocabulary:
         return self._index.get(term)
 
     def weight_rows(
-        self, documents: Iterable[Sequence[str]]
+        self, documents: Iterable[Sequence[str]] | IndexedDocuments
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """tfidf rows of a collection of token lists, in CSR layout.
+        """tfidf rows of a collection of token lists or word ids, in CSR layout.
 
         Returns ``(indptr, indices, data)``: row ``r`` holds the ascending
         term indices ``indices[indptr[r]:indptr[r + 1]]`` of document ``r``
         and their non-zero ``tf * idf`` weights. Unseen terms are dropped.
-        ``documents`` is read once, so a generator will do. One stream maps
-        every token of the collection to its term index (``-1`` when
-        unseen) straight into an array, recording each document's length
-        as it passes; the counting and weighting are array operations over
-        the whole collection.
+        Word ids are looked up once per distinct word. Token lists are read
+        once, so a generator will do: one stream maps every token to its term
+        index (``-1`` when unseen) straight into an array, recording each
+        document's length. Counting and weighting are array operations.
         """
-        lookup = self._index.get
-        lengths: list[int] = []
+        if isinstance(documents, IndexedDocuments):
+            term, lengths = _word_terms(documents, self._index)
+        else:
+            lookup = self._index.get
+            lengths = []
 
-        def term_ids():
-            for tokens in documents:
-                lengths.append(len(tokens))
-                yield map(lookup, tokens, repeat(-1))
+            def term_ids():
+                for tokens in documents:
+                    lengths.append(len(tokens))
+                    yield map(lookup, tokens, repeat(-1))
 
-        term = np.fromiter(chain.from_iterable(term_ids()), dtype=np.int64)
+            term = np.fromiter(chain.from_iterable(term_ids()), dtype=np.int64)
         return self._weigh(*_count_terms(term, lengths, len(self.terms)), len(lengths))
 
     def _weigh(self, keys: np.ndarray, tf: np.ndarray, n_docs: int):
@@ -146,24 +147,38 @@ def _count_terms(term: np.ndarray, lengths: Sequence[int], n_terms: int):
     return np.unique(keys[term >= 0], return_counts=True)
 
 
-def build_vocabulary(documents: Sequence[Sequence[str]]) -> Vocabulary:
-    """Build a vocabulary over tokenized documents.
+def _word_terms(documents: IndexedDocuments, index: Mapping[str, int]):
+    """:func:`_count_terms`'s inputs: every token's term id in ``index`` (``-1``
+    when dropped or absent), looked up once per word, and each document's length."""
+    term_of_word = np.fromiter(map(index.get, documents.terms, repeat(-1)), dtype=np.int64,
+                               count=len(documents.terms))
+    words = np.fromiter(chain.from_iterable(documents.ids), dtype=np.int64)
+    return term_of_word[words], list(map(len, documents.ids))
+
+
+def _count_side(documents: Sequence[Sequence[str]] | IndexedDocuments):
+    """The vocabulary of one corpus side's kept terms, and the side's
+    :func:`_count_terms` keys and tf. A term's df is the number of its keys."""
+    if not isinstance(documents, IndexedDocuments):
+        documents = index_words(documents)
+    if not documents:
+        raise EmptyCorpusError("cannot build a vocabulary from zero documents")
+    terms = sorted(set(documents.terms) - {None})
+    index = dict(zip(terms, range(len(terms))))
+    keys, tf = _count_terms(*_word_terms(documents, index), len(terms))
+    df = np.bincount(keys % max(len(terms), 1), minlength=len(terms))
+    return Vocabulary(terms, df, len(documents)), keys, tf
+
+
+def build_vocabulary(documents: Sequence[Sequence[str]] | IndexedDocuments) -> Vocabulary:
+    """Build a vocabulary over one corpus side: token lists, or the word ids
+    :func:`xling.textprep.pipeline_ids` gives.
 
     df counts the number of documents containing a term (duplicates within
     one document count once). An empty document list is an error; documents
-    that are themselves empty are fine. Only each document's distinct terms
-    are numbered, and df counts their ids.
+    that are themselves empty are fine.
     """
-    if not documents:
-        raise EmptyCorpusError("cannot build a vocabulary from zero documents")
-    index = word_index()
-    get = index.__getitem__
-    ids = np.fromiter(chain.from_iterable(map(get, set(doc)) for doc in documents),
-                      dtype=np.int64)
-    terms = sorted(index)
-    df = np.bincount(ids, minlength=len(terms))
-    return Vocabulary(terms, df[np.fromiter(map(get, terms), np.int64, len(terms))],
-                      len(documents))
+    return _count_side(documents)[0]
 
 
 @dataclass(frozen=True)
@@ -182,23 +197,12 @@ class TermDocMatrix:
         return self.matrix[:, [j]].toarray().ravel()
 
 
-def build_term_doc_matrix(documents: IndexedDocuments) -> TermDocMatrix:
-    """The tfidf matrix of one corpus side's word ids, terms by documents,
-    over the vocabulary of the terms the side keeps. A term's df is the
-    number of its keys (see :func:`_count_terms`)."""
-    n_docs = len(documents.ids)
-    if not n_docs:
-        raise EmptyCorpusError("cannot build a matrix from zero documents")
+def build_term_doc_matrix(documents: Sequence[Sequence[str]] | IndexedDocuments) -> TermDocMatrix:
+    """The tfidf matrix of one corpus side, terms by documents, over
+    :func:`build_vocabulary`'s vocabulary of the side."""
+    vocabulary, keys, tf = _count_side(documents)
     import scipy.sparse as sp
 
-    terms = sorted(set(documents.terms) - {None})
-    index = dict(zip(terms, range(len(terms))))
-    term_of_word = np.fromiter(map(index.get, documents.terms, repeat(-1)), dtype=np.int64,
-                               count=len(documents.terms))
-    words = np.fromiter(chain.from_iterable(documents.ids), dtype=np.int64)
-    keys, tf = _count_terms(term_of_word[words], list(map(len, documents.ids)), len(terms))
-    vocabulary = Vocabulary(terms, np.bincount(keys % max(len(terms), 1), minlength=len(terms)),
-                            n_docs)
-    indptr, indices, data = vocabulary._weigh(keys, tf, n_docs)
-    matrix = sp.csc_matrix((data, indices, indptr), shape=(len(vocabulary), n_docs))
+    indptr, indices, data = vocabulary._weigh(keys, tf, vocabulary.n_docs)
+    matrix = sp.csc_matrix((data, indices, indptr), shape=(len(vocabulary), vocabulary.n_docs))
     return TermDocMatrix(matrix, vocabulary)

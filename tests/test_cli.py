@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from measure_oracles import chain_couple
+from measure_oracles import chain_couple, counter_of_sets_vocabulary
 import xling
 from xling import cli, errors
-from xling.bidict import dict_cosine, load_dictionary, matching_rate
+from xling.bidict import dict_cosine, dict_cosines, load_dictionary, matching_rate
 from xling.cli import main
 from xling.corpus import (
     Document,
@@ -33,6 +33,7 @@ from xling.textprep import (
     PipelineConfig,
     ReducerKind,
     load_stopwords,
+    make_reducer,
     pipeline_ids,
     run_pipeline,
     tokenize,
@@ -790,6 +791,30 @@ class TestRetrieveEvalAlign:
         err = json.loads(captured.err)
         assert err["error"] == "ValueError" and "k must be >= 1" in err["message"]
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_retrieve_depth_below_one_exits_two_before_reading(self, tmp_path, capsys, n):
+        # An empty corpus has no query to rank, and the model is not there.
+        corpus = _couples_file(tmp_path / "c.jsonl", [])
+        out = tmp_path / "ranked.json"
+        rc = main(["retrieve", "--model", str(tmp_path / "missing.xlsm"), "--corpus", str(corpus),
+                   "--n", n, "--output", str(out)])
+        assert rc == 2
+        assert _one_json_error(capsys) == {"error": "ValueError",
+                                           "message": f"--n must be >= 1, got {n}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("top_n", ["0", "-3"])
+    def test_align_top_n_below_one_exits_two_before_reading(
+        self, tmp_path, corpus_file, capsys, top_n
+    ):
+        out = tmp_path / "pairs.tsv"
+        rc = main(["align", "--model", str(tmp_path / "missing.xlsm"), "--corpus",
+                   str(corpus_file), "--top-n", top_n, "--output", str(out)])
+        assert rc == 2
+        assert _one_json_error(capsys) == {"error": "ValueError",
+                                           "message": f"--top-n must be >= 1, got {top_n}"}
+        assert not out.exists()
+
     def test_eval_empty_query_set_exits_two(self, tmp_path, corpus_file, capsys):
         model_path = _train(tmp_path, corpus_file)
         empty = tmp_path / "empty.jsonl"
@@ -1502,6 +1527,60 @@ class TestScore:
             for (s, t), d_s, d_t in zip(corpus.pairs(), src, tgt)
         )
         assert out.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--min-count", "2", "--reducer-source", "suffix_stemmer",
+              "--reducer-target", "light_stemmer"]],
+        ids=["default", "stemmers_min_count"],
+    )
+    def test_bincos_runs_the_pipeline_once_per_side(
+        self, tmp_path, corpus_file, dictionary_file, monkeypatch, flags
+    ):
+        texts_seen = []
+
+        def pipeline(texts, *args):
+            texts_seen.append(list(texts))
+            return pipeline_ids(texts, *args)
+
+        monkeypatch.setattr(cli, "pipeline_ids", pipeline)
+        monkeypatch.setattr(cli, "run_pipeline", _unexpected_read)
+        out = tmp_path / "bincos.tsv"
+        assert main(["score", "--corpus", str(corpus_file), "--dictionary", str(dictionary_file),
+                     "--measure", "bincos", "--output", str(out), *flags]) == 0
+
+        corpus = load_aligned_corpus(corpus_file)
+        src = [d.text for d in corpus.source_docs]
+        tgt = [d.text for d in corpus.target_docs]
+        assert texts_seen == [src, tgt]
+        # The scores of the token-list route, with df counted by a Counter of sets.
+        options = dict(zip(flags[::2], flags[1::2]))
+        kinds = [ReducerKind(options.get(f"--reducer-{side}", "identity"))
+                 for side in ("source", "target")]
+        config = PipelineConfig(min_corpus_frequency=int(options.get("--min-count", 1)),
+                                reducer_source=kinds[0], reducer_target=kinds[1])
+        src_tokens = run_pipeline(src, config, "source")
+        tgt_tokens = run_pipeline(tgt, config, "target")
+        scores = dict_cosines(src_tokens, tgt_tokens,
+                              load_dictionary(dictionary_file, *map(make_reducer, kinds)),
+                              counter_of_sets_vocabulary(src_tokens),
+                              counter_of_sets_vocabulary(tgt_tokens))
+        expected = "".join(f"{s.id}\t{t.id}\t{score:.6f}\n"
+                           for (s, t), score in zip(corpus.pairs(), scores))
+        assert out.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("measure", ["bin", "bincos", "oov", "match"])
+    def test_empty_corpus_exits_two_before_reading_the_dictionary(
+        self, tmp_path, capsys, measure
+    ):
+        corpus = _couples_file(tmp_path / "c.jsonl", [])
+        out = tmp_path / "s.tsv"
+        rc = main(["score", "--corpus", str(corpus), "--dictionary", str(tmp_path / "missing.tsv"),
+                   "--measure", measure, "--output", str(out)])
+        assert rc == 2
+        assert _one_json_error(capsys) == {"error": "EmptyCorpusError",
+                                           "message": "no couples to score"}
+        assert not out.exists()
 
     def test_min_count_flag_equals_library_scores(self, tmp_path, corpus_file, dictionary_file):
         out, default = tmp_path / "match.tsv", tmp_path / "default.tsv"

@@ -403,7 +403,9 @@ class TestIdPathOracle:
     """The matrix built from the pipeline's word ids has the terms, df, idf
     bits and CSR rows of the Counter-of-sets vocabulary over the pipeline's
     token lists plus ``weight_rows``, byte for byte; ``build_vocabulary``
-    has that vocabulary too."""
+    has that vocabulary too, from the token lists or from the word ids, and
+    ``weight_rows`` gives the same rows from the word ids as from the token
+    lists, over that vocabulary and over one that lacks some of the words."""
 
     @pytest.mark.parametrize("min_count", [1, 2, 3])
     @pytest.mark.parametrize("kind", list(ReducerKind))
@@ -419,8 +421,9 @@ class TestIdPathOracle:
         expected = counter_of_sets_vocabulary(tokens)
         indptr, indices, data = expected.weight_rows(tokens)
 
-        tdm = build_term_doc_matrix(pipeline_ids(texts, config, "source", _PIPELINE_DICTIONARY))
-        for vocabulary in (tdm.vocabulary, build_vocabulary(tokens)):
+        ids = pipeline_ids(texts, config, "source", _PIPELINE_DICTIONARY)
+        tdm = build_term_doc_matrix(ids)
+        for vocabulary in (tdm.vocabulary, build_vocabulary(tokens), build_vocabulary(ids)):
             assert vocabulary.terms == expected.terms
             assert vocabulary.n_docs == len(texts)
             assert vocabulary.df.tobytes() == expected.df.tobytes()
@@ -430,6 +433,10 @@ class TestIdPathOracle:
         assert matrix.indptr.astype(np.int64).tobytes() == indptr.tobytes()
         assert matrix.indices.astype(np.int64).tobytes() == indices.tobytes()
         assert matrix.data.tobytes() == data.tobytes()
+        for vocabulary in (expected, counter_of_sets_vocabulary(tokens[::2])):
+            by_tokens, by_ids = vocabulary.weight_rows(tokens), vocabulary.weight_rows(ids)
+            for a, b in zip(by_tokens, by_ids):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_token_lists_and_word_ids_build_the_same_matrices(self):
         src = [["a", "b", "b"], [], ["c", "a"]]
